@@ -15,8 +15,9 @@ from .core import (GeneratorSpec, SparseSystem, UndirectedGraph,
                    generate_instance, induced_graph, is_acyclic,
                    system_from_edges)
 from .engine import (ConvergenceTrace, DeltaBelow, DirectedEdgeMessage,
-                     ErrorBelow, FixedRounds, NodeProgram, RoundAccounting,
-                     SolverFault, TraceRound, delta_stop, run_rounds)
+                     EdgeLayout, ErrorBelow, FixedRounds, NodeFault,
+                     NodeProgram, RoundAccounting, SolverFault, TraceRound,
+                     delta_stop, edge_layout, run_rounds)
 from .errors import (CyclicGraphError, DimensionMismatchError,
                      DivergedEstimateError, MissingDiagonalError,
                      NoConvergenceError, NonPositiveLambdaError,
@@ -41,8 +42,9 @@ __all__ = [
     "BPProgram", "CheckResult", "ConsensusProgram", "ConvergenceTrace",
     "CyclicGraphError", "DeltaBelow", "DimensionMismatchError",
     "DirectedEdgeMessage", "DivergedEstimateError", "DominanceReport",
-    "ErrorBelow", "FixedRounds", "GeneratorSpec", "JacobiProgram",
-    "MissingDiagonalError", "NoConvergenceError", "NodeProgram",
+    "EdgeLayout", "ErrorBelow", "FixedRounds", "GeneratorSpec",
+    "JacobiProgram", "MissingDiagonalError", "NoConvergenceError",
+    "NodeFault", "NodeProgram",
     "NonPositiveLambdaError", "NotAnEdgeError", "NotWalkSummableError",
     "NotWalkSummableWarning", "ParseError", "ProtocolViolationError",
     "ResidualMatrix", "RoundAccounting", "SingularMatrixError",
@@ -51,7 +53,8 @@ __all__ = [
     "UnwrappedTree", "Walk", "WalksolveError", "ZeroDiagonalError",
     "ZeroRowError", "analyze", "bfs_distances", "bp_solve",
     "connected_components", "delta_stop", "dense_solve", "diameter",
-    "find_gdd_scaling", "gauss_seidel_sweep", "generate_instance",
+    "edge_layout", "find_gdd_scaling", "gauss_seidel_sweep",
+    "generate_instance",
     "induced_graph", "is_acyclic", "is_diagonally_dominant", "load_system",
     "message_oracle", "partial_walk_sum", "preprocess_overdetermined",
     "preprocess_underdetermined", "read_matrix_market", "read_rhs",

@@ -193,12 +193,32 @@ def bfs_distances(g: UndirectedGraph, src: int) -> list[int]:
     return _bfs_dist(g, src)
 
 
-def diameter(g: UndirectedGraph) -> int:
-    """Longest shortest path, exact via BFS from every node.
+def _farthest(g: UndirectedGraph, src: int) -> tuple[int, int]:
+    """A node farthest from src within its component, and its distance."""
+    dist = {src: 0}
+    q = deque([src])
+    u = src
+    while q:
+        u = q.popleft()
+        for v in g.neighbors[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                q.append(v)
+    # BFS dequeues by nondecreasing distance, so the last node is farthest
+    return u, dist[u]
 
-    On a disconnected graph this is the maximum over components; a
-    singleton graph has diameter 0.
+
+def diameter(g: UndirectedGraph) -> int:
+    """Longest shortest path, exact.
+
+    A forest takes two BFS sweeps per component: in a tree, a node
+    farthest from any node is an end of a longest path.  A graph with a
+    cycle takes BFS from every node.  On a disconnected graph this is the
+    maximum over components; a singleton graph has diameter 0.
     """
+    if is_acyclic(g):
+        return max(_farthest(g, _farthest(g, comp[0])[0])[1]
+                   for comp in connected_components(g))
     best = 0
     for src in range(g.n):
         ecc = max(d for d in _bfs_dist(g, src) if d >= 0)
@@ -352,11 +372,12 @@ def _loopy_small_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]
 
 def _random_sparse_edges(n: int, rng: np.random.Generator,
                          density: float) -> list[tuple[int, int]]:
+    # one draw per pair i < j, in row order: the same stream as drawing
+    # the pairs one at a time, without an n^2/2 array
     edges = []
     for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                edges.append((i, j))
+        hits = np.flatnonzero(rng.random(n - i - 1) < density)
+        edges.extend((i, i + 1 + int(j)) for j in hits)
     return edges
 
 

@@ -6,6 +6,20 @@ an outbox; delivery happens at the barrier after all nodes have stepped.
 Node transitions therefore commute and the trace is bit-identical no
 matter which order nodes are evaluated in.
 
+A round is computed on one of two paths; ``run_rounds`` drives both with
+the same stop rules, trace rows and fault records:
+  - the edge-array path, for programs whose ``edge_kernel`` returns a
+    kernel (the message-passing solver and Jacobi).  Directed edges are
+    laid out in CSR order (:class:`EdgeLayout`); a round gathers the
+    incoming messages through the reverse-edge permutation, updates them
+    elementwise and sums them per node in neighbor order.  Messages only
+    ever travel along ``rev``, so C1 holds by construction.
+  - the per-node path, for every other program (projection consensus is
+    non-local by design).  Each node's outbox is a dict of
+    DirectedEdgeMessage objects, and C1 is checked on every round.
+When several nodes fault in one round, the fault of the smallest node id
+is reported, so the record does not depend on evaluation order.
+
 Locality contracts enforced or measured here:
   C1  one message per directed edge per round (outbox keys must equal the
       neighbor set exactly; total per round is then 2|E|),
@@ -15,12 +29,13 @@ Locality contracts enforced or measured here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from itertools import chain, count
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import SparseSystem, induced_graph
+from .core import SparseSystem, UndirectedGraph, induced_graph
 from .errors import ProtocolViolationError, SolverError
 
 #: documented constants for the measured locality bounds
@@ -80,6 +95,50 @@ class SolverFault:
     cause: str
 
 
+class NodeFault(Exception):
+    """The SolverError of the smallest node that faulted in a round."""
+
+    def __init__(self, node: int, error: SolverError):
+        super().__init__(node, error)
+        self.node = node
+        self.error = error
+
+
+@dataclass(frozen=True)
+class EdgeLayout:
+    """Directed edges of a graph in CSR order.
+
+    Slot s carries the message owner[s] -> nbr[s].  The slots of node i
+    are indptr[i]:indptr[i+1], its neighbors ascending as in
+    UndirectedGraph.neighbors, and rev[s] is the slot of the reverse edge
+    nbr[s] -> owner[s].
+    """
+
+    n: int
+    indptr: np.ndarray
+    owner: np.ndarray
+    nbr: np.ndarray
+    rev: np.ndarray
+
+    @property
+    def degree(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+
+def edge_layout(g: UndirectedGraph) -> EdgeLayout:
+    """The CSR layout of g's directed edges, built in O(|E| log |E|)."""
+    degree = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=g.n)
+    indptr = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(degree, out=indptr[1:])
+    nbr = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp,
+                      count=int(indptr[-1]))
+    owner = np.repeat(np.arange(g.n, dtype=np.intp), degree)
+    # slots are sorted by (owner, nbr); listing them by (nbr, owner)
+    # instead visits, in turn, the reverse of every slot
+    rev = np.lexsort((owner, nbr)).astype(np.intp)
+    return EdgeLayout(n=g.n, indptr=indptr, owner=owner, nbr=nbr, rev=rev)
+
+
 @dataclass
 class TraceRound:
     k: int
@@ -133,6 +192,19 @@ class NodeProgram:
         """Floats the node retains across rounds (messages included)."""
         raise NotImplementedError
 
+    def edge_kernel(self, layout: EdgeLayout):
+        """The program's array form on ``layout``, or None if it has none.
+
+        A kernel computes the same rounds as init_node/step, bit for bit,
+        for all nodes at once.  It carries per-node int arrays
+        ``init_ops``, ``step_ops`` and ``storage``; ``start()`` computes
+        round 0 and ``advance()`` the next round.  Each returns
+        (estimates, first), where ``first`` holds values[0] of every
+        slot's message when check_positive_a is set, or raises NodeFault
+        for the smallest node whose transition faults.
+        """
+        return None
+
 
 def delta_stop(prev: np.ndarray, cur: np.ndarray, tol: float) -> bool:
     """True when max_i |cur_i - prev_i| <= tol * max(1, max_i |cur_i|)."""
@@ -184,39 +256,41 @@ def _log10_mse(estimates: np.ndarray, reference: np.ndarray) -> float:
     return math.log10(mse)
 
 
-def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
-               stop=None, reference: Optional[np.ndarray] = None,
-               node_order: Optional[Sequence[int]] = None) -> ConvergenceTrace:
-    """Drive a node program for up to max_rounds synchronous rounds.
-
-    Round 0 is initialization (it already sends one message per directed
-    edge).  A SolverError raised inside a node transition aborts the run
-    at that round's barrier: the trace keeps rounds 0..k-1 and carries a
-    SolverFault record; stop_reason is then "fault".  node_order changes
-    only the evaluation sequence, never the trace.
-    """
-    g = induced_graph(sys)
-    n = sys.n
-    order = list(range(n)) if node_order is None else list(node_order)
-    if sorted(order) != list(range(n)):
-        raise ProtocolViolationError("node_order must be a permutation")
-    if reference is not None:
-        reference = np.asarray(reference, dtype=float)
+def _node_rounds(program: NodeProgram, g: UndirectedGraph,
+                 order: list[int]) -> Iterator[tuple[np.ndarray,
+                                                     RoundAccounting]]:
+    """Per-node message path: yields (estimates, accounting) per round."""
+    n = g.n
     directed_edges = 2 * g.edge_count()
     neighbor_sets = [set(g.neighbors[u]) for u in range(n)]
     bound = [OPS_BOUND_COEFF * (g.degree(u) + 1) for u in range(n)]
     sbound = [STORAGE_BOUND_COEFF * (g.degree(u) + 1) for u in range(n)]
-
-    trace = ConvergenceTrace(reference=reference)
     states: list = [None] * n
     inboxes: list[dict[int, DirectedEdgeMessage]] = [dict() for _ in range(n)]
 
-    def finish_round(k: int, outboxes, ops: list[int],
-                     prev_estimates) -> TraceRound:
+    def transitions(step):
+        """Run every node's transition; the smallest faulting node wins."""
+        out = [None] * n
+        fault = None
+        for u in order:
+            try:
+                out[u] = step(u)
+            except SolverError as exc:
+                if fault is None or u < fault.node:
+                    fault = NodeFault(u, exc)
+        if fault is not None:
+            raise fault
+        return out
+
+    def finish_round(k: int, results) -> tuple[np.ndarray, RoundAccounting]:
+        nonlocal states, inboxes
+        states = [r[0] for r in results]
+        ops = [r[2] for r in results]
+        inboxes = [dict() for _ in range(n)]
         sent = 0
         violations = 0
         for u in order:
-            out = outboxes[u]
+            out = results[u][1]
             if set(out) != neighbor_sets[u]:
                 raise ProtocolViolationError(
                     f"node {u} addressed {sorted(out)} at round {k}, "
@@ -243,53 +317,93 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
         )
         estimates = np.array([program.estimate(u, states[u])
                               for u in range(n)])
+        return estimates, acct
+
+    yield finish_round(0, transitions(program.init_node))
+    for k in count(1):
+        snapshot, prev = inboxes, states
+        yield finish_round(k, transitions(
+            lambda u: program.step(u, prev[u], snapshot[u])))
+
+
+def _edge_rounds(program: NodeProgram, kernel, layout: EdgeLayout
+                 ) -> Iterator[tuple[np.ndarray, RoundAccounting]]:
+    """Edge-array path: yields (estimates, accounting) per round.
+
+    Costs depend on degrees only, so each round's accounting is one of
+    two records built here; a round with positivity violations gets a
+    copy that carries its count.
+    """
+    degree = layout.degree
+
+    def accounting(ops: np.ndarray) -> RoundAccounting:
+        storage = kernel.storage
+        return RoundAccounting(
+            messages_sent=len(layout.owner),
+            per_node_ops=tuple(ops.tolist()),
+            per_node_storage=tuple(storage.tolist()),
+            ops_bound_ok=bool(np.all(ops <= OPS_BOUND_COEFF * (degree + 1))),
+            storage_bound_ok=bool(np.all(
+                storage <= STORAGE_BOUND_COEFF * (degree + 1))),
+            local_complexity_declared=program.local_complexity)
+
+    def row(estimates, first, acct):
+        if program.check_positive_a:
+            violations = int(np.count_nonzero(~(first > 0.0)))
+            if violations:
+                acct = replace(acct, positivity_violations=violations)
+        return estimates, acct
+
+    yield row(*kernel.start(), accounting(kernel.init_ops))
+    acct = accounting(kernel.step_ops)
+    while True:
+        yield row(*kernel.advance(), acct)
+
+
+def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
+               stop=None, reference: Optional[np.ndarray] = None,
+               node_order: Optional[Sequence[int]] = None) -> ConvergenceTrace:
+    """Drive a node program for up to max_rounds synchronous rounds.
+
+    Round 0 is initialization (it already sends one message per directed
+    edge).  A SolverError raised inside a node transition aborts the run
+    at that round's barrier: the trace keeps rounds 0..k-1 and carries a
+    SolverFault record for the smallest faulting node; stop_reason is
+    then "fault".  node_order changes only the evaluation sequence of the
+    per-node path, never the trace.
+    """
+    g = induced_graph(sys)
+    n = sys.n
+    order = list(range(n)) if node_order is None else list(node_order)
+    if sorted(order) != list(range(n)):
+        raise ProtocolViolationError("node_order must be a permutation")
+    if reference is not None:
+        reference = np.asarray(reference, dtype=float)
+    layout = edge_layout(g)
+    kernel = program.edge_kernel(layout)
+    rounds = (_node_rounds(program, g, order) if kernel is None
+              else _edge_rounds(program, kernel, layout))
+
+    trace = ConvergenceTrace(reference=reference)
+    prev_estimates = None
+    for k in range(max(max_rounds, 0) + 1):
+        try:
+            estimates, acct = next(rounds)
+        except NodeFault as fault:
+            trace.stop_reason = "fault"
+            trace.fault = SolverFault(node=fault.node, round=k,
+                                      error=type(fault.error).__name__,
+                                      cause=str(fault.error))
+            return trace
         mse = _log10_mse(estimates, reference) if reference is not None else None
         delta = (float(np.max(np.abs(estimates - prev_estimates)))
                  if prev_estimates is not None else None)
-        return TraceRound(k=k, estimates=estimates, log10_mse=mse,
-                          max_delta=delta, accounting=acct)
-
-    # round 0: initialization
-    outboxes: list[dict] = [dict() for _ in range(n)]
-    ops0 = [0] * n
-    for u in order:
-        try:
-            states[u], outboxes[u], ops0[u] = program.init_node(u)
-        except SolverError as exc:
-            trace.stop_reason = "fault"
-            trace.fault = SolverFault(node=u, round=0,
-                                      error=type(exc).__name__,
-                                      cause=str(exc))
-            return trace
-    row = finish_round(0, outboxes, ops0, None)
-    trace.rounds.append(row)
-    if stop is not None and stop.should_stop(0, row.estimates, None, reference):
-        trace.stop_reason = stop.name
-        return trace
-
-    for k in range(1, max_rounds + 1):
-        snapshot = inboxes
-        inboxes = [dict() for _ in range(n)]
-        outboxes = [dict() for _ in range(n)]
-        ops = [0] * n
-        new_states: list = [None] * n
-        for u in order:
-            try:
-                new_states[u], outboxes[u], ops[u] = program.step(
-                    u, states[u], snapshot[u])
-            except SolverError as exc:
-                trace.stop_reason = "fault"
-                trace.fault = SolverFault(node=u, round=k,
-                                          error=type(exc).__name__,
-                                          cause=str(exc))
-                return trace
-        prev_estimates = trace.rounds[-1].estimates
-        states = new_states
-        row = finish_round(k, outboxes, ops, prev_estimates)
-        trace.rounds.append(row)
+        trace.rounds.append(TraceRound(k=k, estimates=estimates, log10_mse=mse,
+                                       max_delta=delta, accounting=acct))
         if stop is not None and stop.should_stop(
-                k, row.estimates, prev_estimates, reference):
+                k, estimates, prev_estimates, reference):
             trace.stop_reason = stop.name
             return trace
+        prev_estimates = estimates
     trace.stop_reason = "max-rounds"
     return trace

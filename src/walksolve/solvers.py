@@ -36,7 +36,9 @@ from .core import SparseSystem, diameter, induced_graph, is_acyclic
 from .engine import (
     ConvergenceTrace,
     DeltaBelow,
+    EdgeLayout,
     FixedRounds,
+    NodeFault,
     NodeProgram,
     run_rounds,
 )
@@ -47,6 +49,7 @@ from .errors import (
     ProtocolViolationError,
     SingularMatrixError,
     SingularMessageError,
+    SolverError,
     ZeroRowError,
 )
 
@@ -91,6 +94,38 @@ def node_coeffs(sys: SparseSystem) -> list[NodeCoeffs]:
                               neighbors=nbrs, a_row=a_row, a_col=a_col,
                               prod=prod, scale=scale))
     return out
+
+
+class _EdgeCoeffs:
+    """Node coefficients as arrays over nodes and over a layout's slots."""
+
+    def __init__(self, coeffs: list[NodeCoeffs], layout: EdgeLayout):
+        nbrs = [v for c in coeffs for v in c.neighbors]
+        if len(coeffs) != layout.n or not np.array_equal(nbrs, layout.nbr):
+            raise ProtocolViolationError(
+                "program coefficients do not match the system's graph")
+        self.coeffs = coeffs
+        self.layout = layout
+        self.a_ii = np.array([c.a_ii for c in coeffs])
+        self.b_i = np.array([c.b_i for c in coeffs])
+        self.a_row = np.array([c.a_row[v] for c in coeffs
+                               for v in c.neighbors], dtype=float)
+
+    def replay(self, node: int, transition) -> None:
+        """Re-run a flagged node's per-node transition, which raises its fault.
+
+        The kernels only locate the smallest faulting node; the reference
+        transition decides the error type and message.
+        """
+        try:
+            transition(self.coeffs[node])
+        except SolverError as exc:
+            raise NodeFault(node, exc) from None
+        raise RuntimeError(f"edge kernel flagged node {node}, but its "
+                           "per-node transition did not fault")
+
+    def slots(self, node: int) -> slice:
+        return slice(self.layout.indptr[node], self.layout.indptr[node + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +207,64 @@ def bp_round(state: BPNodeState, inbox: Mapping[int, tuple[float, float]]
     return new_state, {j: (a_out[j], b_out[j]) for j in c.neighbors}
 
 
+class _BPEdgeKernel(_EdgeCoeffs):
+    """bp_init / bp_round for every node at once on an EdgeLayout.
+
+    Each expression is the one bp_round evaluates, and the per-node sums
+    run in neighbor order (np.bincount adds its weights in sequence), so
+    messages and estimates equal the per-node path's bit for bit.
+    """
+
+    def __init__(self, coeffs: list[NodeCoeffs], layout: EdgeLayout):
+        super().__init__(coeffs, layout)
+        deg = layout.degree
+        self.init_ops = 2 * deg + 1
+        self.step_ops = 11 * deg + 3
+        self.storage = 7 * deg + 5
+        self._eps = np.array([c.eps_sing for c in coeffs])
+        self._eps_slot = self._eps[layout.owner]
+        self._prod = np.array([c.prod[v] for c in coeffs
+                               for v in c.neighbors], dtype=float)
+        self._a_msg = self._b_msg = None
+
+    def start(self):
+        bad = np.abs(self.a_ii) <= self._eps
+        if bad.any():
+            self.replay(int(np.argmax(bad)), _bp_init_one)
+        owner = self.layout.owner
+        self._a_msg = self.a_ii[owner]
+        self._b_msg = self.b_i[owner]
+        with np.errstate(all="ignore"):
+            return self.b_i / self.a_ii, self._a_msg
+
+    def advance(self):
+        lay = self.layout
+        a_in = self._a_msg[lay.rev]
+        b_in = self._b_msg[lay.rev]
+        with np.errstate(all="ignore"):
+            iv = 1.0 / a_in
+            terms_a = self._prod * iv
+            terms_b = (self.a_row * b_in) * iv
+            a_tilde = self.a_ii - np.bincount(lay.owner, terms_a, lay.n)
+            b_tilde = self.b_i - np.bincount(lay.owner, terms_b, lay.n)
+            x_hat = b_tilde / a_tilde
+            a_out = a_tilde[lay.owner] + terms_a
+            b_out = b_tilde[lay.owner] + terms_b
+            bad = (np.abs(a_tilde) <= self._eps) | ~(
+                np.abs(x_hat) <= ESTIMATE_LIMIT)
+            bad[lay.owner[(np.abs(a_in) <= self._eps_slot)
+                          | ~(np.isfinite(a_out) & np.isfinite(b_out))]] = True
+        if bad.any():
+            node = int(np.argmax(bad))
+            s = self.slots(node)
+            inbox = dict(zip(self.coeffs[node].neighbors,
+                             zip(a_in[s].tolist(), b_in[s].tolist())))
+            # bp_round reads only the node's coefficients from the state
+            self.replay(node, lambda c: bp_round(_bp_init_one(c), inbox))
+        self._a_msg, self._b_msg = a_out, b_out
+        return x_hat, a_out
+
+
 class BPProgram(NodeProgram):
     """Engine adapter around bp_init / bp_round."""
 
@@ -202,6 +295,9 @@ class BPProgram(NodeProgram):
         deg = len(state.coeffs.neighbors)
         return 7 * deg + 5
 
+    def edge_kernel(self, layout: EdgeLayout) -> _BPEdgeKernel:
+        return _BPEdgeKernel(self._coeffs, layout)
+
 
 def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
              force: bool = False, reference: Optional[np.ndarray] = None,
@@ -209,25 +305,27 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
              ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Solve by message passing; returns (estimates, trace).
 
-    The instance is analyzed first: unless force=True a verdict other
-    than walk-summable raises NotWalkSummableError (forcing instead emits
-    NotWalkSummableWarning and runs anyway).  Acyclic instances run
-    exactly diameter-many rounds, which is where the estimates become
-    exact; cyclic ones run until the estimate delta drops below tol or
-    max_rounds is reached.
+    A strictly diagonally dominant instance is walk-summable and runs at
+    once.  Any other instance is analyzed first: unless force=True a
+    verdict other than walk-summable raises NotWalkSummableError (forcing
+    instead emits NotWalkSummableWarning and runs anyway).  Acyclic
+    instances run exactly diameter-many rounds, which is where the
+    estimates become exact; cyclic ones run until the estimate delta
+    drops below tol or max_rounds is reached.
     """
-    report = analysis.analyze(sys, rho_tol=rho_tol, want_scaling=False)
-    if report.walk_summable is not True:
-        verdict = ("indeterminate" if report.walk_summable is None
-                   else "not walk-summable")
-        if not force:
-            raise NotWalkSummableError(
-                f"analysis verdict is {verdict} "
-                f"(rho estimate {report.rho_abs:.6g}); pass force=True to "
-                "run anyway")
-        warnings.warn(
-            f"running on an instance whose analysis verdict is {verdict}",
-            NotWalkSummableWarning, stacklevel=2)
+    if not analysis.is_diagonally_dominant(sys):
+        report = analysis.analyze(sys, rho_tol=rho_tol, want_scaling=False)
+        if report.walk_summable is not True:
+            verdict = ("indeterminate" if report.walk_summable is None
+                       else "not walk-summable")
+            if not force:
+                raise NotWalkSummableError(
+                    f"analysis verdict is {verdict} "
+                    f"(rho estimate {report.rho_abs:.6g}); pass force=True "
+                    "to run anyway")
+            warnings.warn(
+                f"running on an instance whose analysis verdict is {verdict}",
+                NotWalkSummableWarning, stacklevel=2)
     g = induced_graph(sys)
     program = BPProgram(sys)
     if is_acyclic(g):
@@ -274,6 +372,47 @@ def jacobi_round(state: JacobiNodeState, inbox: Mapping[int, float]
     return new_state, {j: x_hat for j in c.neighbors}
 
 
+class _JacobiEdgeKernel(_EdgeCoeffs):
+    """jacobi_round for every node at once on an EdgeLayout.
+
+    jacobi_round subtracts the products one at a time from b_i; one
+    bincount over b followed by the negated products adds the same terms
+    in the same order, so the estimates equal the per-node path's bit for
+    bit (b - bincount(products) would not).
+    """
+
+    def __init__(self, coeffs: list[NodeCoeffs], layout: EdgeLayout):
+        super().__init__(coeffs, layout)
+        deg = layout.degree
+        self.init_ops = np.ones_like(deg)
+        self.step_ops = 2 * deg + 2
+        self.storage = 2 * deg + 3
+        self._rows = np.concatenate((np.arange(layout.n), layout.owner))
+        self._x = None
+
+    def start(self):
+        with np.errstate(all="ignore"):
+            self._x = self.b_i / self.a_ii
+        return self._x, None
+
+    def advance(self):
+        lay = self.layout
+        x_in = self._x[lay.nbr]
+        with np.errstate(all="ignore"):
+            acc = np.bincount(self._rows, np.concatenate(
+                (self.b_i, -(self.a_row * x_in))), lay.n)
+            x_hat = acc / self.a_ii
+            bad = ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
+        if bad.any():
+            node = int(np.argmax(bad))
+            inbox = dict(zip(self.coeffs[node].neighbors,
+                             x_in[self.slots(node)].tolist()))
+            self.replay(node, lambda c: jacobi_round(
+                JacobiNodeState(coeffs=c, x_hat=float(self._x[node])), inbox))
+        self._x = x_hat
+        return x_hat, None
+
+
 class JacobiProgram(NodeProgram):
     name = "jacobi"
     local_complexity = True
@@ -298,6 +437,9 @@ class JacobiProgram(NodeProgram):
 
     def storage_floats(self, node: int, state) -> int:
         return 2 * len(state.coeffs.neighbors) + 3
+
+    def edge_kernel(self, layout: EdgeLayout) -> _JacobiEdgeKernel:
+        return _JacobiEdgeKernel(self._coeffs, layout)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from walksolve.core import SparseSystem
+from walksolve.solvers import BPProgram, JacobiProgram
 
 # Roster lines collected by test_acceptance; replayed after the run so
 # the per-criterion verdicts survive output capture.
@@ -35,3 +36,17 @@ def path3():
 
 TWO_NODE_SOLUTION = np.array([16.0 / 7.0, 18.0 / 7.0])
 PATH3_SOLUTION = np.array([2.5, 4.0, 3.5])
+
+
+class PerNodeBP(BPProgram):
+    """BPProgram without its array form: runs on the per-node message path."""
+
+    def edge_kernel(self, layout):
+        return None
+
+
+class PerNodeJacobi(JacobiProgram):
+    """JacobiProgram without its array form: runs on the per-node path."""
+
+    def edge_kernel(self, layout):
+        return None

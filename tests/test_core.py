@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from walksolve import core
 from walksolve.core import (
     DEFAULT_COEFF_RANGE,
     SEVEN_NODE_TREE_EDGES,
@@ -114,6 +117,27 @@ def test_disconnected_graph_helpers():
     assert is_acyclic(g)
 
 
+@st.composite
+def forests(draw):
+    """Random forests, relabeled; parentless nodes start new trees."""
+    n = draw(st.integers(1, 40))
+    perm = draw(st.permutations(range(n)))
+    edges = []
+    for i in range(1, n):
+        parent = draw(st.one_of(st.none(), st.integers(0, i - 1)))
+        if parent is not None:
+            edges.append((perm[parent], perm[i]))
+    return UndirectedGraph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=forests())
+def test_forest_diameter_matches_all_pairs_bfs(g):
+    want = max(max(bfs_distances(g, s)) for s in range(g.n))
+    assert is_acyclic(g)
+    assert diameter(g) == want
+
+
 def test_cycle_detection():
     assert not is_acyclic(UndirectedGraph(3, [(0, 1), (1, 2), (0, 2)]))
 
@@ -198,6 +222,22 @@ def test_random_sparse_density_extremes():
     full = generate_instance(GeneratorSpec(kind="random-sparse", n=6,
                                            seed=1, density=1.0))
     assert induced_graph(full).edge_count() == 15
+
+
+def _pairwise_sparse_edges(n, rng, density):
+    """The former generator: one scalar draw per pair, the reference."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < density]
+
+
+@pytest.mark.parametrize("n,seed,density",
+                         [(1, 0, 0.5), (2, 3, 0.9), (50, 7, 0.1),
+                          (300, 1, 0.02), (300, 2, 0.6)])
+def test_random_sparse_edges_keep_the_pairwise_stream(n, seed, density):
+    got = core._random_sparse_edges(n, core._topology_rng(seed), density)
+    want = _pairwise_sparse_edges(n, core._topology_rng(seed), density)
+    assert got == want
+    assert all(type(u) is int and type(v) is int for u, v in got)
 
 
 def test_path_and_star_shapes():

@@ -1,0 +1,144 @@
+"""The edge-array path of run_rounds against the per-node message path.
+
+BPProgram and JacobiProgram run on directed-edge arrays; their PerNode*
+subclasses have no array form and take the per-node path, which is the
+reference here.  Every round must agree bit for bit, and so must the
+fault record.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import PerNodeBP, PerNodeJacobi
+
+from walksolve.core import SparseSystem, UndirectedGraph
+from walksolve.engine import DeltaBelow, edge_layout, run_rounds
+from walksolve.solvers import BPProgram, JacobiProgram
+
+PAIRS = ((BPProgram, PerNodeBP), (JacobiProgram, PerNodeJacobi))
+
+
+def _assert_same_run(sys, array_cls, node_cls, max_rounds, stop=None,
+                     reference=None):
+    got = run_rounds(sys, array_cls(sys), max_rounds, stop=stop,
+                     reference=reference)
+    want = run_rounds(sys, node_cls(sys), max_rounds, stop=stop,
+                      reference=reference,
+                      node_order=list(reversed(range(sys.n))))
+    assert got.stop_reason == want.stop_reason
+    assert got.fault == want.fault
+    assert [r.k for r in got.rounds] == [r.k for r in want.rounds]
+    for a, b in zip(got.rounds, want.rounds):
+        assert np.array_equal(a.estimates, b.estimates), a.k
+        assert a.log10_mse == b.log10_mse, a.k
+        assert a.max_delta == b.max_delta, a.k
+        assert a.accounting == b.accounting, a.k
+    return got
+
+
+def test_edge_layout_csr_order_and_reverse():
+    g = UndirectedGraph(5, [(0, 3), (3, 1), (1, 4), (4, 3), (2, 4)])
+    lay = edge_layout(g)
+    assert lay.indptr.tolist() == [0, 1, 3, 4, 7, 10]
+    assert lay.owner.tolist() == [0, 1, 1, 2, 3, 3, 3, 4, 4, 4]
+    assert lay.nbr.tolist() == [v for nb in g.neighbors for v in nb]
+    assert np.array_equal(lay.owner[lay.rev], lay.nbr)
+    assert np.array_equal(lay.nbr[lay.rev], lay.owner)
+    assert np.array_equal(lay.rev[lay.rev], np.arange(10))
+    assert lay.degree.tolist() == [g.degree(u) for u in range(5)]
+
+
+# one system per fault stage of bp_round, with the message it reports
+FAULTING = {
+    # round 0: the diagonal is too small to seed messages
+    "seed": SparseSystem(2, [(0, 0, 1e-30), (0, 1, -1.0), (1, 0, -1.0),
+                             (1, 1, 1.0)], [1.0, 1.0]),
+    # round 2: hub 1 sends leaf 0 an a-scalar of 2**-45, below 1e-12;
+    # every later stage of node 0 stays finite
+    "incoming": SparseSystem(4, [(0, 0, 1.0), (1, 1, 1.0 + 2.0 ** -45),
+                                 (2, 2, 1.0), (3, 3, 1.0)] + [
+        (0, 1, -0.5), (1, 0, -0.5), (1, 2, -1.0), (2, 1, -0.5),
+        (1, 3, -1.0), (3, 1, -0.5)], [1.0, 2.0, 3.0, 4.0]),
+    # round 1: both aggregates cancel; node 0 is reported
+    "aggregate": SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0),
+                                  (1, 1, 1.0)], [1.0, 1.0]),
+    # round 1: finite scalars, estimate beyond ESTIMATE_LIMIT
+    "estimate": SparseSystem(2, [(0, 0, 1e-100), (0, 1, 1e-101),
+                                 (1, 0, 1e-101), (1, 1, 1e-100)],
+                             [1e300, 1e300]),
+    # round 1: products overflow and the outgoing pair is NaN
+    "outgoing": SparseSystem(2, [(0, 0, 1e200), (0, 1, 1e200),
+                                 (1, 0, 1e200), (1, 1, 1e200)], [1.0, 1.0]),
+}
+
+
+BP_FAULTS = {"seed": (0, 0, "too small to seed messages"),
+             "incoming": (0, 2, f"incoming scalar {2.0 ** -45!r} from 1"),
+             "aggregate": (0, 1, "aggregate scalar 0.0"),
+             "estimate": (0, 1, "estimate inf out of range"),
+             "outgoing": (0, 1, "outgoing pair to 1 is not finite")}
+
+
+@pytest.mark.parametrize("stage", sorted(FAULTING))
+@pytest.mark.parametrize("array_cls,node_cls", PAIRS,
+                         ids=["bp", "jacobi"])
+def test_faulting_systems_match(stage, array_cls, node_cls):
+    trace = _assert_same_run(FAULTING[stage], array_cls, node_cls, 6)
+    if array_cls is BPProgram:
+        node, k, cause = BP_FAULTS[stage]
+        assert (trace.fault.node, trace.fault.round) == (node, k)
+        assert cause in trace.fault.cause
+
+
+def test_jacobi_divergence_matches():
+    sys = SparseSystem(3, [(0, 0, 1.0), (0, 1, -1e100), (1, 0, -1e100),
+                           (1, 1, 1e-100), (1, 2, -1.0), (2, 1, -1.0),
+                           (2, 2, 1.0)], [1.0, 1.0, 1.0])
+    trace = _assert_same_run(sys, JacobiProgram, PerNodeJacobi, 6)
+    assert trace.fault.error == "DivergedEstimateError"
+
+
+COEFFS = (-2.0, -1.0, -0.5, -0.3, 0.0, 0.25, 1.0, 2.0)
+DIAGS = (1.0, 2.0, 3.0, -1.5, 0.5)
+#: magnitudes that fault bp's seeding, overflow or diverge; half the
+#: systems draw them, and 1e300 in b
+EXTREMES = (1e-100, 1e-30, -1e100, 1e200)
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 10))
+    edges = set()
+    for i in range(1, n):
+        parent = draw(st.one_of(st.none(), st.integers(0, i - 1)))
+        if parent is not None:
+            edges.add((parent, i))
+    if n >= 3 and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, n))):
+            u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    wild = draw(st.booleans())
+    extreme = st.sampled_from(EXTREMES if wild else (1.0,))
+    coeff = st.one_of(st.sampled_from(COEFFS), extreme,
+                      st.floats(-1.0, 1.0, allow_subnormal=False))
+    diag = st.one_of(st.sampled_from(DIAGS), extreme, st.floats(0.5, 4.0))
+    entries = [(i, i, draw(diag)) for i in range(n)]
+    for u, v in sorted(edges):
+        entries += [(u, v, draw(coeff)), (v, u, draw(coeff))]
+    b = draw(st.lists(st.sampled_from((1.0, -2.0, 0.5, 3.0)
+                                      + ((1e300,) if wild else ())),
+                      min_size=n, max_size=n))
+    return SparseSystem(n, entries, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sys=systems(), pair=st.sampled_from(PAIRS),
+       max_rounds=st.integers(0, 12), use_stop=st.booleans(),
+       use_reference=st.booleans())
+def test_array_path_equals_per_node_path(sys, pair, max_rounds, use_stop,
+                                         use_reference):
+    reference = (np.linspace(-1.0, 2.0, sys.n) if use_reference else None)
+    stop = DeltaBelow(1e-9) if use_stop else None
+    _assert_same_run(sys, *pair, max_rounds, stop=stop, reference=reference)

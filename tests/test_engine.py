@@ -14,6 +14,8 @@ from walksolve.engine import (
 from walksolve.errors import ProtocolViolationError, SingularMessageError
 from walksolve.solvers import BPProgram, JacobiProgram
 
+from conftest import PerNodeBP
+
 LOOPY_FIVE = ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
 
 
@@ -51,8 +53,8 @@ def test_node_order_must_be_permutation(two_node):
 
 def test_trace_is_order_invariant():
     sys = system_from_edges(5, LOOPY_FIVE, seed=3)
-    t1 = run_rounds(sys, BPProgram(sys), max_rounds=6)
-    t2 = run_rounds(sys, BPProgram(sys), max_rounds=6,
+    t1 = run_rounds(sys, PerNodeBP(sys), max_rounds=6)
+    t2 = run_rounds(sys, PerNodeBP(sys), max_rounds=6,
                     node_order=[4, 2, 0, 3, 1])
     assert len(t1.rounds) == len(t2.rounds)
     for r1, r2 in zip(t1.rounds, t2.rounds):
@@ -107,6 +109,19 @@ def test_mid_run_fault_keeps_partial_trace():
     assert trace.fault.round == 1
     assert trace.fault.error == "SingularMessageError"
     assert [r.k for r in trace.rounds] == [0]
+
+
+def test_fault_record_is_independent_of_node_order():
+    # both aggregates cancel at round 1; the smallest node is reported
+    # whatever order the per-node path evaluates the nodes in
+    sys = SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0),
+                           (1, 1, 1.0)], [1.0, 1.0])
+    faults = [run_rounds(sys, PerNodeBP(sys), max_rounds=5,
+                         node_order=order).fault
+              for order in (None, [1, 0])]
+    faults.append(run_rounds(sys, BPProgram(sys), max_rounds=5).fault)
+    assert [(f.node, f.round) for f in faults] == [(0, 1)] * 3
+    assert faults[0] == faults[1] == faults[2]
 
 
 def test_round_zero_counts_and_stopping(two_node):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from walksolve import analysis
 from walksolve.core import GeneratorSpec, SparseSystem, generate_instance
 from walksolve.engine import run_rounds
 from walksolve.errors import (
@@ -103,6 +104,35 @@ def test_bp_solve_refuses_non_summable():
     with pytest.warns(NotWalkSummableWarning):
         _, trace = bp_solve(sys, max_rounds=5, force=True)
     assert trace.total_positivity_violations > 0
+
+
+def test_bp_solve_skips_analysis_on_dominant_systems(monkeypatch):
+    sys = generate_instance(GeneratorSpec(kind="random-tree", n=30, seed=4))
+    _, want = bp_solve(sys)
+    real_analyze = analysis.analyze
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze ran on a dominant system")
+
+    monkeypatch.setattr(analysis, "analyze", refuse)
+    _, got = bp_solve(sys)
+    assert [r.k for r in got.rounds] == [r.k for r in want.rounds]
+    for a, b in zip(got.rounds, want.rounds):
+        assert np.array_equal(a.estimates, b.estimates)
+    # a non-dominant system is still analyzed, and refused without force
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_analyze(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "analyze", spy)
+    entries = [(i, i, 1.0) for i in range(3)]
+    for i, j in [(0, 1), (1, 2), (0, 2)]:
+        entries += [(i, j, -2.0), (j, i, -2.0)]
+    with pytest.raises(NotWalkSummableError):
+        bp_solve(SparseSystem(3, entries, [1.0, 1.0, 1.0]))
+    assert len(calls) == 1
 
 
 def test_bp_solve_converges_on_loopy_dominant():
