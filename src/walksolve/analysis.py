@@ -222,6 +222,15 @@ def _validate_scaling(sys: SparseSystem, d: np.ndarray) -> bool:
     return True
 
 
+def _perron_scaling(sys: SparseSystem, x: np.ndarray
+                    ) -> Optional[tuple[float, ...]]:
+    """The bracket's iterate x scaled to max 1, if it certifies GDD."""
+    d = x / x.max()
+    if _validate_scaling(sys, d):
+        return tuple(float(v) for v in d)
+    return None
+
+
 def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
                      max_iter: Optional[int] = None
                      ) -> Optional[tuple[float, ...]]:
@@ -241,10 +250,7 @@ def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
     if max_iter is None:
         max_iter = default_max_iter(sys.n)
     _, _, x, _, _ = _power_bracket(csr, rho_tol, max_iter)
-    d = x / x.max()
-    if _validate_scaling(sys, d):
-        return tuple(float(v) for v in d)
-    return None
+    return _perron_scaling(sys, x)
 
 
 def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
@@ -258,21 +264,28 @@ def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
     sits to one.  If neither the bracketing iteration nor the dense
     squaring fallback (n <= SQUARING_MAX_N) can certify rho, the verdict
     is None (indeterminate) and rho_reliable is False.
+
+    One power bracket serves rho and the scaling.  They equal, bit for
+    bit, what spectral_radius_nonneg (or the squaring fallback) and
+    find_gdd_scaling return: those run the same bracket on the same |R|.
     """
     dom = is_diagonally_dominant(sys)
     rm = residual_matrix(sys)
-    csr = rm.abs_csr()
+    csr = _as_csr_nonneg(rm.abs_csr())
     if max_iter is None:
         max_iter = default_max_iter(sys.n)
     reliable = True
-    try:
-        rho = spectral_radius_nonneg(csr, tol=rho_tol, max_iter=max_iter)
-    except NoConvergenceError as exc:
-        if sys.n <= SQUARING_MAX_N:
-            rho = _spectral_radius_squaring(np.abs(rm.as_dense()))
-        else:
-            rho = float(exc.estimate if exc.estimate is not None else math.nan)
-            reliable = False
+    x = None
+    if csr.nnz == 0:
+        rho = 0.0
+    else:
+        lo, hi, x, _, ok = _power_bracket(csr, rho_tol, max_iter)
+        rho = 0.5 * (lo + hi) if math.isfinite(hi) else lo
+        if not ok:
+            if sys.n <= SQUARING_MAX_N:
+                rho = _spectral_radius_squaring(np.abs(rm.as_dense()))
+            else:
+                reliable = False
     if dom:
         walk_summable: Optional[bool] = True
     elif reliable:
@@ -281,7 +294,11 @@ def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
         walk_summable = None
     scaling = None
     if want_scaling and walk_summable:
-        scaling = find_gdd_scaling(sys, rho_tol=rho_tol, max_iter=max_iter)
+        ones = np.ones(sys.n)
+        if _validate_scaling(sys, ones):
+            scaling = tuple(ones)
+        elif x is not None:
+            scaling = _perron_scaling(sys, x)
     return DominanceReport(diag_dominant=dom, rho_abs=float(rho),
                            rho_tol=rho_tol, walk_summable=walk_summable,
                            scaling=scaling, rho_reliable=reliable)

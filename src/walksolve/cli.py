@@ -133,7 +133,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
         print("walk-summable: indeterminate (margin within tolerance)")
     else:
         print(f"walk-summable: {'yes' if report.walk_summable else 'no'}")
-        print(f"margin to 1: {_fmt(1.0 - report.rho_abs)}")
+        if report.rho_reliable:
+            print(f"margin to 1: {_fmt(1.0 - report.rho_abs)}")
+        else:
+            # dominance settled the verdict; an estimate gives no margin
+            print("margin to 1: not certified (rho is an estimate)")
     if report.scaling is not None:
         print("scaling certificate: present (validated)")
     return 0

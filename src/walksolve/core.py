@@ -176,7 +176,8 @@ def induced_graph(sys: SparseSystem) -> UndirectedGraph:
     return UndirectedGraph(sys.n, sorted(edges))
 
 
-def _bfs_dist(g: UndirectedGraph, src: int) -> list[int]:
+def bfs_distances(g: UndirectedGraph, src: int) -> list[int]:
+    """Hop distances from src; -1 marks unreachable nodes."""
     dist = [-1] * g.n
     dist[src] = 0
     q = deque([src])
@@ -187,10 +188,6 @@ def _bfs_dist(g: UndirectedGraph, src: int) -> list[int]:
                 dist[v] = dist[u] + 1
                 q.append(v)
     return dist
-
-def bfs_distances(g: UndirectedGraph, src: int) -> list[int]:
-    """Hop distances from src; -1 marks unreachable nodes."""
-    return _bfs_dist(g, src)
 
 
 def _farthest(g: UndirectedGraph, src: int) -> tuple[int, int]:
@@ -208,22 +205,60 @@ def _farthest(g: UndirectedGraph, src: int) -> tuple[int, int]:
     return u, dist[u]
 
 
+#: sources per bit-parallel BFS block: 4 uint64 words per node
+BFS_BLOCK = 256
+
+
+def _max_eccentricity(g: UndirectedGraph) -> int:
+    """Largest BFS level reached from any source, BFS_BLOCK sources at once.
+
+    Bit s of row v marks node v as reached from source lo + s of the
+    current block (word s // 64, bit s % 64).  One level ORs each node's
+    neighbours' frontier rows and keeps the bits not seen before, so a
+    block's last level that sets a bit is its largest eccentricity.
+    g must have an edge.
+    """
+    deg = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=g.n)
+    indices = np.fromiter((v for nb in g.neighbors for v in nb),
+                          dtype=np.intp, count=int(deg.sum()))
+    rows = np.flatnonzero(deg)
+    # segment starts in indices of the rows that have neighbours
+    starts = (np.cumsum(deg) - deg)[rows]
+    best = 0
+    for lo in range(0, g.n, BFS_BLOCK):
+        src = np.arange(min(BFS_BLOCK, g.n - lo))
+        seen = np.zeros((g.n, (len(src) + 63) // 64), dtype=np.uint64)
+        seen[lo + src, src // 64] = np.left_shift(
+            np.uint64(1), (src % 64).astype(np.uint64))
+        front = seen.copy()
+        level = 0
+        while True:
+            nxt = np.zeros_like(seen)
+            nxt[rows] = np.bitwise_or.reduceat(
+                np.take(front, indices, axis=0), starts, axis=0)
+            nxt &= ~seen
+            if not nxt.any():
+                break
+            level += 1
+            seen |= nxt
+            front = nxt
+        best = max(best, level)
+    return best
+
+
 def diameter(g: UndirectedGraph) -> int:
     """Longest shortest path, exact.
 
     A forest takes two BFS sweeps per component: in a tree, a node
     farthest from any node is an end of a longest path.  A graph with a
-    cycle takes BFS from every node.  On a disconnected graph this is the
-    maximum over components; a singleton graph has diameter 0.
+    cycle takes a BFS from every node, run bit-parallel over blocks of
+    BFS_BLOCK sources on neighbour arrays.  On a disconnected graph this
+    is the maximum over components; a singleton graph has diameter 0.
     """
     if is_acyclic(g):
         return max(_farthest(g, _farthest(g, comp[0])[0])[1]
                    for comp in connected_components(g))
-    best = 0
-    for src in range(g.n):
-        ecc = max(d for d in _bfs_dist(g, src) if d >= 0)
-        best = max(best, ecc)
-    return best
+    return _max_eccentricity(g)
 
 
 def connected_components(g: UndirectedGraph) -> tuple[tuple[int, ...], ...]:

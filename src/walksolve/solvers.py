@@ -128,6 +128,13 @@ class _EdgeCoeffs:
         return slice(self.layout.indptr[node], self.layout.indptr[node + 1])
 
 
+def _check_estimate(c: NodeCoeffs, x_hat: float) -> float:
+    if not (abs(x_hat) <= ESTIMATE_LIMIT):
+        raise DivergedEstimateError(
+            f"node {c.node}: estimate {x_hat!r} out of range")
+    return x_hat
+
+
 # ---------------------------------------------------------------------------
 # message-passing solver
 
@@ -146,11 +153,11 @@ def _bp_init_one(c: NodeCoeffs) -> BPNodeState:
     if abs(c.a_ii) <= c.eps_sing:
         raise SingularMessageError(
             f"node {c.node}: diagonal {c.a_ii!r} too small to seed messages")
+    x_hat = _check_estimate(c, c.b_i / c.a_ii)
     return BPNodeState(coeffs=c,
                        a_out={j: c.a_ii for j in c.neighbors},
                        b_out={j: c.b_i for j in c.neighbors},
-                       a_tilde=c.a_ii, b_tilde=c.b_i,
-                       x_hat=c.b_i / c.a_ii)
+                       a_tilde=c.a_ii, b_tilde=c.b_i, x_hat=x_hat)
 
 
 def bp_init(sys: SparseSystem) -> list[BPNodeState]:
@@ -189,10 +196,7 @@ def bp_round(state: BPNodeState, inbox: Mapping[int, tuple[float, float]]
     if abs(a_tilde) <= eps:
         raise SingularMessageError(
             f"node {c.node}: aggregate scalar {a_tilde!r} is numerically zero")
-    x_hat = b_tilde / a_tilde
-    if not (abs(x_hat) <= ESTIMATE_LIMIT):
-        raise DivergedEstimateError(
-            f"node {c.node}: estimate {x_hat!r} out of range")
+    x_hat = _check_estimate(c, b_tilde / a_tilde)
     a_out = {}
     b_out = {}
     for j in c.neighbors:
@@ -228,14 +232,16 @@ class _BPEdgeKernel(_EdgeCoeffs):
         self._a_msg = self._b_msg = None
 
     def start(self):
-        bad = np.abs(self.a_ii) <= self._eps
+        with np.errstate(all="ignore"):
+            x_hat = self.b_i / self.a_ii
+        bad = (np.abs(self.a_ii) <= self._eps) | ~(
+            np.abs(x_hat) <= ESTIMATE_LIMIT)
         if bad.any():
             self.replay(int(np.argmax(bad)), _bp_init_one)
         owner = self.layout.owner
         self._a_msg = self.a_ii[owner]
         self._b_msg = self.b_i[owner]
-        with np.errstate(all="ignore"):
-            return self.b_i / self.a_ii, self._a_msg
+        return x_hat, self._a_msg
 
     def advance(self):
         lay = self.layout
@@ -348,9 +354,12 @@ class JacobiNodeState:
     x_hat: float
 
 
+def _jacobi_init_one(c: NodeCoeffs) -> JacobiNodeState:
+    return JacobiNodeState(coeffs=c, x_hat=_check_estimate(c, c.b_i / c.a_ii))
+
+
 def jacobi_init(sys: SparseSystem) -> list[JacobiNodeState]:
-    return [JacobiNodeState(coeffs=c, x_hat=c.b_i / c.a_ii)
-            for c in node_coeffs(sys)]
+    return [_jacobi_init_one(c) for c in node_coeffs(sys)]
 
 
 def jacobi_round(state: JacobiNodeState, inbox: Mapping[int, float]
@@ -364,10 +373,7 @@ def jacobi_round(state: JacobiNodeState, inbox: Mapping[int, float]
     acc = c.b_i
     for v in c.neighbors:
         acc -= c.a_row[v] * inbox[v]
-    x_hat = acc / c.a_ii
-    if not (abs(x_hat) <= ESTIMATE_LIMIT):
-        raise DivergedEstimateError(
-            f"node {c.node}: estimate {x_hat!r} out of range")
+    x_hat = _check_estimate(c, acc / c.a_ii)
     new_state = JacobiNodeState(coeffs=c, x_hat=x_hat)
     return new_state, {j: x_hat for j in c.neighbors}
 
@@ -392,8 +398,12 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
 
     def start(self):
         with np.errstate(all="ignore"):
-            self._x = self.b_i / self.a_ii
-        return self._x, None
+            x_hat = self.b_i / self.a_ii
+        bad = ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
+        if bad.any():
+            self.replay(int(np.argmax(bad)), _jacobi_init_one)
+        self._x = x_hat
+        return x_hat, None
 
     def advance(self):
         lay = self.layout
@@ -421,9 +431,8 @@ class JacobiProgram(NodeProgram):
         self._coeffs = node_coeffs(sys)
 
     def init_node(self, node: int):
-        c = self._coeffs[node]
-        state = JacobiNodeState(coeffs=c, x_hat=c.b_i / c.a_ii)
-        return state, {j: (state.x_hat,) for j in c.neighbors}, 1
+        state = _jacobi_init_one(self._coeffs[node])
+        return state, {j: (state.x_hat,) for j in state.coeffs.neighbors}, 1
 
     def step(self, node: int, state, inbox):
         values = {v: m.values[0] for v, m in inbox.items()}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from walksolve import analysis
 from walksolve.analysis import (
     DominanceReport,
     analyze,
@@ -14,7 +15,7 @@ from walksolve.analysis import (
     residual_matrix,
     spectral_radius_nonneg,
 )
-from walksolve.core import SparseSystem
+from walksolve.core import GeneratorSpec, SparseSystem, generate_instance
 from walksolve.errors import (
     DimensionMismatchError,
     InvalidSystemError,
@@ -140,11 +141,15 @@ def test_gdd_scaling_dominant_is_ones(two_node):
     assert find_gdd_scaling(two_node) == (1.0, 1.0)
 
 
+def _gdd_two_node():
+    # |R| = [[0, 1.2], [0.3, 0]]: walk-summable (radius 0.6), not dominant
+    return SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.2), (1, 0, -1.2),
+                            (1, 1, 4.0)], [0.0, 0.0])
+
+
 def test_gdd_scaling_non_dominant_certificate():
-    # |R| = [[0, 1.2], [0.3, 0]], radius 0.6 < 1, row 0 not dominant;
     # any returned d must strictly dominate after column scaling
-    sys = SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.2), (1, 0, -1.2),
-                           (1, 1, 4.0)], [0.0, 0.0])
+    sys = _gdd_two_node()
     assert not is_diagonally_dominant(sys)
     d = find_gdd_scaling(sys)
     assert d is not None
@@ -154,6 +159,40 @@ def test_gdd_scaling_non_dominant_certificate():
     rep = analyze(sys, want_scaling=True)
     assert rep.walk_summable is True
     assert rep.scaling is not None
+
+
+def _sparse(seed, coeff, degree):
+    return generate_instance(GeneratorSpec(
+        kind="random-sparse", n=300, seed=seed, coeff_range=(-coeff, coeff),
+        diag_rule="unit", density=degree / 300))
+
+
+# walk-summable but not dominant; not walk-summable; dominant
+SPARSE_CASES = [(seed, coeff, degree) for seed in (0, 1, 2)
+                for coeff, degree in ((0.3, 2.5), (0.6, 4.0), (0.1, 2.0))]
+
+
+@pytest.mark.parametrize("case", ["gdd-2x2"] + SPARSE_CASES, ids=str)
+def test_analyze_single_bracket_is_exact(case):
+    # analyze runs one power bracket for rho and the scaling; both must
+    # equal what the separate public routes compute, bit for bit
+    sys = _gdd_two_node() if case == "gdd-2x2" else _sparse(*case)
+    rep = analyze(sys)
+    abs_r = residual_matrix(sys).abs_csr()
+    try:
+        rho = spectral_radius_nonneg(abs_r)
+    except NoConvergenceError:
+        rho = analysis._spectral_radius_squaring(abs_r.toarray())
+    assert rep.rho_reliable
+    assert rep.rho_abs == rho
+    if rep.walk_summable:
+        assert rep.scaling is not None
+        assert rep.scaling == find_gdd_scaling(sys)
+    else:
+        assert rep.scaling is None
+    if case == "gdd-2x2" or case[1:] == (0.3, 2.5):
+        assert not rep.diag_dominant and rep.walk_summable
+        assert set(rep.scaling) != {1.0}  # the Perron candidate, not ones
 
 
 def test_gdd_scaling_absent_when_not_walk_summable():

@@ -40,6 +40,23 @@ def test_analyze_tree(tmp_path, capsys):
     assert "scaling certificate: present (validated)" in out
 
 
+def test_analyze_prints_no_margin_from_an_uncertified_rho(tmp_path, capsys):
+    # above 2048 nodes a tree's bracket never closes and has no fallback:
+    # dominance gives the verdict, rho stays an estimate (0.9341 here,
+    # where ARPACK gives 0.9397733), so no margin to 1 can be printed
+    mtx = str(tmp_path / "tree.mtx")
+    assert main(["generate", "--kind", "random-tree", "--n", "2500",
+                 "--seed", "7", "--out", mtx]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--matrix", mtx,
+                 "--rhs", mtx[:-4] + ".rhs"]) == 0
+    out = capsys.readouterr().out
+    assert "(estimate only, tol" in out
+    assert "walk-summable: yes" in out
+    assert "margin to 1: not certified (rho is an estimate)" in out
+    assert "0.0658" not in out
+
+
 def test_solve_bp_on_tree(tmp_path, capsys):
     mtx, rhs = _generate(tmp_path, capsys)
     code = main(["solve", "--matrix", mtx, "--rhs", rhs,

@@ -130,12 +130,65 @@ def forests(draw):
     return UndirectedGraph(n, edges)
 
 
+def _all_pairs_diameter(g):
+    return max(max(bfs_distances(g, s)) for s in range(g.n))
+
+
 @settings(max_examples=200, deadline=None)
 @given(g=forests())
 def test_forest_diameter_matches_all_pairs_bfs(g):
-    want = max(max(bfs_distances(g, s)) for s in range(g.n))
     assert is_acyclic(g)
-    assert diameter(g) == want
+    assert diameter(g) == _all_pairs_diameter(g)
+
+
+@st.composite
+def loopy_graphs(draw):
+    """Random graphs with at least one cycle, often with isolated nodes
+    and several components."""
+    n = draw(st.integers(3, 80))
+    a, b, c = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
+                            unique=True))
+    edges = [(a, b), (b, c), (a, c)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [(u, v) for u, v in draw(st.lists(pairs, max_size=2 * n))
+              if u != v]
+    return UndirectedGraph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=loopy_graphs())
+def test_cyclic_diameter_matches_all_pairs_bfs(g):
+    assert not is_acyclic(g)
+    assert diameter(g) == _all_pairs_diameter(g)
+
+
+def _two_tailed_ring(n):
+    """A ring on the first quarter of the nodes, then five isolated nodes
+    and a triangle; the other nodes form two tails that leave the ring at
+    opposite sides and interleave, so they end at nodes n-2 and n-1."""
+    ring = n // 4
+    edges = [(i, (i + 1) % ring) for i in range(ring)]
+    tri = ring + 5
+    edges += [(tri, tri + 1), (tri + 1, tri + 2), (tri, tri + 2)]
+    for side, first in ((0, tri + 3), (ring // 2, tri + 4)):
+        tail = [side] + list(range(first, n, 2))
+        edges += list(zip(tail, tail[1:]))
+    return UndirectedGraph(n, edges)
+
+
+# 64 sources fill one word; 65 spill into a second; 256 fill one block
+# of BFS sources and 257 start a second; at 600 the longest path joins
+# two nodes of the third block
+@pytest.mark.parametrize("n", [64, 65, 256, 257, 600])
+def test_cyclic_diameter_across_word_and_block_boundaries(n):
+    ring = UndirectedGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    assert diameter(ring) == n // 2
+    tails = _two_tailed_ring(n)
+    assert diameter(tails) == _all_pairs_diameter(tails)
+    spec = GeneratorSpec(kind="loopy-small", n=n, seed=n)
+    g = induced_graph(generate_instance(spec))
+    assert not is_acyclic(g)
+    assert diameter(g) == _all_pairs_diameter(g)
 
 
 def test_cycle_detection():

@@ -63,10 +63,15 @@ FAULTING = {
     # round 1: both aggregates cancel; node 0 is reported
     "aggregate": SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0),
                                   (1, 1, 1.0)], [1.0, 1.0]),
-    # round 1: finite scalars, estimate beyond ESTIMATE_LIMIT
+    # round 0: b_i / a_ii = 1e300 / 1e-100 overflows, beyond ESTIMATE_LIMIT
     "estimate": SparseSystem(2, [(0, 0, 1e-100), (0, 1, 1e-101),
                                  (1, 0, 1e-101), (1, 1, 1e-100)],
                              [1e300, 1e300]),
+    # round 1: round-0 estimates 1e149 stay in range, then the aggregate
+    # 1 - (1 - 1e-11) ~ 1e-11 is above 1e-12 and the estimate is 2e160
+    "diverge": SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.0),
+                                (1, 0, -(1.0 - 1e-11)), (1, 1, 1.0)],
+                            [1e149, 1e149]),
     # round 1: products overflow and the outgoing pair is NaN
     "outgoing": SparseSystem(2, [(0, 0, 1e200), (0, 1, 1e200),
                                  (1, 0, 1e200), (1, 1, 1e200)], [1.0, 1.0]),
@@ -76,19 +81,31 @@ FAULTING = {
 BP_FAULTS = {"seed": (0, 0, "too small to seed messages"),
              "incoming": (0, 2, f"incoming scalar {2.0 ** -45!r} from 1"),
              "aggregate": (0, 1, "aggregate scalar 0.0"),
-             "estimate": (0, 1, "estimate inf out of range"),
+             "estimate": (0, 0, "estimate inf out of range"),
+             "diverge": (0, 1, "estimate 1.99999983"),
              "outgoing": (0, 1, "outgoing pair to 1 is not finite")}
+
+
+#: Jacobi faults on the round-0 estimate only; it has no messages to fault
+JACOBI_FAULTS = {"estimate": (0, 0, "estimate inf out of range")}
 
 
 @pytest.mark.parametrize("stage", sorted(FAULTING))
 @pytest.mark.parametrize("array_cls,node_cls", PAIRS,
                          ids=["bp", "jacobi"])
 def test_faulting_systems_match(stage, array_cls, node_cls):
-    trace = _assert_same_run(FAULTING[stage], array_cls, node_cls, 6)
-    if array_cls is BPProgram:
-        node, k, cause = BP_FAULTS[stage]
-        assert (trace.fault.node, trace.fault.round) == (node, k)
-        assert cause in trace.fault.cause
+    sys = FAULTING[stage]
+    trace = _assert_same_run(sys, array_cls, node_cls, 6,
+                             reference=np.zeros(sys.n))
+    faults = BP_FAULTS if array_cls is BPProgram else JACOBI_FAULTS
+    if stage not in faults:
+        assert trace.fault is None
+        return
+    node, k, cause = faults[stage]
+    assert (trace.fault.node, trace.fault.round) == (node, k)
+    assert cause in trace.fault.cause
+    # rounds 0..k-1 are kept; the faulting round writes no row
+    assert len(trace.rounds) == k
 
 
 def test_jacobi_divergence_matches():
