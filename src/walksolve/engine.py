@@ -9,13 +9,14 @@ matter which order nodes are evaluated in.
 A round is computed on one of two paths; ``run_rounds`` drives both with
 the same stop rules, trace rows and fault records:
   - the edge-array path, for programs whose ``edge_kernel`` returns a
-    kernel (the message-passing solver and Jacobi).  Directed edges are
-    laid out in CSR order (:class:`EdgeLayout`); a round gathers the
-    incoming messages through the reverse-edge permutation, updates them
+    kernel (the message-passing solver, Jacobi and projection consensus).
+    Directed edges are laid out in CSR order (:class:`EdgeLayout`); a
+    round gathers the incoming messages along the edges, updates them
     elementwise and sums them per node in neighbor order.  Messages only
-    ever travel along ``rev``, so C1 holds by construction.
-  - the per-node path, for every other program (projection consensus is
-    non-local by design).  Each node's outbox is a dict of
+    ever travel along edges, so C1 holds by construction.  Consensus
+    keeps every node's full-length vector as one row of an (n, n) array.
+  - the per-node path, for programs without an array form; tests use it
+    as the reference.  Each node's outbox is a dict of
     DirectedEdgeMessage objects, and C1 is checked on every round.
 When several nodes fault in one round, the fault of the smallest node id
 is reported, so the record does not depend on evaluation order.
@@ -207,9 +208,13 @@ class NodeProgram:
 
 
 def delta_stop(prev: np.ndarray, cur: np.ndarray, tol: float) -> bool:
-    """True when max_i |cur_i - prev_i| <= tol * max(1, max_i |cur_i|)."""
+    """True when max_i |cur_i - prev_i| <= tol * max(1, max_i |cur_i|).
+
+    A delta that is not finite never stops: inf <= tol * inf would hold.
+    """
     delta = float(np.max(np.abs(cur - prev)))
-    return delta <= tol * max(1.0, float(np.max(np.abs(cur))))
+    return (math.isfinite(delta)
+            and delta <= tol * max(1.0, float(np.max(np.abs(cur)))))
 
 
 class FixedRounds:

@@ -96,33 +96,39 @@ def node_coeffs(sys: SparseSystem) -> list[NodeCoeffs]:
     return out
 
 
+def _check_layout(nodes, layout: EdgeLayout) -> None:
+    """Raise unless the per-node records list layout's neighbors in order."""
+    nbrs = [v for c in nodes for v in c.neighbors]
+    if len(nodes) != layout.n or not np.array_equal(nbrs, layout.nbr):
+        raise ProtocolViolationError(
+            "program coefficients do not match the system's graph")
+
+
+def _replay(node: int, transition, *args) -> None:
+    """Re-run a flagged node's per-node transition, which raises its fault.
+
+    The kernels only locate the smallest faulting node; the reference
+    transition decides the error type and message.
+    """
+    try:
+        transition(*args)
+    except SolverError as exc:
+        raise NodeFault(node, exc) from None
+    raise RuntimeError(f"edge kernel flagged node {node}, but its "
+                       "per-node transition did not fault")
+
+
 class _EdgeCoeffs:
     """Node coefficients as arrays over nodes and over a layout's slots."""
 
     def __init__(self, coeffs: list[NodeCoeffs], layout: EdgeLayout):
-        nbrs = [v for c in coeffs for v in c.neighbors]
-        if len(coeffs) != layout.n or not np.array_equal(nbrs, layout.nbr):
-            raise ProtocolViolationError(
-                "program coefficients do not match the system's graph")
+        _check_layout(coeffs, layout)
         self.coeffs = coeffs
         self.layout = layout
         self.a_ii = np.array([c.a_ii for c in coeffs])
         self.b_i = np.array([c.b_i for c in coeffs])
         self.a_row = np.array([c.a_row[v] for c in coeffs
                                for v in c.neighbors], dtype=float)
-
-    def replay(self, node: int, transition) -> None:
-        """Re-run a flagged node's per-node transition, which raises its fault.
-
-        The kernels only locate the smallest faulting node; the reference
-        transition decides the error type and message.
-        """
-        try:
-            transition(self.coeffs[node])
-        except SolverError as exc:
-            raise NodeFault(node, exc) from None
-        raise RuntimeError(f"edge kernel flagged node {node}, but its "
-                           "per-node transition did not fault")
 
     def slots(self, node: int) -> slice:
         return slice(self.layout.indptr[node], self.layout.indptr[node + 1])
@@ -237,7 +243,8 @@ class _BPEdgeKernel(_EdgeCoeffs):
         bad = (np.abs(self.a_ii) <= self._eps) | ~(
             np.abs(x_hat) <= ESTIMATE_LIMIT)
         if bad.any():
-            self.replay(int(np.argmax(bad)), _bp_init_one)
+            node = int(np.argmax(bad))
+            _replay(node, _bp_init_one, self.coeffs[node])
         owner = self.layout.owner
         self._a_msg = self.a_ii[owner]
         self._b_msg = self.b_i[owner]
@@ -266,7 +273,7 @@ class _BPEdgeKernel(_EdgeCoeffs):
             inbox = dict(zip(self.coeffs[node].neighbors,
                              zip(a_in[s].tolist(), b_in[s].tolist())))
             # bp_round reads only the node's coefficients from the state
-            self.replay(node, lambda c: bp_round(_bp_init_one(c), inbox))
+            _replay(node, bp_round, _bp_init_one(self.coeffs[node]), inbox)
         self._a_msg, self._b_msg = a_out, b_out
         return x_hat, a_out
 
@@ -308,7 +315,7 @@ class BPProgram(NodeProgram):
 def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
              force: bool = False, reference: Optional[np.ndarray] = None,
              rho_tol: float = analysis.RHO_TOL_DEFAULT
-             ) -> tuple[np.ndarray, ConvergenceTrace]:
+             ) -> tuple[Optional[np.ndarray], ConvergenceTrace]:
     """Solve by message passing; returns (estimates, trace).
 
     A strictly diagonally dominant instance is walk-summable and runs at
@@ -317,7 +324,8 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
     instead emits NotWalkSummableWarning and runs anyway).  Acyclic
     instances run exactly diameter-many rounds, which is where the
     estimates become exact; cyclic ones run until the estimate delta
-    drops below tol or max_rounds is reached.
+    drops below tol or max_rounds is reached.  estimates is None when
+    round 0 faults, since no round completed; trace.fault says why.
     """
     if not analysis.is_diagonally_dominant(sys):
         report = analysis.analyze(sys, rho_tol=rho_tol, want_scaling=False)
@@ -341,7 +349,7 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
     else:
         trace = run_rounds(sys, program, max_rounds=max_rounds,
                            stop=DeltaBelow(tol), reference=reference)
-    return trace.final_estimates, trace
+    return (trace.final_estimates if trace.rounds else None), trace
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +409,8 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
             x_hat = self.b_i / self.a_ii
         bad = ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
         if bad.any():
-            self.replay(int(np.argmax(bad)), _jacobi_init_one)
+            node = int(np.argmax(bad))
+            _replay(node, _jacobi_init_one, self.coeffs[node])
         self._x = x_hat
         return x_hat, None
 
@@ -417,8 +426,9 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
             node = int(np.argmax(bad))
             inbox = dict(zip(self.coeffs[node].neighbors,
                              x_in[self.slots(node)].tolist()))
-            self.replay(node, lambda c: jacobi_round(
-                JacobiNodeState(coeffs=c, x_hat=float(self._x[node])), inbox))
+            state = JacobiNodeState(coeffs=self.coeffs[node],
+                                    x_hat=float(self._x[node]))
+            _replay(node, jacobi_round, state, inbox)
         self._x = x_hat
         return x_hat, None
 
@@ -509,6 +519,71 @@ def consensus_round(state: ConsensusNodeState,
     return new_state, {j: x_new for j in state.neighbors}
 
 
+class _ConsensusEdgeKernel:
+    """consensus_round for every node at once on an EdgeLayout.
+
+    Row i of one (n, n) array is node i's vector.  A round starts each
+    row as deg_i * x_i and subtracts the neighbors' rows one slot position
+    at a time, so every row subtracts in neighbor order; w sums the row
+    support's terms in by_row order with np.bincount, which adds in
+    sequence as sum() does.  Vectors and estimates therefore equal the
+    per-node path's bit for bit.  Isolated nodes keep their vector.
+    """
+
+    def __init__(self, states: list[ConsensusNodeState], layout: EdgeLayout):
+        _check_layout(states, layout)
+        n = layout.n
+        deg = layout.degree
+        self.init_ops = np.full(n, n + 2)
+        self.step_ops = (deg + 3) * n + 4 * (deg + 1)
+        self.storage = (deg + 1) * n + 2 * (deg + 1)
+        self._states = states
+        self._deg = deg[:, None]
+        self._isolated = np.flatnonzero(deg == 0)
+        # slot position p: the nodes with more than p neighbors, and the
+        # p-th neighbor of each
+        self._gathers = []
+        for p in range(int(deg.max(initial=0))):
+            rows = np.flatnonzero(deg > p)
+            self._gathers.append((rows, layout.nbr[layout.indptr[rows] + p]))
+        size = [len(c.row) for c in states]
+        self._sup_row = np.repeat(np.arange(n), size)
+        self._sup_col = np.fromiter((j for c in states for j in c.row),
+                                    dtype=np.intp, count=sum(size))
+        self._sup_val = np.fromiter(
+            (v for c in states for v in c.row.values()), dtype=float,
+            count=sum(size))
+        self._row_norm_sq = np.array([c.row_norm_sq for c in states])
+        self._x = None
+
+    def start(self):
+        x_hat = np.array([c.x[c.node] for c in self._states])
+        self._x = np.diag(x_hat)
+        return x_hat, None
+
+    def advance(self):
+        x = self._x
+        sup = (self._sup_row, self._sup_col)
+        with np.errstate(all="ignore"):
+            z = self._deg * x
+            for rows, nbrs in self._gathers:
+                z[rows] -= x[nbrs]
+            w = np.bincount(self._sup_row, self._sup_val * z[sup], len(x))
+            coef = w / self._row_norm_sq
+            z[sup] -= coef[self._sup_row] * self._sup_val
+            x_new = np.subtract(x, np.divide(z, self._deg, out=z), out=z)
+        x_new[self._isolated] = x[self._isolated]
+        bad = ~np.isfinite(x_new).all(axis=1)
+        bad[self._isolated] = False
+        if bad.any():
+            node = int(np.argmax(bad))
+            state = replace(self._states[node], x=x[node].copy())
+            _replay(node, consensus_round, state,
+                    {v: x[v] for v in state.neighbors})
+        self._x = x_new
+        return x_new.diagonal().copy(), None
+
+
 class ConsensusProgram(NodeProgram):
     """Projection-consensus baseline; violates the locality contracts.
 
@@ -543,6 +618,9 @@ class ConsensusProgram(NodeProgram):
         deg = len(state.neighbors)
         return (deg + 1) * self._n + 2 * (deg + 1)
 
+    def edge_kernel(self, layout: EdgeLayout) -> _ConsensusEdgeKernel:
+        return _ConsensusEdgeKernel(self._init_states, layout)
+
 
 def gauss_seidel_sweep(sys: SparseSystem, x) -> np.ndarray:
     """One in-place sweep in index order; sequential reference only.
@@ -574,14 +652,20 @@ def dense_solve(sys: SparseSystem) -> np.ndarray:
     Raises SingularMatrixError when any pivot magnitude falls at or below
     PIVOT_EPS times the matrix scale, or when the solution's residual
     exceeds RESIDUAL_FACTOR * (||A||_inf ||x||_inf + ||b||_inf).
+
+    The norm and the residual come from the sparse entries, so the one
+    dense matrix, in Fortran order, is factored in place.
     """
-    a = sys.as_dense()
+    rows, cols, vals = (np.array(t) for t in zip(*sys.entries))
     b = sys.b_vector()
-    scale = float(np.max(np.sum(np.abs(a), axis=1)))
+    scale = float(np.max(np.bincount(rows, np.abs(vals), sys.n)))
+    a = np.zeros((sys.n, sys.n), order="F")
+    a[rows, cols] = vals
     with warnings.catch_warnings():
         # the pivot check below turns the degenerate case into an error
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True,
+                                         check_finite=False)
     pivots = np.abs(np.diag(lu))
     if np.any(pivots <= PIVOT_EPS * scale):
         k = int(np.argmin(pivots))
@@ -589,7 +673,8 @@ def dense_solve(sys: SparseSystem) -> np.ndarray:
             f"pivot {pivots[k]:.3e} at elimination step {k} below "
             f"{PIVOT_EPS:.0e} * scale {scale:.3e}")
     x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    residual = float(np.max(np.abs(a @ x - b)))
+    residual = float(np.max(np.abs(
+        np.bincount(rows, vals * x[cols], sys.n) - b)))
     limit = RESIDUAL_FACTOR * (scale * float(np.max(np.abs(x)))
                                + float(np.max(np.abs(b))))
     if residual > limit:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from walksolve.core import SparseSystem
-from walksolve.solvers import BPProgram, JacobiProgram
+from walksolve.solvers import BPProgram, ConsensusProgram, JacobiProgram
 
 # Roster lines collected by test_acceptance; replayed after the run so
 # the per-criterion verdicts survive output capture.
@@ -47,6 +47,13 @@ class PerNodeBP(BPProgram):
 
 class PerNodeJacobi(JacobiProgram):
     """JacobiProgram without its array form: runs on the per-node path."""
+
+    def edge_kernel(self, layout):
+        return None
+
+
+class PerNodeConsensus(ConsensusProgram):
+    """ConsensusProgram without its array form: runs on the per-node path."""
 
     def edge_kernel(self, layout):
         return None

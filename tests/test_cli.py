@@ -145,6 +145,39 @@ def test_solve_fault_exits_three(tmp_path, capsys):
     assert "# fault: node" in captured.out
 
 
+def test_solve_bp_round_zero_fault_exits_three(tmp_path, capsys):
+    from walksolve.core import SparseSystem
+    # dominant, but b_i / a_ii = 1e300 / 1e-100 overflows at round 0
+    sys_ = SparseSystem(2, [(0, 0, 1e-100), (0, 1, 1e-101),
+                            (1, 0, 1e-101), (1, 1, 1e-100)], (1e300, 1e300))
+    mtx, rhs = str(tmp_path / "m.mtx"), str(tmp_path / "m.rhs")
+    write_matrix_market(sys_, mtx)
+    write_rhs(sys_.b, rhs)
+    code = main(["solve", "--matrix", mtx, "--rhs", rhs, "--method", "bp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    lines = captured.out.splitlines()
+    assert "# stop: fault" in lines
+    assert lines[-2:] == ["iter,log10_mse,max_delta,messages",
+                          "# fault: node 0 round 0: DivergedEstimateError"]
+    assert "method=bp rounds=0 stop=fault" in captured.err
+
+
+def test_solve_gauss_seidel_overflow_is_not_converged(tmp_path, capsys):
+    from walksolve.core import SparseSystem
+    # the sweeps grow 1e30-fold until they overflow to inf
+    sys_ = SparseSystem(2, [(0, 0, 1e-30), (0, 1, -1.0),
+                            (1, 0, -1.0), (1, 1, 1.0)], (1.0, 1.0))
+    mtx, rhs = str(tmp_path / "m.mtx"), str(tmp_path / "m.rhs")
+    write_matrix_market(sys_, mtx)
+    write_rhs(sys_.b, rhs)
+    code = main(["solve", "--matrix", mtx, "--rhs", rhs,
+                 "--method", "gauss-seidel", "--max-iters", "20"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "rounds=20 stop=max-rounds" in captured.err
+
+
 def test_parse_errors_exit_one_with_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.mtx"
     bad.write_text("%%MatrixMarket matrix coordinate real general\n2 2\n")

@@ -1,22 +1,30 @@
 """The edge-array path of run_rounds against the per-node message path.
 
-BPProgram and JacobiProgram run on directed-edge arrays; their PerNode*
-subclasses have no array form and take the per-node path, which is the
-reference here.  Every round must agree bit for bit, and so must the
-fault record.
+BPProgram, JacobiProgram and ConsensusProgram run on directed-edge
+arrays; their PerNode* subclasses have no array form and take the
+per-node path, which is the reference here.  Every round must agree bit
+for bit, and so must the fault record.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PerNodeBP, PerNodeJacobi
+from conftest import PerNodeBP, PerNodeConsensus, PerNodeJacobi
 
 from walksolve.core import SparseSystem, UndirectedGraph
 from walksolve.engine import DeltaBelow, edge_layout, run_rounds
-from walksolve.solvers import BPProgram, JacobiProgram
+from walksolve.errors import ProtocolViolationError
+from walksolve.solvers import BPProgram, ConsensusProgram, JacobiProgram
 
-PAIRS = ((BPProgram, PerNodeBP), (JacobiProgram, PerNodeJacobi))
+PAIRS = ((BPProgram, PerNodeBP), (JacobiProgram, PerNodeJacobi),
+         (ConsensusProgram, PerNodeConsensus))
+PAIR_IDS = ["bp", "jacobi", "consensus"]
+
+
+def _same(a, b):
+    """Equal, or both NaN: an isolated node's inf estimate has NaN deltas."""
+    return a == b or (a != a and b != b)
 
 
 def _assert_same_run(sys, array_cls, node_cls, max_rounds, stop=None,
@@ -31,8 +39,8 @@ def _assert_same_run(sys, array_cls, node_cls, max_rounds, stop=None,
     assert [r.k for r in got.rounds] == [r.k for r in want.rounds]
     for a, b in zip(got.rounds, want.rounds):
         assert np.array_equal(a.estimates, b.estimates), a.k
-        assert a.log10_mse == b.log10_mse, a.k
-        assert a.max_delta == b.max_delta, a.k
+        assert _same(a.log10_mse, b.log10_mse), a.k
+        assert _same(a.max_delta, b.max_delta), a.k
         assert a.accounting == b.accounting, a.k
     return got
 
@@ -47,6 +55,13 @@ def test_edge_layout_csr_order_and_reverse():
     assert np.array_equal(lay.nbr[lay.rev], lay.owner)
     assert np.array_equal(lay.rev[lay.rev], np.arange(10))
     assert lay.degree.tolist() == [g.degree(u) for u in range(5)]
+
+
+@pytest.mark.parametrize("array_cls", [a for a, _ in PAIRS], ids=PAIR_IDS)
+def test_kernel_refuses_a_program_of_another_system(array_cls, two_node,
+                                                    path3):
+    with pytest.raises(ProtocolViolationError, match="do not match"):
+        run_rounds(path3, array_cls(two_node), 2)
 
 
 # one system per fault stage of bp_round, with the message it reports
@@ -75,6 +90,12 @@ FAULTING = {
     # round 1: products overflow and the outgoing pair is NaN
     "outgoing": SparseSystem(2, [(0, 0, 1e200), (0, 1, 1e200),
                                  (1, 0, 1e200), (1, 1, 1e200)], [1.0, 1.0]),
+    # path 0-1-2 with estimates 1e308: bp and Jacobi refuse them at round
+    # 0; at round 1 consensus starts the hub's vector as 2 * x_1, which
+    # overflows, while the leaves' vectors stay finite
+    "overflow": SparseSystem(3, [(0, 0, 1.0), (0, 1, -0.5), (1, 0, -0.5),
+                                 (1, 1, 1.0), (1, 2, -0.5), (2, 1, -0.5),
+                                 (2, 2, 1.0)], [1e308, 1e308, 1e308]),
 }
 
 
@@ -83,21 +104,30 @@ BP_FAULTS = {"seed": (0, 0, "too small to seed messages"),
              "aggregate": (0, 1, "aggregate scalar 0.0"),
              "estimate": (0, 0, "estimate inf out of range"),
              "diverge": (0, 1, "estimate 1.99999983"),
-             "outgoing": (0, 1, "outgoing pair to 1 is not finite")}
+             "outgoing": (0, 1, "outgoing pair to 1 is not finite"),
+             "overflow": (0, 0, "estimate 1e+308 out of range")}
 
 
 #: Jacobi faults on the round-0 estimate only; it has no messages to fault
-JACOBI_FAULTS = {"estimate": (0, 0, "estimate inf out of range")}
+JACOBI_FAULTS = {"estimate": (0, 0, "estimate inf out of range"),
+                 "overflow": (0, 0, "estimate 1e+308 out of range")}
+
+
+#: consensus checks only that each round's vector is finite
+CONSENSUS_FAULTS = {"estimate": (0, 1, "consensus vector is not finite"),
+                    "overflow": (1, 1, "consensus vector is not finite")}
+
+FAULTS = {BPProgram: BP_FAULTS, JacobiProgram: JACOBI_FAULTS,
+          ConsensusProgram: CONSENSUS_FAULTS}
 
 
 @pytest.mark.parametrize("stage", sorted(FAULTING))
-@pytest.mark.parametrize("array_cls,node_cls", PAIRS,
-                         ids=["bp", "jacobi"])
+@pytest.mark.parametrize("array_cls,node_cls", PAIRS, ids=PAIR_IDS)
 def test_faulting_systems_match(stage, array_cls, node_cls):
     sys = FAULTING[stage]
     trace = _assert_same_run(sys, array_cls, node_cls, 6,
                              reference=np.zeros(sys.n))
-    faults = BP_FAULTS if array_cls is BPProgram else JACOBI_FAULTS
+    faults = FAULTS[array_cls]
     if stage not in faults:
         assert trace.fault is None
         return
@@ -127,8 +157,11 @@ EXTREMES = (1e-100, 1e-30, -1e100, 1e200)
 def systems(draw):
     n = draw(st.integers(1, 10))
     edges = set()
+    star = draw(st.integers(0, 4)) == 0
     for i in range(1, n):
-        parent = draw(st.one_of(st.none(), st.integers(0, i - 1)))
+        # a parent of None starts a new tree, isolated if none joins it
+        parent = 0 if star else draw(st.one_of(st.none(),
+                                                st.integers(0, i - 1)))
         if parent is not None:
             edges.add((parent, i))
     if n >= 3 and draw(st.booleans()):
@@ -150,10 +183,22 @@ def systems(draw):
     return SparseSystem(n, entries, b)
 
 
+#: node 0 joins 1..5; 6 and 7 are isolated, and 7's estimate overflows
+#: to inf, which is no fault for a node that never steps
+STAR_AND_ISOLATED = SparseSystem(8, [(i, i, 2.0) for i in range(7)] + [
+    (7, 7, 1e-100)] + [e for j in range(1, 6)
+                       for e in ((0, j, -0.3), (j, 0, 0.5))],
+    [1.0, -2.0, 0.5, 3.0, 1.0, 1.0, -2.0, 1e300])
+
+
 @settings(max_examples=300, deadline=None)
 @given(sys=systems(), pair=st.sampled_from(PAIRS),
        max_rounds=st.integers(0, 12), use_stop=st.booleans(),
        use_reference=st.booleans())
+@example(sys=STAR_AND_ISOLATED, pair=PAIRS[2], max_rounds=12,
+         use_stop=False, use_reference=True)
+@example(sys=FAULTING["overflow"], pair=PAIRS[2], max_rounds=3,
+         use_stop=True, use_reference=False)
 def test_array_path_equals_per_node_path(sys, pair, max_rounds, use_stop,
                                          use_reference):
     reference = (np.linspace(-1.0, 2.0, sys.n) if use_reference else None)

@@ -34,6 +34,13 @@ def test_delta_stop_is_relative():
     assert delta_stop(small, small + 5e-11, 1e-10)
 
 
+def test_delta_stop_needs_a_finite_delta():
+    # an overflow to inf is not convergence, though inf <= tol * inf
+    big = np.array([1e308, 1.0])
+    assert not delta_stop(big, np.array([np.inf, 1.0]), 1e-10)
+    assert not delta_stop(np.array([np.inf]), np.array([np.inf]), 1e-10)
+
+
 def test_fixed_rounds_validation():
     with pytest.raises(ValueError):
         FixedRounds(-1)

@@ -94,6 +94,18 @@ def test_bp_solve_exact_on_trees(two_node, path3):
     assert x3 == pytest.approx(PATH3_SOLUTION, abs=1e-14)
 
 
+def test_bp_solve_round_zero_fault_has_no_estimates():
+    # b_i / a_ii = 1e300 / 1e-100 overflows, so round 0 itself faults
+    sys = SparseSystem(2, [(0, 0, 1e-100), (0, 1, 1e-101), (1, 0, 1e-101),
+                           (1, 1, 1e-100)], [1e300, 1e300])
+    x, trace = bp_solve(sys)
+    assert x is None
+    assert trace.rounds == []
+    assert trace.stop_reason == "fault"
+    assert (trace.fault.node, trace.fault.round, trace.fault.error) == (
+        0, 0, "DivergedEstimateError")
+
+
 def test_bp_solve_refuses_non_summable():
     entries = [(i, i, 1.0) for i in range(3)]
     for i, j in [(0, 1), (1, 2), (0, 2)]:
