@@ -27,17 +27,13 @@ from .errors import (
 )
 
 RHO_TOL_DEFAULT = 1e-9
-#: uniform coupling added while iterating so reducible patterns still mix
-EPS_COUPLING = 1e-12
-#: dense exact fallback is only attempted up to this size
-SQUARING_MAX_N = 2048
-SQUARING_ROUNDS = 48
+#: components up to this size get their Perron vector from a dense eig
+DENSE_EIG_MAX_N = 64
+#: inverse iteration: at most this many steps, shift lambda * (1 + 1e-8)
+INVERSE_STEPS = 20
+INVERSE_SHIFT = 1e-8
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
-
-
-def default_max_iter(n: int) -> int:
-    return 10 * n + 1000
 
 
 @dataclass(frozen=True)
@@ -87,17 +83,16 @@ def residual_matrix(sys: SparseSystem) -> ResidualMatrix:
 
 
 def _as_csr_nonneg(m: MatrixLike) -> sp.csr_matrix:
-    if sp.issparse(m):
-        csr = m.tocsr().astype(float)
-    else:
-        arr = np.asarray(m, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatchError(
-                f"expected a square matrix, got shape {arr.shape}")
-        csr = sp.csr_matrix(arr)
+    """A canonical CSR copy: summed duplicates, sorted indices, no zeros."""
+    if not sp.issparse(m) and np.ndim(m) != 2:
+        raise DimensionMismatchError(
+            f"expected a square matrix, got shape {np.shape(m)}")
+    csr = sp.csr_matrix(m, dtype=float, copy=True)
     if csr.shape[0] != csr.shape[1]:
         raise DimensionMismatchError(
             f"expected a square matrix, got shape {csr.shape}")
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
     if csr.nnz and csr.data.min() < 0:
         raise InvalidSystemError("matrix must be entrywise nonnegative")
     if not np.all(np.isfinite(csr.data)):
@@ -105,116 +100,150 @@ def _as_csr_nonneg(m: MatrixLike) -> sp.csr_matrix:
     return csr
 
 
-def _power_bracket(csr: sp.csr_matrix, tol: float, max_iter: int):
-    """Power iteration with a certified two-sided bracket on rho.
+def _cw_bounds(b: sp.csr_matrix, x: np.ndarray) -> tuple[float, float]:
+    """Collatz-Wielandt bounds on rho(b) from a nonnegative x != 0: the
+    min of (bx)_i / x_i over the support of x, and the max when x > 0."""
+    if not np.all(np.isfinite(x)):
+        return 0.0, math.inf
+    pos = x > 0
+    ratios = (b @ x)[pos] / x[pos]
+    return float(ratios.min()), float(ratios.max()) if pos.all() else math.inf
 
-    The iterate follows x <- (I + M + eps*J) x so that even periodic or
-    reducible patterns keep mixing and x stays strictly positive, but the
-    bounds are evaluated against the raw M: for any x > 0,
-    min_i (Mx)_i/x_i <= rho(M) <= max_i (Mx)_i/x_i, so the tightest
-    bounds seen over all iterates certify a shrinking interval.
 
-    Returns (lo, hi, x, iterations, converged).
-    """
+def _perron_vectors(b: sp.csr_matrix, max_iter: Optional[int]):
+    """Yield ("perron", |v|) for b's eigenvector v of largest real part,
+    then ("inverse", x) per step of inverse iteration with sigma just
+    above that eigenvalue, each scaled to max 1.  (sigma I - b)^-1 > 0
+    once sigma > rho(b), so the iterates stay positive and resolve the
+    tiny Perron entries of trees, whose LU has no fill in minimum-degree
+    order."""
+    from scipy.sparse.linalg import eigs, splu
+    k = b.shape[0]
+    if k <= DENSE_EIG_MAX_N:
+        w, v = np.linalg.eig(b.toarray())
+        i = int(np.argmax(w.real))
+    else:
+        w, v = eigs(b, k=1, which="LR", v0=np.ones(k), maxiter=max_iter)
+        i = 0
+    x = np.abs(v[:, i].real)
+    yield "perron", x / x.max()
+    sigma = w[i].real * (1.0 + INVERSE_SHIFT)
+    try:
+        lu = splu((sp.identity(k, format="csc") * sigma - b).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular: sigma hit an eigenvalue
+        return
+    for _ in range(INVERSE_STEPS):
+        x = np.abs(lu.solve(x))
+        yield "inverse", x / x.max()
+
+
+def _certify(csr: sp.csr_matrix, tol: float, max_iter: Optional[int]):
+    """(lo, hi, closed, x, route) for rho of a canonical nonnegative CSR
+    matrix: the interval, whether it is within tol, a GDD candidate x
+    (max 1) and the route of the component that sets hi.  Each strongly
+    connected component starts from its row sums ("dominance"); one open
+    above lo gets Perron vectors ("perron", "inverse") until it closes.
+    An ARPACK failure keeps the row sums."""
+    from scipy.sparse import csgraph
+    from scipy.sparse.linalg import ArpackError
     n = csr.shape[0]
-    x = np.full(n, 1.0 / n)
-    lo_best, hi_best = 0.0, math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        mx = csr @ x
-        ratios = mx / x
-        lo_best = max(lo_best, float(ratios.min()))
-        hi_best = min(hi_best, float(ratios.max()))
-        if hi_best - lo_best <= tol * max(1.0, hi_best):
-            return lo_best, hi_best, x, it, True
-        y = x + mx + EPS_COUPLING * x.sum()
-        x = y / y.sum()
-    return lo_best, hi_best, x, it, False
+    ncomp, labels = csgraph.connected_components(
+        csr, directed=True, connection="strong")
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    inner = labels[rows] == labels[csr.indices]
+    sums = np.bincount(rows[inner], csr.data[inner], minlength=n)
+    order = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[order], np.arange(ncomp))
+    ends = np.append(starts[1:], n)
+    lo_c = np.minimum.reduceat(sums[order], starts)
+    hi_c = np.maximum.reduceat(sums[order], starts)
+    route_c = ["dominance"] * ncomp
+    x = np.ones(n)
+    lo = float(lo_c.max())
+
+    def is_open(c):
+        return hi_c[c] - lo_c[c] > tol * max(1.0, hi_c[c]) and hi_c[c] > lo
+
+    for c in sorted(filter(is_open, range(ncomp)), key=lambda c: -hi_c[c]):
+        if not is_open(c):
+            continue
+        nodes = order[starts[c]:ends[c]]
+        b = csr[nodes][:, nodes]
+        try:
+            for route, xc in _perron_vectors(b, max_iter):
+                blo, bhi = _cw_bounds(b, xc)
+                lo_c[c] = max(lo_c[c], blo)
+                if bhi < hi_c[c]:
+                    hi_c[c], route_c[c], x[nodes] = bhi, route, xc
+                lo = max(lo, float(lo_c[c]))
+                if not is_open(c):
+                    break
+        except ArpackError:
+            pass
+    # scale components sinks first (scipy gives them lower labels; the
+    # scaling is validated anyway) so that each row's terms from other
+    # components fit in the slack of its own
+    cross = sp.csr_matrix((csr.data * ~inner, csr.indices, csr.indptr),
+                          shape=(n, n))
+    slack = x - (csr - cross) @ x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in np.unique(labels[rows[~inner]]):
+            nodes = order[starts[c]:ends[c]]
+            need = cross[nodes] @ x / slack[nodes]
+            x[nodes] *= max(1.0, 2.0 * need.max())
+    top = int(np.argmax(hi_c))
+    hi = float(hi_c[top])
+    return lo, hi, hi - lo <= tol * max(1.0, hi), x / x.max(), route_c[top]
 
 
 def spectral_radius_nonneg(m: MatrixLike, tol: float = RHO_TOL_DEFAULT,
                            max_iter: Optional[int] = None) -> float:
     """Spectral radius of an entrywise-nonnegative matrix.
 
-    Runs the bracketing power iteration from a strictly positive start
-    and returns the bracket midpoint once its width drops below
-    tol * max(1, estimate).  Raises NoConvergenceError carrying the best
-    bracket when max_iter (default 10n + 1000) is exhausted first; that
-    happens for strongly reducible patterns whose regularized Perron
-    vector is too skewed for the bracket to close.
+    Returns the midpoint of a certified interval (see _certify) once it
+    is at most tol * max(1, hi) wide.  Raises NoConvergenceError carrying
+    the interval when it stays wider, e.g. when ARPACK (max_iter
+    restarts, its own default when None) does not converge.
     """
     csr = _as_csr_nonneg(m)
-    n = csr.shape[0]
-    if csr.nnz == 0:
+    if csr.shape[0] == 0:
         return 0.0
-    if max_iter is None:
-        max_iter = default_max_iter(n)
-    lo, hi, _, _, ok = _power_bracket(csr, tol, max_iter)
-    mid = 0.5 * (lo + hi) if math.isfinite(hi) else lo
-    if not ok:
+    lo, hi, closed, _, route = _certify(csr, tol, max_iter)
+    if not closed:
         raise NoConvergenceError(
-            f"bracket [{lo:.6g}, {hi:.6g}] still open after {max_iter} "
-            "iterations", estimate=mid, lower=lo, upper=hi)
-    return mid
-
-
-def _spectral_radius_squaring(dense: np.ndarray,
-                              rounds: int = SQUARING_ROUNDS) -> float:
-    """Exact-to-roundoff rho for a nonnegative matrix via norm squaring.
-
-    ||M^(2^k)||_inf ** (1/2^k) converges to rho from above with error
-    factor n**(1/2^k); after ~48 normalized squarings the factor is below
-    double-precision resolution.  Cost is O(rounds * n^3) dense flops, so
-    this is the fallback route for matrices the bracketing iteration
-    cannot certify, guarded to n <= SQUARING_MAX_N.
-    """
-    b = np.asarray(dense, dtype=float)
-    s0 = float(np.abs(b).sum(axis=1).max())
-    if s0 == 0.0:
-        return 0.0
-    b = b / s0
-    log_rho = math.log(s0)
-    for k in range(1, rounds + 1):
-        b = b @ b
-        s = float(np.abs(b).sum(axis=1).max())
-        if s == 0.0:
-            return 0.0  # nilpotent
-        b = b / s
-        log_rho += math.log(s) / (1 << k)
-    return math.exp(log_rho)
-
-
-def is_diagonally_dominant(sys: SparseSystem) -> bool:
-    """Strict row dominance: |a_ii| > sum of |a_ij| over j != i, every row."""
-    for i in range(sys.n):
-        off = sum(abs(v) for j, v in sys.by_row[i].items() if j != i)
-        if not abs(sys.diag[i]) > off:
-            return False
-    return True
+            f"interval [{lo:.6g}, {hi:.6g}] for rho did not close (route "
+            f"{route})", estimate=0.5 * (lo + hi), lower=lo, upper=hi)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
 class DominanceReport:
     """Outcome of the dominance / walk-summability analysis.
 
-    walk_summable is three-valued: True / False when the spectral radius
-    estimate is certified (or plain dominance already settles it), None
-    when the estimate could not be certified at this size.  scaling, when
-    present, is a positive vector d validated to make the column-scaled
-    matrix strictly diagonally dominant.
+    rho(|R|) lies in [rho_lo, rho_hi], certified by the vector route
+    names (see _certify); rho_abs is the midpoint, rho_reliable when the
+    width is at most rho_tol * max(1, rho_hi).  walk_summable is True
+    when rho_hi + rho_tol < 1 or the system is strictly diagonally
+    dominant, False when rho_lo - rho_tol > 1, else None.  scaling, if
+    any, is a positive d validated to make A D strictly dominant.
     """
 
     diag_dominant: bool
     rho_abs: float
     rho_tol: float
     walk_summable: Optional[bool]
-    scaling: Optional[tuple[float, ...]] = None
-    rho_reliable: bool = True
+    scaling: Optional[tuple[float, ...]]
+    rho_reliable: bool
+    rho_lo: float
+    rho_hi: float
+    route: str
 
 
 def _validate_scaling(sys: SparseSystem, d: np.ndarray) -> bool:
     if not np.all(np.isfinite(d)) or not np.all(d > 0):
         return False
+    d = d.tolist()
     for i in range(sys.n):
         off = sum(abs(v) * d[j] for j, v in sys.by_row[i].items() if j != i)
         if not abs(sys.diag[i]) * d[i] > off:
@@ -222,13 +251,14 @@ def _validate_scaling(sys: SparseSystem, d: np.ndarray) -> bool:
     return True
 
 
+def is_diagonally_dominant(sys: SparseSystem) -> bool:
+    """Strict row dominance: |a_ii| > sum of |a_ij| over j != i, every row."""
+    return _validate_scaling(sys, np.ones(sys.n))
+
+
 def _perron_scaling(sys: SparseSystem, x: np.ndarray
                     ) -> Optional[tuple[float, ...]]:
-    """The bracket's iterate x scaled to max 1, if it certifies GDD."""
-    d = x / x.max()
-    if _validate_scaling(sys, d):
-        return tuple(float(v) for v in d)
-    return None
+    return tuple(map(float, x)) if _validate_scaling(sys, x) else None
 
 
 def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
@@ -237,71 +267,40 @@ def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
     """Hunt for a positive d with |a_ii| d_i > sum_j |a_ij| d_j, all rows.
 
     Already-dominant systems return all-ones.  Otherwise the candidate is
-    the (regularization-mixed) Perron direction of |R|, kept only if it
-    passes strict validation, so a returned vector is always a genuine
+    the vector that certified the upper bound on rho(|R|), kept only if
+    it passes strict validation, so a returned vector is always a genuine
     certificate while None proves nothing.
     """
-    ones = np.ones(sys.n)
-    if _validate_scaling(sys, ones):
-        return tuple(ones)
-    csr = residual_matrix(sys).abs_csr()
-    if csr.nnz == 0:
-        return None  # no off-diagonals and still not dominant: impossible
-    if max_iter is None:
-        max_iter = default_max_iter(sys.n)
-    _, _, x, _, _ = _power_bracket(csr, rho_tol, max_iter)
-    return _perron_scaling(sys, x)
+    if is_diagonally_dominant(sys):
+        return (1.0,) * sys.n
+    abs_r = _as_csr_nonneg(residual_matrix(sys).abs_csr())
+    return _perron_scaling(sys, _certify(abs_r, rho_tol, max_iter)[3])
 
 
 def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
             max_iter: Optional[int] = None,
             want_scaling: bool = True) -> DominanceReport:
-    """Combined dominance check, rho(|R|) estimate, and verdict.
+    """Combined dominance check, certified rho(|R|) interval, and verdict.
 
-    The verdict is rho_abs + rho_tol < 1 when the estimate is certified.
-    Strict diagonal dominance alone already implies walk-summability, so
-    a dominant system is reported True no matter how close the estimate
-    sits to one.  If neither the bracketing iteration nor the dense
-    squaring fallback (n <= SQUARING_MAX_N) can certify rho, the verdict
-    is None (indeterminate) and rho_reliable is False.
-
-    One power bracket serves rho and the scaling.  They equal, bit for
-    bit, what spectral_radius_nonneg (or the squaring fallback) and
-    find_gdd_scaling return: those run the same bracket on the same |R|.
+    One certification serves rho and the scaling; they equal, bit for
+    bit, what spectral_radius_nonneg and find_gdd_scaling return.
     """
     dom = is_diagonally_dominant(sys)
-    rm = residual_matrix(sys)
-    csr = _as_csr_nonneg(rm.abs_csr())
-    if max_iter is None:
-        max_iter = default_max_iter(sys.n)
-    reliable = True
-    x = None
-    if csr.nnz == 0:
-        rho = 0.0
-    else:
-        lo, hi, x, _, ok = _power_bracket(csr, rho_tol, max_iter)
-        rho = 0.5 * (lo + hi) if math.isfinite(hi) else lo
-        if not ok:
-            if sys.n <= SQUARING_MAX_N:
-                rho = _spectral_radius_squaring(np.abs(rm.as_dense()))
-            else:
-                reliable = False
-    if dom:
+    abs_r = _as_csr_nonneg(residual_matrix(sys).abs_csr())
+    lo, hi, closed, x, route = _certify(abs_r, rho_tol, max_iter)
+    if dom or hi + rho_tol < 1.0:
         walk_summable: Optional[bool] = True
-    elif reliable:
-        walk_summable = bool(rho + rho_tol < 1.0)
+    elif lo - rho_tol > 1.0:
+        walk_summable = False
     else:
         walk_summable = None
     scaling = None
     if want_scaling and walk_summable:
-        ones = np.ones(sys.n)
-        if _validate_scaling(sys, ones):
-            scaling = tuple(ones)
-        elif x is not None:
-            scaling = _perron_scaling(sys, x)
-    return DominanceReport(diag_dominant=dom, rho_abs=float(rho),
-                           rho_tol=rho_tol, walk_summable=walk_summable,
-                           scaling=scaling, rho_reliable=reliable)
+        scaling = (1.0,) * sys.n if dom else _perron_scaling(sys, x)
+    return DominanceReport(
+        diag_dominant=dom, rho_abs=0.5 * (lo + hi), rho_tol=rho_tol,
+        walk_summable=walk_summable, scaling=scaling,
+        rho_reliable=closed, rho_lo=lo, rho_hi=hi, route=route)
 
 
 def _to_coo(a) -> sp.coo_matrix:

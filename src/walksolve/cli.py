@@ -14,15 +14,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import mmio
-from .analysis import RHO_TOL_DEFAULT, analyze, default_max_iter
+from .analysis import RHO_TOL_DEFAULT, analyze
 from .core import (DIAG_RULES, GENERATOR_KINDS, DEFAULT_COEFF_RANGE,
                    GeneratorSpec, SparseSystem, diameter, generate_instance,
                    induced_graph, is_acyclic)
 from .engine import ConvergenceTrace, DeltaBelow, delta_stop, run_rounds
 from .errors import (NotWalkSummableError, SingularMatrixError,
                      WalksolveError)
-from .solvers import (BPProgram, ConsensusProgram, JacobiProgram, bp_solve,
-                      dense_solve, gauss_seidel_sweep)
+from .solvers import (ESTIMATE_LIMIT, BPProgram, ConsensusProgram,
+                      JacobiProgram, bp_solve, dense_solve,
+                      gauss_seidel_sweep)
 from .verify import run_all_checks
 
 DENSE_REFERENCE_LIMIT = 5000
@@ -49,6 +50,11 @@ class RunConfig:
     density: float = 0.3
     reference: str = "auto"
     rho_tol: float = RHO_TOL_DEFAULT
+
+
+def default_max_iter(n: int) -> int:
+    """Round cap when --max-iters is not given."""
+    return 10 * n + 1000
 
 
 def _fmt(v: float) -> str:
@@ -129,14 +135,18 @@ def cmd_analyze(cfg: RunConfig) -> int:
     print(f"diagonally dominant: {'yes' if report.diag_dominant else 'no'}")
     rel = "certified" if report.rho_reliable else "estimate only"
     print(f"rho(|R|): {_fmt(report.rho_abs)} ({rel}, tol {report.rho_tol:g})")
+    print(f"rho interval: [{_fmt(report.rho_lo)}, {_fmt(report.rho_hi)}]")
+    print(f"rho route: {report.route}")
     if report.walk_summable is None:
-        print("walk-summable: indeterminate (margin within tolerance)")
+        why = ("margin within tolerance" if report.rho_reliable
+               else "interval not closed")
+        print(f"walk-summable: indeterminate ({why})")
     else:
         print(f"walk-summable: {'yes' if report.walk_summable else 'no'}")
         if report.rho_reliable:
             print(f"margin to 1: {_fmt(1.0 - report.rho_abs)}")
         else:
-            # dominance settled the verdict; an estimate gives no margin
+            # the verdict holds, but rho is not pinned to within tol
             print("margin to 1: not certified (rho is an estimate)")
     if report.scaling is not None:
         print("scaling certificate: present (validated)")
@@ -149,22 +159,25 @@ def _jacobi_or_consensus(sys_, cfg: RunConfig, program, reference):
                       stop=DeltaBelow(cfg.tol), reference=reference)
 
 
-def _gauss_seidel_trace(sys_, cfg: RunConfig, reference) -> tuple[list, str]:
-    """Sequential sweeps; emits (rows, stop_reason) shaped like a trace."""
+def _gauss_seidel_trace(sys_, cfg: RunConfig, reference):
+    """Sequential sweeps; returns (rows, stop_reason, fault) shaped like a
+    trace.  A sweep with an estimate beyond ESTIMATE_LIMIT is not a row:
+    it stops the run with a fault naming the smallest such node."""
     max_rounds = cfg.max_iters or default_max_iter(sys_.n)
     x = np.array([sys_.b[i] / sys_.diag[i] for i in range(sys_.n)])
-    rows = [(0, x.copy(), _ref_err(x, reference), None)]
-    reason = "max-rounds"
-    for k in range(1, max_rounds + 1):
-        nxt = gauss_seidel_sweep(sys_, x)
-        delta = float(np.max(np.abs(nxt - x)))
-        rows.append((k, nxt.copy(), _ref_err(nxt, reference), delta))
-        if delta_stop(x, nxt, cfg.tol):
-            reason = "delta"
-            x = nxt
-            break
+    rows = []
+    for k in range(max_rounds + 1):
+        nxt = gauss_seidel_sweep(sys_, x) if k else x
+        over = ~(np.abs(nxt) <= ESTIMATE_LIMIT)
+        if over.any():
+            return rows, "fault", (f"node {int(np.argmax(over))} round {k}: "
+                                   "DivergedEstimateError")
+        delta = float(np.max(np.abs(nxt - x))) if k else None
+        rows.append((k, _ref_err(nxt, reference), delta))
+        if k and delta_stop(x, nxt, cfg.tol):
+            return rows, "delta", None
         x = nxt
-    return rows, reason
+    return rows, "max-rounds", None
 
 
 def _ref_err(x, reference):
@@ -185,15 +198,19 @@ def cmd_solve(cfg: RunConfig) -> int:
     reference = _reference_solution(sys_, cfg)
 
     if cfg.method == "gauss-seidel":
-        rows, reason = _gauss_seidel_trace(sys_, cfg, reference)
+        rows, reason, fault = _gauss_seidel_trace(sys_, cfg, reference)
         lines = ["# method: gauss-seidel (sequential-reference, "
                  "not message passing)",
                  "iter,log10_mse,max_delta,messages"]
-        for k, _x, lmse, delta in rows:
+        for k, lmse, delta in rows:
             lines.append(f"{k},{_cell(lmse)},{_cell(delta)},0")
+        if fault is not None:
+            lines.append(f"# fault: {fault}")
         _write_lines(lines, cfg.out)
-        print(f"method=gauss-seidel rounds={rows[-1][0]} stop={reason}",
-              file=_sys.stderr)
+        print(f"method=gauss-seidel rounds={rows[-1][0] if rows else 0} "
+              f"stop={reason}", file=_sys.stderr)
+        if fault is not None:
+            print(f"fault: {fault}", file=_sys.stderr)
         return _EXIT_BY_REASON[reason]
 
     if cfg.method == "bp":

@@ -334,9 +334,9 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
                        else "not walk-summable")
             if not force:
                 raise NotWalkSummableError(
-                    f"analysis verdict is {verdict} "
-                    f"(rho estimate {report.rho_abs:.6g}); pass force=True "
-                    "to run anyway")
+                    f"analysis verdict is {verdict} (rho(|R|) in "
+                    f"[{report.rho_lo:.6g}, {report.rho_hi:.6g}]); pass "
+                    "force=True to run anyway")
             warnings.warn(
                 f"running on an instance whose analysis verdict is {verdict}",
                 NotWalkSummableWarning, stacklevel=2)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from walksolve import analysis
 from walksolve.analysis import (
     DominanceReport,
     analyze,
@@ -22,7 +24,7 @@ from walksolve.errors import (
     NoConvergenceError,
     NonPositiveLambdaError,
 )
-from walksolve.solvers import dense_solve
+from walksolve.solvers import bp_solve, dense_solve
 
 
 def test_residual_matrix_values(two_node):
@@ -59,6 +61,7 @@ def test_spectral_radius_bipartite_star():
 
 def test_spectral_radius_zero_and_validation():
     assert spectral_radius_nonneg(np.zeros((3, 3))) == 0.0
+    assert spectral_radius_nonneg(np.zeros((0, 0))) == 0.0
     assert spectral_radius_nonneg(sp.csr_matrix((4, 4))) == 0.0
     with pytest.raises(InvalidSystemError, match="nonnegative"):
         spectral_radius_nonneg(np.array([[0.0, -1.0], [0.0, 0.0]]))
@@ -67,25 +70,20 @@ def test_spectral_radius_zero_and_validation():
 
 
 def test_spectral_radius_reducible_reports_bracket():
-    # two disconnected 2-cycles with radii sqrt(0.06) and 0.9: the Perron
-    # direction of the coupled iterate is split, the bracket stays open,
-    # and the error must still carry rigorous bounds around rho = 0.9
+    # two disconnected 2-cycles with radii sqrt(0.06) and 0.9: each
+    # strongly connected component is bounded on its own, so the
+    # interval closes on 0.9 (an open one is test_arpack_failure_...)
     m = np.zeros((4, 4))
     m[0, 1] = 1.2
     m[1, 0] = 0.05
     m[2, 3] = 0.9
     m[3, 2] = 0.9
-    with pytest.raises(NoConvergenceError) as ei:
-        spectral_radius_nonneg(m, max_iter=2000)
-    # the bounds are rigorous up to roundoff in the ratio quotients
-    assert ei.value.lower <= 0.9 + 1e-12
-    assert ei.value.upper >= 0.9 - 1e-12
-    assert ei.value.upper - ei.value.lower > 0.1
+    assert spectral_radius_nonneg(m) == pytest.approx(0.9, abs=1e-12)
 
 
 def test_analyze_squaring_fallback_on_reducible():
     # same split pattern as a system; row 0 is not dominant (1.2 > 1) so
-    # the verdict must come from the certified fallback radius
+    # the verdict must come from the certified interval
     entries = [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0),
                (0, 1, -1.2), (1, 0, -0.05), (2, 3, -0.9), (3, 2, -0.9)]
     sys = SparseSystem(4, entries, [1.0, 1.0, 1.0, 1.0])
@@ -118,16 +116,22 @@ def test_analyze_not_walk_summable():
 
 
 def test_analyze_indeterminate_beyond_fallback_guard():
-    # the dense fallback is guarded by size; a large reducible pattern
-    # with an open bracket must be reported as indeterminate, not guessed
+    # a large reducible pattern is certified per component (yes, at 0.9);
+    # a radius within rho_tol of 1 is reported indeterminate, not guessed
     n = 2100
     entries = [(i, i, 1.0) for i in range(n)]
     entries += [(0, 1, -1.2), (1, 0, -0.05), (2, 3, -0.9), (3, 2, -0.9)]
-    sys = SparseSystem(n, entries, [0.0] * n)
-    rep = analyze(sys, max_iter=300)
+    rep = analyze(SparseSystem(n, entries, [0.0] * n), max_iter=300)
     assert not rep.diag_dominant
+    assert rep.walk_summable is True and rep.rho_reliable
+    assert rep.rho_abs == pytest.approx(0.9, abs=1e-12)
+    # |R| = [[0, 2], [0.5, 0]] on two nodes: rho = 1 exactly
+    entries[-4:-2] = [(0, 1, -2.0), (1, 0, -0.5)]
+    rep = analyze(SparseSystem(n, entries, [0.0] * n))
+    assert rep.rho_reliable
+    assert rep.rho_lo <= 1.0 <= rep.rho_hi
     assert rep.walk_summable is None
-    assert not rep.rho_reliable
+    assert rep.scaling is None
 
 
 def test_dominance_check(two_node):
@@ -174,17 +178,19 @@ SPARSE_CASES = [(seed, coeff, degree) for seed in (0, 1, 2)
 
 @pytest.mark.parametrize("case", ["gdd-2x2"] + SPARSE_CASES, ids=str)
 def test_analyze_single_bracket_is_exact(case):
-    # analyze runs one power bracket for rho and the scaling; both must
-    # equal what the separate public routes compute, bit for bit
+    # analyze runs one certification for rho and the scaling; both must
+    # equal what the separate public routes compute, bit for bit, and
+    # the interval must hold the dense spectral radius
     sys = _gdd_two_node() if case == "gdd-2x2" else _sparse(*case)
     rep = analyze(sys)
     abs_r = residual_matrix(sys).abs_csr()
-    try:
-        rho = spectral_radius_nonneg(abs_r)
-    except NoConvergenceError:
-        rho = analysis._spectral_radius_squaring(abs_r.toarray())
     assert rep.rho_reliable
-    assert rep.rho_abs == rho
+    assert rep.rho_abs == spectral_radius_nonneg(abs_r)
+    assert rep.rho_abs == 0.5 * (rep.rho_lo + rep.rho_hi)
+    assert rep.route in ("dominance", "perron", "inverse")
+    dense = float(np.max(np.abs(np.linalg.eigvals(abs_r.toarray()))))
+    assert rep.rho_lo <= dense * (1 + 1e-12)
+    assert rep.rho_hi >= dense * (1 - 1e-12)
     if rep.walk_summable:
         assert rep.scaling is not None
         assert rep.scaling == find_gdd_scaling(sys)
@@ -262,3 +268,118 @@ def test_spectral_estimate_matches_dense_eigenvalues_ensemble():
             assert exc.upper >= ref - 1e-9
             continue
         assert rho == pytest.approx(ref, abs=1e-8)
+
+
+def _regression_system(n, seed):
+    # random-sparse, unit diagonal, coefficients +-0.3, mean degree 2.5:
+    # rho(|R|) = 0.6268 (n=3000 seed 5) and 0.6144 (n=5000 seed 1)
+    return generate_instance(GeneratorSpec(
+        kind="random-sparse", n=n, seed=seed, coeff_range=(-0.3, 0.3),
+        diag_rule="unit", density=2.5 / n))
+
+
+@pytest.mark.parametrize("n, seed, rho", [(3000, 5, 0.62680943048),
+                                          (5000, 1, 0.61444541474)])
+def test_random_sparse_is_certified_walk_summable(n, seed, rho):
+    # a power bracket left both indeterminate; the interval must close
+    sys = _regression_system(n, seed)
+    rep = analyze(sys)
+    assert not rep.diag_dominant
+    assert rep.walk_summable is True and rep.rho_reliable
+    assert rep.rho_lo <= rho + 1e-10 and rep.rho_hi >= rho - 1e-10
+    assert rep.scaling is not None
+    assert analyze(sys) == rep  # a fixed ARPACK start: runs reproduce
+    if n == 3000:
+        x, trace = bp_solve(sys)
+        assert trace.stop_reason == "delta"
+        i, j, v = (np.array(c) for c in zip(*sys.entries))
+        a = sp.csr_matrix((v, (i.astype(int), j.astype(int))),
+                          shape=(n, n))
+        assert np.max(np.abs(a @ x - sys.b)) < 1e-9 * np.max(np.abs(sys.b))
+
+
+def _dense_rho(m):
+    """max |eigenvalue| over the strongly connected diagonal blocks of m,
+    found by boolean transitive closure."""
+    n = len(m)
+    reach = (m > 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    rho, seen = 0.0, set()
+    for i in range(n):
+        if i not in seen:
+            block = np.flatnonzero(reach[i] & reach[:, i])
+            seen.update(block.tolist())
+            sub = m[np.ix_(block, block)]
+            rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(sub)))))
+    return rho
+
+
+PATTERNS = ("asymmetric", "reducible", "bipartite", "nilpotent", "cycle")
+
+
+@st.composite
+def nonneg_matrices(draw):
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(PATTERNS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    perm = rng.permutation(n)
+    if kind == "asymmetric":
+        mask = rng.random((n, n)) < 0.5
+    elif kind == "reducible":
+        block = rng.integers(0, 3, n)
+        mask = (block[:, None] <= block[None, :]) & (rng.random((n, n)) < 0.6)
+    elif kind == "bipartite":
+        side = (perm % 2).astype(bool)
+        mask = (side[:, None] != side[None, :]) & (rng.random((n, n)) < 0.7)
+    elif kind == "nilpotent":
+        mask = (perm[:, None] < perm[None, :]) & (rng.random((n, n)) < 0.6)
+    else:
+        mask = np.zeros((n, n), dtype=bool)
+        mask[perm, np.roll(perm, -1)] = True
+    m = np.where(mask, rng.uniform(0.05, 2.0, (n, n)), 0.0)
+    isolated = rng.random(n) < 0.15
+    m[isolated, :] = 0.0
+    m[:, isolated] = 0.0
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonneg_matrices())
+def test_interval_holds_the_dense_spectral_radius(m):
+    n = len(m)
+    sign = np.where(np.arange(n * n).reshape(n, n) % 3 == 0, 1.0, -1.0)
+    entries = [(i, i, 1.0) for i in range(n)]
+    entries += [(int(i), int(j), float(sign[i, j] * m[i, j]))
+                for i, j in zip(*np.nonzero(m))]
+    rep = analyze(SparseSystem(n, entries, [0.0] * n))
+    rho = _dense_rho(m)
+    assert rep.rho_lo <= rho * (1 + 1e-12)
+    assert rep.rho_hi >= rho * (1 - 1e-12)
+    assert rep.rho_reliable
+    assert spectral_radius_nonneg(m) == rep.rho_abs
+    # a walk-summable system has a GDD scaling; components are coupled
+    # along the condensation, so reducible patterns get one too
+    assert (rep.scaling is not None) == bool(rep.walk_summable)
+
+
+def test_arpack_failure_never_gives_a_wrong_rho(monkeypatch):
+    # the 300-node components need ARPACK; when it fails, the row-sum
+    # bounds stand, the interval stays open and nothing claims otherwise
+    sys = _sparse(0, 0.3, 2.5)
+    abs_r = residual_matrix(sys).abs_csr()
+    dense = float(np.max(np.abs(np.linalg.eigvals(abs_r.toarray()))))
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("forced", None, None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    with pytest.raises(NoConvergenceError) as ei:
+        spectral_radius_nonneg(abs_r)
+    assert ei.value.lower <= dense <= ei.value.upper
+    rep = analyze(sys)
+    assert rep.route == "dominance" and not rep.rho_reliable
+    assert rep.rho_lo <= dense <= rep.rho_hi
+    assert (rep.rho_lo, rep.rho_hi) == (ei.value.lower, ei.value.upper)
+    assert rep.walk_summable is None and rep.scaling is None

@@ -37,24 +37,48 @@ def test_analyze_tree(tmp_path, capsys):
     assert "diameter: 4" in out
     assert "walk-summable: yes" in out
     assert "(certified" in out
+    assert "rho interval: [" in out
+    assert "rho route: " in out
     assert "scaling certificate: present (validated)" in out
 
 
-def test_analyze_prints_no_margin_from_an_uncertified_rho(tmp_path, capsys):
-    # above 2048 nodes a tree's bracket never closes and has no fallback:
-    # dominance gives the verdict, rho stays an estimate (0.9341 here,
-    # where ARPACK gives 0.9397733), so no margin to 1 can be printed
+def _report(text):
+    return dict(line.split(": ", 1) for line in text.splitlines())
+
+
+def test_analyze_prints_no_margin_from_an_uncertified_rho(tmp_path, capsys,
+                                                          monkeypatch):
+    # a 2500-node tree's interval closes after inverse iteration, so its
+    # margin is printed; when ARPACK fails, dominance still gives the
+    # verdict but rho is only the midpoint of the row-sum bounds, and no
+    # margin to 1 may be printed from it
+    import scipy.sparse.linalg
     mtx = str(tmp_path / "tree.mtx")
     assert main(["generate", "--kind", "random-tree", "--n", "2500",
                  "--seed", "7", "--out", mtx]) == 0
     capsys.readouterr()
-    assert main(["analyze", "--matrix", mtx,
-                 "--rhs", mtx[:-4] + ".rhs"]) == 0
-    out = capsys.readouterr().out
-    assert "(estimate only, tol" in out
-    assert "walk-summable: yes" in out
-    assert "margin to 1: not certified (rho is an estimate)" in out
-    assert "0.0658" not in out
+    argv = ["analyze", "--matrix", mtx, "--rhs", mtx[:-4] + ".rhs"]
+    assert main(argv) == 0
+    rep = _report(capsys.readouterr().out)
+    rho = float(rep["rho(|R|)"].split()[0])
+    assert rho == pytest.approx(0.9397732837272, abs=1e-12)
+    assert rep["rho(|R|)"].endswith("(certified, tol 1e-09)")
+    assert rep["rho route"] == "inverse"
+    assert rep["walk-summable"] == "yes"
+    assert float(rep["margin to 1"]) == 1.0 - rho
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("forced", None, None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    assert main(argv) == 0
+    rep = _report(capsys.readouterr().out)
+    assert rep["rho(|R|)"].endswith("(estimate only, tol 1e-09)")
+    assert rep["rho route"] == "dominance"
+    lo, hi = (float(v) for v in rep["rho interval"].strip("[]").split(", "))
+    assert lo <= 0.9397732837272 <= hi
+    assert rep["walk-summable"] == "yes"
+    assert rep["margin to 1"] == "not certified (rho is an estimate)"
 
 
 def test_solve_bp_on_tree(tmp_path, capsys):
@@ -123,6 +147,7 @@ def test_solve_bp_refuses_without_certificate(tmp_path, capsys):
     code = main(["solve", "--matrix", mtx, "--rhs", rhs, "--method", "bp"])
     captured = capsys.readouterr()
     assert code == 1
+    assert "not walk-summable (rho(|R|) in [1.5, 1.5])" in captured.err
     assert "rerun with --force" in captured.err
 
 
@@ -174,8 +199,13 @@ def test_solve_gauss_seidel_overflow_is_not_converged(tmp_path, capsys):
     code = main(["solve", "--matrix", mtx, "--rhs", rhs,
                  "--method", "gauss-seidel", "--max-iters", "20"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert "rounds=20 stop=max-rounds" in captured.err
+    # round 5 passes ESTIMATE_LIMIT (1e150): a fault, as in the engine
+    assert code == 3
+    assert "rounds=4 stop=fault" in captured.err
+    lines = captured.out.splitlines()
+    assert [l.split(",")[0] for l in lines[2:-1]] == ["0", "1", "2", "3", "4"]
+    assert lines[-1] == "# fault: node 0 round 5: DivergedEstimateError"
+    assert "inf" not in captured.out and "nan" not in captured.out
 
 
 def test_parse_errors_exit_one_with_line_number(tmp_path, capsys):
