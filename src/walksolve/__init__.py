@@ -25,7 +25,7 @@ from .errors import (CyclicGraphError, DimensionMismatchError,
                      NotWalkSummableWarning, ParseError,
                      ProtocolViolationError, SingularMatrixError,
                      SingularMessageError, SolverError, TooLargeError,
-                     WalksolveError, ZeroDiagonalError, ZeroRowError)
+                     WalksolveError, ZeroRowError)
 from .mmio import (load_system, read_matrix_market, read_rhs,
                    write_matrix_market, write_rhs)
 from .oracle import (UnwrappedCheck, UnwrappedTree, Walk, message_oracle,
@@ -50,8 +50,8 @@ __all__ = [
     "ResidualMatrix", "RoundAccounting", "SingularMatrixError",
     "SingularMessageError", "SolverError", "SolverFault", "SparseSystem",
     "TooLargeError", "TraceRound", "UndirectedGraph", "UnwrappedCheck",
-    "UnwrappedTree", "Walk", "WalksolveError", "ZeroDiagonalError",
-    "ZeroRowError", "analyze", "bfs_distances", "bp_solve",
+    "UnwrappedTree", "Walk", "WalksolveError", "ZeroRowError", "analyze",
+    "bfs_distances", "bp_solve",
     "connected_components", "delta_stop", "dense_solve", "diameter",
     "edge_layout", "find_gdd_scaling", "gauss_seidel_sweep",
     "generate_instance",

@@ -23,7 +23,6 @@ from .errors import (
     InvalidSystemError,
     NoConvergenceError,
     NonPositiveLambdaError,
-    ZeroDiagonalError,
 )
 
 RHO_TOL_DEFAULT = 1e-9
@@ -56,30 +55,32 @@ class ResidualMatrix:
             r[i, j] = v
         return r
 
-    def abs_csr(self) -> sp.csr_matrix:
-        """Entrywise magnitudes |R| as a CSR matrix."""
-        if not self.entries:
-            return sp.csr_matrix((self.n, self.n))
-        rows, cols, vals = zip(*self.entries)
-        return sp.csr_matrix(
-            (np.abs(vals), (rows, cols)), shape=(self.n, self.n))
-
     def graph(self) -> UndirectedGraph:
         edges = {(min(i, j), max(i, j)) for i, j, _ in self.entries}
         return UndirectedGraph(self.n, sorted(edges))
 
 
+def _residual_entries(sys: SparseSystem):
+    """R's off-diagonal (rows, cols, values) in CSR order: r_ij = -a_ij /
+    a_ii for every stored a_ij != 0 with i != j."""
+    keep = (sys.rows != sys.indices) & (sys.data != 0.0)
+    rows = sys.rows[keep]
+    with np.errstate(all="ignore"):
+        return rows, sys.indices[keep], -sys.data[keep] / sys.diag[rows]
+
+
 def residual_matrix(sys: SparseSystem) -> ResidualMatrix:
     """Build R = I - D^-1 A restricted to its off-diagonal entries."""
-    out = []
-    for i, j, v in sys.entries:
-        if i == j:
-            if v == 0.0:
-                raise ZeroDiagonalError(f"zero diagonal at row {i}")
-            continue
-        if v != 0.0:
-            out.append((i, j, -v / sys.diag[i]))
-    return ResidualMatrix(sys.n, tuple(out))
+    rows, cols, vals = _residual_entries(sys)
+    return ResidualMatrix(sys.n, tuple(zip(rows.tolist(), cols.tolist(),
+                                           vals.tolist())))
+
+
+def _abs_residual_csr(sys: SparseSystem) -> sp.csr_matrix:
+    """|R| as a canonical CSR matrix, for _certify."""
+    rows, cols, vals = _residual_entries(sys)
+    return _as_csr_nonneg(sp.csr_matrix(
+        (np.abs(vals), (rows, cols)), shape=(sys.n, sys.n)))
 
 
 def _as_csr_nonneg(m: MatrixLike) -> sp.csr_matrix:
@@ -241,14 +242,14 @@ class DominanceReport:
 
 
 def _validate_scaling(sys: SparseSystem, d: np.ndarray) -> bool:
+    """|a_ii| d_i > sum_j |a_ij| d_j in every row, each sum taken in
+    column order (np.bincount adds its weights in sequence)."""
     if not np.all(np.isfinite(d)) or not np.all(d > 0):
         return False
-    d = d.tolist()
-    for i in range(sys.n):
-        off = sum(abs(v) * d[j] for j, v in sys.by_row[i].items() if j != i)
-        if not abs(sys.diag[i]) * d[i] > off:
-            return False
-    return True
+    off = sys.rows != sys.indices
+    sums = np.bincount(sys.rows[off],
+                       np.abs(sys.data[off]) * d[sys.indices[off]], sys.n)
+    return bool(np.all(np.abs(sys.diag) * d > sums))
 
 
 def is_diagonally_dominant(sys: SparseSystem) -> bool:
@@ -273,7 +274,7 @@ def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
     """
     if is_diagonally_dominant(sys):
         return (1.0,) * sys.n
-    abs_r = _as_csr_nonneg(residual_matrix(sys).abs_csr())
+    abs_r = _abs_residual_csr(sys)
     return _perron_scaling(sys, _certify(abs_r, rho_tol, max_iter)[3])
 
 
@@ -286,7 +287,7 @@ def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
     bit, what spectral_radius_nonneg and find_gdd_scaling return.
     """
     dom = is_diagonally_dominant(sys)
-    abs_r = _as_csr_nonneg(residual_matrix(sys).abs_csr())
+    abs_r = _abs_residual_csr(sys)
     lo, hi, closed, x, route = _certify(abs_r, rho_tol, max_iter)
     if dom or hi + rho_tol < 1.0:
         walk_summable: Optional[bool] = True

@@ -17,7 +17,7 @@ from . import mmio
 from .analysis import RHO_TOL_DEFAULT, analyze
 from .core import (DIAG_RULES, GENERATOR_KINDS, DEFAULT_COEFF_RANGE,
                    GeneratorSpec, SparseSystem, diameter, generate_instance,
-                   induced_graph, is_acyclic)
+                   is_acyclic)
 from .engine import ConvergenceTrace, DeltaBelow, delta_stop, run_rounds
 from .errors import (NotWalkSummableError, SingularMatrixError,
                      WalksolveError)
@@ -118,15 +118,14 @@ def cmd_generate(cfg: RunConfig) -> int:
     rhs = cfg.rhs or mmio.default_rhs_path(out)
     mmio.write_matrix_market(sys_, out)
     mmio.write_rhs(sys_.b, rhs)
-    g = induced_graph(sys_)
     print(f"wrote {sys_.n}-node {cfg.kind} system "
-          f"({g.edge_count()} undirected edges) to {out} and {rhs}")
+          f"({sys_.graph.edge_count()} undirected edges) to {out} and {rhs}")
     return 0
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
     sys_ = _load(cfg)
-    g = induced_graph(sys_)
+    g = sys_.graph
     report = analyze(sys_, rho_tol=cfg.rho_tol, want_scaling=True)
     print(f"nodes: {sys_.n}")
     print(f"undirected edges: {g.edge_count()}")
@@ -153,18 +152,13 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def _jacobi_or_consensus(sys_, cfg: RunConfig, program, reference):
-    max_rounds = cfg.max_iters or default_max_iter(sys_.n)
-    return run_rounds(sys_, program, max_rounds=max_rounds,
-                      stop=DeltaBelow(cfg.tol), reference=reference)
-
-
 def _gauss_seidel_trace(sys_, cfg: RunConfig, reference):
     """Sequential sweeps; returns (rows, stop_reason, fault) shaped like a
     trace.  A sweep with an estimate beyond ESTIMATE_LIMIT is not a row:
     it stops the run with a fault naming the smallest such node."""
     max_rounds = cfg.max_iters or default_max_iter(sys_.n)
-    x = np.array([sys_.b[i] / sys_.diag[i] for i in range(sys_.n)])
+    with np.errstate(all="ignore"):
+        x = sys_.b / sys_.diag
     rows = []
     for k in range(max_rounds + 1):
         nxt = gauss_seidel_sweep(sys_, x) if k else x
@@ -225,7 +219,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     else:
         program = (JacobiProgram(sys_) if cfg.method == "jacobi"
                    else ConsensusProgram(sys_))
-        trace = _jacobi_or_consensus(sys_, cfg, program, reference)
+        trace = run_rounds(sys_, program,
+                           max_rounds=cfg.max_iters or default_max_iter(sys_.n),
+                           stop=DeltaBelow(cfg.tol), reference=reference)
 
     comments = [f"method: {cfg.method}", f"stop: {trace.stop_reason}"]
     _write_lines(_trace_csv(trace, comments), cfg.out)

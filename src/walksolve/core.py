@@ -32,96 +32,117 @@ SEVEN_NODE_TREE_EDGES = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6))
 DEFAULT_COEFF_RANGE = (-1.0, -0.85)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSystem:
     """A square sparse system A x = b with every diagonal entry present.
 
-    ``entries`` holds (row, col, value) triples, 0-based, canonically
-    sorted by (row, col).  Duplicate (row, col) pairs are rejected, not
-    summed.  Every diagonal entry must be present and nonzero so that
-    per-node normalizations are always defined.
+    A is stored once, as read-only compressed sparse row arrays: row i
+    has the 0-based columns ``indices[indptr[i]:indptr[i+1]]``, ascending,
+    and the values ``data`` at the same positions.  Duplicate (row, col)
+    pairs are rejected, not summed; stored zeros are kept.  Every diagonal
+    entry (``diag``) must be present and nonzero so that per-node
+    normalizations are always defined.
     """
 
     n: int
-    entries: tuple[tuple[int, int, float], ...]
-    b: tuple[float, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    b: np.ndarray
+    diag: np.ndarray
 
     def __init__(self, n: int, entries: Iterable[tuple[int, int, float]],
                  b: Sequence[float]):
         if n < 1:
             raise InvalidSystemError(f"system size must be >= 1, got {n}")
-        norm = []
-        seen = set()
-        for row, col, val in entries:
-            row = int(row)
-            col = int(col)
-            val = float(val)
-            if not (0 <= row < n and 0 <= col < n):
+        given = list(entries)
+        triples = np.array(given, dtype=float).reshape(len(given), 3)
+        rows, cols = np.trunc(triples[:, :2].T)
+        vals = triples[:, 2]
+        outside = ~((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n))
+        # an entry outside the system gets a key of its own, so it is
+        # reported as outside and never as a duplicate
+        keys = np.where(outside, -1 - np.arange(len(given)),
+                        rows * n + cols).astype(np.int64)
+        order = np.argsort(keys, kind="stable")
+        repeat = np.zeros(len(given), dtype=bool)
+        repeat[order[1:]] = np.diff(keys[order]) == 0
+        bad = outside | ~np.isfinite(vals) | repeat
+        if bad.any():
+            k = int(np.argmax(bad))
+            row, col, val = (int(given[k][0]), int(given[k][1]),
+                             float(given[k][2]))
+            if outside[k]:
                 raise InvalidSystemError(
                     f"entry ({row}, {col}) outside a {n}x{n} system")
             if not math.isfinite(val):
                 raise InvalidSystemError(
                     f"entry ({row}, {col}) has non-finite value {val!r}")
-            if (row, col) in seen:
-                raise InvalidSystemError(
-                    f"duplicate entry at ({row}, {col}); duplicates are an "
-                    "error, not summed")
-            seen.add((row, col))
-            norm.append((row, col, val))
-        norm.sort(key=lambda t: (t[0], t[1]))
-        bt = tuple(float(v) for v in b)
-        if len(bt) != n:
             raise InvalidSystemError(
-                f"right-hand side has length {len(bt)}, expected {n}")
-        if any(not math.isfinite(v) for v in bt):
+                f"duplicate entry at ({row}, {col}); duplicates are an "
+                "error, not summed")
+        bv = np.fromiter(b, dtype=float)
+        if len(bv) != n:
+            raise InvalidSystemError(
+                f"right-hand side has length {len(bv)}, expected {n}")
+        if not np.all(np.isfinite(bv)):
             raise InvalidSystemError("right-hand side has non-finite values")
-        for i in range(n):
-            if (i, i) not in seen:
-                raise MissingDiagonalError(f"diagonal entry ({i}, {i}) missing")
-        for row, col, val in norm:
-            if row == col and val == 0.0:
-                raise MissingDiagonalError(
-                    f"diagonal entry ({row}, {row}) is zero")
+        rows, cols = rows[order].astype(np.intp), cols[order].astype(np.intp)
+        vals = vals[order]
+        on_diag = rows == cols
+        diag = np.full(n, math.nan)  # values are finite: NaN is missing
+        diag[rows[on_diag]] = vals[on_diag]
+        for fault, what in ((np.isnan(diag), "missing"),
+                            (diag == 0.0, "is zero")):
+            if fault.any():
+                i = int(np.argmax(fault))
+                raise MissingDiagonalError(f"diagonal entry ({i}, {i}) {what}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", tuple(norm))
-        object.__setattr__(self, "b", bt)
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        for name, value in (("indptr", indptr), ("indices", cols),
+                            ("data", vals), ("b", bv), ("diag", diag)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row index of every stored entry, in CSR order."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     @cached_property
+    def graph(self) -> UndirectedGraph:
+        """The interaction graph, built once per system."""
+        return induced_graph(self)
+
+    # Views for the oracles and tests; the solvers read the arrays.
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, float], ...]:
+        """(row, col, value) triples sorted by (row, col)."""
+        return tuple(zip(self.rows.tolist(), self.indices.tolist(),
+                         self.data.tolist()))
+
+    @property
     def by_row(self) -> tuple[dict, ...]:
         """Per-row maps col -> value (diagonal included)."""
-        rows = tuple({} for _ in range(self.n))
-        for i, j, v in self.entries:
-            rows[i][j] = v
-        return rows
-
-    @cached_property
-    def by_col(self) -> tuple[dict, ...]:
-        """Per-column maps row -> value (diagonal included)."""
-        cols = tuple({} for _ in range(self.n))
-        for i, j, v in self.entries:
-            cols[j][i] = v
-        return cols
-
-    @cached_property
-    def diag(self) -> tuple[float, ...]:
-        return tuple(self.by_row[i][i] for i in range(self.n))
-
-    @cached_property
-    def max_abs_entry(self) -> float:
-        return max(abs(v) for _, _, v in self.entries)
+        bounds = self.indptr.tolist()
+        return tuple(dict(zip(self.indices[lo:hi].tolist(),
+                              self.data[lo:hi].tolist()))
+                     for lo, hi in zip(bounds, bounds[1:]))
 
     def entry(self, i: int, j: int) -> float:
         """Value at (i, j); zero when the position is not stored."""
-        return self.by_row[i].get(j, 0.0)
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        k = lo + int(np.searchsorted(self.indices[lo:hi], j))
+        return float(self.data[k]) if k < hi and self.indices[k] == j else 0.0
 
     def as_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for i, j, v in self.entries:
-            a[i, j] = v
+        a[self.rows, self.indices] = self.data
         return a
 
     def b_vector(self) -> np.ndarray:
-        return np.array(self.b, dtype=float)
+        return self.b.copy()
 
 
 @dataclass(frozen=True)
@@ -168,12 +189,13 @@ class UndirectedGraph:
 
 
 def induced_graph(sys: SparseSystem) -> UndirectedGraph:
-    """Interaction graph: i and j are adjacent iff a_ij != 0 or a_ji != 0."""
-    edges = set()
-    for i, j, v in sys.entries:
-        if i != j and v != 0.0:
-            edges.add((min(i, j), max(i, j)))
-    return UndirectedGraph(sys.n, sorted(edges))
+    """Interaction graph: i and j are adjacent iff a_ij != 0 or a_ji != 0;
+    ``sys.graph`` builds it once per system."""
+    off = (sys.rows != sys.indices) & (sys.data != 0.0)
+    u, v = sys.rows[off], sys.indices[off]
+    pairs = np.unique(np.minimum(u, v) * sys.n + np.maximum(u, v))
+    return UndirectedGraph(sys.n, zip((pairs // sys.n).tolist(),
+                                      (pairs % sys.n).tolist()))
 
 
 def bfs_distances(g: UndirectedGraph, src: int) -> list[int]:
@@ -438,10 +460,9 @@ def system_from_edges(n: int, edges: Sequence[tuple[int, int]], seed: int,
     enumeration order.  Default right-hand side is b_i = i + 1.
     """
     g = UndirectedGraph(n, edges)
-    entries: list[tuple[int, int, float]] = []
+    entries = [(i, i, _diag_value(diag_rule, g.degree(i), diag_value))
+               for i in range(n)]
     lo, hi = coeff_range
-    for i in range(n):
-        entries.append((i, i, _diag_value(diag_rule, g.degree(i), diag_value)))
     for u, v in g.edges():
         rng = _edge_rng(seed, u, v)
         entries.append((u, v, _draw_nonzero(rng, lo, hi)))

@@ -36,7 +36,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import SparseSystem, UndirectedGraph, induced_graph
+from .core import SparseSystem, UndirectedGraph
 from .errors import ProtocolViolationError, SolverError
 
 #: documented constants for the measured locality bounds
@@ -377,7 +377,7 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
     then "fault".  node_order changes only the evaluation sequence of the
     per-node path, never the trace.
     """
-    g = induced_graph(sys)
+    g = sys.graph
     n = sys.n
     order = list(range(n)) if node_order is None else list(node_order)
     if sorted(order) != list(range(n)):

@@ -17,10 +17,6 @@ class MissingDiagonalError(InvalidSystemError):
     """A diagonal entry is absent or exactly zero."""
 
 
-class ZeroDiagonalError(WalksolveError):
-    """An operation that divides by diagonal entries met a zero diagonal."""
-
-
 class NoConvergenceError(WalksolveError):
     """An iterative estimate failed to meet its stopping rule.
 

@@ -22,8 +22,9 @@ def _fmt(v: float) -> str:
 
 
 def write_matrix_market(sys: SparseSystem, path: str) -> None:
-    lines = [BANNER, f"{sys.n} {sys.n} {len(sys.entries)}"]
-    for i, j, v in sys.entries:  # already canonically sorted
+    lines = [BANNER, f"{sys.n} {sys.n} {len(sys.data)}"]
+    for i, j, v in zip(sys.rows.tolist(), sys.indices.tolist(),
+                       sys.data.tolist()):  # CSR order: sorted (row, col)
         lines.append(f"{i + 1} {j + 1} {_fmt(v)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -98,6 +99,9 @@ def read_matrix_market(path: str) -> tuple[int, list[tuple[int, int, float]]]:
         if not (1 <= i <= rows and 1 <= j <= rows):
             raise ParseError(
                 f"index ({i}, {j}) outside 1..{rows}", line=lineno)
+        if not np.isfinite(v):
+            raise ParseError(f"entry ({i}, {j}) has non-finite value {v!r}",
+                             line=lineno)
         if (i, j) in seen:
             raise ParseError(
                 f"duplicate entry ({i}, {j}); first seen on line "
@@ -123,6 +127,8 @@ def read_rhs(path: str) -> np.ndarray:
             values.append(float(s))
         except ValueError:
             raise ParseError(f"not a real number: {s!r}", line=lineno) from None
+        if not np.isfinite(values[-1]):
+            raise ParseError(f"non-finite value {s!r}", line=lineno)
     return np.array(values, dtype=float)
 
 

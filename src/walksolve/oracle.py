@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .analysis import ResidualMatrix
-from .core import SparseSystem, UndirectedGraph, induced_graph, is_acyclic
+from .core import SparseSystem, UndirectedGraph, is_acyclic
 from .engine import FixedRounds, run_rounds
 from .errors import (
     CyclicGraphError,
@@ -164,14 +164,14 @@ def message_oracle(sys: SparseSystem, i: int, j: int,
     construction: b / a equals component i of solving A_S x = b_S.
     Round 0 is the base case (a_ii, b_i).
     """
-    g = induced_graph(sys)
+    g = sys.graph
     if not is_acyclic(g):
         raise CyclicGraphError(
             "message oracle is defined on acyclic instances only")
     nodes = restricted_subgraph(g, i, j, k)
     rest = [u for u in nodes if u != i]
-    a_ii = sys.diag[i]
-    b_i = sys.b[i]
+    a_ii = float(sys.diag[i])
+    b_i = float(sys.b[i])
     if not rest:
         return a_ii, b_i
     a = sys.as_dense()
@@ -179,7 +179,7 @@ def message_oracle(sys: SparseSystem, i: int, j: int,
     a_rr = a[np.ix_(ridx, ridx)]
     a_ir = a[i, ridx]
     a_ri = a[ridx, i]
-    b_r = sys.b_vector()[ridx]
+    b_r = sys.b[ridx]
     try:
         sol = np.linalg.solve(a_rr, np.column_stack([a_ri, b_r]))
     except np.linalg.LinAlgError as exc:
@@ -266,12 +266,9 @@ def unwrapped_system(sys: SparseSystem, tree: UnwrappedTree) -> SparseSystem:
 def _solve_root(un: SparseSystem) -> float:
     """Direct solve of the unwrapped system, root component only."""
     if un.n <= DENSE_UNWRAP_LIMIT:
-        x = np.linalg.solve(un.as_dense(), un.b_vector())
-        return float(x[0])
-    rows, cols, vals = zip(*un.entries)
-    mat = sp.csc_matrix((vals, (rows, cols)), shape=(un.n, un.n))
-    x = scipy.sparse.linalg.spsolve(mat, un.b_vector())
-    return float(x[0])
+        return float(np.linalg.solve(un.as_dense(), un.b)[0])
+    mat = sp.csr_matrix((un.data, un.indices, un.indptr), shape=(un.n, un.n))
+    return float(scipy.sparse.linalg.spsolve(mat.tocsc(), un.b)[0])
 
 
 @dataclass(frozen=True)
@@ -293,8 +290,7 @@ def unwrapped_equivalence_check(sys: SparseSystem, i: int, t: int,
     it, solves that directly, and compares against the engine-run
     estimate x^_i(t).  t = 0 compares the initialization b_i / a_ii.
     """
-    g = induced_graph(sys)
-    tree = unwrap_tree(g, i, t, max_nodes=max_nodes)
+    tree = unwrap_tree(sys.graph, i, t, max_nodes=max_nodes)
     tree_value = _solve_root(unwrapped_system(sys, tree))
     trace = run_rounds(sys, BPProgram(sys), max_rounds=t, stop=FixedRounds(t))
     estimate = float(trace.final_estimates[i])

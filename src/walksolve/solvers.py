@@ -26,13 +26,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Mapping, Optional
 
 import numpy as np
 import scipy.linalg
 
 from . import analysis
-from .core import SparseSystem, diameter, induced_graph, is_acyclic
+from .core import SparseSystem, diameter, is_acyclic
 from .engine import (
     ConvergenceTrace,
     DeltaBelow,
@@ -63,55 +64,45 @@ RESIDUAL_FACTOR = 1e-10
 
 @dataclass(frozen=True)
 class NodeCoeffs:
-    """The slice of the system one node owns: its row, column, and b_i."""
+    """The slice of the system one node owns, as Python floats."""
 
     node: int
     a_ii: float
     b_i: float
     neighbors: tuple[int, ...]
     a_row: dict  # v -> a_iv
-    a_col: dict  # v -> a_vi
     prod: dict   # v -> a_iv * a_vi
-    scale: float  # max magnitude among the node's own coefficients
-
-    @property
-    def eps_sing(self) -> float:
-        return SING_EPS_FACTOR * self.scale
+    #: incoming scalars at or below this fault: SING_EPS_FACTOR times the
+    #: largest of |a_ii|, |a_iv| and |a_vi|
+    eps_sing: float
 
 
-def node_coeffs(sys: SparseSystem) -> list[NodeCoeffs]:
-    g = induced_graph(sys)
-    out = []
-    for i in range(sys.n):
-        nbrs = g.neighbors[i]
-        a_row = {v: sys.entry(i, v) for v in nbrs}
-        a_col = {v: sys.entry(v, i) for v in nbrs}
-        prod = {v: a_row[v] * a_col[v] for v in nbrs}
-        scale = max([abs(sys.diag[i])]
-                    + [abs(x) for x in a_row.values()]
-                    + [abs(x) for x in a_col.values()])
-        out.append(NodeCoeffs(node=i, a_ii=sys.diag[i], b_i=sys.b[i],
-                              neighbors=nbrs, a_row=a_row, a_col=a_col,
-                              prod=prod, scale=scale))
-    return out
+def _node_coeffs(sys: SparseSystem, i: int) -> NodeCoeffs:
+    """Node i's record, for the per-node path and for fault replay."""
+    nbrs = sys.graph.neighbors[i]
+    a_ii = float(sys.diag[i])
+    a_row = {v: sys.entry(i, v) for v in nbrs}
+    a_col = {v: sys.entry(v, i) for v in nbrs}
+    scale = max([abs(a_ii)] + [abs(x) for x in a_row.values()]
+                + [abs(x) for x in a_col.values()])
+    return NodeCoeffs(node=i, a_ii=a_ii, b_i=float(sys.b[i]), neighbors=nbrs,
+                      a_row=a_row,
+                      prod={v: a_row[v] * a_col[v] for v in nbrs},
+                      eps_sing=SING_EPS_FACTOR * scale)
 
 
-def _check_layout(nodes, layout: EdgeLayout) -> None:
-    """Raise unless the per-node records list layout's neighbors in order."""
-    nbrs = [v for c in nodes for v in c.neighbors]
-    if len(nodes) != layout.n or not np.array_equal(nbrs, layout.nbr):
-        raise ProtocolViolationError(
-            "program coefficients do not match the system's graph")
-
-
-def _replay(node: int, transition, *args) -> None:
-    """Re-run a flagged node's per-node transition, which raises its fault.
+def _replay(bad: np.ndarray, transition) -> None:
+    """Re-run the smallest flagged node's per-node transition, which
+    raises its fault; no node flagged, nothing happens.
 
     The kernels only locate the smallest faulting node; the reference
-    transition decides the error type and message.
+    transition, called with that node, decides the error type and message.
     """
+    if not bad.any():
+        return
+    node = int(np.argmax(bad))
     try:
-        transition(*args)
+        transition(node)
     except SolverError as exc:
         raise NodeFault(node, exc) from None
     raise RuntimeError(f"edge kernel flagged node {node}, but its "
@@ -119,19 +110,29 @@ def _replay(node: int, transition, *args) -> None:
 
 
 class _EdgeCoeffs:
-    """Node coefficients as arrays over nodes and over a layout's slots."""
+    """The system's coefficients as arrays over nodes and over a layout's
+    slots: a_row[s] is a_iv for the slot s = (i -> v), 0 when the system
+    stores no (i, v) entry.  A layout of another graph is refused."""
 
-    def __init__(self, coeffs: list[NodeCoeffs], layout: EdgeLayout):
-        _check_layout(coeffs, layout)
-        self.coeffs = coeffs
+    def __init__(self, sys: SparseSystem, layout: EdgeLayout):
+        nbrs = np.fromiter(chain.from_iterable(sys.graph.neighbors),
+                           dtype=np.intp)
+        if sys.n != layout.n or not np.array_equal(nbrs, layout.nbr):
+            raise ProtocolViolationError(
+                "program coefficients do not match the system's graph")
+        self.sys = sys
         self.layout = layout
-        self.a_ii = np.array([c.a_ii for c in coeffs])
-        self.b_i = np.array([c.b_i for c in coeffs])
-        self.a_row = np.array([c.a_row[v] for c in coeffs
-                               for v in c.neighbors], dtype=float)
+        self.a_ii = sys.diag
+        self.b_i = sys.b
+        stored = sys.rows * sys.n + sys.indices  # ascending: CSR order
+        wanted = layout.owner * sys.n + layout.nbr
+        k = np.minimum(np.searchsorted(stored, wanted), len(stored) - 1)
+        self.a_row = np.where(stored[k] == wanted, sys.data[k], 0.0)
 
-    def slots(self, node: int) -> slice:
-        return slice(self.layout.indptr[node], self.layout.indptr[node + 1])
+    def inbox(self, node: int, values: np.ndarray) -> dict:
+        """{v: values[s]} over node's slots s = (node -> v)."""
+        s = slice(self.layout.indptr[node], self.layout.indptr[node + 1])
+        return dict(zip(self.layout.nbr[s].tolist(), values[s].tolist()))
 
 
 def _check_estimate(c: NodeCoeffs, x_hat: float) -> float:
@@ -156,6 +157,7 @@ class BPNodeState:
 
 
 def _bp_init_one(c: NodeCoeffs) -> BPNodeState:
+    """Round 0: every edge carries (a_ii, b_i), estimate b_i / a_ii."""
     if abs(c.a_ii) <= c.eps_sing:
         raise SingularMessageError(
             f"node {c.node}: diagonal {c.a_ii!r} too small to seed messages")
@@ -164,11 +166,6 @@ def _bp_init_one(c: NodeCoeffs) -> BPNodeState:
                        a_out={j: c.a_ii for j in c.neighbors},
                        b_out={j: c.b_i for j in c.neighbors},
                        a_tilde=c.a_ii, b_tilde=c.b_i, x_hat=x_hat)
-
-
-def bp_init(sys: SparseSystem) -> list[BPNodeState]:
-    """Round-0 states: every edge carries (a_ii, b_i), estimate b_i/a_ii."""
-    return [_bp_init_one(c) for c in node_coeffs(sys)]
 
 
 def bp_round(state: BPNodeState, inbox: Mapping[int, tuple[float, float]]
@@ -218,23 +215,28 @@ def bp_round(state: BPNodeState, inbox: Mapping[int, tuple[float, float]]
 
 
 class _BPEdgeKernel(_EdgeCoeffs):
-    """bp_init / bp_round for every node at once on an EdgeLayout.
+    """_bp_init_one / bp_round for every node at once on an EdgeLayout.
 
     Each expression is the one bp_round evaluates, and the per-node sums
     run in neighbor order (np.bincount adds its weights in sequence), so
     messages and estimates equal the per-node path's bit for bit.
     """
 
-    def __init__(self, coeffs: list[NodeCoeffs], layout: EdgeLayout):
-        super().__init__(coeffs, layout)
+    def __init__(self, sys: SparseSystem, layout: EdgeLayout):
+        super().__init__(sys, layout)
         deg = layout.degree
         self.init_ops = 2 * deg + 1
         self.step_ops = 11 * deg + 3
         self.storage = 7 * deg + 5
-        self._eps = np.array([c.eps_sing for c in coeffs])
+        a_col = self.a_row[layout.rev]
+        with np.errstate(over="ignore"):
+            self._prod = self.a_row * a_col
+        # NodeCoeffs.eps_sing, from the largest of |a_ii|, |a_iv|, |a_vi|
+        scale = np.abs(self.a_ii)
+        np.maximum.at(scale, layout.owner,
+                      np.maximum(np.abs(self.a_row), np.abs(a_col)))
+        self._eps = SING_EPS_FACTOR * scale
         self._eps_slot = self._eps[layout.owner]
-        self._prod = np.array([c.prod[v] for c in coeffs
-                               for v in c.neighbors], dtype=float)
         self._a_msg = self._b_msg = None
 
     def start(self):
@@ -242,9 +244,7 @@ class _BPEdgeKernel(_EdgeCoeffs):
             x_hat = self.b_i / self.a_ii
         bad = (np.abs(self.a_ii) <= self._eps) | ~(
             np.abs(x_hat) <= ESTIMATE_LIMIT)
-        if bad.any():
-            node = int(np.argmax(bad))
-            _replay(node, _bp_init_one, self.coeffs[node])
+        _replay(bad, lambda i: _bp_init_one(_node_coeffs(self.sys, i)))
         owner = self.layout.owner
         self._a_msg = self.a_ii[owner]
         self._b_msg = self.b_i[owner]
@@ -267,29 +267,26 @@ class _BPEdgeKernel(_EdgeCoeffs):
                 np.abs(x_hat) <= ESTIMATE_LIMIT)
             bad[lay.owner[(np.abs(a_in) <= self._eps_slot)
                           | ~(np.isfinite(a_out) & np.isfinite(b_out))]] = True
-        if bad.any():
-            node = int(np.argmax(bad))
-            s = self.slots(node)
-            inbox = dict(zip(self.coeffs[node].neighbors,
-                             zip(a_in[s].tolist(), b_in[s].tolist())))
-            # bp_round reads only the node's coefficients from the state
-            _replay(node, bp_round, _bp_init_one(self.coeffs[node]), inbox)
+        # bp_round reads only the node's coefficients from the state
+        _replay(bad, lambda i: bp_round(
+            _bp_init_one(_node_coeffs(self.sys, i)),
+            self.inbox(i, np.column_stack((a_in, b_in)))))
         self._a_msg, self._b_msg = a_out, b_out
         return x_hat, a_out
 
 
 class BPProgram(NodeProgram):
-    """Engine adapter around bp_init / bp_round."""
+    """Engine adapter around _bp_init_one / bp_round."""
 
     name = "bp"
     local_complexity = True
     check_positive_a = True
 
     def __init__(self, sys: SparseSystem):
-        self._coeffs = node_coeffs(sys)
+        self._sys = sys
 
     def init_node(self, node: int):
-        state = _bp_init_one(self._coeffs[node])
+        state = _bp_init_one(_node_coeffs(self._sys, node))
         outbox = {j: (state.a_out[j], state.b_out[j])
                   for j in state.coeffs.neighbors}
         deg = len(state.coeffs.neighbors)
@@ -309,7 +306,7 @@ class BPProgram(NodeProgram):
         return 7 * deg + 5
 
     def edge_kernel(self, layout: EdgeLayout) -> _BPEdgeKernel:
-        return _BPEdgeKernel(self._coeffs, layout)
+        return _BPEdgeKernel(self._sys, layout)
 
 
 def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
@@ -340,7 +337,7 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
             warnings.warn(
                 f"running on an instance whose analysis verdict is {verdict}",
                 NotWalkSummableWarning, stacklevel=2)
-    g = induced_graph(sys)
+    g = sys.graph
     program = BPProgram(sys)
     if is_acyclic(g):
         d = diameter(g)
@@ -364,10 +361,6 @@ class JacobiNodeState:
 
 def _jacobi_init_one(c: NodeCoeffs) -> JacobiNodeState:
     return JacobiNodeState(coeffs=c, x_hat=_check_estimate(c, c.b_i / c.a_ii))
-
-
-def jacobi_init(sys: SparseSystem) -> list[JacobiNodeState]:
-    return [_jacobi_init_one(c) for c in node_coeffs(sys)]
 
 
 def jacobi_round(state: JacobiNodeState, inbox: Mapping[int, float]
@@ -395,8 +388,8 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
     bit (b - bincount(products) would not).
     """
 
-    def __init__(self, coeffs: list[NodeCoeffs], layout: EdgeLayout):
-        super().__init__(coeffs, layout)
+    def __init__(self, sys: SparseSystem, layout: EdgeLayout):
+        super().__init__(sys, layout)
         deg = layout.degree
         self.init_ops = np.ones_like(deg)
         self.step_ops = 2 * deg + 2
@@ -408,9 +401,7 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
         with np.errstate(all="ignore"):
             x_hat = self.b_i / self.a_ii
         bad = ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
-        if bad.any():
-            node = int(np.argmax(bad))
-            _replay(node, _jacobi_init_one, self.coeffs[node])
+        _replay(bad, lambda i: _jacobi_init_one(_node_coeffs(self.sys, i)))
         self._x = x_hat
         return x_hat, None
 
@@ -422,13 +413,9 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
                 (self.b_i, -(self.a_row * x_in))), lay.n)
             x_hat = acc / self.a_ii
             bad = ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
-        if bad.any():
-            node = int(np.argmax(bad))
-            inbox = dict(zip(self.coeffs[node].neighbors,
-                             x_in[self.slots(node)].tolist()))
-            state = JacobiNodeState(coeffs=self.coeffs[node],
-                                    x_hat=float(self._x[node]))
-            _replay(node, jacobi_round, state, inbox)
+        _replay(bad, lambda i: jacobi_round(
+            JacobiNodeState(coeffs=_node_coeffs(self.sys, i),
+                            x_hat=float(self._x[i])), self.inbox(i, x_in)))
         self._x = x_hat
         return x_hat, None
 
@@ -438,10 +425,10 @@ class JacobiProgram(NodeProgram):
     local_complexity = True
 
     def __init__(self, sys: SparseSystem):
-        self._coeffs = node_coeffs(sys)
+        self._sys = sys
 
     def init_node(self, node: int):
-        state = _jacobi_init_one(self._coeffs[node])
+        state = _jacobi_init_one(_node_coeffs(self._sys, node))
         return state, {j: (state.x_hat,) for j in state.coeffs.neighbors}, 1
 
     def step(self, node: int, state, inbox):
@@ -458,7 +445,7 @@ class JacobiProgram(NodeProgram):
         return 2 * len(state.coeffs.neighbors) + 3
 
     def edge_kernel(self, layout: EdgeLayout) -> _JacobiEdgeKernel:
-        return _JacobiEdgeKernel(self._coeffs, layout)
+        return _JacobiEdgeKernel(self._sys, layout)
 
 
 @dataclass(frozen=True)
@@ -470,20 +457,29 @@ class ConsensusNodeState:
     x: np.ndarray  # this node's full-length solution vector
 
 
-def consensus_init(sys: SparseSystem) -> list[ConsensusNodeState]:
-    """x_i(0) = (b_i / a_ii) e_i, which satisfies row i by construction."""
-    g = induced_graph(sys)
-    out = []
-    for i in range(sys.n):
-        row = {j: v for j, v in sys.by_row[i].items() if v != 0.0}
-        rnsq = sum(v * v for v in row.values())
-        if rnsq == 0.0:
-            raise ZeroRowError(f"row {i} has zero norm")
-        x = np.zeros(sys.n)
-        x[i] = sys.b[i] / sys.diag[i]
-        out.append(ConsensusNodeState(node=i, neighbors=g.neighbors[i],
-                                      row=row, row_norm_sq=rnsq, x=x))
-    return out
+def _row_support(sys: SparseSystem):
+    """(rows, cols, values) of the nonzero entries in CSR order, and each
+    row's squared norm summed in that order; a row of norm 0 raises."""
+    nonzero = sys.data != 0.0
+    rows = sys.rows[nonzero]
+    vals = sys.data[nonzero]
+    with np.errstate(over="ignore"):
+        norm_sq = np.bincount(rows, vals * vals, sys.n)
+    if not norm_sq.all():
+        raise ZeroRowError(f"row {int(np.argmin(norm_sq != 0.0))} has "
+                           "zero norm")
+    return rows, sys.indices[nonzero], vals, norm_sq
+
+
+def _consensus_state(sys: SparseSystem, i: int,
+                     x: np.ndarray) -> ConsensusNodeState:
+    """Node i's state holding the vector x, as Python floats."""
+    s = slice(sys.indptr[i], sys.indptr[i + 1])
+    row = {j: v for j, v in zip(sys.indices[s].tolist(),
+                                sys.data[s].tolist()) if v != 0.0}
+    return ConsensusNodeState(node=i, neighbors=sys.graph.neighbors[i],
+                              row=row, x=x,
+                              row_norm_sq=sum(v * v for v in row.values()))
 
 
 def consensus_round(state: ConsensusNodeState,
@@ -519,25 +515,24 @@ def consensus_round(state: ConsensusNodeState,
     return new_state, {j: x_new for j in state.neighbors}
 
 
-class _ConsensusEdgeKernel:
+class _ConsensusEdgeKernel(_EdgeCoeffs):
     """consensus_round for every node at once on an EdgeLayout.
 
     Row i of one (n, n) array is node i's vector.  A round starts each
     row as deg_i * x_i and subtracts the neighbors' rows one slot position
     at a time, so every row subtracts in neighbor order; w sums the row
-    support's terms in by_row order with np.bincount, which adds in
+    support's terms in CSR order with np.bincount, which adds in
     sequence as sum() does.  Vectors and estimates therefore equal the
     per-node path's bit for bit.  Isolated nodes keep their vector.
     """
 
-    def __init__(self, states: list[ConsensusNodeState], layout: EdgeLayout):
-        _check_layout(states, layout)
+    def __init__(self, sys: SparseSystem, layout: EdgeLayout):
+        super().__init__(sys, layout)
         n = layout.n
         deg = layout.degree
         self.init_ops = np.full(n, n + 2)
         self.step_ops = (deg + 3) * n + 4 * (deg + 1)
         self.storage = (deg + 1) * n + 2 * (deg + 1)
-        self._states = states
         self._deg = deg[:, None]
         self._isolated = np.flatnonzero(deg == 0)
         # slot position p: the nodes with more than p neighbors, and the
@@ -546,18 +541,13 @@ class _ConsensusEdgeKernel:
         for p in range(int(deg.max(initial=0))):
             rows = np.flatnonzero(deg > p)
             self._gathers.append((rows, layout.nbr[layout.indptr[rows] + p]))
-        size = [len(c.row) for c in states]
-        self._sup_row = np.repeat(np.arange(n), size)
-        self._sup_col = np.fromiter((j for c in states for j in c.row),
-                                    dtype=np.intp, count=sum(size))
-        self._sup_val = np.fromiter(
-            (v for c in states for v in c.row.values()), dtype=float,
-            count=sum(size))
-        self._row_norm_sq = np.array([c.row_norm_sq for c in states])
+        (self._sup_row, self._sup_col, self._sup_val,
+         self._row_norm_sq) = _row_support(sys)
         self._x = None
 
     def start(self):
-        x_hat = np.array([c.x[c.node] for c in self._states])
+        with np.errstate(all="ignore"):
+            x_hat = self.b_i / self.a_ii
         self._x = np.diag(x_hat)
         return x_hat, None
 
@@ -575,11 +565,9 @@ class _ConsensusEdgeKernel:
         x_new[self._isolated] = x[self._isolated]
         bad = ~np.isfinite(x_new).all(axis=1)
         bad[self._isolated] = False
-        if bad.any():
-            node = int(np.argmax(bad))
-            state = replace(self._states[node], x=x[node].copy())
-            _replay(node, consensus_round, state,
-                    {v: x[v] for v in state.neighbors})
+        _replay(bad, lambda i: consensus_round(
+            _consensus_state(self.sys, i, x[i].copy()),
+            {v: x[v] for v in self.sys.graph.neighbors[i]}))
         self._x = x_new
         return x_new.diagonal().copy(), None
 
@@ -596,19 +584,22 @@ class ConsensusProgram(NodeProgram):
     local_complexity = False
 
     def __init__(self, sys: SparseSystem):
-        self._init_states = consensus_init(sys)
-        self._n = sys.n
+        _row_support(sys)  # a row of norm 0 cannot be projected on
+        self._sys = sys
 
     def init_node(self, node: int):
-        state = self._init_states[node]
+        """x_i(0) = (b_i / a_ii) e_i, which satisfies row i by construction."""
+        x = np.zeros(self._sys.n)
+        x[node] = float(self._sys.b[node]) / float(self._sys.diag[node])
+        state = _consensus_state(self._sys, node, x)
         outbox = {j: tuple(state.x) for j in state.neighbors}
-        return state, outbox, self._n + 2
+        return state, outbox, self._sys.n + 2
 
     def step(self, node: int, state, inbox):
         vectors = {v: np.array(m.values) for v, m in inbox.items()}
         new_state, outbox = consensus_round(state, vectors)
         deg = len(state.neighbors)
-        ops = (deg + 3) * self._n + 4 * (deg + 1)
+        ops = (deg + 3) * self._sys.n + 4 * (deg + 1)
         return (new_state, {j: tuple(x) for j, x in outbox.items()}, ops)
 
     def estimate(self, node: int, state) -> float:
@@ -616,10 +607,10 @@ class ConsensusProgram(NodeProgram):
 
     def storage_floats(self, node: int, state) -> int:
         deg = len(state.neighbors)
-        return (deg + 1) * self._n + 2 * (deg + 1)
+        return (deg + 1) * self._sys.n + 2 * (deg + 1)
 
     def edge_kernel(self, layout: EdgeLayout) -> _ConsensusEdgeKernel:
-        return _ConsensusEdgeKernel(self._init_states, layout)
+        return _ConsensusEdgeKernel(self._sys, layout)
 
 
 def gauss_seidel_sweep(sys: SparseSystem, x) -> np.ndarray:
@@ -633,13 +624,15 @@ def gauss_seidel_sweep(sys: SparseSystem, x) -> np.ndarray:
     if out.shape != (sys.n,):
         raise ProtocolViolationError(
             f"state vector has shape {out.shape}, expected ({sys.n},)")
-    for i in range(sys.n):
-        acc = sys.b[i]
-        for j, v in sys.by_row[i].items():
-            if j != i:
-                acc -= v * out[j]
-        out[i] = acc / sys.diag[i]
-    return out
+    xs = out.tolist()
+    bounds, cols, vals = (a.tolist() for a in (sys.indptr, sys.indices,
+                                               sys.data))
+    for i, (acc, a_ii) in enumerate(zip(sys.b.tolist(), sys.diag.tolist())):
+        for k in range(bounds[i], bounds[i + 1]):
+            if cols[k] != i:
+                acc -= vals[k] * xs[cols[k]]
+        xs[i] = acc / a_ii
+    return np.array(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +649,8 @@ def dense_solve(sys: SparseSystem) -> np.ndarray:
     The norm and the residual come from the sparse entries, so the one
     dense matrix, in Fortran order, is factored in place.
     """
-    rows, cols, vals = (np.array(t) for t in zip(*sys.entries))
-    b = sys.b_vector()
+    rows, cols, vals = sys.rows, sys.indices, sys.data
+    b = sys.b
     scale = float(np.max(np.bincount(rows, np.abs(vals), sys.n)))
     a = np.zeros((sys.n, sys.n), order="F")
     a[rows, cols] = vals

@@ -18,7 +18,6 @@ from .core import (
     SparseSystem,
     diameter,
     generate_instance,
-    induced_graph,
     system_from_edges,
 )
 from .errors import TooLargeError
@@ -29,7 +28,7 @@ from .oracle import (
     partial_walk_sum,
     unwrapped_equivalence_check,
 )
-from .solvers import bp_init, bp_round, bp_solve, dense_solve
+from .solvers import BPProgram, bp_round, bp_solve, dense_solve
 
 #: five nodes, two hubs joined through three two-hop paths; smallest
 #: multi-cycle shape used across the unwrapped-tree checks
@@ -61,26 +60,17 @@ def run_message_rounds(sys: SparseSystem, rounds: int,
     """
     if round_fn is None:
         round_fn = bp_round
-    states = bp_init(sys)
-    g = induced_graph(sys)
-
-    def snapshot(outboxes):
-        msgs = {}
-        for i, out in enumerate(outboxes):
-            for j, pair in out.items():
-                msgs[(i, j)] = pair
-        return msgs
-
-    outboxes = [{j: (st.a_out[j], st.b_out[j])
-                 for j in st.coeffs.neighbors} for st in states]
-    per_round = [snapshot(outboxes)]
-    for _ in range(rounds):
-        inboxes = [
-            {v: outboxes[v][u] for v in g.neighbors[u]} for u in range(sys.n)]
-        stepped = [round_fn(states[u], inboxes[u]) for u in range(sys.n)]
-        states = [s for s, _ in stepped]
-        outboxes = [out for _, out in stepped]
-        per_round.append(snapshot(outboxes))
+    program = BPProgram(sys)
+    states, outboxes, _ = zip(*map(program.init_node, range(sys.n)))
+    g = sys.graph
+    per_round = []
+    for k in range(rounds + 1):
+        if k:
+            inboxes = [{v: outboxes[v][u] for v in g.neighbors[u]}
+                       for u in range(sys.n)]
+            states, outboxes = zip(*map(round_fn, states, inboxes))
+        per_round.append({(i, j): pair for i, out in enumerate(outboxes)
+                          for j, pair in out.items()})
     return per_round
 
 
@@ -92,7 +82,7 @@ def check_message_oracle(seed: int = 0, trees: int = 25, max_n: int = 12,
     for idx in range(trees):
         n = 2 + (idx % (max_n - 1))
         sys = _tree_system(n, seed * 1000 + idx)
-        d = diameter(induced_graph(sys))
+        d = diameter(sys.graph)
         per_round = run_message_rounds(sys, d, round_fn=round_fn)
         for k, msgs in enumerate(per_round):
             for (i, j), (a_bp, b_bp) in sorted(msgs.items()):

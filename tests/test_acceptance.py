@@ -35,7 +35,6 @@ from walksolve.solvers import (
     ConsensusProgram,
     JacobiProgram,
     bp_solve,
-    consensus_init,
     consensus_round,
     dense_solve,
 )
@@ -191,9 +190,10 @@ def test_criterion_07_baseline_error_ordering():
 
             # consensus carries full vectors, so drive the node updates
             # directly and watch each row constraint stay pinned
-            states = consensus_init(sys_)
+            program = ConsensusProgram(sys_)
+            states = [program.init_node(i)[0] for i in range(sys_.n)]
             g = induced_graph(sys_)
-            a_rows = [dict(sys_.by_row[i]) for i in range(sys_.n)]
+            a_rows = sys_.by_row
             for _ in range(60):
                 inboxes = [
                     {v: states[v].x for v in g.neighbors[i]}

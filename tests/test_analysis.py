@@ -7,6 +7,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walksolve import analysis
 from walksolve.analysis import (
     DominanceReport,
     analyze,
@@ -34,13 +35,13 @@ def test_residual_matrix_values(two_node):
     assert rm.value(1, 0) == 0.25
     assert rm.value(0, 0) == 0.0
     assert np.array_equal(rm.as_dense(), np.array([[0.0, 0.5], [0.25, 0.0]]))
-    assert rm.abs_csr().toarray()[0, 1] == 0.5
+    assert analysis._abs_residual_csr(two_node).toarray()[0, 1] == 0.5
     assert rm.graph().has_edge(0, 1)
 
 
 def test_spectral_radius_two_cycle(two_node):
     # rho(|R|) = sqrt(0.5 * 0.25) by hand
-    rho = spectral_radius_nonneg(residual_matrix(two_node).abs_csr())
+    rho = spectral_radius_nonneg(np.abs(residual_matrix(two_node).as_dense()))
     assert rho == pytest.approx(math.sqrt(0.125), abs=2e-9)
 
 
@@ -141,6 +142,30 @@ def test_dominance_check(two_node):
     assert not is_diagonally_dominant(tie)  # equality is not enough
 
 
+def _loop_validate_scaling(sys, d):
+    """The row-by-row check, summing each row's terms in column order."""
+    rows = sys.by_row
+    for i in range(sys.n):
+        off = sum(abs(v) * d[j] for j, v in rows[i].items() if j != i)
+        if not abs(sys.diag[i]) * d[i] > off:
+            return False
+    return True
+
+
+def test_validate_scaling_matches_the_row_loop():
+    rng = np.random.default_rng(3)
+    checked = {False: 0, True: 0}
+    for seed in range(40):
+        sys = generate_instance(GeneratorSpec(
+            kind="random-sparse", n=12, seed=seed, coeff_range=(-0.4, 0.4),
+            diag_rule="unit", density=0.3))
+        for d in (np.ones(sys.n), rng.uniform(0.5, 1.5, sys.n)):
+            want = _loop_validate_scaling(sys, d.tolist())
+            assert analysis._validate_scaling(sys, d) is want, seed
+            checked[want] += 1
+    assert min(checked.values()) > 0
+
+
 def test_gdd_scaling_dominant_is_ones(two_node):
     assert find_gdd_scaling(two_node) == (1.0, 1.0)
 
@@ -183,7 +208,7 @@ def test_analyze_single_bracket_is_exact(case):
     # the interval must hold the dense spectral radius
     sys = _gdd_two_node() if case == "gdd-2x2" else _sparse(*case)
     rep = analyze(sys)
-    abs_r = residual_matrix(sys).abs_csr()
+    abs_r = sp.csr_matrix(np.abs(residual_matrix(sys).as_dense()))
     assert rep.rho_reliable
     assert rep.rho_abs == spectral_radius_nonneg(abs_r)
     assert rep.rho_abs == 0.5 * (rep.rho_lo + rep.rho_hi)
@@ -220,7 +245,7 @@ def test_preprocess_overdetermined_normal_equations():
     sys = preprocess_overdetermined(a, b)
     assert sys.n == 2
     assert np.array_equal(sys.as_dense(), np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert sys.b == (4.0, 5.0)
+    assert np.array_equal(sys.b, [4.0, 5.0])
     x = dense_solve(sys)
     ref, *_ = np.linalg.lstsq(a, np.asarray(b), rcond=None)
     assert np.allclose(x, ref, atol=1e-12)
@@ -368,7 +393,7 @@ def test_arpack_failure_never_gives_a_wrong_rho(monkeypatch):
     # the 300-node components need ARPACK; when it fails, the row-sum
     # bounds stand, the interval stays open and nothing claims otherwise
     sys = _sparse(0, 0.3, 2.5)
-    abs_r = residual_matrix(sys).abs_csr()
+    abs_r = sp.csr_matrix(np.abs(residual_matrix(sys).as_dense()))
     dense = float(np.max(np.abs(np.linalg.eigvals(abs_r.toarray()))))
 
     def no_convergence(*args, **kwargs):

@@ -255,3 +255,35 @@ def test_trace_is_deterministic(tmp_path):
         assert main(["solve", "--matrix", mtx, "--rhs", rhs,
                      "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_non_finite_input_reports_the_file_line(tmp_path, capsys):
+    mtx = tmp_path / "nan.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "2 2 2\n1 1 1.0\n2 2 nan\n")
+    rhs = tmp_path / "ok.rhs"
+    rhs.write_text("1.0\n1.0\n")
+    argv = ["analyze", "--matrix", str(mtx), "--rhs", str(rhs)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: line 4: entry (2, 2) has non-finite value nan\n")
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "2 2 2\n1 1 1.0\n2 2 1.0\n")
+    rhs.write_text("1.0\ninf\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: line 2: non-finite value 'inf'\n")
+
+
+def test_compare_builds_the_graph_once(tmp_path, capsys, monkeypatch):
+    from walksolve import core
+    mtx = str(tmp_path / "loopy.mtx")
+    assert main(["generate", "--kind", "loopy-small", "--n", "30",
+                 "--seed", "2", "--out", mtx]) == 0
+    calls = []
+    real = core.induced_graph
+    monkeypatch.setattr(core, "induced_graph",
+                        lambda sys: calls.append(sys) or real(sys))
+    assert main(["compare", "--matrix", mtx, "--rhs", mtx[:-4] + ".rhs",
+                 "--max-iters", "20"]) == 0
+    assert len(calls) == 1

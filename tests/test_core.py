@@ -64,14 +64,60 @@ def test_size_must_be_positive():
         SparseSystem(0, [], [])
 
 
+NAN, INF = math.nan, math.inf
+
+#: (n, entries, b) with several faults each, and the exact error of the
+#: first: entries in input order (within one, range, then finiteness,
+#: then duplication), then the rhs length, a non-finite rhs, the
+#: smallest missing diagonal and the smallest zero diagonal
+MALFORMED = [
+    (2, [(0, 0, 1.0), (2, 0, 1.0), (0, 0, 2.0), (1, 1, 1.0)], [1.0, 1.0],
+     InvalidSystemError, "entry (2, 0) outside a 2x2 system"),
+    (2, [(0, 0, 1.0), (0, 0, 2.0), (5, 5, 1.0)], [1.0, 1.0],
+     InvalidSystemError,
+     "duplicate entry at (0, 0); duplicates are an error, not summed"),
+    (2, [(0, 0, NAN), (3, 0, 1.0)], [1.0, 1.0],
+     InvalidSystemError, "entry (0, 0) has non-finite value nan"),
+    (2, [(0, 0, 1.0), (2, 2, INF)], [1.0, 1.0],
+     InvalidSystemError, "entry (2, 2) outside a 2x2 system"),
+    (2, [(0, 0, 1.0), (0, 0, -INF)], [1.0, 1.0],
+     InvalidSystemError, "entry (0, 0) has non-finite value -inf"),
+    (2, [(0, 0, 1.0), (-1, 0, 1.0), (1, 1, NAN)], [1.0, 1.0],
+     InvalidSystemError, "entry (-1, 0) outside a 2x2 system"),
+    (2, [(1, 0, 1.0), (0, 0, 1.0), (1, 1, 1.0), (1, 0, 2.0), (0, 7, 1.0)],
+     [1.0, 1.0], InvalidSystemError,
+     "duplicate entry at (1, 0); duplicates are an error, not summed"),
+    (2, [(0, 0, 1.0), (1, 0, 1.0), (0, 2, 1.0)], [1.0, 1.0],
+     InvalidSystemError, "entry (0, 2) outside a 2x2 system"),
+    (2, [(0, 0, 1.0), (1, 1, INF)], [1.0],
+     InvalidSystemError, "entry (1, 1) has non-finite value inf"),
+    (2, [(0, 0, 0.0)], [NAN],
+     InvalidSystemError, "right-hand side has length 1, expected 2"),
+    (2, [(0, 0, 1.0)], [1.0, INF],
+     InvalidSystemError, "right-hand side has non-finite values"),
+    (3, [(0, 0, 1.0)], [1.0, 1.0, 1.0],
+     MissingDiagonalError, "diagonal entry (1, 1) missing"),
+    (3, [(0, 0, 0.0), (2, 2, 1.0)], [1.0, 1.0, 1.0],
+     MissingDiagonalError, "diagonal entry (1, 1) missing"),
+    (3, [(2, 2, 0.0), (0, 0, 1.0), (1, 1, 0.0)], [1.0, 1.0, 1.0],
+     MissingDiagonalError, "diagonal entry (1, 1) is zero"),
+]
+
+
+@pytest.mark.parametrize("n,entries,b,error,message", MALFORMED)
+def test_first_offender_is_reported(n, entries, b, error, message):
+    with pytest.raises(InvalidSystemError) as info:
+        SparseSystem(n, entries, b)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_lookup_helpers(two_node):
-    assert two_node.diag == (2.0, 2.0)
+    assert np.array_equal(two_node.diag, [2.0, 2.0])
     assert two_node.entry(0, 1) == -1.0
     assert two_node.entry(1, 0) == -0.5
     assert two_node.entry(0, 0) == 2.0
     assert two_node.by_row[0] == {0: 2.0, 1: -1.0}
-    assert two_node.by_col[0] == {0: 2.0, 1: -0.5}
-    assert two_node.max_abs_entry == 2.0
     assert np.array_equal(two_node.as_dense(),
                           np.array([[2.0, -1.0], [-0.5, 2.0]]))
     assert np.array_equal(two_node.b_vector(), np.array([2.0, 4.0]))
@@ -217,7 +263,7 @@ def test_generation_is_deterministic():
     a = generate_instance(spec)
     b = generate_instance(spec)
     assert a.entries == b.entries
-    assert a.b == b.b
+    assert np.array_equal(a.b, b.b)
     c = generate_instance(GeneratorSpec(kind="loopy-small", n=9, seed=43))
     assert c.entries != a.entries
 
@@ -237,8 +283,8 @@ def test_example1_tree_shape():
     assert g.edges() == SEVEN_NODE_TREE_EDGES
     assert diameter(g) == 4
     # neighbor-count diagonal: degrees are [2, 3, 3, 1, 1, 1, 1]
-    assert sys.diag == (2.0, 3.0, 3.0, 1.0, 1.0, 1.0, 1.0)
-    assert sys.b == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+    assert np.array_equal(sys.diag, [2.0, 3.0, 3.0, 1.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(sys.b, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
     with pytest.raises(InvalidSystemError, match="7-node"):
         generate_instance(GeneratorSpec(kind="example1-tree", n=6, seed=0))
 
@@ -271,7 +317,7 @@ def test_random_sparse_density_extremes():
     empty = generate_instance(GeneratorSpec(kind="random-sparse", n=6,
                                             seed=1, density=0.0))
     assert induced_graph(empty).edge_count() == 0
-    assert empty.diag == (1.0,) * 6  # isolated nodes keep a unit diagonal
+    assert np.array_equal(empty.diag, [1.0] * 6)  # isolated: unit diagonal
     full = generate_instance(GeneratorSpec(kind="random-sparse", n=6,
                                            seed=1, density=1.0))
     assert induced_graph(full).edge_count() == 15
@@ -304,11 +350,11 @@ def test_path_and_star_shapes():
 def test_diag_rules():
     unit = generate_instance(GeneratorSpec(kind="star", n=4, seed=0,
                                            diag_rule="unit"))
-    assert unit.diag == (1.0, 1.0, 1.0, 1.0)
+    assert np.array_equal(unit.diag, [1.0, 1.0, 1.0, 1.0])
     fixed = generate_instance(GeneratorSpec(kind="star", n=4, seed=0,
                                             diag_rule="explicit",
                                             diag_value=-2.5))
-    assert fixed.diag == (-2.5, -2.5, -2.5, -2.5)
+    assert np.array_equal(fixed.diag, [-2.5, -2.5, -2.5, -2.5])
 
 
 def test_coefficients_stay_in_range_and_nonzero():
@@ -324,4 +370,4 @@ def test_coefficients_stay_in_range_and_nonzero():
 
 def test_explicit_rhs_override():
     sys = system_from_edges(3, [(0, 1), (1, 2)], seed=0, b=[5.0, 6.0, 7.0])
-    assert sys.b == (5.0, 6.0, 7.0)
+    assert np.array_equal(sys.b, [5.0, 6.0, 7.0])

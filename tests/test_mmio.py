@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from walksolve.core import GeneratorSpec, generate_instance
@@ -50,7 +51,7 @@ def test_load_system(tmp_path, two_node):
     write_rhs(two_node.b, str(rp))
     again = load_system(str(mp), str(rp))
     assert again.entries == two_node.entries
-    assert again.b == two_node.b
+    assert np.array_equal(again.b, two_node.b)
 
 
 def test_default_rhs_path():
@@ -104,6 +105,28 @@ def test_entry_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError, match="row col value"):
         read_matrix_market(_write(
             tmp_path / "short.mtx", head + "2 2 1.0\n1 2\n"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_entry_is_a_parse_error(tmp_path, value):
+    text = ("%%MatrixMarket matrix coordinate real general\n"
+            "2 2 3\n"
+            "1 1 1.0\n"
+            f"2 2 {value}\n"
+            "1 2 1.0\n")
+    with pytest.raises(ParseError) as ei:
+        read_matrix_market(_write(tmp_path / "nan.mtx", text))
+    assert ei.value.line == 4
+    assert str(ei.value) == (f"line 4: entry (2, 2) has non-finite value "
+                             f"{float(value)!r}")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_rhs_is_a_parse_error(tmp_path, value):
+    with pytest.raises(ParseError) as ei:
+        read_rhs(_write(tmp_path / "x.rhs", f"1.0\n% note\n{value}\n"))
+    assert ei.value.line == 3
+    assert str(ei.value) == f"line 3: non-finite value {value!r}"
 
 
 def test_entry_count_mismatches(tmp_path):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from walksolve import analysis
+from walksolve import analysis, core
 from walksolve.core import GeneratorSpec, SparseSystem, generate_instance
 from walksolve.engine import run_rounds
 from walksolve.errors import (
@@ -14,22 +16,25 @@ from walksolve.solvers import (
     BPProgram,
     ConsensusProgram,
     JacobiProgram,
-    bp_init,
     bp_round,
     bp_solve,
-    consensus_init,
     consensus_round,
     dense_solve,
     gauss_seidel_sweep,
-    jacobi_init,
 )
 from walksolve.verify import run_message_rounds
 
 from conftest import PATH3_SOLUTION, TWO_NODE_SOLUTION
 
 
+def _round_zero(program_cls, sys):
+    """Every node's round-0 state from the program's per-node path."""
+    program = program_cls(sys)
+    return [program.init_node(i)[0] for i in range(sys.n)]
+
+
 def test_bp_init_values(two_node):
-    states = bp_init(two_node)
+    states = _round_zero(BPProgram, two_node)
     assert states[0].a_out == {1: 2.0}
     assert states[0].b_out == {1: 2.0}
     assert states[1].b_out == {0: 4.0}
@@ -41,7 +46,7 @@ def test_bp_round_hand_values(two_node):
     # node 0 from the round-0 pair (2, 4):
     #   a~ = 2 - (-0.5)(-1)/2 = 1.75,  b~ = 2 - (-1)(4)/2 = 4
     #   x^ = 4/1.75 = 16/7; outgoing puts the removed term back: (2, 2)
-    states = bp_init(two_node)
+    states = _round_zero(BPProgram, two_node)
     new0, out0 = bp_round(states[0], {1: (2.0, 4.0)})
     assert new0.a_tilde == 1.75
     assert new0.b_tilde == 4.0
@@ -55,7 +60,7 @@ def test_bp_round_hand_values(two_node):
 
 
 def test_bp_round_rejects_wrong_inbox(two_node):
-    states = bp_init(two_node)
+    states = _round_zero(BPProgram, two_node)
     with pytest.raises(ProtocolViolationError):
         bp_round(states[0], {})
 
@@ -157,7 +162,7 @@ def test_bp_solve_converges_on_loopy_dominant():
 
 
 def test_jacobi_hand_values(two_node):
-    states = jacobi_init(two_node)
+    states = _round_zero(JacobiProgram, two_node)
     assert [s.x_hat for s in states] == [1.0, 2.0]
     trace = run_rounds(two_node, JacobiProgram(two_node), max_rounds=2)
     assert trace.rounds[1].estimates == pytest.approx([2.0, 2.25])
@@ -196,7 +201,7 @@ def test_gauss_seidel_converges(two_node):
 def test_consensus_hand_round(two_node):
     # node 0: z = x0 - x1 = [1, -2]; row [2, -1] with norm^2 5 gives
     # projection coefficient 4/5, so x0 <- [1.6, 1.2]
-    states = consensus_init(two_node)
+    states = _round_zero(ConsensusProgram, two_node)
     assert np.array_equal(states[0].x, [1.0, 0.0])
     assert np.array_equal(states[1].x, [0.0, 2.0])
     new0, out0 = consensus_round(states[0], {1: states[1].x})
@@ -207,7 +212,7 @@ def test_consensus_hand_round(two_node):
 
 def test_consensus_preserves_row_consistency(two_node):
     a = two_node.as_dense()
-    states = consensus_init(two_node)
+    states = _round_zero(ConsensusProgram, two_node)
     for _ in range(40):
         inboxes = [{1: states[1].x}, {0: states[0].x}]
         states = [consensus_round(s, inboxes[i])[0]
@@ -251,3 +256,45 @@ def test_solver_ensemble_agreement_with_dense():
         assert np.max(np.abs(x_bp - ref)) < 1e-8
         tj = run_rounds(sys, JacobiProgram(sys), max_rounds=2000)
         assert np.max(np.abs(tj.final_estimates - ref)) < 1e-8
+
+
+def _count_graph_builds(monkeypatch):
+    calls = []
+    real = core.induced_graph
+
+    def counting(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(core, "induced_graph", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(kind="random-tree", n=40, seed=1),
+    GeneratorSpec(kind="loopy-small", n=40, seed=1),
+    # not dominant, so bp_solve analyzes it first
+    GeneratorSpec(kind="random-sparse", n=60, seed=1, diag_rule="unit",
+                  coeff_range=(-0.3, 0.3), density=2.5 / 60),
+])
+def test_bp_solve_builds_the_graph_once(monkeypatch, spec):
+    sys = generate_instance(spec)
+    calls = _count_graph_builds(monkeypatch)
+    bp_solve(sys, reference=dense_solve(sys))
+    bp_solve(sys)
+    assert calls == [sys]
+
+
+def test_consensus_program_keeps_only_the_system():
+    # n full-length vectors would be 600 * 600 floats, 2.9 MB
+    sys = generate_instance(GeneratorSpec(kind="random-tree", n=600, seed=2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        program = ConsensusProgram(sys)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.5e6
+    trace = run_rounds(sys, program, max_rounds=1)
+    assert len(trace.rounds) == 2
