@@ -15,9 +15,9 @@ from .core import (GeneratorSpec, SparseSystem, UndirectedGraph,
                    generate_instance, induced_graph, is_acyclic,
                    system_from_edges)
 from .engine import (ConvergenceTrace, DeltaBelow, DirectedEdgeMessage,
-                     EdgeLayout, ErrorBelow, FixedRounds, NodeFault,
-                     NodeProgram, RoundAccounting, SolverFault, TraceRound,
-                     delta_stop, edge_layout, run_rounds)
+                     ErrorBelow, FixedRounds, NodeFault, NodeProgram,
+                     RoundAccounting, SolverFault, TraceRound, delta_stop,
+                     run_rounds)
 from .errors import (CyclicGraphError, DimensionMismatchError,
                      DivergedEstimateError, MissingDiagonalError,
                      NoConvergenceError, NonPositiveLambdaError,
@@ -42,7 +42,7 @@ __all__ = [
     "BPProgram", "CheckResult", "ConsensusProgram", "ConvergenceTrace",
     "CyclicGraphError", "DeltaBelow", "DimensionMismatchError",
     "DirectedEdgeMessage", "DivergedEstimateError", "DominanceReport",
-    "EdgeLayout", "ErrorBelow", "FixedRounds", "GeneratorSpec",
+    "ErrorBelow", "FixedRounds", "GeneratorSpec",
     "JacobiProgram", "MissingDiagonalError", "NoConvergenceError",
     "NodeFault", "NodeProgram",
     "NonPositiveLambdaError", "NotAnEdgeError", "NotWalkSummableError",
@@ -53,7 +53,7 @@ __all__ = [
     "UnwrappedTree", "Walk", "WalksolveError", "ZeroRowError", "analyze",
     "bfs_distances", "bp_solve",
     "connected_components", "delta_stop", "dense_solve", "diameter",
-    "edge_layout", "find_gdd_scaling", "gauss_seidel_sweep",
+    "find_gdd_scaling", "gauss_seidel_sweep",
     "generate_instance",
     "induced_graph", "is_acyclic", "is_diagonally_dominant", "load_system",
     "message_oracle", "partial_walk_sum", "preprocess_overdetermined",

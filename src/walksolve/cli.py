@@ -57,6 +57,13 @@ def default_max_iter(n: int) -> int:
     return 10 * n + 1000
 
 
+def _round_cap(cfg: RunConfig, default: int) -> int:
+    """--max-iters, or default when it is not given; 0 runs round 0 only."""
+    if cfg.max_iters is not None and cfg.max_iters < 0:
+        raise WalksolveError(f"--max-iters must be >= 0, got {cfg.max_iters}")
+    return default if cfg.max_iters is None else cfg.max_iters
+
+
 def _fmt(v: float) -> str:
     return "%.17g" % v
 
@@ -152,11 +159,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def _gauss_seidel_trace(sys_, cfg: RunConfig, reference):
+def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
     """Sequential sweeps; returns (rows, stop_reason, fault) shaped like a
     trace.  A sweep with an estimate beyond ESTIMATE_LIMIT is not a row:
     it stops the run with a fault naming the smallest such node."""
-    max_rounds = cfg.max_iters or default_max_iter(sys_.n)
     with np.errstate(all="ignore"):
         x = sys_.b / sys_.diag
     rows = []
@@ -168,7 +174,7 @@ def _gauss_seidel_trace(sys_, cfg: RunConfig, reference):
                                    "DivergedEstimateError")
         delta = float(np.max(np.abs(nxt - x))) if k else None
         rows.append((k, _ref_err(nxt, reference), delta))
-        if k and delta_stop(x, nxt, cfg.tol):
+        if k and delta_stop(x, nxt, tol):
             return rows, "delta", None
         x = nxt
     return rows, "max-rounds", None
@@ -189,10 +195,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     sys_ = _load(cfg)
     if cfg.method not in METHODS:
         raise WalksolveError(f"unknown method {cfg.method!r}")
+    max_rounds = _round_cap(cfg, 500 if cfg.method == "bp"
+                            else default_max_iter(sys_.n))
     reference = _reference_solution(sys_, cfg)
 
     if cfg.method == "gauss-seidel":
-        rows, reason, fault = _gauss_seidel_trace(sys_, cfg, reference)
+        rows, reason, fault = _gauss_seidel_trace(sys_, max_rounds, cfg.tol,
+                                                  reference)
         lines = ["# method: gauss-seidel (sequential-reference, "
                  "not message passing)",
                  "iter,log10_mse,max_delta,messages"]
@@ -209,7 +218,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     if cfg.method == "bp":
         try:
-            _, trace = bp_solve(sys_, max_rounds=cfg.max_iters or 500,
+            _, trace = bp_solve(sys_, max_rounds=max_rounds,
                                 tol=cfg.tol, force=cfg.force,
                                 reference=reference, rho_tol=cfg.rho_tol)
         except NotWalkSummableError as exc:
@@ -219,8 +228,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     else:
         program = (JacobiProgram(sys_) if cfg.method == "jacobi"
                    else ConsensusProgram(sys_))
-        trace = run_rounds(sys_, program,
-                           max_rounds=cfg.max_iters or default_max_iter(sys_.n),
+        trace = run_rounds(sys_, program, max_rounds=max_rounds,
                            stop=DeltaBelow(cfg.tol), reference=reference)
 
     comments = [f"method: {cfg.method}", f"stop: {trace.stop_reason}"]
@@ -240,12 +248,12 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     sys_ = _load(cfg)
+    max_rounds = _round_cap(cfg, default_max_iter(sys_.n))
     reference = _reference_solution(sys_, cfg)
     if reference is None:
         print("error: compare needs a dense reference solution",
               file=_sys.stderr)
         return 1
-    max_rounds = cfg.max_iters or default_max_iter(sys_.n)
     columns = {}
     comments = []
     for name, program in (("bp", BPProgram(sys_)),

@@ -6,8 +6,7 @@ Node ids are 0-based everywhere inside the library; text formats that use
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -30,6 +29,11 @@ DIAG_RULES = ("neighbor-count", "unit", "explicit")
 SEVEN_NODE_TREE_EDGES = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6))
 
 DEFAULT_COEFF_RANGE = (-1.0, -0.85)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +105,7 @@ class SparseSystem:
         indptr = np.searchsorted(rows, np.arange(n + 1))
         for name, value in (("indptr", indptr), ("indices", cols),
                             ("data", vals), ("b", bv), ("diag", diag)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _read_only(value))
 
     @property
     def rows(self) -> np.ndarray:
@@ -145,86 +148,121 @@ class SparseSystem:
         return self.b.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UndirectedGraph:
-    """Simple undirected graph as sorted per-node neighbor tuples."""
+    """Simple undirected graph, stored as its directed edges in CSR order.
+
+    Slot s carries the directed edge owner[s] -> nbr[s].  The slots of
+    node u are indptr[u]:indptr[u+1], its neighbors ascending, and rev[s]
+    is the slot of the reverse edge nbr[s] -> owner[s].  The arrays are
+    read-only; ``owner`` and ``rev`` are derived once per graph, and
+    ``sys.graph`` builds the graph once per system.
+    """
 
     n: int
-    neighbors: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    nbr: np.ndarray
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        """edges are (u, v) pairs or an (m, 2) int array; repeated and
+        reversed pairs collapse into one edge."""
         if n < 1:
             raise InvalidSystemError(f"graph size must be >= 1, got {n}")
-        sets: list[set] = [set() for _ in range(n)]
-        for u, v in edges:
-            u = int(u)
-            v = int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidSystemError(f"edge ({u}, {v}) outside 0..{n - 1}")
-            if u == v:
-                raise InvalidSystemError(f"self-loop at node {u} not allowed")
-            sets[u].add(v)
-            sets[v].add(u)
+        given = edges if isinstance(edges, np.ndarray) else list(edges)
+        # read as floats, as SparseSystem reads its entries, so that an id
+        # beyond int64 is reported as outside too
+        u, v = np.trunc(np.asarray(given, dtype=float).reshape(-1, 2).T)
+        outside = ~((0 <= np.minimum(u, v)) & (np.maximum(u, v) < n))
+        bad = outside | (u == v)
+        if bad.any():
+            k = int(np.argmax(bad))
+            a, b = int(given[k][0]), int(given[k][1])
+            if outside[k]:
+                raise InvalidSystemError(f"edge ({a}, {b}) outside 0..{n - 1}")
+            raise InvalidSystemError(f"self-loop at node {a} not allowed")
+        u, v = u.astype(np.int64), v.astype(np.int64)
+        # each directed edge once as owner * n + nbr, ascending: CSR order
+        slots = np.unique(np.concatenate((u * n + v, v * n + u)))
         object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "neighbors", tuple(tuple(sorted(s)) for s in sets))
+        object.__setattr__(self, "indptr", _read_only(
+            np.searchsorted(slots, np.arange(n + 1) * n)))
+        object.__setattr__(self, "nbr", _read_only(slots % n))
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """The node that sends along each slot."""
+        return _read_only(np.repeat(np.arange(self.n), np.diff(self.indptr)))
+
+    @cached_property
+    def rev(self) -> np.ndarray:
+        """The slot of each slot's reverse edge."""
+        # slots are sorted by (owner, nbr); listing them by (nbr, owner)
+        # instead visits, in turn, the reverse of every slot
+        return _read_only(np.lexsort((self.owner, self.nbr)))
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted per-node neighbor tuples, built on first use; a view for
+        the oracles and the per-node reference path."""
+        bounds, nbr = self.indptr.tolist(), self.nbr.tolist()
+        return tuple(tuple(nbr[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     def degree(self, u: int) -> int:
-        return len(self.neighbors[u])
+        return int(self.indptr[u + 1] - self.indptr[u])
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Undirected edge list with u < v, sorted."""
-        out = []
-        for u in range(self.n):
-            for v in self.neighbors[u]:
-                if u < v:
-                    out.append((u, v))
-        return tuple(out)
+        upper = self.owner < self.nbr
+        return tuple(zip(self.owner[upper].tolist(),
+                         self.nbr[upper].tolist()))
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.neighbors) // 2
+        return len(self.nbr) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors[u]
+        row = self.nbr[self.indptr[u]:self.indptr[u + 1]]
+        k = int(np.searchsorted(row, v))
+        return bool(k < len(row) and row[k] == v)
 
 
 def induced_graph(sys: SparseSystem) -> UndirectedGraph:
     """Interaction graph: i and j are adjacent iff a_ij != 0 or a_ji != 0;
     ``sys.graph`` builds it once per system."""
     off = (sys.rows != sys.indices) & (sys.data != 0.0)
-    u, v = sys.rows[off], sys.indices[off]
-    pairs = np.unique(np.minimum(u, v) * sys.n + np.maximum(u, v))
-    return UndirectedGraph(sys.n, zip((pairs // sys.n).tolist(),
-                                      (pairs % sys.n).tolist()))
+    return UndirectedGraph(sys.n, np.column_stack((sys.rows[off],
+                                                   sys.indices[off])))
+
+
+def _bfs(bounds: list, nbr: list, src: int, dist: list) -> list[int]:
+    """The nodes reached from src in BFS order; sets their hop distances
+    in dist, where -1 marks a node not reached yet."""
+    dist[src] = 0
+    order = [src]
+    for u in order:  # order grows while it is read: it is the BFS queue
+        d = dist[u] + 1
+        for v in nbr[bounds[u]:bounds[u + 1]]:
+            if dist[v] < 0:
+                dist[v] = d
+                order.append(v)
+    return order
 
 
 def bfs_distances(g: UndirectedGraph, src: int) -> list[int]:
     """Hop distances from src; -1 marks unreachable nodes."""
     dist = [-1] * g.n
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for v in g.neighbors[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                q.append(v)
+    _bfs(g.indptr.tolist(), g.nbr.tolist(), src, dist)
     return dist
 
 
-def _farthest(g: UndirectedGraph, src: int) -> tuple[int, int]:
-    """A node farthest from src within its component, and its distance."""
-    dist = {src: 0}
-    q = deque([src])
-    u = src
-    while q:
-        u = q.popleft()
-        for v in g.neighbors[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    # BFS dequeues by nondecreasing distance, so the last node is farthest
-    return u, dist[u]
+def _components(g: UndirectedGraph) -> list[list[int]]:
+    """Components ordered by smallest member, each in BFS order from it."""
+    bounds, nbr = g.indptr.tolist(), g.nbr.tolist()
+    dist = [-1] * g.n
+    comps = []
+    for start in range(g.n):
+        if dist[start] < 0:
+            comps.append(_bfs(bounds, nbr, start, dist))
+    return comps
 
 
 #: sources per bit-parallel BFS block: 4 uint64 words per node
@@ -240,12 +278,9 @@ def _max_eccentricity(g: UndirectedGraph) -> int:
     block's last level that sets a bit is its largest eccentricity.
     g must have an edge.
     """
-    deg = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=g.n)
-    indices = np.fromiter((v for nb in g.neighbors for v in nb),
-                          dtype=np.intp, count=int(deg.sum()))
-    rows = np.flatnonzero(deg)
-    # segment starts in indices of the rows that have neighbours
-    starts = (np.cumsum(deg) - deg)[rows]
+    # the rows that have neighbours, and their segment starts in nbr
+    rows = np.flatnonzero(np.diff(g.indptr))
+    starts = g.indptr[rows]
     best = 0
     for lo in range(0, g.n, BFS_BLOCK):
         src = np.arange(min(BFS_BLOCK, g.n - lo))
@@ -257,7 +292,7 @@ def _max_eccentricity(g: UndirectedGraph) -> int:
         while True:
             nxt = np.zeros_like(seen)
             nxt[rows] = np.bitwise_or.reduceat(
-                np.take(front, indices, axis=0), starts, axis=0)
+                np.take(front, g.nbr, axis=0), starts, axis=0)
             nxt &= ~seen
             if not nxt.any():
                 break
@@ -277,36 +312,25 @@ def diameter(g: UndirectedGraph) -> int:
     BFS_BLOCK sources on neighbour arrays.  On a disconnected graph this
     is the maximum over components; a singleton graph has diameter 0.
     """
-    if is_acyclic(g):
-        return max(_farthest(g, _farthest(g, comp[0])[0])[1]
-                   for comp in connected_components(g))
-    return _max_eccentricity(g)
+    comps = _components(g)
+    if g.edge_count() != g.n - len(comps):
+        return _max_eccentricity(g)
+    bounds, nbr = g.indptr.tolist(), g.nbr.tolist()
+    dist = [-1] * g.n
+    # a component's last node in BFS order is farthest from its start, so
+    # the second sweep starts there
+    return max(dist[_bfs(bounds, nbr, comp[-1], dist)[-1]] for comp in comps)
 
 
 def connected_components(g: UndirectedGraph) -> tuple[tuple[int, ...], ...]:
     """Components as sorted node tuples, ordered by smallest member."""
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for v in g.neighbors[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    q.append(v)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    return tuple(tuple(sorted(comp)) for comp in _components(g))
 
 
 def is_acyclic(g: UndirectedGraph) -> bool:
     """True iff the graph has no undirected cycle (i.e. it is a forest)."""
-    return g.edge_count() == g.n - len(connected_components(g))
+    m = g.edge_count()  # a forest has fewer edges than nodes
+    return m < g.n and m == g.n - len(_components(g))
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ A round is computed on one of two paths; ``run_rounds`` drives both with
 the same stop rules, trace rows and fault records:
   - the edge-array path, for programs whose ``edge_kernel`` returns a
     kernel (the message-passing solver, Jacobi and projection consensus).
-    Directed edges are laid out in CSR order (:class:`EdgeLayout`); a
-    round gathers the incoming messages along the edges, updates them
-    elementwise and sums them per node in neighbor order.  Messages only
-    ever travel along edges, so C1 holds by construction.  Consensus
-    keeps every node's full-length vector as one row of an (n, n) array.
+    A kernel runs on the graph's own arrays, its directed edges in CSR
+    order (:class:`~walksolve.core.UndirectedGraph`): a round gathers
+    the incoming messages along the edges, updates them elementwise and
+    sums them per node in neighbor order.  Messages only ever travel
+    along edges, so C1 holds by construction.  Consensus keeps every
+    node's full-length vector as one row of an (n, n) array.
   - the per-node path, for programs without an array form; tests use it
     as the reference.  Each node's outbox is a dict of
     DirectedEdgeMessage objects, and C1 is checked on every round.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain, count
+from itertools import count
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -105,41 +106,6 @@ class NodeFault(Exception):
         self.error = error
 
 
-@dataclass(frozen=True)
-class EdgeLayout:
-    """Directed edges of a graph in CSR order.
-
-    Slot s carries the message owner[s] -> nbr[s].  The slots of node i
-    are indptr[i]:indptr[i+1], its neighbors ascending as in
-    UndirectedGraph.neighbors, and rev[s] is the slot of the reverse edge
-    nbr[s] -> owner[s].
-    """
-
-    n: int
-    indptr: np.ndarray
-    owner: np.ndarray
-    nbr: np.ndarray
-    rev: np.ndarray
-
-    @property
-    def degree(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-
-def edge_layout(g: UndirectedGraph) -> EdgeLayout:
-    """The CSR layout of g's directed edges, built in O(|E| log |E|)."""
-    degree = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=g.n)
-    indptr = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum(degree, out=indptr[1:])
-    nbr = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp,
-                      count=int(indptr[-1]))
-    owner = np.repeat(np.arange(g.n, dtype=np.intp), degree)
-    # slots are sorted by (owner, nbr); listing them by (nbr, owner)
-    # instead visits, in turn, the reverse of every slot
-    rev = np.lexsort((owner, nbr)).astype(np.intp)
-    return EdgeLayout(n=g.n, indptr=indptr, owner=owner, nbr=nbr, rev=rev)
-
-
 @dataclass
 class TraceRound:
     k: int
@@ -193,8 +159,9 @@ class NodeProgram:
         """Floats the node retains across rounds (messages included)."""
         raise NotImplementedError
 
-    def edge_kernel(self, layout: EdgeLayout):
-        """The program's array form on ``layout``, or None if it has none.
+    def edge_kernel(self, g: UndirectedGraph):
+        """The program's array form on g, run_rounds's ``sys.graph``, or
+        None if it has none.
 
         A kernel computes the same rounds as init_node/step, bit for bit,
         for all nodes at once.  It carries per-node int arrays
@@ -202,7 +169,9 @@ class NodeProgram:
         round 0 and ``advance()`` the next round.  Each returns
         (estimates, first), where ``first`` holds values[0] of every
         slot's message when check_positive_a is set, or raises NodeFault
-        for the smallest node whose transition faults.
+        for the smallest node whose transition faults.  A kernel refuses
+        any g but its own system's graph; a program without one has no
+        system to compare, and its per-node path runs on any graph.
         """
         return None
 
@@ -331,7 +300,7 @@ def _node_rounds(program: NodeProgram, g: UndirectedGraph,
             lambda u: program.step(u, prev[u], snapshot[u])))
 
 
-def _edge_rounds(program: NodeProgram, kernel, layout: EdgeLayout
+def _edge_rounds(program: NodeProgram, kernel, g: UndirectedGraph
                  ) -> Iterator[tuple[np.ndarray, RoundAccounting]]:
     """Edge-array path: yields (estimates, accounting) per round.
 
@@ -339,12 +308,12 @@ def _edge_rounds(program: NodeProgram, kernel, layout: EdgeLayout
     two records built here; a round with positivity violations gets a
     copy that carries its count.
     """
-    degree = layout.degree
+    degree = np.diff(g.indptr)
 
     def accounting(ops: np.ndarray) -> RoundAccounting:
         storage = kernel.storage
         return RoundAccounting(
-            messages_sent=len(layout.owner),
+            messages_sent=len(g.nbr),
             per_node_ops=tuple(ops.tolist()),
             per_node_storage=tuple(storage.tolist()),
             ops_bound_ok=bool(np.all(ops <= OPS_BOUND_COEFF * (degree + 1))),
@@ -384,10 +353,9 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
         raise ProtocolViolationError("node_order must be a permutation")
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
-    layout = edge_layout(g)
-    kernel = program.edge_kernel(layout)
+    kernel = program.edge_kernel(g)
     rounds = (_node_rounds(program, g, order) if kernel is None
-              else _edge_rounds(program, kernel, layout))
+              else _edge_rounds(program, kernel, g))
 
     trace = ConvergenceTrace(reference=reference)
     prev_estimates = None

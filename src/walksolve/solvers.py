@@ -26,18 +26,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Mapping, Optional
 
 import numpy as np
 import scipy.linalg
 
 from . import analysis
-from .core import SparseSystem, diameter, is_acyclic
+from .core import SparseSystem, UndirectedGraph, diameter, is_acyclic
 from .engine import (
     ConvergenceTrace,
     DeltaBelow,
-    EdgeLayout,
     FixedRounds,
     NodeFault,
     NodeProgram,
@@ -110,29 +108,29 @@ def _replay(bad: np.ndarray, transition) -> None:
 
 
 class _EdgeCoeffs:
-    """The system's coefficients as arrays over nodes and over a layout's
-    slots: a_row[s] is a_iv for the slot s = (i -> v), 0 when the system
-    stores no (i, v) entry.  A layout of another graph is refused."""
+    """The system's coefficients as arrays over nodes and over the slots
+    of its graph's directed edges: a_row[s] is a_iv for the slot
+    s = (i -> v), 0 when the system stores no (i, v) entry.  A graph that
+    is not ``sys.graph`` itself is refused: one of the same shape would
+    still run this system's coefficients on another system."""
 
-    def __init__(self, sys: SparseSystem, layout: EdgeLayout):
-        nbrs = np.fromiter(chain.from_iterable(sys.graph.neighbors),
-                           dtype=np.intp)
-        if sys.n != layout.n or not np.array_equal(nbrs, layout.nbr):
+    def __init__(self, sys: SparseSystem, g: UndirectedGraph):
+        if g is not sys.graph:
             raise ProtocolViolationError(
                 "program coefficients do not match the system's graph")
         self.sys = sys
-        self.layout = layout
+        self.g = g
         self.a_ii = sys.diag
         self.b_i = sys.b
         stored = sys.rows * sys.n + sys.indices  # ascending: CSR order
-        wanted = layout.owner * sys.n + layout.nbr
+        wanted = g.owner * sys.n + g.nbr
         k = np.minimum(np.searchsorted(stored, wanted), len(stored) - 1)
         self.a_row = np.where(stored[k] == wanted, sys.data[k], 0.0)
 
     def inbox(self, node: int, values: np.ndarray) -> dict:
         """{v: values[s]} over node's slots s = (node -> v)."""
-        s = slice(self.layout.indptr[node], self.layout.indptr[node + 1])
-        return dict(zip(self.layout.nbr[s].tolist(), values[s].tolist()))
+        s = slice(self.g.indptr[node], self.g.indptr[node + 1])
+        return dict(zip(self.g.nbr[s].tolist(), values[s].tolist()))
 
 
 def _check_estimate(c: NodeCoeffs, x_hat: float) -> float:
@@ -215,28 +213,28 @@ def bp_round(state: BPNodeState, inbox: Mapping[int, tuple[float, float]]
 
 
 class _BPEdgeKernel(_EdgeCoeffs):
-    """_bp_init_one / bp_round for every node at once on an EdgeLayout.
+    """_bp_init_one / bp_round for every node at once on the graph's arrays.
 
     Each expression is the one bp_round evaluates, and the per-node sums
     run in neighbor order (np.bincount adds its weights in sequence), so
     messages and estimates equal the per-node path's bit for bit.
     """
 
-    def __init__(self, sys: SparseSystem, layout: EdgeLayout):
-        super().__init__(sys, layout)
-        deg = layout.degree
+    def __init__(self, sys: SparseSystem, g: UndirectedGraph):
+        super().__init__(sys, g)
+        deg = np.diff(g.indptr)
         self.init_ops = 2 * deg + 1
         self.step_ops = 11 * deg + 3
         self.storage = 7 * deg + 5
-        a_col = self.a_row[layout.rev]
+        a_col = self.a_row[g.rev]
         with np.errstate(over="ignore"):
             self._prod = self.a_row * a_col
         # NodeCoeffs.eps_sing, from the largest of |a_ii|, |a_iv|, |a_vi|
         scale = np.abs(self.a_ii)
-        np.maximum.at(scale, layout.owner,
+        np.maximum.at(scale, g.owner,
                       np.maximum(np.abs(self.a_row), np.abs(a_col)))
         self._eps = SING_EPS_FACTOR * scale
-        self._eps_slot = self._eps[layout.owner]
+        self._eps_slot = self._eps[g.owner]
         self._a_msg = self._b_msg = None
 
     def start(self):
@@ -245,28 +243,28 @@ class _BPEdgeKernel(_EdgeCoeffs):
         bad = (np.abs(self.a_ii) <= self._eps) | ~(
             np.abs(x_hat) <= ESTIMATE_LIMIT)
         _replay(bad, lambda i: _bp_init_one(_node_coeffs(self.sys, i)))
-        owner = self.layout.owner
+        owner = self.g.owner
         self._a_msg = self.a_ii[owner]
         self._b_msg = self.b_i[owner]
         return x_hat, self._a_msg
 
     def advance(self):
-        lay = self.layout
-        a_in = self._a_msg[lay.rev]
-        b_in = self._b_msg[lay.rev]
+        g = self.g
+        a_in = self._a_msg[g.rev]
+        b_in = self._b_msg[g.rev]
         with np.errstate(all="ignore"):
             iv = 1.0 / a_in
             terms_a = self._prod * iv
             terms_b = (self.a_row * b_in) * iv
-            a_tilde = self.a_ii - np.bincount(lay.owner, terms_a, lay.n)
-            b_tilde = self.b_i - np.bincount(lay.owner, terms_b, lay.n)
+            a_tilde = self.a_ii - np.bincount(g.owner, terms_a, g.n)
+            b_tilde = self.b_i - np.bincount(g.owner, terms_b, g.n)
             x_hat = b_tilde / a_tilde
-            a_out = a_tilde[lay.owner] + terms_a
-            b_out = b_tilde[lay.owner] + terms_b
+            a_out = a_tilde[g.owner] + terms_a
+            b_out = b_tilde[g.owner] + terms_b
             bad = (np.abs(a_tilde) <= self._eps) | ~(
                 np.abs(x_hat) <= ESTIMATE_LIMIT)
-            bad[lay.owner[(np.abs(a_in) <= self._eps_slot)
-                          | ~(np.isfinite(a_out) & np.isfinite(b_out))]] = True
+            bad[g.owner[(np.abs(a_in) <= self._eps_slot)
+                        | ~(np.isfinite(a_out) & np.isfinite(b_out))]] = True
         # bp_round reads only the node's coefficients from the state
         _replay(bad, lambda i: bp_round(
             _bp_init_one(_node_coeffs(self.sys, i)),
@@ -305,8 +303,8 @@ class BPProgram(NodeProgram):
         deg = len(state.coeffs.neighbors)
         return 7 * deg + 5
 
-    def edge_kernel(self, layout: EdgeLayout) -> _BPEdgeKernel:
-        return _BPEdgeKernel(self._sys, layout)
+    def edge_kernel(self, g: UndirectedGraph) -> _BPEdgeKernel:
+        return _BPEdgeKernel(self._sys, g)
 
 
 def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
@@ -380,7 +378,7 @@ def jacobi_round(state: JacobiNodeState, inbox: Mapping[int, float]
 
 
 class _JacobiEdgeKernel(_EdgeCoeffs):
-    """jacobi_round for every node at once on an EdgeLayout.
+    """jacobi_round for every node at once on the graph's arrays.
 
     jacobi_round subtracts the products one at a time from b_i; one
     bincount over b followed by the negated products adds the same terms
@@ -388,13 +386,13 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
     bit (b - bincount(products) would not).
     """
 
-    def __init__(self, sys: SparseSystem, layout: EdgeLayout):
-        super().__init__(sys, layout)
-        deg = layout.degree
+    def __init__(self, sys: SparseSystem, g: UndirectedGraph):
+        super().__init__(sys, g)
+        deg = np.diff(g.indptr)
         self.init_ops = np.ones_like(deg)
         self.step_ops = 2 * deg + 2
         self.storage = 2 * deg + 3
-        self._rows = np.concatenate((np.arange(layout.n), layout.owner))
+        self._rows = np.concatenate((np.arange(g.n), g.owner))
         self._x = None
 
     def start(self):
@@ -406,11 +404,10 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
         return x_hat, None
 
     def advance(self):
-        lay = self.layout
-        x_in = self._x[lay.nbr]
+        x_in = self._x[self.g.nbr]
         with np.errstate(all="ignore"):
             acc = np.bincount(self._rows, np.concatenate(
-                (self.b_i, -(self.a_row * x_in))), lay.n)
+                (self.b_i, -(self.a_row * x_in))), self.g.n)
             x_hat = acc / self.a_ii
             bad = ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
         _replay(bad, lambda i: jacobi_round(
@@ -444,8 +441,8 @@ class JacobiProgram(NodeProgram):
     def storage_floats(self, node: int, state) -> int:
         return 2 * len(state.coeffs.neighbors) + 3
 
-    def edge_kernel(self, layout: EdgeLayout) -> _JacobiEdgeKernel:
-        return _JacobiEdgeKernel(self._sys, layout)
+    def edge_kernel(self, g: UndirectedGraph) -> _JacobiEdgeKernel:
+        return _JacobiEdgeKernel(self._sys, g)
 
 
 @dataclass(frozen=True)
@@ -516,7 +513,7 @@ def consensus_round(state: ConsensusNodeState,
 
 
 class _ConsensusEdgeKernel(_EdgeCoeffs):
-    """consensus_round for every node at once on an EdgeLayout.
+    """consensus_round for every node at once on the graph's arrays.
 
     Row i of one (n, n) array is node i's vector.  A round starts each
     row as deg_i * x_i and subtracts the neighbors' rows one slot position
@@ -526,10 +523,10 @@ class _ConsensusEdgeKernel(_EdgeCoeffs):
     per-node path's bit for bit.  Isolated nodes keep their vector.
     """
 
-    def __init__(self, sys: SparseSystem, layout: EdgeLayout):
-        super().__init__(sys, layout)
-        n = layout.n
-        deg = layout.degree
+    def __init__(self, sys: SparseSystem, g: UndirectedGraph):
+        super().__init__(sys, g)
+        n = g.n
+        deg = np.diff(g.indptr)
         self.init_ops = np.full(n, n + 2)
         self.step_ops = (deg + 3) * n + 4 * (deg + 1)
         self.storage = (deg + 1) * n + 2 * (deg + 1)
@@ -540,7 +537,7 @@ class _ConsensusEdgeKernel(_EdgeCoeffs):
         self._gathers = []
         for p in range(int(deg.max(initial=0))):
             rows = np.flatnonzero(deg > p)
-            self._gathers.append((rows, layout.nbr[layout.indptr[rows] + p]))
+            self._gathers.append((rows, g.nbr[g.indptr[rows] + p]))
         (self._sup_row, self._sup_col, self._sup_val,
          self._row_norm_sq) = _row_support(sys)
         self._x = None
@@ -609,8 +606,8 @@ class ConsensusProgram(NodeProgram):
         deg = len(state.neighbors)
         return (deg + 1) * self._sys.n + 2 * (deg + 1)
 
-    def edge_kernel(self, layout: EdgeLayout) -> _ConsensusEdgeKernel:
-        return _ConsensusEdgeKernel(self._sys, layout)
+    def edge_kernel(self, g: UndirectedGraph) -> _ConsensusEdgeKernel:
+        return _ConsensusEdgeKernel(self._sys, g)
 
 
 def gauss_seidel_sweep(sys: SparseSystem, x) -> np.ndarray:

@@ -287,3 +287,57 @@ def test_compare_builds_the_graph_once(tmp_path, capsys, monkeypatch):
     assert main(["compare", "--matrix", mtx, "--rhs", mtx[:-4] + ".rhs",
                  "--max-iters", "20"]) == 0
     assert len(calls) == 1
+
+
+def _loopy(tmp_path, capsys):
+    mtx = str(tmp_path / "loopy.mtx")
+    assert main(["generate", "--kind", "loopy-small", "--n", "30",
+                 "--seed", "2", "--out", mtx]) == 0
+    capsys.readouterr()
+    return mtx, mtx[:-4] + ".rhs"
+
+
+def _rows(out):
+    return [l for l in out.splitlines() if not l.startswith(("#", "iter"))]
+
+
+@pytest.mark.parametrize("method", ["bp", "jacobi", "consensus",
+                                    "gauss-seidel"])
+def test_max_iters_zero_runs_round_zero_only(tmp_path, capsys, method):
+    mtx, rhs = _loopy(tmp_path, capsys)
+    code = main(["solve", "--matrix", mtx, "--rhs", rhs,
+                 "--method", method, "--max-iters", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert [r.split(",")[0] for r in _rows(captured.out)] == ["0"]
+    assert "stop=max-rounds" in captured.err
+
+
+def test_compare_max_iters_zero_writes_round_zero_only(tmp_path, capsys):
+    mtx, rhs = _loopy(tmp_path, capsys)
+    assert main(["compare", "--matrix", mtx, "--rhs", rhs,
+                 "--max-iters", "0"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [r.split(",")[0] for r in rows] == ["0"]
+
+
+def test_bp_on_a_tree_runs_diameter_rounds_despite_max_iters_zero(
+        tmp_path, capsys):
+    mtx, rhs = _generate(tmp_path, capsys)
+    assert main(["solve", "--matrix", mtx, "--rhs", rhs,
+                 "--max-iters", "0"]) == 0
+    assert _rows(capsys.readouterr().out)[-1].startswith("4,")
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--method", "bp"], ["solve", "--method", "jacobi"],
+    ["solve", "--method", "consensus"], ["solve", "--method", "gauss-seidel"],
+    ["compare"]], ids=["bp", "jacobi", "consensus", "gauss-seidel", "compare"])
+def test_negative_max_iters_is_an_input_error(tmp_path, capsys, command):
+    mtx, rhs = _loopy(tmp_path, capsys)
+    code = main(command + ["--matrix", mtx, "--rhs", rhs,
+                           "--max-iters", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: --max-iters must be >= 0, got -1\n"
+    assert captured.out == ""

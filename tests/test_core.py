@@ -1,4 +1,6 @@
 import math
+import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -137,6 +139,94 @@ def test_graph_basics():
     assert g.edge_count() == 2
     assert g.has_edge(1, 0)
     assert not g.has_edge(1, 2)
+
+
+class _SetGraph:
+    """The set-and-sort graph the CSR graph replaced, kept as its oracle."""
+
+    def __init__(self, n, edges):
+        sets = [set() for _ in range(n)]
+        for u, v in edges:
+            sets[u].add(v)
+            sets[v].add(u)
+        self.n = n
+        self.neighbors = tuple(tuple(sorted(s)) for s in sets)
+
+    def edges(self):
+        return tuple((u, v) for u in range(self.n)
+                     for v in self.neighbors[u] if u < v)
+
+    def bfs(self, src):
+        dist = [-1] * self.n
+        dist[src] = 0
+        q = deque([src])
+        while q:
+            u = q.popleft()
+            for v in self.neighbors[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    q.append(v)
+        return dist
+
+    def components(self):
+        comps = []
+        for s in range(self.n):
+            if not any(s in c for c in comps):
+                comps.append(tuple(u for u, d in enumerate(self.bfs(s))
+                                   if d >= 0))
+        return tuple(comps)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): random pairs with repeats, some also reversed, and
+    often isolated nodes; as a list or as an (m, 2) array."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    pairs = [(u, v) for u, v in draw(st.lists(st.tuples(node, node),
+                                              max_size=3 * n)) if u != v]
+    pairs += [(v, u) for u, v in pairs[:draw(st.integers(0, len(pairs)))]]
+    edges = draw(st.permutations(pairs))
+    if draw(st.booleans()):
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return n, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=edge_lists())
+def test_csr_graph_matches_set_graph(case):
+    n, edges = case
+    g = UndirectedGraph(n, edges)
+    want = _SetGraph(n, edges.tolist() if isinstance(edges, np.ndarray)
+                     else edges)
+    assert g.neighbors == want.neighbors
+    assert g.edges() == want.edges()
+    assert g.edge_count() == len(want.edges())
+    for u in range(n):
+        assert g.degree(u) == len(want.neighbors[u])
+        assert bfs_distances(g, u) == want.bfs(u)
+        for v in range(n):
+            assert g.has_edge(u, v) == (v in want.neighbors[u])
+    comps = want.components()
+    assert connected_components(g) == comps
+    assert is_acyclic(g) == (g.edge_count() == n - len(comps))
+    assert diameter(g) == max(max(want.bfs(s)) for s in range(n))
+
+
+@pytest.mark.parametrize("n,edges,message", [
+    (3, [(0, 1), (1, 3), (2, 2)], "edge (1, 3) outside 0..2"),
+    (3, [(0, 1), (2, 2), (1, 3)], "self-loop at node 2 not allowed"),
+    (3, [(1, 2), (-1, 0)], "edge (-1, 0) outside 0..2"),
+    (3, [(0, 1), (0, 1), (1, 0), (1, 1)], "self-loop at node 1 not allowed"),
+    # an edge that is both outside and a self-loop is reported as outside
+    (3, [(3, 3), (1, 1)], "edge (3, 3) outside 0..2"),
+    (1, [(0, 0), (0, 1)], "self-loop at node 0 not allowed"),
+    (1, [(0, 1), (0, 0)], "edge (0, 1) outside 0..0"),
+    (3, [(0, 1), (2 ** 70 + 1, 0)], f"edge ({2 ** 70 + 1}, 0) outside 0..2"),
+])
+def test_graph_reports_the_first_bad_edge(n, edges, message):
+    with pytest.raises(InvalidSystemError, match=f"^{re.escape(message)}$"):
+        UndirectedGraph(n, edges)
 
 
 def test_induced_graph_sees_one_directional_entries():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import PerNodeBP, PerNodeConsensus, PerNodeJacobi
 
 from walksolve.core import SparseSystem, UndirectedGraph
-from walksolve.engine import DeltaBelow, edge_layout, run_rounds
+from walksolve.engine import DeltaBelow, run_rounds
 from walksolve.errors import ProtocolViolationError
 from walksolve.solvers import BPProgram, ConsensusProgram, JacobiProgram
 
@@ -45,16 +45,21 @@ def _assert_same_run(sys, array_cls, node_cls, max_rounds, stop=None,
     return got
 
 
-def test_edge_layout_csr_order_and_reverse():
+def test_graph_csr_order_and_reverse():
     g = UndirectedGraph(5, [(0, 3), (3, 1), (1, 4), (4, 3), (2, 4)])
-    lay = edge_layout(g)
-    assert lay.indptr.tolist() == [0, 1, 3, 4, 7, 10]
-    assert lay.owner.tolist() == [0, 1, 1, 2, 3, 3, 3, 4, 4, 4]
-    assert lay.nbr.tolist() == [v for nb in g.neighbors for v in nb]
-    assert np.array_equal(lay.owner[lay.rev], lay.nbr)
-    assert np.array_equal(lay.nbr[lay.rev], lay.owner)
-    assert np.array_equal(lay.rev[lay.rev], np.arange(10))
-    assert lay.degree.tolist() == [g.degree(u) for u in range(5)]
+    assert g.indptr.tolist() == [0, 1, 3, 4, 7, 10]
+    assert g.owner.tolist() == [0, 1, 1, 2, 3, 3, 3, 4, 4, 4]
+    assert g.nbr.tolist() == [v for nb in g.neighbors for v in nb]
+    assert np.array_equal(g.owner[g.rev], g.nbr)
+    assert np.array_equal(g.nbr[g.rev], g.owner)
+    assert np.array_equal(g.rev[g.rev], np.arange(10))
+    assert np.diff(g.indptr).tolist() == [g.degree(u) for u in range(5)]
+
+
+def _path3(diag):
+    return SparseSystem(3, [(i, i, diag) for i in range(3)] + [
+        (0, 1, -1.0), (1, 0, -1.0), (1, 2, -1.0), (2, 1, -1.0)],
+        [1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("array_cls", [a for a, _ in PAIRS], ids=PAIR_IDS)
@@ -62,6 +67,11 @@ def test_kernel_refuses_a_program_of_another_system(array_cls, two_node,
                                                     path3):
     with pytest.raises(ProtocolViolationError, match="do not match"):
         run_rounds(path3, array_cls(two_node), 2)
+    # B has A's sparsity pattern but solves to [5, 6, 5] / 14, not to
+    # A's [1.5, 2, 1.5]: its coefficients are not A's
+    a, b = _path3(2.0), _path3(4.0)
+    with pytest.raises(ProtocolViolationError, match="do not match"):
+        run_rounds(a, array_cls(b), 5, reference=np.array([1.5, 2.0, 1.5]))
 
 
 # one system per fault stage of bp_round, with the message it reports

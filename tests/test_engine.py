@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from walksolve.core import SparseSystem, system_from_edges
+from walksolve.core import (GeneratorSpec, SparseSystem, generate_instance,
+                            system_from_edges)
 from walksolve.engine import (
     DeltaBelow,
     DirectedEdgeMessage,
@@ -12,7 +13,8 @@ from walksolve.engine import (
     run_rounds,
 )
 from walksolve.errors import ProtocolViolationError, SingularMessageError
-from walksolve.solvers import BPProgram, JacobiProgram
+from walksolve.solvers import (BPProgram, ConsensusProgram, JacobiProgram,
+                               bp_solve)
 
 from conftest import PerNodeBP
 
@@ -194,3 +196,38 @@ def test_accounting_bounds_small_graph(two_node):
     # measured numbers for degree-1 nodes
     assert trace.rounds[1].accounting.per_node_ops == (14, 14)     # 11d+3
     assert trace.rounds[1].accounting.per_node_storage == (12, 12)  # 7d+5
+
+
+def _compare(monkeypatch, sys):
+    """Run the compare command on sys, as if loaded from a file."""
+    from walksolve import mmio
+    from walksolve.cli import main
+    monkeypatch.setattr(mmio, "load_system", lambda matrix, rhs: sys)
+    assert main(["compare", "--matrix", "a.mtx", "--rhs", "a.rhs",
+                 "--max-iters", "5"]) == 0
+
+
+def test_runs_on_one_system_share_one_layout(monkeypatch, capsys):
+    sys = generate_instance(GeneratorSpec(kind="loopy-small", n=30, seed=2))
+    revs = []
+    for cls in (BPProgram, JacobiProgram, ConsensusProgram):
+        def recording(self, g, real=cls.edge_kernel):
+            revs.append(g.rev)
+            return real(self, g)
+        monkeypatch.setattr(cls, "edge_kernel", recording)
+    run_rounds(sys, BPProgram(sys), 3)
+    run_rounds(sys, JacobiProgram(sys), 3)
+    _compare(monkeypatch, sys)
+    assert len(revs) == 5
+    assert all(rev is sys.graph.rev for rev in revs)
+
+
+def test_solvers_never_build_the_neighbor_tuples(monkeypatch, capsys):
+    tree = generate_instance(GeneratorSpec(kind="random-tree", n=200,
+                                           seed=1))
+    bp_solve(tree)
+    loopy = generate_instance(GeneratorSpec(kind="loopy-small", n=40,
+                                            seed=1))
+    _compare(monkeypatch, loopy)
+    for sys in (tree, loopy):
+        assert "neighbors" not in sys.graph.__dict__
