@@ -14,10 +14,9 @@ from .core import (GeneratorSpec, SparseSystem, UndirectedGraph,
                    bfs_distances, connected_components, diameter,
                    generate_instance, induced_graph, is_acyclic,
                    system_from_edges)
-from .engine import (ConvergenceTrace, DeltaBelow, DirectedEdgeMessage,
-                     ErrorBelow, FixedRounds, NodeFault, NodeProgram,
-                     RoundAccounting, SolverFault, TraceRound, delta_stop,
-                     run_rounds)
+from .engine import (ConvergenceTrace, DirectedEdgeMessage, NodeFault,
+                     NodeProgram, RoundAccounting, SolverFault, TraceRound,
+                     delta_stop, run_rounds)
 from .errors import (CyclicGraphError, DimensionMismatchError,
                      DivergedEstimateError, MissingDiagonalError,
                      NoConvergenceError, NonPositiveLambdaError,
@@ -40,9 +39,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BPProgram", "CheckResult", "ConsensusProgram", "ConvergenceTrace",
-    "CyclicGraphError", "DeltaBelow", "DimensionMismatchError",
-    "DirectedEdgeMessage", "DivergedEstimateError", "DominanceReport",
-    "ErrorBelow", "FixedRounds", "GeneratorSpec",
+    "CyclicGraphError", "DimensionMismatchError", "DirectedEdgeMessage",
+    "DivergedEstimateError", "DominanceReport", "GeneratorSpec",
     "JacobiProgram", "MissingDiagonalError", "NoConvergenceError",
     "NodeFault", "NodeProgram",
     "NonPositiveLambdaError", "NotAnEdgeError", "NotWalkSummableError",

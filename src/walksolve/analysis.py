@@ -139,13 +139,16 @@ def _perron_vectors(b: sp.csr_matrix, max_iter: Optional[int]):
         yield "inverse", x / x.max()
 
 
-def _certify(csr: sp.csr_matrix, tol: float, max_iter: Optional[int]):
+def _certify(csr: sp.csr_matrix, tol: float,
+             max_iter: Optional[int] = None):
     """(lo, hi, closed, x, route) for rho of a canonical nonnegative CSR
     matrix: the interval, whether it is within tol, a GDD candidate x
     (max 1) and the route of the component that sets hi.  Each strongly
     connected component starts from its row sums ("dominance"); one open
     above lo gets Perron vectors ("perron", "inverse") until it closes.
-    An ARPACK failure keeps the row sums."""
+    An ARPACK failure keeps the row sums.  tol must be finite and >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     from scipy.sparse import csgraph
     from scipy.sparse.linalg import ArpackError
     n = csr.shape[0]
@@ -262,8 +265,7 @@ def _perron_scaling(sys: SparseSystem, x: np.ndarray
     return tuple(map(float, x)) if _validate_scaling(sys, x) else None
 
 
-def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
-                     max_iter: Optional[int] = None
+def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT
                      ) -> Optional[tuple[float, ...]]:
     """Hunt for a positive d with |a_ii| d_i > sum_j |a_ij| d_j, all rows.
 
@@ -275,11 +277,10 @@ def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
     if is_diagonally_dominant(sys):
         return (1.0,) * sys.n
     abs_r = _abs_residual_csr(sys)
-    return _perron_scaling(sys, _certify(abs_r, rho_tol, max_iter)[3])
+    return _perron_scaling(sys, _certify(abs_r, rho_tol)[3])
 
 
 def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
-            max_iter: Optional[int] = None,
             want_scaling: bool = True) -> DominanceReport:
     """Combined dominance check, certified rho(|R|) interval, and verdict.
 
@@ -288,7 +289,7 @@ def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
     """
     dom = is_diagonally_dominant(sys)
     abs_r = _abs_residual_csr(sys)
-    lo, hi, closed, x, route = _certify(abs_r, rho_tol, max_iter)
+    lo, hi, closed, x, route = _certify(abs_r, rho_tol)
     if dom or hi + rho_tol < 1.0:
         walk_summable: Optional[bool] = True
     elif lo - rho_tol > 1.0:

@@ -7,8 +7,8 @@ Commands: generate, analyze, solve, compare, verify.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys as _sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ from .analysis import RHO_TOL_DEFAULT, analyze
 from .core import (DIAG_RULES, GENERATOR_KINDS, DEFAULT_COEFF_RANGE,
                    GeneratorSpec, SparseSystem, diameter, generate_instance,
                    is_acyclic)
-from .engine import ConvergenceTrace, DeltaBelow, delta_stop, run_rounds
+from .engine import ConvergenceTrace, delta_stop, run_rounds
 from .errors import (NotWalkSummableError, SingularMatrixError,
                      WalksolveError)
 from .solvers import (ESTIMATE_LIMIT, BPProgram, ConsensusProgram,
@@ -30,38 +30,23 @@ DENSE_REFERENCE_LIMIT = 5000
 METHODS = ("bp", "jacobi", "consensus", "gauss-seidel")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    matrix: Optional[str] = None
-    rhs: Optional[str] = None
-    method: str = "bp"
-    max_iters: Optional[int] = None
-    tol: float = 1e-10
-    seed: int = 0
-    out: Optional[str] = None
-    kind: str = "random-tree"
-    n: Optional[int] = None
-    force: bool = False
-    coeff_lo: float = DEFAULT_COEFF_RANGE[0]
-    coeff_hi: float = DEFAULT_COEFF_RANGE[1]
-    diag_rule: str = "neighbor-count"
-    diag_value: float = 1.0
-    density: float = 0.3
-    reference: str = "auto"
-    rho_tol: float = RHO_TOL_DEFAULT
-
-
 def default_max_iter(n: int) -> int:
     """Round cap when --max-iters is not given."""
     return 10 * n + 1000
 
 
-def _round_cap(cfg: RunConfig, default: int) -> int:
+def _round_cap(args: argparse.Namespace, default: int) -> int:
     """--max-iters, or default when it is not given; 0 runs round 0 only."""
-    if cfg.max_iters is not None and cfg.max_iters < 0:
-        raise WalksolveError(f"--max-iters must be >= 0, got {cfg.max_iters}")
-    return default if cfg.max_iters is None else cfg.max_iters
+    if args.max_iters is not None and args.max_iters < 0:
+        raise WalksolveError(f"--max-iters must be >= 0, got {args.max_iters}")
+    return default if args.max_iters is None else args.max_iters
+
+
+def _tol(tol: float) -> float:
+    """--tol, refused unless finite and >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise WalksolveError(f"--tol must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _fmt(v: float) -> str:
@@ -72,14 +57,14 @@ def _cell(v: Optional[float]) -> str:
     return "" if v is None else _fmt(v)
 
 
-def _load(cfg: RunConfig) -> SparseSystem:
-    if not cfg.matrix or not cfg.rhs:
+def _load(args: argparse.Namespace) -> SparseSystem:
+    if not args.matrix or not args.rhs:
         raise WalksolveError("--matrix and --rhs are both required here")
-    return mmio.load_system(cfg.matrix, cfg.rhs)
+    return mmio.load_system(args.matrix, args.rhs)
 
 
-def _reference_solution(sys_: SparseSystem, cfg: RunConfig):
-    if cfg.reference == "none":
+def _reference_solution(sys_: SparseSystem, args: argparse.Namespace):
+    if args.reference == "none":
         return None
     if sys_.n > DENSE_REFERENCE_LIMIT:
         print(f"# reference: skipped, n={sys_.n} exceeds "
@@ -113,27 +98,25 @@ def _trace_csv(trace: ConvergenceTrace, comments: list[str]) -> list[str]:
     return lines
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    if cfg.n is None:
-        raise WalksolveError("generate requires --n")
-    spec = GeneratorSpec(kind=cfg.kind, n=cfg.n, seed=cfg.seed,
-                         coeff_range=(cfg.coeff_lo, cfg.coeff_hi),
-                         diag_rule=cfg.diag_rule, diag_value=cfg.diag_value,
-                         density=cfg.density)
+def cmd_generate(args: argparse.Namespace) -> int:
+    spec = GeneratorSpec(kind=args.kind, n=args.n, seed=args.seed,
+                         coeff_range=(args.coeff_lo, args.coeff_hi),
+                         diag_rule=args.diag_rule, diag_value=args.diag_value,
+                         density=args.density)
     sys_ = generate_instance(spec)
-    out = cfg.out or "system.mtx"
-    rhs = cfg.rhs or mmio.default_rhs_path(out)
+    out = args.out or "system.mtx"
+    rhs = args.rhs or mmio.default_rhs_path(out)
     mmio.write_matrix_market(sys_, out)
     mmio.write_rhs(sys_.b, rhs)
-    print(f"wrote {sys_.n}-node {cfg.kind} system "
+    print(f"wrote {sys_.n}-node {args.kind} system "
           f"({sys_.graph.edge_count()} undirected edges) to {out} and {rhs}")
     return 0
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    sys_ = _load(cfg)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    sys_ = _load(args)
     g = sys_.graph
-    report = analyze(sys_, rho_tol=cfg.rho_tol, want_scaling=True)
+    report = analyze(sys_, rho_tol=_tol(args.rho_tol), want_scaling=True)
     print(f"nodes: {sys_.n}")
     print(f"undirected edges: {g.edge_count()}")
     print(f"acyclic: {'yes' if is_acyclic(g) else 'no'}")
@@ -187,20 +170,19 @@ def _ref_err(x, reference):
     return float(np.log10(err)) if err > 0.0 else float("-inf")
 
 
-_EXIT_BY_REASON = {"fixed-rounds": 0, "delta": 0, "error": 0,
-                   "max-rounds": 2, "fault": 3}
+_EXIT_BY_REASON = {"fixed-rounds": 0, "delta": 0, "max-rounds": 2,
+                   "fault": 3}
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    sys_ = _load(cfg)
-    if cfg.method not in METHODS:
-        raise WalksolveError(f"unknown method {cfg.method!r}")
-    max_rounds = _round_cap(cfg, 500 if cfg.method == "bp"
+def cmd_solve(args: argparse.Namespace) -> int:
+    sys_ = _load(args)
+    max_rounds = _round_cap(args, 500 if args.method == "bp"
                             else default_max_iter(sys_.n))
-    reference = _reference_solution(sys_, cfg)
+    tol = _tol(args.tol)
+    reference = _reference_solution(sys_, args)
 
-    if cfg.method == "gauss-seidel":
-        rows, reason, fault = _gauss_seidel_trace(sys_, max_rounds, cfg.tol,
+    if args.method == "gauss-seidel":
+        rows, reason, fault = _gauss_seidel_trace(sys_, max_rounds, tol,
                                                   reference)
         lines = ["# method: gauss-seidel (sequential-reference, "
                  "not message passing)",
@@ -209,32 +191,31 @@ def cmd_solve(cfg: RunConfig) -> int:
             lines.append(f"{k},{_cell(lmse)},{_cell(delta)},0")
         if fault is not None:
             lines.append(f"# fault: {fault}")
-        _write_lines(lines, cfg.out)
+        _write_lines(lines, args.out)
         print(f"method=gauss-seidel rounds={rows[-1][0] if rows else 0} "
               f"stop={reason}", file=_sys.stderr)
         if fault is not None:
             print(f"fault: {fault}", file=_sys.stderr)
         return _EXIT_BY_REASON[reason]
 
-    if cfg.method == "bp":
+    if args.method == "bp":
         try:
-            _, trace = bp_solve(sys_, max_rounds=max_rounds,
-                                tol=cfg.tol, force=cfg.force,
-                                reference=reference, rho_tol=cfg.rho_tol)
+            _, trace = bp_solve(sys_, max_rounds=max_rounds, tol=tol,
+                                force=args.force, reference=reference)
         except NotWalkSummableError as exc:
             print(f"error: {exc} (rerun with --force to try anyway)",
                   file=_sys.stderr)
             return 1
     else:
-        program = (JacobiProgram(sys_) if cfg.method == "jacobi"
+        program = (JacobiProgram(sys_) if args.method == "jacobi"
                    else ConsensusProgram(sys_))
-        trace = run_rounds(sys_, program, max_rounds=max_rounds,
-                           stop=DeltaBelow(cfg.tol), reference=reference)
+        trace = run_rounds(sys_, program, max_rounds, tol=tol,
+                           reference=reference)
 
-    comments = [f"method: {cfg.method}", f"stop: {trace.stop_reason}"]
-    _write_lines(_trace_csv(trace, comments), cfg.out)
+    comments = [f"method: {args.method}", f"stop: {trace.stop_reason}"]
+    _write_lines(_trace_csv(trace, comments), args.out)
     last = trace.rounds[-1] if trace.rounds else None
-    summary = f"method={cfg.method} rounds={last.k if last else 0} " \
+    summary = f"method={args.method} rounds={last.k if last else 0} " \
               f"stop={trace.stop_reason}"
     if last is not None and last.log10_mse is not None:
         summary += f" log10_mse={_fmt(last.log10_mse)}"
@@ -246,10 +227,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     return _EXIT_BY_REASON[trace.stop_reason]
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    sys_ = _load(cfg)
-    max_rounds = _round_cap(cfg, default_max_iter(sys_.n))
-    reference = _reference_solution(sys_, cfg)
+def cmd_compare(args: argparse.Namespace) -> int:
+    sys_ = _load(args)
+    max_rounds = _round_cap(args, default_max_iter(sys_.n))
+    tol = _tol(args.tol)
+    reference = _reference_solution(sys_, args)
     if reference is None:
         print("error: compare needs a dense reference solution",
               file=_sys.stderr)
@@ -259,8 +241,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     for name, program in (("bp", BPProgram(sys_)),
                           ("jacobi", JacobiProgram(sys_)),
                           ("consensus", ConsensusProgram(sys_))):
-        trace = run_rounds(sys_, program, max_rounds=max_rounds,
-                           stop=DeltaBelow(cfg.tol), reference=reference)
+        trace = run_rounds(sys_, program, max_rounds, tol=tol,
+                           reference=reference)
         columns[name] = {row.k: row.log10_mse for row in trace.rounds}
         note = f"method {name}: stop={trace.stop_reason} " \
                f"rounds={trace.rounds[-1].k if trace.rounds else 0}"
@@ -275,12 +257,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     for k in range(last_round + 1):
         cells = [_cell(columns[m].get(k)) for m in columns]
         lines.append(f"{k}," + ",".join(cells))
-    _write_lines(lines, cfg.out)
+    _write_lines(lines, args.out)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = run_all_checks(seed=cfg.seed, max_n=cfg.n)
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = run_all_checks(seed=args.seed, max_n=args.n)
     failed = []
     for res in results:
         if res.skipped:
@@ -292,9 +274,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             failed.append(res)
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed "
-              f"(seed {cfg.seed}, first: {failed[0].name})")
+              f"(seed {args.seed}, first: {failed[0].name})")
         return 1
-    print(f"all {len(results)} checks passed (seed {cfg.seed})")
+    print(f"all {len(results)} checks passed (seed {args.seed})")
     return 0
 
 
@@ -354,22 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(ns).items() if k in fields and v is not None}
-    return RunConfig(**kwargs)
-
-
 _DISPATCH = {"generate": cmd_generate, "analyze": cmd_analyze,
              "solve": cmd_solve, "compare": cmd_compare,
              "verify": cmd_verify}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = build_parser().parse_args(argv)
-    cfg = config_from_args(ns)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except WalksolveError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -155,8 +155,9 @@ class UndirectedGraph:
     Slot s carries the directed edge owner[s] -> nbr[s].  The slots of
     node u are indptr[u]:indptr[u+1], its neighbors ascending, and rev[s]
     is the slot of the reverse edge nbr[s] -> owner[s].  The arrays are
-    read-only; ``owner`` and ``rev`` are derived once per graph, and
-    ``sys.graph`` builds the graph once per system.
+    read-only; ``owner``, ``rev`` and the connected components are
+    derived once per graph, and ``sys.graph`` builds the graph once per
+    system.
     """
 
     n: int
@@ -199,6 +200,18 @@ class UndirectedGraph:
         # slots are sorted by (owner, nbr); listing them by (nbr, owner)
         # instead visits, in turn, the reverse of every slot
         return _read_only(np.lexsort((self.owner, self.nbr)))
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """Components ordered by smallest member, each in BFS order from
+        it; is_acyclic, diameter and connected_components share them."""
+        bounds, nbr = self.indptr.tolist(), self.nbr.tolist()
+        dist = [-1] * self.n
+        comps = []
+        for start in range(self.n):
+            if dist[start] < 0:
+                comps.append(tuple(_bfs(bounds, nbr, start, dist)))
+        return tuple(comps)
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -254,17 +267,6 @@ def bfs_distances(g: UndirectedGraph, src: int) -> list[int]:
     return dist
 
 
-def _components(g: UndirectedGraph) -> list[list[int]]:
-    """Components ordered by smallest member, each in BFS order from it."""
-    bounds, nbr = g.indptr.tolist(), g.nbr.tolist()
-    dist = [-1] * g.n
-    comps = []
-    for start in range(g.n):
-        if dist[start] < 0:
-            comps.append(_bfs(bounds, nbr, start, dist))
-    return comps
-
-
 #: sources per bit-parallel BFS block: 4 uint64 words per node
 BFS_BLOCK = 256
 
@@ -312,7 +314,7 @@ def diameter(g: UndirectedGraph) -> int:
     BFS_BLOCK sources on neighbour arrays.  On a disconnected graph this
     is the maximum over components; a singleton graph has diameter 0.
     """
-    comps = _components(g)
+    comps = g._components
     if g.edge_count() != g.n - len(comps):
         return _max_eccentricity(g)
     bounds, nbr = g.indptr.tolist(), g.nbr.tolist()
@@ -324,13 +326,13 @@ def diameter(g: UndirectedGraph) -> int:
 
 def connected_components(g: UndirectedGraph) -> tuple[tuple[int, ...], ...]:
     """Components as sorted node tuples, ordered by smallest member."""
-    return tuple(tuple(sorted(comp)) for comp in _components(g))
+    return tuple(tuple(sorted(comp)) for comp in g._components)
 
 
 def is_acyclic(g: UndirectedGraph) -> bool:
     """True iff the graph has no undirected cycle (i.e. it is a forest)."""
     m = g.edge_count()  # a forest has fewer edges than nodes
-    return m < g.n and m == g.n - len(_components(g))
+    return m < g.n and m == g.n - len(g._components)
 
 
 @dataclass(frozen=True)

@@ -186,43 +186,6 @@ def delta_stop(prev: np.ndarray, cur: np.ndarray, tol: float) -> bool:
             and delta <= tol * max(1.0, float(np.max(np.abs(cur)))))
 
 
-class FixedRounds:
-    name = "fixed-rounds"
-
-    def __init__(self, rounds: int):
-        if rounds < 0:
-            raise ValueError("rounds must be >= 0")
-        self.rounds = rounds
-
-    def should_stop(self, k, estimates, prev_estimates, reference) -> bool:
-        return k >= self.rounds
-
-
-class DeltaBelow:
-    name = "delta"
-
-    def __init__(self, tol: float):
-        self.tol = tol
-
-    def should_stop(self, k, estimates, prev_estimates, reference) -> bool:
-        if prev_estimates is None:
-            return False
-        return delta_stop(prev_estimates, estimates, self.tol)
-
-
-class ErrorBelow:
-    name = "error"
-
-    def __init__(self, tol: float):
-        self.tol = tol
-
-    def should_stop(self, k, estimates, prev_estimates, reference) -> bool:
-        if reference is None:
-            raise ProtocolViolationError(
-                "error-based stopping needs a reference solution")
-        return float(np.max(np.abs(estimates - reference))) <= self.tol
-
-
 def _log10_mse(estimates: np.ndarray, reference: np.ndarray) -> float:
     mse = float(np.sum((estimates - reference) ** 2)) / len(estimates)
     if mse == 0.0:
@@ -335,9 +298,17 @@ def _edge_rounds(program: NodeProgram, kernel, g: UndirectedGraph
 
 
 def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
-               stop=None, reference: Optional[np.ndarray] = None,
+               tol: Optional[float] = None,
+               reference: Optional[np.ndarray] = None,
                node_order: Optional[Sequence[int]] = None) -> ConvergenceTrace:
     """Drive a node program for up to max_rounds synchronous rounds.
+
+    The stop rules are the solver's two regimes.  Without tol, the run
+    is exactly rounds 0..max_rounds and ends "fixed-rounds": an acyclic
+    system is exact after diameter-many rounds.  With tol, a finite
+    tolerance >= 0, it ends "delta" at the first round k >= 1 where
+    delta_stop(previous, current, tol) holds, or else "max-rounds": a
+    loopy system converges only asymptotically.
 
     Round 0 is initialization (it already sends one message per directed
     edge).  A SolverError raised inside a node transition aborts the run
@@ -346,6 +317,10 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
     then "fault".  node_order changes only the evaluation sequence of the
     per-node path, never the trace.
     """
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     g = sys.graph
     n = sys.n
     order = list(range(n)) if node_order is None else list(node_order)
@@ -359,7 +334,7 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
 
     trace = ConvergenceTrace(reference=reference)
     prev_estimates = None
-    for k in range(max(max_rounds, 0) + 1):
+    for k in range(max_rounds + 1):
         try:
             estimates, acct = next(rounds)
         except NodeFault as fault:
@@ -373,10 +348,10 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
                  if prev_estimates is not None else None)
         trace.rounds.append(TraceRound(k=k, estimates=estimates, log10_mse=mse,
                                        max_delta=delta, accounting=acct))
-        if stop is not None and stop.should_stop(
-                k, estimates, prev_estimates, reference):
-            trace.stop_reason = stop.name
+        if tol is not None and k and delta_stop(prev_estimates, estimates,
+                                                tol):
+            trace.stop_reason = "delta"
             return trace
         prev_estimates = estimates
-    trace.stop_reason = "max-rounds"
+    trace.stop_reason = "fixed-rounds" if tol is None else "max-rounds"
     return trace

@@ -23,7 +23,7 @@ import scipy.sparse.linalg
 
 from .analysis import ResidualMatrix
 from .core import SparseSystem, UndirectedGraph, is_acyclic
-from .engine import FixedRounds, run_rounds
+from .engine import run_rounds
 from .errors import (
     CyclicGraphError,
     InvalidWalkError,
@@ -292,7 +292,7 @@ def unwrapped_equivalence_check(sys: SparseSystem, i: int, t: int,
     """
     tree = unwrap_tree(sys.graph, i, t, max_nodes=max_nodes)
     tree_value = _solve_root(unwrapped_system(sys, tree))
-    trace = run_rounds(sys, BPProgram(sys), max_rounds=t, stop=FixedRounds(t))
+    trace = run_rounds(sys, BPProgram(sys), t)
     estimate = float(trace.final_estimates[i])
     ok = abs(estimate - tree_value) <= rel_tol * max(1.0, abs(tree_value))
     return UnwrappedCheck(ok=ok, estimate=estimate, tree_value=tree_value,

@@ -33,14 +33,7 @@ import scipy.linalg
 
 from . import analysis
 from .core import SparseSystem, UndirectedGraph, diameter, is_acyclic
-from .engine import (
-    ConvergenceTrace,
-    DeltaBelow,
-    FixedRounds,
-    NodeFault,
-    NodeProgram,
-    run_rounds,
-)
+from .engine import ConvergenceTrace, NodeFault, NodeProgram, run_rounds
 from .errors import (
     DivergedEstimateError,
     NotWalkSummableError,
@@ -218,6 +211,8 @@ class _BPEdgeKernel(_EdgeCoeffs):
     Each expression is the one bp_round evaluates, and the per-node sums
     run in neighbor order (np.bincount adds its weights in sequence), so
     messages and estimates equal the per-node path's bit for bit.
+    (a_msg[s], b_msg[s]) is the pair owner[s] sent nbr[s] in the latest
+    round; start() and advance() replace both arrays, never write them.
     """
 
     def __init__(self, sys: SparseSystem, g: UndirectedGraph):
@@ -235,7 +230,7 @@ class _BPEdgeKernel(_EdgeCoeffs):
                       np.maximum(np.abs(self.a_row), np.abs(a_col)))
         self._eps = SING_EPS_FACTOR * scale
         self._eps_slot = self._eps[g.owner]
-        self._a_msg = self._b_msg = None
+        self.a_msg = self.b_msg = None
 
     def start(self):
         with np.errstate(all="ignore"):
@@ -244,14 +239,14 @@ class _BPEdgeKernel(_EdgeCoeffs):
             np.abs(x_hat) <= ESTIMATE_LIMIT)
         _replay(bad, lambda i: _bp_init_one(_node_coeffs(self.sys, i)))
         owner = self.g.owner
-        self._a_msg = self.a_ii[owner]
-        self._b_msg = self.b_i[owner]
-        return x_hat, self._a_msg
+        self.a_msg = self.a_ii[owner]
+        self.b_msg = self.b_i[owner]
+        return x_hat, self.a_msg
 
     def advance(self):
         g = self.g
-        a_in = self._a_msg[g.rev]
-        b_in = self._b_msg[g.rev]
+        a_in = self.a_msg[g.rev]
+        b_in = self.b_msg[g.rev]
         with np.errstate(all="ignore"):
             iv = 1.0 / a_in
             terms_a = self._prod * iv
@@ -269,7 +264,7 @@ class _BPEdgeKernel(_EdgeCoeffs):
         _replay(bad, lambda i: bp_round(
             _bp_init_one(_node_coeffs(self.sys, i)),
             self.inbox(i, np.column_stack((a_in, b_in)))))
-        self._a_msg, self._b_msg = a_out, b_out
+        self.a_msg, self.b_msg = a_out, b_out
         return x_hat, a_out
 
 
@@ -339,11 +334,10 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
     program = BPProgram(sys)
     if is_acyclic(g):
         d = diameter(g)
-        trace = run_rounds(sys, program, max_rounds=d, stop=FixedRounds(d),
-                           reference=reference)
+        trace = run_rounds(sys, program, d, reference=reference)
     else:
-        trace = run_rounds(sys, program, max_rounds=max_rounds,
-                           stop=DeltaBelow(tol), reference=reference)
+        trace = run_rounds(sys, program, max_rounds, tol=tol,
+                           reference=reference)
     return (trace.final_estimates if trace.rounds else None), trace
 
 

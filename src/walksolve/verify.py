@@ -2,13 +2,13 @@
 
 Each check builds reproducible random instances, runs an implementation
 route and an independent oracle route, and reports a CheckResult.  The
-message-oracle check accepts an alternative round function so a deliberate
-mutation can demonstrate the check actually bites.
+message-oracle check reads the messages of the bp kernel that run_rounds
+drives, so it checks what a solve computes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .core import (
     generate_instance,
     system_from_edges,
 )
+from .engine import NodeFault
 from .errors import TooLargeError
 from .oracle import (
     ENUM_MAX_LENGTH,
@@ -28,7 +29,7 @@ from .oracle import (
     partial_walk_sum,
     unwrapped_equivalence_check,
 )
-from .solvers import BPProgram, bp_round, bp_solve, dense_solve
+from .solvers import BPProgram, bp_solve, dense_solve
 
 #: five nodes, two hubs joined through three two-hop paths; smallest
 #: multi-cycle shape used across the unwrapped-tree checks
@@ -51,31 +52,29 @@ def _tree_system(n: int, seed: int) -> SparseSystem:
     return generate_instance(GeneratorSpec(kind="random-tree", n=n, seed=seed))
 
 
-def run_message_rounds(sys: SparseSystem, rounds: int,
-                       round_fn: Optional[Callable] = None):
-    """Drive raw node updates synchronously; yield messages per round.
+def run_message_rounds(sys: SparseSystem, rounds: int):
+    """The bp kernel's directed-edge messages, round by round.
 
-    Returns a list indexed by round k of {(i, j): (a, b)} directed-edge
-    message maps, k = 0 .. rounds.
+    Steps the kernel that run_rounds drives and returns a list indexed by
+    round k of {(i, j): (a, b)} directed-edge message maps, k = 0 ..
+    rounds.  A node fault raises that node's SolverError.
     """
-    if round_fn is None:
-        round_fn = bp_round
-    program = BPProgram(sys)
-    states, outboxes, _ = zip(*map(program.init_node, range(sys.n)))
     g = sys.graph
+    kernel = BPProgram(sys).edge_kernel(g)
+    edges = list(zip(g.owner.tolist(), g.nbr.tolist()))
     per_round = []
-    for k in range(rounds + 1):
-        if k:
-            inboxes = [{v: outboxes[v][u] for v in g.neighbors[u]}
-                       for u in range(sys.n)]
-            states, outboxes = zip(*map(round_fn, states, inboxes))
-        per_round.append({(i, j): pair for i, out in enumerate(outboxes)
-                          for j, pair in out.items()})
+    try:
+        for step in [kernel.start] + [kernel.advance] * rounds:
+            step()
+            per_round.append(dict(zip(edges, zip(kernel.a_msg.tolist(),
+                                                  kernel.b_msg.tolist()))))
+    except NodeFault as fault:
+        raise fault.error from None
     return per_round
 
 
-def check_message_oracle(seed: int = 0, trees: int = 25, max_n: int = 12,
-                         round_fn: Optional[Callable] = None) -> CheckResult:
+def check_message_oracle(seed: int = 0, trees: int = 25,
+                         max_n: int = 12) -> CheckResult:
     """Every directed-edge message at every round equals its Schur value."""
     name = "message-oracle-trees"
     cases = 0
@@ -83,7 +82,7 @@ def check_message_oracle(seed: int = 0, trees: int = 25, max_n: int = 12,
         n = 2 + (idx % (max_n - 1))
         sys = _tree_system(n, seed * 1000 + idx)
         d = diameter(sys.graph)
-        per_round = run_message_rounds(sys, d, round_fn=round_fn)
+        per_round = run_message_rounds(sys, d)
         for k, msgs in enumerate(per_round):
             for (i, j), (a_bp, b_bp) in sorted(msgs.items()):
                 a_ref, b_ref = message_oracle(sys, i, j, k)

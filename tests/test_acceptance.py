@@ -28,7 +28,7 @@ from walksolve.core import (
     is_acyclic,
     system_from_edges,
 )
-from walksolve.engine import FixedRounds, run_rounds
+from walksolve.engine import run_rounds
 from walksolve.oracle import unwrap_tree, unwrapped_equivalence_check
 from walksolve.solvers import (
     BPProgram,
@@ -107,8 +107,7 @@ def test_criterion_02_message_positivity():
             g = induced_graph(sys_)
             rounds = diameter(g) if is_acyclic(g) else 15
             rounds = max(rounds, 1)
-            trace = run_rounds(sys_, BPProgram(sys_), max_rounds=rounds,
-                               stop=FixedRounds(rounds))
+            trace = run_rounds(sys_, BPProgram(sys_), max_rounds=rounds)
             assert trace.fault is None
             assert trace.total_positivity_violations == 0
 
@@ -167,7 +166,7 @@ def test_criterion_06_loopy_convergence():
         # informational only: mid-run error level on the first instance
         sys_, ref = probe
         trace = run_rounds(sys_, BPProgram(sys_), max_rounds=100,
-                           stop=FixedRounds(100), reference=ref)
+                           reference=ref)
         _console(f"ACCEPTANCE 06 info: first instance log10 mse at "
                  f"round 100 = {trace.rounds[-1].log10_mse:.2f}")
 
@@ -182,7 +181,7 @@ def test_criterion_07_baseline_error_ordering():
             _, bp_trace = bp_solve(sys_, reference=ref)
             bp4 = _l2_err(bp_trace.rounds[-1].estimates, ref)
             jac = run_rounds(sys_, JacobiProgram(sys_), max_rounds=60,
-                             stop=FixedRounds(60), reference=ref)
+                             reference=ref)
             jac_by_k = {r.k: r.estimates for r in jac.rounds}
             jac4 = _l2_err(jac_by_k[4], ref)
             jac60 = _l2_err(jac_by_k[60], ref)
@@ -223,8 +222,7 @@ def test_criterion_08_jacobi_power_series_identity():
             r = residual_matrix(sys_).as_dense()
             d_inv_b = np.array(
                 [sys_.b[i] / sys_.diag[i] for i in range(sys_.n)])
-            trace = run_rounds(sys_, JacobiProgram(sys_), max_rounds=20,
-                               stop=FixedRounds(20))
+            trace = run_rounds(sys_, JacobiProgram(sys_), max_rounds=20)
             # the round-0 estimate is the series' first term, so round k
             # holds the sum of powers 0..k; starting the sum at power 1
             # would sit one round off everywhere
@@ -250,7 +248,7 @@ def test_criterion_09_mid_size_monotone_convergence():
                             [float(i) for i in range(base.n)])
         ref = dense_solve(sys_)
         trace = run_rounds(sys_, BPProgram(sys_), max_rounds=30,
-                           stop=FixedRounds(30), reference=ref)
+                           reference=ref)
         vals = [r.log10_mse for r in trace.rounds]
         floor = -25.0
         for prev, cur in zip(vals, vals[1:]):
@@ -316,8 +314,7 @@ def test_criterion_11_locality_accounting():
             two_e = 2 * g.edge_count()
             degs = [g.degree(u) for u in range(sys_.n)]
             for program in (BPProgram(sys_), JacobiProgram(sys_)):
-                trace = run_rounds(sys_, program, max_rounds=5,
-                                   stop=FixedRounds(5))
+                trace = run_rounds(sys_, program, max_rounds=5)
                 for row in trace.rounds:
                     acc = row.accounting
                     assert acc.messages_sent == two_e
@@ -327,8 +324,7 @@ def test_criterion_11_locality_accounting():
                         assert acc.per_node_storage[u] <= 12 * (degs[u] + 1)
         # the vector-passing baseline must be flagged, not silently allowed
         star = generate_instance(GeneratorSpec(kind="star", n=40, seed=2))
-        trace = run_rounds(star, ConsensusProgram(star), max_rounds=3,
-                           stop=FixedRounds(3))
+        trace = run_rounds(star, ConsensusProgram(star), max_rounds=3)
         for row in trace.rounds:
             acc = row.accounting
             assert not acc.local_complexity_declared

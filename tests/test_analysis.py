@@ -116,13 +116,31 @@ def test_analyze_not_walk_summable():
     assert rep.scaling is None
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    # rho(|R|) is 1.59 here: a tolerance of -1 once turned the verdict to
+    # walk-summable, and a NaN one skipped certification
+    sys = generate_instance(GeneratorSpec(
+        kind="random-sparse", n=60, seed=0, diag_rule="unit",
+        coeff_range=(-0.6, 0.6), density=4 / 60))
+    assert analyze(sys).rho_lo > 1.5
+    calls = [lambda: analyze(sys, rho_tol=tol),
+             lambda: find_gdd_scaling(sys, rho_tol=tol),
+             lambda: spectral_radius_nonneg(
+                 analysis._abs_residual_csr(sys), tol=tol),
+             lambda: bp_solve(sys, rho_tol=tol)]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be finite"):
+            call()
+
+
 def test_analyze_indeterminate_beyond_fallback_guard():
     # a large reducible pattern is certified per component (yes, at 0.9);
     # a radius within rho_tol of 1 is reported indeterminate, not guessed
     n = 2100
     entries = [(i, i, 1.0) for i in range(n)]
     entries += [(0, 1, -1.2), (1, 0, -0.05), (2, 3, -0.9), (3, 2, -0.9)]
-    rep = analyze(SparseSystem(n, entries, [0.0] * n), max_iter=300)
+    rep = analyze(SparseSystem(n, entries, [0.0] * n))
     assert not rep.diag_dominant
     assert rep.walk_summable is True and rep.rho_reliable
     assert rep.rho_abs == pytest.approx(0.9, abs=1e-12)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from walksolve.cli import main
@@ -340,4 +342,41 @@ def test_negative_max_iters_is_an_input_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "error: --max-iters must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_analyze_refuses_a_bad_tolerance(capsys, tol):
+    # rho(|R|) is 1.61 here; a tolerance of -1 once printed "yes"
+    golden = Path(__file__).resolve().parent / "golden"
+    code = main(["analyze",
+                 "--matrix", str(golden / "sparse-not-summable.mtx"),
+                 "--rhs", str(golden / "sparse-not-summable.rhs"),
+                 f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"error: --tol must be finite and >= 0, "
+                            f"got {float(tol)!r}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--method", "bp"], ["solve", "--method", "jacobi"],
+    ["solve", "--method", "consensus"], ["solve", "--method", "gauss-seidel"],
+    ["compare"]], ids=["bp", "jacobi", "consensus", "gauss-seidel", "compare"])
+def test_bad_tolerance_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                         command, tol):
+    from walksolve import cli
+    mtx, rhs = _loopy(tmp_path, capsys)
+
+    def refuse(sys_):
+        raise AssertionError("the reference was computed")
+
+    monkeypatch.setattr(cli, "dense_solve", refuse)
+    code = main(command + ["--matrix", mtx, "--rhs", rhs, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"error: --tol must be finite and >= 0, "
+                            f"got {float(tol)!r}\n")
     assert captured.out == ""

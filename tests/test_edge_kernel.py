@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from conftest import PerNodeBP, PerNodeConsensus, PerNodeJacobi
 
 from walksolve.core import SparseSystem, UndirectedGraph
-from walksolve.engine import DeltaBelow, run_rounds
-from walksolve.errors import ProtocolViolationError
-from walksolve.solvers import BPProgram, ConsensusProgram, JacobiProgram
+from walksolve.engine import run_rounds
+from walksolve.errors import ProtocolViolationError, SolverError
+from walksolve.solvers import (BPProgram, ConsensusProgram, JacobiProgram,
+                               bp_round)
+from walksolve.verify import run_message_rounds
 
 PAIRS = ((BPProgram, PerNodeBP), (JacobiProgram, PerNodeJacobi),
          (ConsensusProgram, PerNodeConsensus))
@@ -27,11 +29,11 @@ def _same(a, b):
     return a == b or (a != a and b != b)
 
 
-def _assert_same_run(sys, array_cls, node_cls, max_rounds, stop=None,
+def _assert_same_run(sys, array_cls, node_cls, max_rounds, tol=None,
                      reference=None):
-    got = run_rounds(sys, array_cls(sys), max_rounds, stop=stop,
+    got = run_rounds(sys, array_cls(sys), max_rounds, tol=tol,
                      reference=reference)
-    want = run_rounds(sys, node_cls(sys), max_rounds, stop=stop,
+    want = run_rounds(sys, node_cls(sys), max_rounds, tol=tol,
                       reference=reference,
                       node_order=list(reversed(range(sys.n))))
     assert got.stop_reason == want.stop_reason
@@ -203,14 +205,50 @@ STAR_AND_ISOLATED = SparseSystem(8, [(i, i, 2.0) for i in range(7)] + [
 
 @settings(max_examples=300, deadline=None)
 @given(sys=systems(), pair=st.sampled_from(PAIRS),
-       max_rounds=st.integers(0, 12), use_stop=st.booleans(),
+       max_rounds=st.integers(0, 12), use_tol=st.booleans(),
        use_reference=st.booleans())
 @example(sys=STAR_AND_ISOLATED, pair=PAIRS[2], max_rounds=12,
-         use_stop=False, use_reference=True)
+         use_tol=False, use_reference=True)
 @example(sys=FAULTING["overflow"], pair=PAIRS[2], max_rounds=3,
-         use_stop=True, use_reference=False)
-def test_array_path_equals_per_node_path(sys, pair, max_rounds, use_stop,
+         use_tol=True, use_reference=False)
+def test_array_path_equals_per_node_path(sys, pair, max_rounds, use_tol,
                                          use_reference):
     reference = (np.linspace(-1.0, 2.0, sys.n) if use_reference else None)
-    stop = DeltaBelow(1e-9) if use_stop else None
-    _assert_same_run(sys, *pair, max_rounds, stop=stop, reference=reference)
+    tol = 1e-9 if use_tol else None
+    _assert_same_run(sys, *pair, max_rounds, tol=tol, reference=reference)
+
+
+def _per_node_messages(sys, rounds):
+    """bp's messages from init_node and bp_round stepped node by node,
+    each round reading the previous round's outboxes."""
+    program = BPProgram(sys)
+    states, outboxes, _ = zip(*map(program.init_node, range(sys.n)))
+    g = sys.graph
+    per_round = []
+    for k in range(rounds + 1):
+        if k:
+            inboxes = [{v: outboxes[v][u] for v in g.neighbors[u]}
+                       for u in range(sys.n)]
+            states, outboxes = zip(*map(bp_round, states, inboxes))
+        per_round.append({(i, j): pair for i, out in enumerate(outboxes)
+                          for j, pair in out.items()})
+    return per_round
+
+
+def _bits(run, sys, rounds):
+    """Each round's messages as float.hex pairs, or the error raised."""
+    try:
+        per_round = run(sys, rounds)
+    except SolverError as exc:
+        return type(exc), str(exc)
+    return [{edge: (a.hex(), b.hex()) for edge, (a, b) in msgs.items()}
+            for msgs in per_round]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sys=systems(), rounds=st.integers(0, 10))
+@example(sys=FAULTING["incoming"], rounds=3)
+def test_kernel_messages_equal_per_node_messages(sys, rounds):
+    # the message oracle check reads the kernel; bp_round stays the truth
+    assert (_bits(run_message_rounds, sys, rounds)
+            == _bits(_per_node_messages, sys, rounds))

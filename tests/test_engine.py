@@ -4,10 +4,7 @@ import pytest
 from walksolve.core import (GeneratorSpec, SparseSystem, generate_instance,
                             system_from_edges)
 from walksolve.engine import (
-    DeltaBelow,
     DirectedEdgeMessage,
-    ErrorBelow,
-    FixedRounds,
     NodeProgram,
     delta_stop,
     run_rounds,
@@ -43,15 +40,16 @@ def test_delta_stop_needs_a_finite_delta():
     assert not delta_stop(np.array([np.inf]), np.array([np.inf]), 1e-10)
 
 
-def test_fixed_rounds_validation():
-    with pytest.raises(ValueError):
-        FixedRounds(-1)
+def test_fixed_rounds_validation(two_node):
+    # a negative cap is refused, not read as round 0 only
+    with pytest.raises(ValueError, match="max_rounds"):
+        run_rounds(two_node, JacobiProgram(two_node), -1)
 
 
-def test_error_stop_requires_reference(two_node):
-    with pytest.raises(ProtocolViolationError, match="reference"):
-        run_rounds(two_node, JacobiProgram(two_node), max_rounds=3,
-                   stop=ErrorBelow(1e-6))
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_nonnegative(two_node, tol):
+    with pytest.raises(ValueError, match="tol must be finite"):
+        run_rounds(two_node, JacobiProgram(two_node), 3, tol=tol)
 
 
 def test_node_order_must_be_permutation(two_node):
@@ -134,8 +132,7 @@ def test_fault_record_is_independent_of_node_order():
 
 
 def test_round_zero_counts_and_stopping(two_node):
-    trace = run_rounds(two_node, BPProgram(two_node), max_rounds=4,
-                       stop=FixedRounds(0))
+    trace = run_rounds(two_node, BPProgram(two_node), max_rounds=0)
     assert trace.stop_reason == "fixed-rounds"
     assert [r.k for r in trace.rounds] == [0]
     assert trace.rounds[0].accounting.messages_sent == 2
@@ -144,22 +141,16 @@ def test_round_zero_counts_and_stopping(two_node):
 
 def test_delta_stop_reason(two_node):
     trace = run_rounds(two_node, JacobiProgram(two_node), max_rounds=500,
-                       stop=DeltaBelow(1e-10))
+                       tol=1e-10)
     assert trace.stop_reason == "delta"
     assert trace.rounds[-1].max_delta <= 1e-10 * max(
         1.0, float(np.max(np.abs(trace.rounds[-1].estimates))))
 
 
-def test_error_stop_reason(two_node):
-    ref = np.array([16.0 / 7.0, 18.0 / 7.0])
-    trace = run_rounds(two_node, BPProgram(two_node), max_rounds=5,
-                       stop=ErrorBelow(1e-9), reference=ref)
-    assert trace.stop_reason == "error"
-    assert trace.rounds[-1].k == 1  # exact after diameter-many rounds
-
-
 def test_max_rounds_reason(two_node):
-    trace = run_rounds(two_node, JacobiProgram(two_node), max_rounds=3)
+    # a zero tolerance is not reached in three Jacobi rounds
+    trace = run_rounds(two_node, JacobiProgram(two_node), max_rounds=3,
+                       tol=0.0)
     assert trace.stop_reason == "max-rounds"
     assert [r.k for r in trace.rounds] == [0, 1, 2, 3]
 
@@ -181,7 +172,7 @@ def test_positivity_diagnostic_counts_without_faulting():
         entries += [(i, j, -2.0), (j, i, -2.0)]
     sys = SparseSystem(3, entries, [1.0, 1.0, 1.0])
     trace = run_rounds(sys, BPProgram(sys), max_rounds=4)
-    assert trace.stop_reason == "max-rounds"
+    assert trace.stop_reason == "fixed-rounds"
     assert trace.total_positivity_violations > 0
 
 

@@ -285,6 +285,22 @@ def test_bp_solve_builds_the_graph_once(monkeypatch, spec):
     assert calls == [sys]
 
 
+def test_bp_solve_on_a_tree_runs_one_components_pass(monkeypatch):
+    # is_acyclic and diameter share the graph's cached components; the
+    # other BFS is the diameter's second sweep
+    sys = generate_instance(GeneratorSpec(kind="random-tree", n=500, seed=1))
+    sources = []
+    real = core._bfs
+
+    def counting(bounds, nbr, src, dist):
+        sources.append(src)
+        return real(bounds, nbr, src, dist)
+
+    monkeypatch.setattr(core, "_bfs", counting)
+    bp_solve(sys)
+    assert len(sources) == 2
+
+
 def test_consensus_program_keeps_only_the_system():
     # n full-length vectors would be 600 * 600 floats, 2.9 MB
     sys = generate_instance(GeneratorSpec(kind="random-tree", n=600, seed=2))

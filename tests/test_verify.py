@@ -1,6 +1,6 @@
 import pytest
 
-from walksolve.solvers import bp_round
+from walksolve.solvers import _BPEdgeKernel
 from walksolve.verify import (
     check_message_oracle,
     check_tail_bound,
@@ -41,21 +41,25 @@ def test_guarded_checks_skip_beyond_limits():
     assert by_name["message-oracle-trees"].ok
 
 
-def _flip_b_sign(state, inbox):
-    new_state, out = bp_round(state, inbox)
-    return new_state, {j: (a, -b) for j, (a, b) in out.items()}
+def _flip_b_sign(kernel):
+    kernel.b_msg = -kernel.b_msg
 
 
-def _drop_back_term(state, inbox):
-    # send the aggregate instead of removing the recipient's contribution
-    new_state, out = bp_round(state, inbox)
-    return new_state, {j: (new_state.a_tilde, new_state.b_tilde)
-                       for j in out}
+def _swap_reverse_edges(kernel):
+    # every edge carries the message of its reverse edge
+    rev = kernel.g.rev
+    kernel.a_msg, kernel.b_msg = kernel.a_msg[rev], kernel.b_msg[rev]
 
 
-@pytest.mark.parametrize("mutation", [_flip_b_sign, _drop_back_term])
-def test_message_oracle_check_catches_mutations(mutation):
-    res = check_message_oracle(seed=0, trees=10, round_fn=mutation)
+@pytest.mark.parametrize("mutation", [_flip_b_sign, _swap_reverse_edges])
+def test_message_oracle_check_catches_mutations(mutation, monkeypatch):
+    # the kernel's messages are corrupted after each advance()
+    def advance(self, real=_BPEdgeKernel.advance):
+        result = real(self)
+        mutation(self)
+        return result
+    monkeypatch.setattr(_BPEdgeKernel, "advance", advance)
+    res = check_message_oracle(seed=0, trees=10)
     assert not res.ok
     assert "edge" in res.detail and "want" in res.detail
 
