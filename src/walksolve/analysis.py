@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .core import SparseSystem, UndirectedGraph
+from .core import SparseSystem, UndirectedGraph, check_tolerance
 from .errors import (
     DimensionMismatchError,
     InvalidSystemError,
@@ -147,8 +147,7 @@ def _certify(csr: sp.csr_matrix, tol: float,
     connected component starts from its row sums ("dominance"); one open
     above lo gets Perron vectors ("perron", "inverse") until it closes.
     An ARPACK failure keeps the row sums.  tol must be finite and >= 0."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    check_tolerance(tol)
     from scipy.sparse import csgraph
     from scipy.sparse.linalg import ArpackError
     n = csr.shape[0]
@@ -210,6 +209,7 @@ def spectral_radius_nonneg(m: MatrixLike, tol: float = RHO_TOL_DEFAULT,
     the interval when it stays wider, e.g. when ARPACK (max_iter
     restarts, its own default when None) does not converge.
     """
+    check_tolerance(tol)
     csr = _as_csr_nonneg(m)
     if csr.shape[0] == 0:
         return 0.0
@@ -274,6 +274,7 @@ def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT
     it passes strict validation, so a returned vector is always a genuine
     certificate while None proves nothing.
     """
+    check_tolerance(rho_tol, "rho_tol")
     if is_diagonally_dominant(sys):
         return (1.0,) * sys.n
     abs_r = _abs_residual_csr(sys)

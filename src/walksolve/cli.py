@@ -7,7 +7,6 @@ Commands: generate, analyze, solve, compare, verify.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys as _sys
 from typing import Optional, Sequence
 
@@ -16,8 +15,8 @@ import numpy as np
 from . import mmio
 from .analysis import RHO_TOL_DEFAULT, analyze
 from .core import (DIAG_RULES, GENERATOR_KINDS, DEFAULT_COEFF_RANGE,
-                   GeneratorSpec, SparseSystem, diameter, generate_instance,
-                   is_acyclic)
+                   GeneratorSpec, SparseSystem, check_tolerance, diameter,
+                   generate_instance, is_acyclic)
 from .engine import ConvergenceTrace, delta_stop, run_rounds
 from .errors import (NotWalkSummableError, SingularMatrixError,
                      WalksolveError)
@@ -44,9 +43,10 @@ def _round_cap(args: argparse.Namespace, default: int) -> int:
 
 def _tol(tol: float) -> float:
     """--tol, refused unless finite and >= 0."""
-    if not 0.0 <= tol < math.inf:
-        raise WalksolveError(f"--tol must be finite and >= 0, got {tol!r}")
-    return tol
+    try:
+        return check_tolerance(tol, "--tol")
+    except ValueError as exc:
+        raise WalksolveError(str(exc)) from None
 
 
 def _fmt(v: float) -> str:

@@ -36,6 +36,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_tolerance(tol: float, name: str = "tol") -> float:
+    """tol, once it is finite and >= 0; ValueError naming it otherwise."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 @dataclass(frozen=True, eq=False)
 class SparseSystem:
     """A square sparse system A x = b with every diagonal entry present.

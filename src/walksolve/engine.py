@@ -6,41 +6,40 @@ an outbox; delivery happens at the barrier after all nodes have stepped.
 Node transitions therefore commute and the trace is bit-identical no
 matter which order nodes are evaluated in.
 
-A round is computed on one of two paths; ``run_rounds`` drives both with
-the same stop rules, trace rows and fault records:
-  - the edge-array path, for programs whose ``edge_kernel`` returns a
-    kernel (the message-passing solver, Jacobi and projection consensus).
-    A kernel runs on the graph's own arrays, its directed edges in CSR
-    order (:class:`~walksolve.core.UndirectedGraph`): a round gathers
-    the incoming messages along the edges, updates them elementwise and
-    sums them per node in neighbor order.  Messages only ever travel
-    along edges, so C1 holds by construction.  Consensus keeps every
-    node's full-length vector as one row of an (n, n) array.
-  - the per-node path, for programs without an array form; tests use it
-    as the reference.  Each node's outbox is a dict of
-    DirectedEdgeMessage objects, and C1 is checked on every round.
+``run_rounds`` drives one kernel per run, with one set of stop rules,
+trace rows and fault records:
+  - a program's own array form, when its ``edge_kernel`` returns one (the
+    message-passing solver, Jacobi and projection consensus).  A kernel
+    runs on the graph's own arrays, its directed edges in CSR order
+    (:class:`~walksolve.core.UndirectedGraph`): a round gathers the
+    incoming messages along the edges, updates them elementwise and sums
+    them per node in neighbor order.  Messages only ever travel along
+    edges, so C1 holds by construction.  Consensus keeps every node's
+    full-length vector as one row of an (n, n) array.
+  - otherwise :class:`_NodeKernel`, the per-node reference: it calls the
+    program's transitions node by node, delivers DirectedEdgeMessage
+    dicts, and checks C1 on every round.  Tests hold the array forms to it.
 When several nodes fault in one round, the fault of the smallest node id
 is reported, so the record does not depend on evaluation order.
 
-Locality contracts enforced or measured here:
+Locality contracts enforced or declared here:
   C1  one message per directed edge per round (outbox keys must equal the
       neighbor set exactly; total per round is then 2|E|),
-  C2  per-node work O(|N_i|): measured ops_i <= OPS_BOUND_COEFF*(deg_i+1),
+  C2  per-node work O(|N_i|): declared ops_i <= OPS_BOUND_COEFF*(deg_i+1),
   C3  per-node state O(|N_i|): storage_i <= STORAGE_BOUND_COEFF*(deg_i+1).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import count
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import SparseSystem, UndirectedGraph
+from .core import SparseSystem, UndirectedGraph, check_tolerance
 from .errors import ProtocolViolationError, SolverError
 
-#: documented constants for the measured locality bounds
+#: documented constants for the declared locality bounds
 OPS_BOUND_COEFF = 16
 STORAGE_BOUND_COEFF = 12
 
@@ -59,14 +58,6 @@ class DirectedEdgeMessage:
     dst: int
     round: int
     values: tuple[float, ...]
-
-    @property
-    def a_val(self) -> float:
-        return self.values[0]
-
-    @property
-    def b_val(self) -> float:
-        return self.values[1] if len(self.values) > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -120,7 +111,6 @@ class ConvergenceTrace:
     rounds: list[TraceRound] = field(default_factory=list)
     stop_reason: str = "max-rounds"
     fault: Optional[SolverFault] = None
-    reference: Optional[np.ndarray] = None
 
     @property
     def final_estimates(self) -> np.ndarray:
@@ -134,10 +124,10 @@ class ConvergenceTrace:
 class NodeProgram:
     """Interface a distributed program exposes to the engine.
 
-    Subclasses override the three transition hooks; ``local_complexity``
-    declares whether the program keeps per-node work and state O(|N_i|)
-    by construction, and ``check_positive_a`` opts into the positive-
-    message diagnostic.
+    Subclasses override the transition hooks and ``costs``;
+    ``local_complexity`` declares whether the program keeps per-node work
+    and state O(|N_i|) by construction, and ``check_positive_a`` opts into
+    the positive-message diagnostic.
     """
 
     name = "program"
@@ -145,18 +135,21 @@ class NodeProgram:
     check_positive_a = False
 
     def init_node(self, node: int):
-        """Return (state, outbox, ops); outbox maps neighbor -> value tuple."""
+        """Return (state, outbox); outbox maps neighbor -> value tuple."""
         raise NotImplementedError
 
     def step(self, node: int, state, inbox: Mapping[int, DirectedEdgeMessage]):
-        """Return (state, outbox, ops) from the round-(k-1) snapshot."""
+        """Return (state, outbox) from the round-(k-1) snapshot."""
         raise NotImplementedError
 
     def estimate(self, node: int, state) -> float:
         raise NotImplementedError
 
-    def storage_floats(self, node: int, state) -> int:
-        """Floats the node retains across rounds (messages included)."""
+    def costs(self, deg: np.ndarray, n: int):
+        """The cost model: per-node int arrays (ops at round 0, ops in each
+        later round, storage) from the degrees deg and the node count n.
+        Storage counts the floats a node retains across rounds, messages
+        included."""
         raise NotImplementedError
 
     def edge_kernel(self, g: UndirectedGraph):
@@ -164,16 +157,69 @@ class NodeProgram:
         None if it has none.
 
         A kernel computes the same rounds as init_node/step, bit for bit,
-        for all nodes at once.  It carries per-node int arrays
-        ``init_ops``, ``step_ops`` and ``storage``; ``start()`` computes
-        round 0 and ``advance()`` the next round.  Each returns
-        (estimates, first), where ``first`` holds values[0] of every
-        slot's message when check_positive_a is set, or raises NodeFault
-        for the smallest node whose transition faults.  A kernel refuses
-        any g but its own system's graph; a program without one has no
-        system to compare, and its per-node path runs on any graph.
+        for all nodes at once.  ``start()`` computes round 0 and
+        ``advance()`` the next round.  Each returns (estimates, first),
+        where ``first`` holds values[0] of every slot's message when
+        check_positive_a is set, or raises NodeFault for the smallest node
+        whose transition faults.  A kernel refuses any g but its own
+        system's graph; a program without one has no system to compare,
+        and the per-node kernel runs it on any graph.
         """
         return None
+
+
+class _NodeKernel:
+    """A program's init_node/step run node by node, in ascending id order,
+    with the kernel interface of the array forms.
+
+    The first SolverError is therefore the smallest faulting node's.  Once
+    every transition of a round succeeds, each outbox must address exactly
+    the node's neighbors (C1); messages are then delivered as
+    DirectedEdgeMessage dicts for the next round to read.
+    """
+
+    def __init__(self, program: NodeProgram, g: UndirectedGraph):
+        self.program = program
+        self.g = g
+        self._k = 0
+        self._states = self._inboxes = None
+
+    def start(self):
+        return self._round(self.program.init_node)
+
+    def advance(self):
+        states, inboxes = self._states, self._inboxes
+        return self._round(
+            lambda u: self.program.step(u, states[u], inboxes[u]))
+
+    def _round(self, transition):
+        program, g, k = self.program, self.g, self._k
+        results = []
+        for u in range(g.n):
+            try:
+                results.append(transition(u))
+            except SolverError as exc:
+                raise NodeFault(u, exc) from None
+        inboxes = [dict() for _ in range(g.n)]
+        for u, (_, out) in enumerate(results):
+            if set(out) != set(g.neighbors[u]):
+                raise ProtocolViolationError(
+                    f"node {u} addressed {sorted(out)} at round {k}, "
+                    f"expected exactly its neighbors {list(g.neighbors[u])}")
+            for v, values in out.items():
+                inboxes[v][u] = DirectedEdgeMessage(src=u, dst=v, round=k,
+                                                    values=tuple(values))
+        self._states = [state for state, _ in results]
+        self._inboxes = inboxes
+        self._k = k + 1
+        estimates = np.array([program.estimate(u, state)
+                              for u, state in enumerate(self._states)])
+        first = None
+        if program.check_positive_a:
+            first = np.array([inboxes[v][u].values[0]
+                              for u, v in zip(g.owner.tolist(),
+                                              g.nbr.tolist())])
+        return estimates, first
 
 
 def delta_stop(prev: np.ndarray, cur: np.ndarray, tol: float) -> bool:
@@ -193,114 +239,9 @@ def _log10_mse(estimates: np.ndarray, reference: np.ndarray) -> float:
     return math.log10(mse)
 
 
-def _node_rounds(program: NodeProgram, g: UndirectedGraph,
-                 order: list[int]) -> Iterator[tuple[np.ndarray,
-                                                     RoundAccounting]]:
-    """Per-node message path: yields (estimates, accounting) per round."""
-    n = g.n
-    directed_edges = 2 * g.edge_count()
-    neighbor_sets = [set(g.neighbors[u]) for u in range(n)]
-    bound = [OPS_BOUND_COEFF * (g.degree(u) + 1) for u in range(n)]
-    sbound = [STORAGE_BOUND_COEFF * (g.degree(u) + 1) for u in range(n)]
-    states: list = [None] * n
-    inboxes: list[dict[int, DirectedEdgeMessage]] = [dict() for _ in range(n)]
-
-    def transitions(step):
-        """Run every node's transition; the smallest faulting node wins."""
-        out = [None] * n
-        fault = None
-        for u in order:
-            try:
-                out[u] = step(u)
-            except SolverError as exc:
-                if fault is None or u < fault.node:
-                    fault = NodeFault(u, exc)
-        if fault is not None:
-            raise fault
-        return out
-
-    def finish_round(k: int, results) -> tuple[np.ndarray, RoundAccounting]:
-        nonlocal states, inboxes
-        states = [r[0] for r in results]
-        ops = [r[2] for r in results]
-        inboxes = [dict() for _ in range(n)]
-        sent = 0
-        violations = 0
-        for u in order:
-            out = results[u][1]
-            if set(out) != neighbor_sets[u]:
-                raise ProtocolViolationError(
-                    f"node {u} addressed {sorted(out)} at round {k}, "
-                    f"expected exactly its neighbors {sorted(neighbor_sets[u])}")
-            for v, values in out.items():
-                msg = DirectedEdgeMessage(src=u, dst=v, round=k,
-                                          values=tuple(values))
-                if program.check_positive_a and not msg.values[0] > 0.0:
-                    violations += 1
-                inboxes[v][u] = msg
-                sent += 1
-        if sent != directed_edges:
-            raise ProtocolViolationError(
-                f"round {k} sent {sent} messages, expected {directed_edges}")
-        storage = tuple(program.storage_floats(u, states[u]) for u in range(n))
-        acct = RoundAccounting(
-            messages_sent=sent,
-            per_node_ops=tuple(ops),
-            per_node_storage=storage,
-            ops_bound_ok=all(o <= b for o, b in zip(ops, bound)),
-            storage_bound_ok=all(s <= b for s, b in zip(storage, sbound)),
-            local_complexity_declared=program.local_complexity,
-            positivity_violations=violations,
-        )
-        estimates = np.array([program.estimate(u, states[u])
-                              for u in range(n)])
-        return estimates, acct
-
-    yield finish_round(0, transitions(program.init_node))
-    for k in count(1):
-        snapshot, prev = inboxes, states
-        yield finish_round(k, transitions(
-            lambda u: program.step(u, prev[u], snapshot[u])))
-
-
-def _edge_rounds(program: NodeProgram, kernel, g: UndirectedGraph
-                 ) -> Iterator[tuple[np.ndarray, RoundAccounting]]:
-    """Edge-array path: yields (estimates, accounting) per round.
-
-    Costs depend on degrees only, so each round's accounting is one of
-    two records built here; a round with positivity violations gets a
-    copy that carries its count.
-    """
-    degree = np.diff(g.indptr)
-
-    def accounting(ops: np.ndarray) -> RoundAccounting:
-        storage = kernel.storage
-        return RoundAccounting(
-            messages_sent=len(g.nbr),
-            per_node_ops=tuple(ops.tolist()),
-            per_node_storage=tuple(storage.tolist()),
-            ops_bound_ok=bool(np.all(ops <= OPS_BOUND_COEFF * (degree + 1))),
-            storage_bound_ok=bool(np.all(
-                storage <= STORAGE_BOUND_COEFF * (degree + 1))),
-            local_complexity_declared=program.local_complexity)
-
-    def row(estimates, first, acct):
-        if program.check_positive_a:
-            violations = int(np.count_nonzero(~(first > 0.0)))
-            if violations:
-                acct = replace(acct, positivity_violations=violations)
-        return estimates, acct
-
-    yield row(*kernel.start(), accounting(kernel.init_ops))
-    acct = accounting(kernel.step_ops)
-    while True:
-        yield row(*kernel.advance(), acct)
-
-
 def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
                tol: Optional[float] = None,
-               reference: Optional[np.ndarray] = None,
-               node_order: Optional[Sequence[int]] = None) -> ConvergenceTrace:
+               reference: Optional[np.ndarray] = None) -> ConvergenceTrace:
     """Drive a node program for up to max_rounds synchronous rounds.
 
     The stop rules are the solver's two regimes.  Without tol, the run
@@ -314,35 +255,47 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
     edge).  A SolverError raised inside a node transition aborts the run
     at that round's barrier: the trace keeps rounds 0..k-1 and carries a
     SolverFault record for the smallest faulting node; stop_reason is
-    then "fault".  node_order changes only the evaluation sequence of the
-    per-node path, never the trace.
+    then "fault".  Every round's accounting comes from program.costs:
+    round 0 counts its round-0 ops, later rounds their own.
     """
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
-    if tol is not None and not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if tol is not None:
+        check_tolerance(tol)
     g = sys.graph
-    n = sys.n
-    order = list(range(n)) if node_order is None else list(node_order)
-    if sorted(order) != list(range(n)):
-        raise ProtocolViolationError("node_order must be a permutation")
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
     kernel = program.edge_kernel(g)
-    rounds = (_node_rounds(program, g, order) if kernel is None
-              else _edge_rounds(program, kernel, g))
+    if kernel is None:
+        kernel = _NodeKernel(program, g)
+    deg = np.diff(g.indptr)
+    round0_ops, later_ops, storage = program.costs(deg, g.n)
+    init_acct, step_acct = (RoundAccounting(
+        messages_sent=len(g.nbr),
+        per_node_ops=tuple(ops.tolist()),
+        per_node_storage=tuple(storage.tolist()),
+        ops_bound_ok=bool(np.all(ops <= OPS_BOUND_COEFF * (deg + 1))),
+        storage_bound_ok=bool(np.all(
+            storage <= STORAGE_BOUND_COEFF * (deg + 1))),
+        local_complexity_declared=program.local_complexity)
+        for ops in (round0_ops, later_ops))
 
-    trace = ConvergenceTrace(reference=reference)
+    trace = ConvergenceTrace()
     prev_estimates = None
     for k in range(max_rounds + 1):
         try:
-            estimates, acct = next(rounds)
+            estimates, first = kernel.advance() if k else kernel.start()
         except NodeFault as fault:
             trace.stop_reason = "fault"
             trace.fault = SolverFault(node=fault.node, round=k,
                                       error=type(fault.error).__name__,
                                       cause=str(fault.error))
             return trace
+        acct = step_acct if k else init_acct
+        if program.check_positive_a:
+            violations = int(np.count_nonzero(~(first > 0.0)))
+            if violations:
+                acct = replace(acct, positivity_violations=violations)
         mse = _log10_mse(estimates, reference) if reference is not None else None
         delta = (float(np.max(np.abs(estimates - prev_estimates)))
                  if prev_estimates is not None else None)

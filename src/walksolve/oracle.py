@@ -41,6 +41,8 @@ UNWRAP_MAX_NODES = 20000
 DENSE_UNWRAP_LIMIT = 600
 
 ENUM_AGREEMENT_TOL = 1e-12
+#: an estimate agrees with its unwrapped solve to this relative tolerance
+UNWRAP_AGREEMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -97,19 +99,19 @@ def _enumerate_walk_sum(rm: ResidualMatrix, g: UndirectedGraph, i: int,
     return total
 
 
-def partial_walk_sum(rm: ResidualMatrix, i: int, j: int, length_cap: int,
-                     max_nodes: int = ENUM_MAX_NODES,
-                     max_length: int = ENUM_MAX_LENGTH) -> float:
+def partial_walk_sum(rm: ResidualMatrix, i: int, j: int,
+                     length_cap: int) -> float:
     """Sum over all i -> j walks up to length_cap, two ways.
 
     Returns sum_{l=0..length_cap} (R^l)_ij computed by matrix powers,
     after checking it against the exhaustive enumeration to
-    ENUM_AGREEMENT_TOL.  Guards: n <= max_nodes, length_cap <= max_length.
+    ENUM_AGREEMENT_TOL.  Guards: n <= ENUM_MAX_NODES, length_cap <=
+    ENUM_MAX_LENGTH.
     """
-    if rm.n > max_nodes or length_cap > max_length:
+    if rm.n > ENUM_MAX_NODES or length_cap > ENUM_MAX_LENGTH:
         raise TooLargeError(
-            f"enumeration guarded to n <= {max_nodes}, "
-            f"length <= {max_length}; got n={rm.n}, length={length_cap}")
+            f"enumeration guarded to n <= {ENUM_MAX_NODES}, "
+            f"length <= {ENUM_MAX_LENGTH}; got n={rm.n}, length={length_cap}")
     if not (0 <= i < rm.n and 0 <= j < rm.n):
         raise InvalidWalkError(f"endpoints ({i}, {j}) outside 0..{rm.n - 1}")
     if length_cap < 0:
@@ -280,20 +282,20 @@ class UnwrappedCheck:
     t: int
 
 
-def unwrapped_equivalence_check(sys: SparseSystem, i: int, t: int,
-                                rel_tol: float = 1e-10,
-                                max_nodes: int = UNWRAP_MAX_NODES
-                                ) -> UnwrappedCheck:
+def unwrapped_equivalence_check(sys: SparseSystem, i: int,
+                                t: int) -> UnwrappedCheck:
     """Does t rounds of message passing at node i equal the unwrapped solve?
 
     Builds the t-round computation tree at i, replicates the system onto
     it, solves that directly, and compares against the engine-run
-    estimate x^_i(t).  t = 0 compares the initialization b_i / a_ii.
+    estimate x^_i(t) to UNWRAP_AGREEMENT_TOL.  t = 0 compares the
+    initialization b_i / a_ii.
     """
-    tree = unwrap_tree(sys.graph, i, t, max_nodes=max_nodes)
+    tree = unwrap_tree(sys.graph, i, t)
     tree_value = _solve_root(unwrapped_system(sys, tree))
     trace = run_rounds(sys, BPProgram(sys), t)
     estimate = float(trace.final_estimates[i])
-    ok = abs(estimate - tree_value) <= rel_tol * max(1.0, abs(tree_value))
+    ok = abs(estimate - tree_value) <= UNWRAP_AGREEMENT_TOL * max(
+        1.0, abs(tree_value))
     return UnwrappedCheck(ok=ok, estimate=estimate, tree_value=tree_value,
                           tree_nodes=len(tree.nodes), t=t)

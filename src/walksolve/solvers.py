@@ -32,7 +32,8 @@ import numpy as np
 import scipy.linalg
 
 from . import analysis
-from .core import SparseSystem, UndirectedGraph, diameter, is_acyclic
+from .core import (SparseSystem, UndirectedGraph, check_tolerance, diameter,
+                   is_acyclic)
 from .engine import ConvergenceTrace, NodeFault, NodeProgram, run_rounds
 from .errors import (
     DivergedEstimateError,
@@ -217,10 +218,6 @@ class _BPEdgeKernel(_EdgeCoeffs):
 
     def __init__(self, sys: SparseSystem, g: UndirectedGraph):
         super().__init__(sys, g)
-        deg = np.diff(g.indptr)
-        self.init_ops = 2 * deg + 1
-        self.step_ops = 11 * deg + 3
-        self.storage = 7 * deg + 5
         a_col = self.a_row[g.rev]
         with np.errstate(over="ignore"):
             self._prod = self.a_row * a_col
@@ -280,23 +277,17 @@ class BPProgram(NodeProgram):
 
     def init_node(self, node: int):
         state = _bp_init_one(_node_coeffs(self._sys, node))
-        outbox = {j: (state.a_out[j], state.b_out[j])
-                  for j in state.coeffs.neighbors}
-        deg = len(state.coeffs.neighbors)
-        return state, outbox, 2 * deg + 1
+        return state, {j: (state.a_out[j], state.b_out[j])
+                       for j in state.coeffs.neighbors}
 
     def step(self, node: int, state, inbox):
-        pairs = {v: (m.values[0], m.values[1]) for v, m in inbox.items()}
-        new_state, outbox = bp_round(state, pairs)
-        deg = len(state.coeffs.neighbors)
-        return new_state, outbox, 11 * deg + 3
+        return bp_round(state, {v: m.values for v, m in inbox.items()})
 
     def estimate(self, node: int, state) -> float:
         return state.x_hat
 
-    def storage_floats(self, node: int, state) -> int:
-        deg = len(state.coeffs.neighbors)
-        return 7 * deg + 5
+    def costs(self, deg: np.ndarray, n: int):
+        return 2 * deg + 1, 11 * deg + 3, 7 * deg + 5
 
     def edge_kernel(self, g: UndirectedGraph) -> _BPEdgeKernel:
         return _BPEdgeKernel(self._sys, g)
@@ -317,6 +308,8 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
     drops below tol or max_rounds is reached.  estimates is None when
     round 0 faults, since no round completed; trace.fault says why.
     """
+    check_tolerance(tol)
+    check_tolerance(rho_tol, "rho_tol")
     if not analysis.is_diagonally_dominant(sys):
         report = analysis.analyze(sys, rho_tol=rho_tol, want_scaling=False)
         if report.walk_summable is not True:
@@ -382,10 +375,6 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
 
     def __init__(self, sys: SparseSystem, g: UndirectedGraph):
         super().__init__(sys, g)
-        deg = np.diff(g.indptr)
-        self.init_ops = np.ones_like(deg)
-        self.step_ops = 2 * deg + 2
-        self.storage = 2 * deg + 3
         self._rows = np.concatenate((np.arange(g.n), g.owner))
         self._x = None
 
@@ -420,20 +409,18 @@ class JacobiProgram(NodeProgram):
 
     def init_node(self, node: int):
         state = _jacobi_init_one(_node_coeffs(self._sys, node))
-        return state, {j: (state.x_hat,) for j in state.coeffs.neighbors}, 1
+        return state, {j: (state.x_hat,) for j in state.coeffs.neighbors}
 
     def step(self, node: int, state, inbox):
         values = {v: m.values[0] for v, m in inbox.items()}
         new_state, outbox = jacobi_round(state, values)
-        deg = len(state.coeffs.neighbors)
-        return (new_state, {j: (x,) for j, x in outbox.items()},
-                2 * deg + 2)
+        return new_state, {j: (x,) for j, x in outbox.items()}
 
     def estimate(self, node: int, state) -> float:
         return state.x_hat
 
-    def storage_floats(self, node: int, state) -> int:
-        return 2 * len(state.coeffs.neighbors) + 3
+    def costs(self, deg: np.ndarray, n: int):
+        return np.ones_like(deg), 2 * deg + 2, 2 * deg + 3
 
     def edge_kernel(self, g: UndirectedGraph) -> _JacobiEdgeKernel:
         return _JacobiEdgeKernel(self._sys, g)
@@ -519,11 +506,7 @@ class _ConsensusEdgeKernel(_EdgeCoeffs):
 
     def __init__(self, sys: SparseSystem, g: UndirectedGraph):
         super().__init__(sys, g)
-        n = g.n
         deg = np.diff(g.indptr)
-        self.init_ops = np.full(n, n + 2)
-        self.step_ops = (deg + 3) * n + 4 * (deg + 1)
-        self.storage = (deg + 1) * n + 2 * (deg + 1)
         self._deg = deg[:, None]
         self._isolated = np.flatnonzero(deg == 0)
         # slot position p: the nodes with more than p neighbors, and the
@@ -583,22 +566,19 @@ class ConsensusProgram(NodeProgram):
         x = np.zeros(self._sys.n)
         x[node] = float(self._sys.b[node]) / float(self._sys.diag[node])
         state = _consensus_state(self._sys, node, x)
-        outbox = {j: tuple(state.x) for j in state.neighbors}
-        return state, outbox, self._sys.n + 2
+        return state, {j: tuple(state.x) for j in state.neighbors}
 
     def step(self, node: int, state, inbox):
         vectors = {v: np.array(m.values) for v, m in inbox.items()}
         new_state, outbox = consensus_round(state, vectors)
-        deg = len(state.neighbors)
-        ops = (deg + 3) * self._sys.n + 4 * (deg + 1)
-        return (new_state, {j: tuple(x) for j, x in outbox.items()}, ops)
+        return new_state, {j: tuple(x) for j, x in outbox.items()}
 
     def estimate(self, node: int, state) -> float:
         return float(state.x[node])
 
-    def storage_floats(self, node: int, state) -> int:
-        deg = len(state.neighbors)
-        return (deg + 1) * self._sys.n + 2 * (deg + 1)
+    def costs(self, deg: np.ndarray, n: int):
+        return (np.full_like(deg, n + 2), (deg + 3) * n + 4 * (deg + 1),
+                (deg + 1) * n + 2 * (deg + 1))
 
     def edge_kernel(self, g: UndirectedGraph) -> _ConsensusEdgeKernel:
         return _ConsensusEdgeKernel(self._sys, g)

@@ -39,21 +39,21 @@ PATH3_SOLUTION = np.array([2.5, 4.0, 3.5])
 
 
 class PerNodeBP(BPProgram):
-    """BPProgram without its array form: runs on the per-node message path."""
+    """BPProgram without its array form: runs on the per-node kernel."""
 
     def edge_kernel(self, layout):
         return None
 
 
 class PerNodeJacobi(JacobiProgram):
-    """JacobiProgram without its array form: runs on the per-node path."""
+    """JacobiProgram without its array form: runs on the per-node kernel."""
 
     def edge_kernel(self, layout):
         return None
 
 
 class PerNodeConsensus(ConsensusProgram):
-    """ConsensusProgram without its array form: runs on the per-node path."""
+    """ConsensusProgram without its array form: runs on the per-node kernel."""
 
     def edge_kernel(self, layout):
         return None

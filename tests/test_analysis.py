@@ -124,11 +124,19 @@ def test_tolerance_must_be_finite_and_nonnegative(tol):
         kind="random-sparse", n=60, seed=0, diag_rule="unit",
         coeff_range=(-0.6, 0.6), density=4 / 60))
     assert analyze(sys).rho_lo > 1.5
+    # a dominant system and an empty matrix take short-cuts past the
+    # certification, and are refused all the same
+    dominant = generate_instance(GeneratorSpec(kind="loopy-small", n=30,
+                                               seed=1))
+    assert is_diagonally_dominant(dominant)
     calls = [lambda: analyze(sys, rho_tol=tol),
              lambda: find_gdd_scaling(sys, rho_tol=tol),
+             lambda: find_gdd_scaling(dominant, rho_tol=tol),
              lambda: spectral_radius_nonneg(
                  analysis._abs_residual_csr(sys), tol=tol),
-             lambda: bp_solve(sys, rho_tol=tol)]
+             lambda: spectral_radius_nonneg(np.zeros((0, 0)), tol=tol),
+             lambda: bp_solve(sys, rho_tol=tol),
+             lambda: bp_solve(dominant, rho_tol=tol)]
     for call in calls:
         with pytest.raises(ValueError, match="tol must be finite"):
             call()

@@ -1,9 +1,9 @@
-"""The edge-array path of run_rounds against the per-node message path.
+"""The array kernels of run_rounds against the per-node kernel.
 
 BPProgram, JacobiProgram and ConsensusProgram run on directed-edge
-arrays; their PerNode* subclasses have no array form and take the
-per-node path, which is the reference here.  Every round must agree bit
-for bit, and so must the fault record.
+arrays; their PerNode* subclasses have no array form and run on the
+engine's per-node kernel, which is the reference here.  Every round
+must agree bit for bit, and so must the fault record.
 """
 import numpy as np
 import pytest
@@ -34,8 +34,7 @@ def _assert_same_run(sys, array_cls, node_cls, max_rounds, tol=None,
     got = run_rounds(sys, array_cls(sys), max_rounds, tol=tol,
                      reference=reference)
     want = run_rounds(sys, node_cls(sys), max_rounds, tol=tol,
-                      reference=reference,
-                      node_order=list(reversed(range(sys.n))))
+                      reference=reference)
     assert got.stop_reason == want.stop_reason
     assert got.fault == want.fault
     assert [r.k for r in got.rounds] == [r.k for r in want.rounds]
@@ -90,6 +89,11 @@ FAULTING = {
     # round 1: both aggregates cancel; node 0 is reported
     "aggregate": SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0),
                                   (1, 1, 1.0)], [1.0, 1.0]),
+    # round 1: isolated node 0 steps cleanly, the aggregates of 1 and 2
+    # cancel, and node 1 is reported
+    "aggregate-later": SparseSystem(3, [(0, 0, 1.0), (1, 1, 1.0),
+                                        (1, 2, -1.0), (2, 1, -1.0),
+                                        (2, 2, 1.0)], [1.0, 1.0, 1.0]),
     # round 0: b_i / a_ii = 1e300 / 1e-100 overflows, beyond ESTIMATE_LIMIT
     "estimate": SparseSystem(2, [(0, 0, 1e-100), (0, 1, 1e-101),
                                  (1, 0, 1e-101), (1, 1, 1e-100)],
@@ -114,6 +118,7 @@ FAULTING = {
 BP_FAULTS = {"seed": (0, 0, "too small to seed messages"),
              "incoming": (0, 2, f"incoming scalar {2.0 ** -45!r} from 1"),
              "aggregate": (0, 1, "aggregate scalar 0.0"),
+             "aggregate-later": (1, 1, "aggregate scalar 0.0"),
              "estimate": (0, 0, "estimate inf out of range"),
              "diverge": (0, 1, "estimate 1.99999983"),
              "outgoing": (0, 1, "outgoing pair to 1 is not finite"),
@@ -222,7 +227,7 @@ def _per_node_messages(sys, rounds):
     """bp's messages from init_node and bp_round stepped node by node,
     each round reading the previous round's outboxes."""
     program = BPProgram(sys)
-    states, outboxes, _ = zip(*map(program.init_node, range(sys.n)))
+    states, outboxes = zip(*map(program.init_node, range(sys.n)))
     g = sys.graph
     per_round = []
     for k in range(rounds + 1):

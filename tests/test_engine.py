@@ -3,27 +3,12 @@ import pytest
 
 from walksolve.core import (GeneratorSpec, SparseSystem, generate_instance,
                             system_from_edges)
-from walksolve.engine import (
-    DirectedEdgeMessage,
-    NodeProgram,
-    delta_stop,
-    run_rounds,
-)
+from walksolve.engine import NodeProgram, delta_stop, run_rounds
 from walksolve.errors import ProtocolViolationError, SingularMessageError
 from walksolve.solvers import (BPProgram, ConsensusProgram, JacobiProgram,
                                bp_solve)
 
 from conftest import PerNodeBP
-
-LOOPY_FIVE = ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
-
-
-def test_message_payload_accessors():
-    m = DirectedEdgeMessage(src=0, dst=1, round=3, values=(2.0, 4.0))
-    assert m.a_val == 2.0 and m.b_val == 4.0
-    single = DirectedEdgeMessage(src=1, dst=0, round=0, values=(1.5,))
-    assert single.b_val == 0.0
-
 
 def test_delta_stop_is_relative():
     a = np.array([1e10, 0.0])
@@ -48,25 +33,15 @@ def test_fixed_rounds_validation(two_node):
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
 def test_tolerance_must_be_finite_and_nonnegative(two_node, tol):
-    with pytest.raises(ValueError, match="tol must be finite"):
-        run_rounds(two_node, JacobiProgram(two_node), 3, tol=tol)
-
-
-def test_node_order_must_be_permutation(two_node):
-    with pytest.raises(ProtocolViolationError, match="permutation"):
-        run_rounds(two_node, JacobiProgram(two_node), max_rounds=1,
-                   node_order=[0, 0])
-
-
-def test_trace_is_order_invariant():
-    sys = system_from_edges(5, LOOPY_FIVE, seed=3)
-    t1 = run_rounds(sys, PerNodeBP(sys), max_rounds=6)
-    t2 = run_rounds(sys, PerNodeBP(sys), max_rounds=6,
-                    node_order=[4, 2, 0, 3, 1])
-    assert len(t1.rounds) == len(t2.rounds)
-    for r1, r2 in zip(t1.rounds, t2.rounds):
-        assert np.array_equal(r1.estimates, r2.estimates)  # bit identical
-        assert r1.accounting == r2.accounting
+    # a tree runs a fixed number of rounds without tol, and is refused
+    # all the same
+    tree = generate_instance(GeneratorSpec(kind="random-tree", n=50, seed=1))
+    calls = [lambda: run_rounds(two_node, JacobiProgram(two_node), 3,
+                                tol=tol),
+             lambda: bp_solve(tree, tol=tol)]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be finite"):
+            call()
 
 
 class _WrongAddressProgram(NodeProgram):
@@ -76,16 +51,16 @@ class _WrongAddressProgram(NodeProgram):
         self.n = sys.n
 
     def init_node(self, node):
-        return None, {(node + 1) % self.n: (0.0,)}, 1
+        return None, {(node + 1) % self.n: (0.0,)}
 
     def step(self, node, state, inbox):
-        return None, {}, 1
+        return None, {}
 
     def estimate(self, node, state):
         return 0.0
 
-    def storage_floats(self, node, state):
-        return 1
+    def costs(self, deg, n):
+        return (np.ones_like(deg),) * 3
 
 
 def test_outbox_must_match_neighbor_set(two_node):
@@ -118,17 +93,15 @@ def test_mid_run_fault_keeps_partial_trace():
     assert [r.k for r in trace.rounds] == [0]
 
 
-def test_fault_record_is_independent_of_node_order():
-    # both aggregates cancel at round 1; the smallest node is reported
-    # whatever order the per-node path evaluates the nodes in
+def test_both_kernels_report_the_smallest_faulting_node():
+    # both aggregates cancel at round 1; node 0 is reported by the
+    # per-node kernel and by the array kernel alike
     sys = SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0),
                            (1, 1, 1.0)], [1.0, 1.0])
-    faults = [run_rounds(sys, PerNodeBP(sys), max_rounds=5,
-                         node_order=order).fault
-              for order in (None, [1, 0])]
-    faults.append(run_rounds(sys, BPProgram(sys), max_rounds=5).fault)
-    assert [(f.node, f.round) for f in faults] == [(0, 1)] * 3
-    assert faults[0] == faults[1] == faults[2]
+    faults = [run_rounds(sys, cls(sys), max_rounds=5).fault
+              for cls in (PerNodeBP, BPProgram)]
+    assert [(f.node, f.round) for f in faults] == [(0, 1)] * 2
+    assert faults[0] == faults[1]
 
 
 def test_round_zero_counts_and_stopping(two_node):
@@ -184,9 +157,19 @@ def test_accounting_bounds_small_graph(two_node):
         assert acct.ops_bound_ok and acct.storage_bound_ok
         assert acct.local_complexity_declared
         assert not acct.violates_local_constraints
-    # measured numbers for degree-1 nodes
+    # declared numbers for degree-1 nodes
+    assert trace.rounds[0].accounting.per_node_ops == (3, 3)       # 2d+1
     assert trace.rounds[1].accounting.per_node_ops == (14, 14)     # 11d+3
     assert trace.rounds[1].accounting.per_node_storage == (12, 12)  # 7d+5
+    # each program's (init_ops, step_ops, storage) at degrees 0, 1, 3
+    # and n = 5, worked out by hand
+    deg = np.array([0, 1, 3])
+    want = {BPProgram: ([1, 3, 7], [3, 14, 36], [5, 12, 26]),
+            JacobiProgram: ([1, 1, 1], [2, 4, 8], [3, 5, 9]),
+            ConsensusProgram: ([7, 7, 7], [19, 28, 46], [7, 14, 28])}
+    for cls, costs in want.items():
+        got = cls(two_node).costs(deg, 5)
+        assert [c.tolist() for c in got] == list(costs), cls.name
 
 
 def _compare(monkeypatch, sys):
