@@ -8,7 +8,6 @@ claimed identity against direct linear algebra.
 """
 from .analysis import (DominanceReport, ResidualMatrix, analyze,
                        find_gdd_scaling, is_diagonally_dominant,
-                       preprocess_overdetermined, preprocess_underdetermined,
                        residual_matrix, spectral_radius_nonneg)
 from .core import (GeneratorSpec, SparseSystem, UndirectedGraph,
                    bfs_distances, connected_components, diameter,
@@ -19,8 +18,7 @@ from .engine import (ConvergenceTrace, DirectedEdgeMessage, NodeFault,
                      delta_stop, run_rounds)
 from .errors import (CyclicGraphError, DimensionMismatchError,
                      DivergedEstimateError, MissingDiagonalError,
-                     NoConvergenceError, NonPositiveLambdaError,
-                     NotAnEdgeError, NotWalkSummableError,
+                     NoConvergenceError, NotAnEdgeError, NotWalkSummableError,
                      NotWalkSummableWarning, ParseError,
                      ProtocolViolationError, SingularMatrixError,
                      SingularMessageError, SolverError, TooLargeError,
@@ -42,8 +40,7 @@ __all__ = [
     "CyclicGraphError", "DimensionMismatchError", "DirectedEdgeMessage",
     "DivergedEstimateError", "DominanceReport", "GeneratorSpec",
     "JacobiProgram", "MissingDiagonalError", "NoConvergenceError",
-    "NodeFault", "NodeProgram",
-    "NonPositiveLambdaError", "NotAnEdgeError", "NotWalkSummableError",
+    "NodeFault", "NodeProgram", "NotAnEdgeError", "NotWalkSummableError",
     "NotWalkSummableWarning", "ParseError", "ProtocolViolationError",
     "ResidualMatrix", "RoundAccounting", "SingularMatrixError",
     "SingularMessageError", "SolverError", "SolverFault", "SparseSystem",
@@ -54,8 +51,7 @@ __all__ = [
     "find_gdd_scaling", "gauss_seidel_sweep",
     "generate_instance",
     "induced_graph", "is_acyclic", "is_diagonally_dominant", "load_system",
-    "message_oracle", "partial_walk_sum", "preprocess_overdetermined",
-    "preprocess_underdetermined", "read_matrix_market", "read_rhs",
+    "message_oracle", "partial_walk_sum", "read_matrix_market", "read_rhs",
     "residual_matrix", "restricted_subgraph", "run_all_checks", "run_rounds",
     "spectral_radius_nonneg", "system_from_edges", "unwrap_tree",
     "unwrapped_equivalence_check", "unwrapped_system", "walk_weight",

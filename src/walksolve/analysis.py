@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidSystemError,
     NoConvergenceError,
-    NonPositiveLambdaError,
 )
 
 RHO_TOL_DEFAULT = 1e-9
@@ -111,7 +110,7 @@ def _cw_bounds(b: sp.csr_matrix, x: np.ndarray) -> tuple[float, float]:
     return float(ratios.min()), float(ratios.max()) if pos.all() else math.inf
 
 
-def _perron_vectors(b: sp.csr_matrix, max_iter: Optional[int]):
+def _perron_vectors(b: sp.csr_matrix):
     """Yield ("perron", |v|) for b's eigenvector v of largest real part,
     then ("inverse", x) per step of inverse iteration with sigma just
     above that eigenvalue, each scaled to max 1.  (sigma I - b)^-1 > 0
@@ -124,7 +123,7 @@ def _perron_vectors(b: sp.csr_matrix, max_iter: Optional[int]):
         w, v = np.linalg.eig(b.toarray())
         i = int(np.argmax(w.real))
     else:
-        w, v = eigs(b, k=1, which="LR", v0=np.ones(k), maxiter=max_iter)
+        w, v = eigs(b, k=1, which="LR", v0=np.ones(k))
         i = 0
     x = np.abs(v[:, i].real)
     yield "perron", x / x.max()
@@ -139,8 +138,7 @@ def _perron_vectors(b: sp.csr_matrix, max_iter: Optional[int]):
         yield "inverse", x / x.max()
 
 
-def _certify(csr: sp.csr_matrix, tol: float,
-             max_iter: Optional[int] = None):
+def _certify(csr: sp.csr_matrix, tol: float):
     """(lo, hi, closed, x, route) for rho of a canonical nonnegative CSR
     matrix: the interval, whether it is within tol, a GDD candidate x
     (max 1) and the route of the component that sets hi.  Each strongly
@@ -174,7 +172,7 @@ def _certify(csr: sp.csr_matrix, tol: float,
         nodes = order[starts[c]:ends[c]]
         b = csr[nodes][:, nodes]
         try:
-            for route, xc in _perron_vectors(b, max_iter):
+            for route, xc in _perron_vectors(b):
                 blo, bhi = _cw_bounds(b, xc)
                 lo_c[c] = max(lo_c[c], blo)
                 if bhi < hi_c[c]:
@@ -200,20 +198,20 @@ def _certify(csr: sp.csr_matrix, tol: float,
     return lo, hi, hi - lo <= tol * max(1.0, hi), x / x.max(), route_c[top]
 
 
-def spectral_radius_nonneg(m: MatrixLike, tol: float = RHO_TOL_DEFAULT,
-                           max_iter: Optional[int] = None) -> float:
+def spectral_radius_nonneg(m: MatrixLike, tol: float = RHO_TOL_DEFAULT
+                           ) -> float:
     """Spectral radius of an entrywise-nonnegative matrix.
 
     Returns the midpoint of a certified interval (see _certify) once it
     is at most tol * max(1, hi) wide.  Raises NoConvergenceError carrying
-    the interval when it stays wider, e.g. when ARPACK (max_iter
-    restarts, its own default when None) does not converge.
+    the interval when it stays wider, e.g. when ARPACK does not converge
+    within its default iteration count.
     """
     check_tolerance(tol)
     csr = _as_csr_nonneg(m)
     if csr.shape[0] == 0:
         return 0.0
-    lo, hi, closed, _, route = _certify(csr, tol, max_iter)
+    lo, hi, closed, _, route = _certify(csr, tol)
     if not closed:
         raise NoConvergenceError(
             f"interval [{lo:.6g}, {hi:.6g}] for rho did not close (route "
@@ -304,64 +302,3 @@ def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
         diag_dominant=dom, rho_abs=0.5 * (lo + hi), rho_tol=rho_tol,
         walk_summable=walk_summable, scaling=scaling,
         rho_reliable=closed, rho_lo=lo, rho_hi=hi, route=route)
-
-
-def _to_coo(a) -> sp.coo_matrix:
-    if sp.issparse(a):
-        return a.tocoo()
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(
-            f"expected a 2-d matrix, got ndim={arr.ndim}")
-    return sp.coo_matrix(arr)
-
-
-def preprocess_overdetermined(a, b: Sequence[float]) -> SparseSystem:
-    """Reduce a tall system A x = b (m > n) to the square normal equations.
-
-    Returns the SparseSystem (A^T A) x = A^T b.  A zero column of A leaves
-    a zero diagonal and is rejected by the system constructor.
-    """
-    coo = _to_coo(a)
-    m, n = coo.shape
-    if m <= n:
-        raise DimensionMismatchError(
-            f"need strictly more rows than columns, got {m}x{n}")
-    bv = np.asarray(b, dtype=float)
-    if bv.shape != (m,):
-        raise DimensionMismatchError(
-            f"right-hand side has shape {bv.shape}, expected ({m},)")
-    ata = (coo.T @ coo).tocoo()
-    atb = coo.T @ bv
-    entries = [(int(i), int(j), float(v))
-               for i, j, v in zip(ata.row, ata.col, ata.data) if v != 0.0]
-    return SparseSystem(n, entries, atb)
-
-
-def preprocess_underdetermined(a, b: Sequence[float],
-                               lam: float) -> SparseSystem:
-    """Regularize a square (zero-padded) rank-deficient system to (A + lam*I).
-
-    lam must be strictly positive; zero-padding a wide system up to square
-    shape is the caller's job.
-    """
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
-        raise NonPositiveLambdaError(
-            f"regularization weight must be > 0, got {lam!r}")
-    coo = _to_coo(a)
-    m, n = coo.shape
-    if m != n:
-        raise DimensionMismatchError(
-            f"expected a square (zero-padded) matrix, got {m}x{n}")
-    bv = np.asarray(b, dtype=float)
-    if bv.shape != (n,):
-        raise DimensionMismatchError(
-            f"right-hand side has shape {bv.shape}, expected ({n},)")
-    vals: dict[tuple[int, int], float] = {}
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if v != 0.0:
-            vals[(int(i), int(j))] = vals.get((int(i), int(j)), 0.0) + float(v)
-    for i in range(n):
-        vals[(i, i)] = vals.get((i, i), 0.0) + float(lam)
-    entries = [(i, j, v) for (i, j), v in vals.items() if v != 0.0]
-    return SparseSystem(n, entries, bv)

@@ -132,14 +132,6 @@ class SparseSystem:
         return tuple(zip(self.rows.tolist(), self.indices.tolist(),
                          self.data.tolist()))
 
-    @property
-    def by_row(self) -> tuple[dict, ...]:
-        """Per-row maps col -> value (diagonal included)."""
-        bounds = self.indptr.tolist()
-        return tuple(dict(zip(self.indices[lo:hi].tolist(),
-                              self.data[lo:hi].tolist()))
-                     for lo, hi in zip(bounds, bounds[1:]))
-
     def entry(self, i: int, j: int) -> float:
         """Value at (i, j); zero when the position is not stored."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -150,9 +142,6 @@ class SparseSystem:
         a = np.zeros((self.n, self.n))
         a[self.rows, self.indices] = self.data
         return a
-
-    def b_vector(self) -> np.ndarray:
-        return self.b.copy()
 
 
 @dataclass(frozen=True, eq=False)

@@ -100,7 +100,6 @@ class NodeFault(Exception):
 @dataclass
 class TraceRound:
     k: int
-    estimates: np.ndarray
     log10_mse: Optional[float]
     max_delta: Optional[float]
     accounting: RoundAccounting
@@ -108,13 +107,13 @@ class TraceRound:
 
 @dataclass
 class ConvergenceTrace:
+    """A run's per-round scalars and its last completed round's estimates
+    (None when round 0 faults)."""
+
     rounds: list[TraceRound] = field(default_factory=list)
     stop_reason: str = "max-rounds"
     fault: Optional[SolverFault] = None
-
-    @property
-    def final_estimates(self) -> np.ndarray:
-        return self.rounds[-1].estimates
+    final_estimates: Optional[np.ndarray] = None
 
     @property
     def total_positivity_violations(self) -> int:
@@ -255,7 +254,9 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
     edge).  A SolverError raised inside a node transition aborts the run
     at that round's barrier: the trace keeps rounds 0..k-1 and carries a
     SolverFault record for the smallest faulting node; stop_reason is
-    then "fault".  Every round's accounting comes from program.costs:
+    then "fault".  The trace keeps each round's scalars and only the last
+    completed round's estimates, so a run's memory does not grow with its
+    round count.  Every round's accounting comes from program.costs:
     round 0 counts its round-0 ops, later rounds their own.
     """
     if max_rounds < 0:
@@ -281,7 +282,6 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
         for ops in (round0_ops, later_ops))
 
     trace = ConvergenceTrace()
-    prev_estimates = None
     for k in range(max_rounds + 1):
         try:
             estimates, first = kernel.advance() if k else kernel.start()
@@ -297,14 +297,13 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
             if violations:
                 acct = replace(acct, positivity_violations=violations)
         mse = _log10_mse(estimates, reference) if reference is not None else None
-        delta = (float(np.max(np.abs(estimates - prev_estimates)))
-                 if prev_estimates is not None else None)
-        trace.rounds.append(TraceRound(k=k, estimates=estimates, log10_mse=mse,
-                                       max_delta=delta, accounting=acct))
-        if tol is not None and k and delta_stop(prev_estimates, estimates,
-                                                tol):
+        prev, trace.final_estimates = trace.final_estimates, estimates
+        delta = (float(np.max(np.abs(estimates - prev)))
+                 if prev is not None else None)
+        trace.rounds.append(TraceRound(k=k, log10_mse=mse, max_delta=delta,
+                                       accounting=acct))
+        if tol is not None and k and delta_stop(prev, estimates, tol):
             trace.stop_reason = "delta"
             return trace
-        prev_estimates = estimates
     trace.stop_reason = "fixed-rounds" if tol is None else "max-rounds"
     return trace

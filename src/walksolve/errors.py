@@ -31,10 +31,6 @@ class NoConvergenceError(WalksolveError):
         self.upper = upper
 
 
-class NonPositiveLambdaError(WalksolveError):
-    """Regularization weight must be strictly positive."""
-
-
 class SolverError(WalksolveError):
     """Base class for per-node faults raised inside a solver transition."""
 

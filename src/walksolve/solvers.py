@@ -294,8 +294,7 @@ class BPProgram(NodeProgram):
 
 
 def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
-             force: bool = False, reference: Optional[np.ndarray] = None,
-             rho_tol: float = analysis.RHO_TOL_DEFAULT
+             force: bool = False, reference: Optional[np.ndarray] = None
              ) -> tuple[Optional[np.ndarray], ConvergenceTrace]:
     """Solve by message passing; returns (estimates, trace).
 
@@ -309,9 +308,8 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
     round 0 faults, since no round completed; trace.fault says why.
     """
     check_tolerance(tol)
-    check_tolerance(rho_tol, "rho_tol")
     if not analysis.is_diagonally_dominant(sys):
-        report = analysis.analyze(sys, rho_tol=rho_tol, want_scaling=False)
+        report = analysis.analyze(sys, want_scaling=False)
         if report.walk_summable is not True:
             verdict = ("indeterminate" if report.walk_summable is None
                        else "not walk-summable")
@@ -331,7 +329,7 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
     else:
         trace = run_rounds(sys, program, max_rounds, tol=tol,
                            reference=reference)
-    return (trace.final_estimates if trace.rounds else None), trace
+    return trace.final_estimates, trace
 
 
 # ---------------------------------------------------------------------------

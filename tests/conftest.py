@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from walksolve.core import SparseSystem
+from walksolve.engine import NodeFault, _NodeKernel
 from walksolve.solvers import BPProgram, ConsensusProgram, JacobiProgram
 
 # Roster lines collected by test_acceptance; replayed after the run so
@@ -57,3 +58,27 @@ class PerNodeConsensus(ConsensusProgram):
 
     def edge_kernel(self, layout):
         return None
+
+
+def kernel_rounds(sys, program, rounds):
+    """Rounds 0..rounds of the kernel run_rounds drives for program, as a
+    list of (estimates, first) pairs, and the NodeFault that ended them
+    early, or None.  The trace keeps no per-round estimates, so tests that
+    check every round step the kernel themselves."""
+    kernel = program.edge_kernel(sys.graph)
+    if kernel is None:
+        kernel = _NodeKernel(program, sys.graph)
+    out = []
+    try:
+        for step in [kernel.start] + [kernel.advance] * rounds:
+            out.append(step())
+    except NodeFault as fault:
+        return out, fault
+    return out, None
+
+
+def kernel_estimates(sys, program, rounds):
+    """Every round's estimates, 0..rounds, of a run that must not fault."""
+    out, fault = kernel_rounds(sys, program, rounds)
+    assert fault is None, fault.error
+    return [estimates for estimates, _ in out]

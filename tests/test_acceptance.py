@@ -80,13 +80,14 @@ def test_criterion_01_tree_exactness_at_diameter():
             sys_ = generate_instance(
                 GeneratorSpec(kind="example1-tree", n=7, seed=seed))
             ref = dense_solve(sys_)
-            _, trace = bp_solve(sys_, reference=ref)
-            by_k = {r.k: r.estimates for r in trace.rounds}
+            x, trace = bp_solve(sys_, reference=ref)
             assert trace.stop_reason == "fixed-rounds"
-            assert _rel_err(by_k[4], ref) <= 1e-10
+            assert trace.rounds[-1].k == 4
+            assert _rel_err(x, ref) <= 1e-10
             # one round short is not enough: convergence is exact at the
             # diameter, not before it
-            assert _rel_err(by_k[3], ref) > 1e-10
+            short = run_rounds(sys_, BPProgram(sys_), max_rounds=3)
+            assert _rel_err(short.final_estimates, ref) > 1e-10
             per_round = run_message_rounds(sys_, 6)
             for later in (5, 6):
                 for edge, pair in per_round[4].items():
@@ -178,11 +179,10 @@ def test_criterion_07_baseline_error_ordering():
             sys_ = generate_instance(
                 GeneratorSpec(kind="example1-tree", n=7, seed=seed))
             ref = dense_solve(sys_)
-            _, bp_trace = bp_solve(sys_, reference=ref)
-            bp4 = _l2_err(bp_trace.rounds[-1].estimates, ref)
-            jac = run_rounds(sys_, JacobiProgram(sys_), max_rounds=60,
-                             reference=ref)
-            jac_by_k = {r.k: r.estimates for r in jac.rounds}
+            bp_x, bp_trace = bp_solve(sys_, reference=ref)
+            assert bp_trace.rounds[-1].k == 4
+            bp4 = _l2_err(bp_x, ref)
+            jac_by_k = conftest.kernel_estimates(sys_, JacobiProgram(sys_), 60)
             jac4 = _l2_err(jac_by_k[4], ref)
             jac60 = _l2_err(jac_by_k[60], ref)
             assert jac4 >= 10.0 * bp4
@@ -192,7 +192,6 @@ def test_criterion_07_baseline_error_ordering():
             program = ConsensusProgram(sys_)
             states = [program.init_node(i)[0] for i in range(sys_.n)]
             g = induced_graph(sys_)
-            a_rows = sys_.by_row
             for _ in range(60):
                 inboxes = [
                     {v: states[v].x for v in g.neighbors[i]}
@@ -201,7 +200,10 @@ def test_criterion_07_baseline_error_ordering():
                 states = [consensus_round(states[i], inboxes[i])[0]
                           for i in range(sys_.n)]
                 for i, st in enumerate(states):
-                    lhs = sum(a * st.x[j] for j, a in a_rows[i].items())
+                    lo, hi = sys_.indptr[i], sys_.indptr[i + 1]
+                    lhs = sum(a * st.x[j] for j, a in zip(
+                        sys_.indices[lo:hi].tolist(),
+                        sys_.data[lo:hi].tolist()))
                     assert abs(lhs - sys_.b[i]) <= 1e-12
             cons60 = _l2_err([states[i].x[i] for i in range(sys_.n)], ref)
             assert cons60 > jac60
@@ -222,13 +224,12 @@ def test_criterion_08_jacobi_power_series_identity():
             r = residual_matrix(sys_).as_dense()
             d_inv_b = np.array(
                 [sys_.b[i] / sys_.diag[i] for i in range(sys_.n)])
-            trace = run_rounds(sys_, JacobiProgram(sys_), max_rounds=20)
+            by_k = conftest.kernel_estimates(sys_, JacobiProgram(sys_), 20)
             # the round-0 estimate is the series' first term, so round k
             # holds the sum of powers 0..k; starting the sum at power 1
             # would sit one round off everywhere
             partial = d_inv_b.copy()
             term = d_inv_b.copy()
-            by_k = {row.k: row.estimates for row in trace.rounds}
             assert np.linalg.norm(by_k[0] - partial, np.inf) <= 1e-12
             for k in range(1, 21):
                 term = r @ term

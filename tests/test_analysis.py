@@ -13,8 +13,6 @@ from walksolve.analysis import (
     analyze,
     find_gdd_scaling,
     is_diagonally_dominant,
-    preprocess_overdetermined,
-    preprocess_underdetermined,
     residual_matrix,
     spectral_radius_nonneg,
 )
@@ -23,9 +21,8 @@ from walksolve.errors import (
     DimensionMismatchError,
     InvalidSystemError,
     NoConvergenceError,
-    NonPositiveLambdaError,
 )
-from walksolve.solvers import bp_solve, dense_solve
+from walksolve.solvers import bp_solve
 
 
 def test_residual_matrix_values(two_node):
@@ -134,9 +131,7 @@ def test_tolerance_must_be_finite_and_nonnegative(tol):
              lambda: find_gdd_scaling(dominant, rho_tol=tol),
              lambda: spectral_radius_nonneg(
                  analysis._abs_residual_csr(sys), tol=tol),
-             lambda: spectral_radius_nonneg(np.zeros((0, 0)), tol=tol),
-             lambda: bp_solve(sys, rho_tol=tol),
-             lambda: bp_solve(dominant, rho_tol=tol)]
+             lambda: spectral_radius_nonneg(np.zeros((0, 0)), tol=tol)]
     for call in calls:
         with pytest.raises(ValueError, match="tol must be finite"):
             call()
@@ -168,11 +163,18 @@ def test_dominance_check(two_node):
     assert not is_diagonally_dominant(tie)  # equality is not enough
 
 
+def _off_diagonal_sum(sys, i, d):
+    """sum_j |a_ij| d_j over row i's off-diagonal entries, in column order."""
+    lo, hi = sys.indptr[i], sys.indptr[i + 1]
+    return sum(abs(v) * d[j] for j, v in zip(sys.indices[lo:hi].tolist(),
+                                             sys.data[lo:hi].tolist())
+               if j != i)
+
+
 def _loop_validate_scaling(sys, d):
     """The row-by-row check, summing each row's terms in column order."""
-    rows = sys.by_row
     for i in range(sys.n):
-        off = sum(abs(v) * d[j] for j, v in rows[i].items() if j != i)
+        off = _off_diagonal_sum(sys, i, d)
         if not abs(sys.diag[i]) * d[i] > off:
             return False
     return True
@@ -209,8 +211,7 @@ def test_gdd_scaling_non_dominant_certificate():
     d = find_gdd_scaling(sys)
     assert d is not None
     for i in range(sys.n):
-        off = sum(abs(v) * d[j] for j, v in sys.by_row[i].items() if j != i)
-        assert abs(sys.diag[i]) * d[i] > off
+        assert abs(sys.diag[i]) * d[i] > _off_diagonal_sum(sys, i, d)
     rep = analyze(sys, want_scaling=True)
     assert rep.walk_summable is True
     assert rep.scaling is not None
@@ -263,45 +264,6 @@ def test_report_is_frozen(two_node):
     assert isinstance(rep, DominanceReport)
     with pytest.raises(AttributeError):
         rep.rho_abs = 0.0
-
-
-def test_preprocess_overdetermined_normal_equations():
-    a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    b = [1.0, 2.0, 3.0]
-    sys = preprocess_overdetermined(a, b)
-    assert sys.n == 2
-    assert np.array_equal(sys.as_dense(), np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.array_equal(sys.b, [4.0, 5.0])
-    x = dense_solve(sys)
-    ref, *_ = np.linalg.lstsq(a, np.asarray(b), rcond=None)
-    assert np.allclose(x, ref, atol=1e-12)
-    with pytest.raises(DimensionMismatchError):
-        preprocess_overdetermined(np.eye(2), [1.0, 2.0])
-
-
-def test_preprocess_underdetermined_regularizes():
-    # rank-1 system [[1,1],[1,1]] x = [2,2]; weight 1 gives
-    # [[2,1],[1,2]] x = [2,2] whose solution is [2/3, 2/3]
-    a = np.array([[1.0, 1.0], [1.0, 1.0]])
-    sys = preprocess_underdetermined(a, [2.0, 2.0], lam=1.0)
-    assert np.array_equal(sys.as_dense(), np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x = dense_solve(sys)
-    assert x == pytest.approx([2.0 / 3.0, 2.0 / 3.0], abs=1e-14)
-    with pytest.raises(NonPositiveLambdaError):
-        preprocess_underdetermined(a, [2.0, 2.0], lam=0.0)
-    with pytest.raises(NonPositiveLambdaError):
-        preprocess_underdetermined(a, [2.0, 2.0], lam=-1.0)
-    with pytest.raises(DimensionMismatchError):
-        preprocess_underdetermined(np.ones((2, 3)), [1.0, 1.0], lam=1.0)
-
-
-def test_preprocess_underdetermined_accumulates_duplicates():
-    coo = sp.coo_matrix((np.array([1.0, 1.0, 2.0]),
-                         (np.array([0, 0, 1]), np.array([0, 0, 1]))),
-                        shape=(2, 2))
-    sys = preprocess_underdetermined(coo, [1.0, 1.0], lam=0.5)
-    assert sys.entry(0, 0) == 2.5  # 1 + 1 + lam
-    assert sys.entry(1, 1) == 2.5  # 2 + lam
 
 
 def test_spectral_estimate_matches_dense_eigenvalues_ensemble():

@@ -119,10 +119,8 @@ def test_lookup_helpers(two_node):
     assert two_node.entry(0, 1) == -1.0
     assert two_node.entry(1, 0) == -0.5
     assert two_node.entry(0, 0) == 2.0
-    assert two_node.by_row[0] == {0: 2.0, 1: -1.0}
     assert np.array_equal(two_node.as_dense(),
                           np.array([[2.0, -1.0], [-0.5, 2.0]]))
-    assert np.array_equal(two_node.b_vector(), np.array([2.0, 4.0]))
 
 
 def test_graph_rejects_self_loop():

@@ -117,7 +117,7 @@ def test_delta_stop_reason(two_node):
                        tol=1e-10)
     assert trace.stop_reason == "delta"
     assert trace.rounds[-1].max_delta <= 1e-10 * max(
-        1.0, float(np.max(np.abs(trace.rounds[-1].estimates))))
+        1.0, float(np.max(np.abs(trace.final_estimates))))
 
 
 def test_max_rounds_reason(two_node):

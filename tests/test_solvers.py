@@ -24,7 +24,7 @@ from walksolve.solvers import (
 )
 from walksolve.verify import run_message_rounds
 
-from conftest import PATH3_SOLUTION, TWO_NODE_SOLUTION
+from conftest import PATH3_SOLUTION, TWO_NODE_SOLUTION, kernel_estimates
 
 
 def _round_zero(program_cls, sys):
@@ -81,12 +81,10 @@ def test_bp_messages_path3(path3):
 
 
 def test_bp_estimates_path3(path3):
-    trace = run_rounds(path3, BPProgram(path3), max_rounds=2)
-    assert trace.rounds[0].estimates == pytest.approx([0.5, 1.0, 1.5])
-    assert trace.rounds[1].estimates == pytest.approx(
-        [4.0 / 3.0, 4.0, 8.0 / 3.0], abs=1e-15)
-    assert trace.rounds[2].estimates == pytest.approx(PATH3_SOLUTION,
-                                                      abs=1e-14)
+    by_k = kernel_estimates(path3, BPProgram(path3), 2)
+    assert by_k[0] == pytest.approx([0.5, 1.0, 1.5])
+    assert by_k[1] == pytest.approx([4.0 / 3.0, 4.0, 8.0 / 3.0], abs=1e-15)
+    assert by_k[2] == pytest.approx(PATH3_SOLUTION, abs=1e-14)
 
 
 def test_bp_solve_exact_on_trees(two_node, path3):
@@ -125,17 +123,16 @@ def test_bp_solve_refuses_non_summable():
 
 def test_bp_solve_skips_analysis_on_dominant_systems(monkeypatch):
     sys = generate_instance(GeneratorSpec(kind="random-tree", n=30, seed=4))
-    _, want = bp_solve(sys)
+    want_x, want = bp_solve(sys)
     real_analyze = analysis.analyze
 
     def refuse(*args, **kwargs):
         raise AssertionError("analyze ran on a dominant system")
 
     monkeypatch.setattr(analysis, "analyze", refuse)
-    _, got = bp_solve(sys)
-    assert [r.k for r in got.rounds] == [r.k for r in want.rounds]
-    for a, b in zip(got.rounds, want.rounds):
-        assert np.array_equal(a.estimates, b.estimates)
+    got_x, got = bp_solve(sys)
+    assert got.rounds == want.rounds
+    assert np.array_equal(got_x, want_x)
     # a non-dominant system is still analyzed, and refused without force
     calls = []
 
@@ -164,9 +161,9 @@ def test_bp_solve_converges_on_loopy_dominant():
 def test_jacobi_hand_values(two_node):
     states = _round_zero(JacobiProgram, two_node)
     assert [s.x_hat for s in states] == [1.0, 2.0]
-    trace = run_rounds(two_node, JacobiProgram(two_node), max_rounds=2)
-    assert trace.rounds[1].estimates == pytest.approx([2.0, 2.25])
-    assert trace.rounds[2].estimates == pytest.approx([2.125, 2.5])
+    by_k = kernel_estimates(two_node, JacobiProgram(two_node), 2)
+    assert by_k[1] == pytest.approx([2.0, 2.25])
+    assert by_k[2] == pytest.approx([2.125, 2.5])
 
 
 def test_jacobi_matches_residual_power_series(two_node):
@@ -174,14 +171,14 @@ def test_jacobi_matches_residual_power_series(two_node):
     # initialization, so a sum started at l = 1 would be one round off
     r = np.array([[0.0, 0.5], [0.25, 0.0]])
     db = np.array([1.0, 2.0])
-    trace = run_rounds(two_node, JacobiProgram(two_node), max_rounds=6)
+    by_k = kernel_estimates(two_node, JacobiProgram(two_node), 6)
     total = np.zeros(2)
     power = np.eye(2)
     for k in range(7):
         total = total + power @ db
         power = power @ r
         # note: total now holds sum_{l=0..k}
-        assert trace.rounds[k].estimates == pytest.approx(total, abs=1e-13)
+        assert by_k[k] == pytest.approx(total, abs=1e-13)
 
 
 def test_gauss_seidel_hand_value(two_node):
@@ -314,3 +311,24 @@ def test_consensus_program_keeps_only_the_system():
     assert retained < 0.5e6
     trace = run_rounds(sys, program, max_rounds=1)
     assert len(trace.rounds) == 2
+
+
+def test_bp_solve_memory_does_not_grow_with_rounds():
+    # a 2000-node path runs rounds 0..1999; one estimate vector per round
+    # would be 2000 * 2000 floats, 32 MB
+    n = 2000
+    entries = [(i, i, 2.0) for i in range(n)]
+    for i in range(n - 1):
+        entries += [(i, i + 1, -0.5), (i + 1, i, -0.5)]
+    sys = SparseSystem(n, entries, [1.0] * n)
+    sys.graph  # built outside the measurement
+    tracemalloc.start()
+    try:
+        x, trace = bp_solve(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.rounds) == n
+    assert x == pytest.approx(dense_solve(sys), abs=1e-12)
+    # a bounded number of length-n vectors, plus each trace row's scalars
+    assert peak < 96 * 8 * n + 1024 * len(trace.rounds)
