@@ -13,9 +13,9 @@ from .core import (GeneratorSpec, SparseSystem, UndirectedGraph,
                    bfs_distances, connected_components, diameter,
                    generate_instance, induced_graph, is_acyclic,
                    system_from_edges)
-from .engine import (ConvergenceTrace, DirectedEdgeMessage, NodeFault,
-                     NodeProgram, RoundAccounting, SolverFault, TraceRound,
-                     delta_stop, run_rounds)
+from .engine import (ConvergenceTrace, NodeFault, NodeProgram,
+                     RoundAccounting, SolverFault, TraceRound, delta_stop,
+                     run_rounds)
 from .errors import (CyclicGraphError, DimensionMismatchError,
                      DivergedEstimateError, MissingDiagonalError,
                      NoConvergenceError, NotAnEdgeError, NotWalkSummableError,
@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BPProgram", "CheckResult", "ConsensusProgram", "ConvergenceTrace",
-    "CyclicGraphError", "DimensionMismatchError", "DirectedEdgeMessage",
-    "DivergedEstimateError", "DominanceReport", "GeneratorSpec",
+    "CyclicGraphError", "DimensionMismatchError", "DivergedEstimateError",
+    "DominanceReport", "GeneratorSpec",
     "JacobiProgram", "MissingDiagonalError", "NoConvergenceError",
     "NodeFault", "NodeProgram", "NotAnEdgeError", "NotWalkSummableError",
     "NotWalkSummableWarning", "ParseError", "ProtocolViolationError",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -34,52 +33,57 @@ INVERSE_SHIFT = 1e-8
 MatrixLike = Union[np.ndarray, sp.spmatrix]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualMatrix:
-    """Off-diagonal residual entries r_ij = -a_ij / a_ii; diagonal is zero."""
+    """Off-diagonal residual entries r_ij = -a_ij / a_ii; diagonal is zero.
+
+    The entries are stored once, as a read-only canonical CSR matrix
+    ``csr``; stored zeros are kept.
+    """
 
     n: int
-    entries: tuple[tuple[int, int, float], ...]
+    csr: sp.csr_matrix
 
-    @cached_property
-    def _map(self) -> dict:
-        return {(i, j): v for i, j, v in self.entries}
+    def __init__(self, n: int, entries):
+        """entries are (i, j, r_ij) triples or an (m, 3) array of them; a
+        repeated (i, j) is stored once, as the sum of its values."""
+        i, j, v = np.asarray(entries, dtype=float).reshape(-1, 3).T
+        csr = sp.csr_matrix((v, (i.astype(np.intp), j.astype(np.intp))),
+                            shape=(n, n))
+        for a in (csr.data, csr.indices, csr.indptr):
+            a.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "csr", csr)
 
     def value(self, i: int, j: int) -> float:
-        return self._map.get((i, j), 0.0)
+        indptr, indices = self.csr.indptr, self.csr.indices
+        lo, hi = indptr[i], indptr[i + 1]
+        k = lo + int(np.searchsorted(indices[lo:hi], j))
+        return float(self.csr.data[k]) if k < hi and indices[k] == j else 0.0
 
     def as_dense(self) -> np.ndarray:
-        r = np.zeros((self.n, self.n))
-        for i, j, v in self.entries:
-            r[i, j] = v
-        return r
+        return self.csr.toarray()
 
     def graph(self) -> UndirectedGraph:
-        edges = {(min(i, j), max(i, j)) for i, j, _ in self.entries}
-        return UndirectedGraph(self.n, sorted(edges))
-
-
-def _residual_entries(sys: SparseSystem):
-    """R's off-diagonal (rows, cols, values) in CSR order: r_ij = -a_ij /
-    a_ii for every stored a_ij != 0 with i != j."""
-    keep = (sys.rows != sys.indices) & (sys.data != 0.0)
-    rows = sys.rows[keep]
-    with np.errstate(all="ignore"):
-        return rows, sys.indices[keep], -sys.data[keep] / sys.diag[rows]
+        rows = np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
+        return UndirectedGraph(self.n, np.column_stack((rows,
+                                                        self.csr.indices)))
 
 
 def residual_matrix(sys: SparseSystem) -> ResidualMatrix:
-    """Build R = I - D^-1 A restricted to its off-diagonal entries."""
-    rows, cols, vals = _residual_entries(sys)
-    return ResidualMatrix(sys.n, tuple(zip(rows.tolist(), cols.tolist(),
-                                           vals.tolist())))
+    """Build R = I - D^-1 A restricted to its off-diagonal entries:
+    r_ij = -a_ij / a_ii for every stored a_ij != 0 with i != j."""
+    keep = (sys.rows != sys.indices) & (sys.data != 0.0)
+    rows = sys.rows[keep]
+    with np.errstate(all="ignore"):
+        vals = -sys.data[keep] / sys.diag[rows]
+    return ResidualMatrix(sys.n, np.column_stack((rows, sys.indices[keep],
+                                                  vals)))
 
 
 def _abs_residual_csr(sys: SparseSystem) -> sp.csr_matrix:
     """|R| as a canonical CSR matrix, for _certify."""
-    rows, cols, vals = _residual_entries(sys)
-    return _as_csr_nonneg(sp.csr_matrix(
-        (np.abs(vals), (rows, cols)), shape=(sys.n, sys.n)))
+    return _as_csr_nonneg(abs(residual_matrix(sys).csr))
 
 
 def _as_csr_nonneg(m: MatrixLike) -> sp.csr_matrix:

@@ -17,7 +17,7 @@ from .analysis import RHO_TOL_DEFAULT, analyze
 from .core import (DIAG_RULES, GENERATOR_KINDS, DEFAULT_COEFF_RANGE,
                    GeneratorSpec, SparseSystem, check_tolerance, diameter,
                    generate_instance, is_acyclic)
-from .engine import ConvergenceTrace, delta_stop, run_rounds
+from .engine import ConvergenceTrace, SolverFault, delta_stop, run_rounds
 from .errors import (NotWalkSummableError, SingularMatrixError,
                      WalksolveError)
 from .solvers import (ESTIMATE_LIMIT, BPProgram, ConsensusProgram,
@@ -86,6 +86,10 @@ def _write_lines(lines: list[str], out: Optional[str]) -> None:
         _sys.stdout.write(text)
 
 
+def _fault_text(f: SolverFault) -> str:
+    return f"node {f.node} round {f.round}: {f.error}"
+
+
 def _trace_csv(trace: ConvergenceTrace, comments: list[str]) -> list[str]:
     lines = [f"# {c}" for c in comments]
     lines.append("iter,log10_mse,max_delta,messages")
@@ -93,8 +97,7 @@ def _trace_csv(trace: ConvergenceTrace, comments: list[str]) -> list[str]:
         lines.append(f"{row.k},{_cell(row.log10_mse)},"
                      f"{_cell(row.max_delta)},{row.accounting.messages_sent}")
     if trace.fault is not None:
-        f = trace.fault
-        lines.append(f"# fault: node {f.node} round {f.round}: {f.error}")
+        lines.append(f"# fault: {_fault_text(trace.fault)}")
     return lines
 
 
@@ -145,7 +148,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
     """Sequential sweeps; returns (rows, stop_reason, fault) shaped like a
     trace.  A sweep with an estimate beyond ESTIMATE_LIMIT is not a row:
-    it stops the run with a fault naming the smallest such node."""
+    it stops the run with the fault of the smallest such node."""
     with np.errstate(all="ignore"):
         x = sys_.b / sys_.diag
     rows = []
@@ -153,8 +156,10 @@ def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
         nxt = gauss_seidel_sweep(sys_, x) if k else x
         over = ~(np.abs(nxt) <= ESTIMATE_LIMIT)
         if over.any():
-            return rows, "fault", (f"node {int(np.argmax(over))} round {k}: "
-                                   "DivergedEstimateError")
+            node = int(np.argmax(over))
+            return rows, "fault", SolverFault(
+                node=node, round=k, error="DivergedEstimateError",
+                cause=f"estimate {float(nxt[node])!r} out of range")
         delta = float(np.max(np.abs(nxt - x))) if k else None
         rows.append((k, _ref_err(nxt, reference), delta))
         if k and delta_stop(x, nxt, tol):
@@ -190,12 +195,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         for k, lmse, delta in rows:
             lines.append(f"{k},{_cell(lmse)},{_cell(delta)},0")
         if fault is not None:
-            lines.append(f"# fault: {fault}")
+            lines.append(f"# fault: {_fault_text(fault)}")
         _write_lines(lines, args.out)
         print(f"method=gauss-seidel rounds={rows[-1][0] if rows else 0} "
               f"stop={reason}", file=_sys.stderr)
         if fault is not None:
-            print(f"fault: {fault}", file=_sys.stderr)
+            print(f"fault: {_fault_text(fault)}", file=_sys.stderr)
         return _EXIT_BY_REASON[reason]
 
     if args.method == "bp":
@@ -221,9 +226,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         summary += f" log10_mse={_fmt(last.log10_mse)}"
     print(summary, file=_sys.stderr)
     if trace.fault is not None:
-        f = trace.fault
-        print(f"fault: node {f.node} round {f.round}: {f.error}",
-              file=_sys.stderr)
+        print(f"fault: {_fault_text(trace.fault)}", file=_sys.stderr)
     return _EXIT_BY_REASON[trace.stop_reason]
 
 
@@ -247,8 +250,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         note = f"method {name}: stop={trace.stop_reason} " \
                f"rounds={trace.rounds[-1].k if trace.rounds else 0}"
         if trace.fault is not None:
-            f = trace.fault
-            note += f" fault='node {f.node} round {f.round}: {f.error}'"
+            note += f" fault='{_fault_text(trace.fault)}'"
             print(f"# {note}", file=_sys.stderr)
         comments.append(note)
     last_round = max((max(c) for c in columns.values() if c), default=0)

@@ -8,17 +8,17 @@ matter which order nodes are evaluated in.
 
 ``run_rounds`` drives one kernel per run, with one set of stop rules,
 trace rows and fault records:
-  - a program's own array form, when its ``edge_kernel`` returns one (the
-    message-passing solver, Jacobi and projection consensus).  A kernel
-    runs on the graph's own arrays, its directed edges in CSR order
+  - a program's own array form, which its ``edge_kernel`` returns (the
+    message-passing solver, Jacobi and projection consensus).  It runs
+    on the graph's own arrays, its directed edges in CSR order
     (:class:`~walksolve.core.UndirectedGraph`): a round gathers the
     incoming messages along the edges, updates them elementwise and sums
     them per node in neighbor order.  Messages only ever travel along
     edges, so C1 holds by construction.  Consensus keeps every node's
     full-length vector as one row of an (n, n) array.
   - otherwise :class:`_NodeKernel`, the per-node reference: it calls the
-    program's transitions node by node, delivers DirectedEdgeMessage
-    dicts, and checks C1 on every round.  Tests hold the array forms to it.
+    program's transitions node by node, delivers each value as it was
+    sent, and checks C1 on every round.  Tests hold the array forms to it.
 When several nodes fault in one round, the fault of the smallest node id
 is reported, so the record does not depend on evaluation order.
 
@@ -42,22 +42,6 @@ from .errors import ProtocolViolationError, SolverError
 #: documented constants for the declared locality bounds
 OPS_BOUND_COEFF = 16
 STORAGE_BOUND_COEFF = 12
-
-
-@dataclass(frozen=True)
-class DirectedEdgeMessage:
-    """One directed-edge payload delivered at a round barrier.
-
-    values[0] doubles as the positive-scalar slot: programs that declare
-    check_positive_a route the quantity whose positivity the convergence
-    theory guarantees through it, and the engine counts violations as a
-    diagnostic rather than a fault.
-    """
-
-    src: int
-    dst: int
-    round: int
-    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -127,18 +111,25 @@ class NodeProgram:
     ``local_complexity`` declares whether the program keeps per-node work
     and state O(|N_i|) by construction, and ``check_positive_a`` opts into
     the positive-message diagnostic.
+
+    An outbox maps each neighbor to the value sent to it, and the
+    neighbor's next inbox holds that very object.  A program must
+    therefore not mutate a value once it has sent it.  A program that
+    sets check_positive_a sends sequences whose [0] is the scalar that
+    the convergence theory keeps positive; the engine counts the rounds'
+    non-positive ones as a diagnostic, not a fault.
     """
 
-    name = "program"
     local_complexity = True
     check_positive_a = False
 
     def init_node(self, node: int):
-        """Return (state, outbox); outbox maps neighbor -> value tuple."""
+        """Return (state, outbox); outbox maps neighbor -> value."""
         raise NotImplementedError
 
-    def step(self, node: int, state, inbox: Mapping[int, DirectedEdgeMessage]):
-        """Return (state, outbox) from the round-(k-1) snapshot."""
+    def step(self, node: int, state, inbox: Mapping[int, object]):
+        """Return (state, outbox) from the round-(k-1) snapshot; inbox
+        maps neighbor -> the value it sent this node."""
         raise NotImplementedError
 
     def estimate(self, node: int, state) -> float:
@@ -152,19 +143,19 @@ class NodeProgram:
         raise NotImplementedError
 
     def edge_kernel(self, g: UndirectedGraph):
-        """The program's array form on g, run_rounds's ``sys.graph``, or
-        None if it has none.
+        """The kernel that runs this program on g, run_rounds's
+        ``sys.graph``: by default the per-node kernel, which runs
+        init_node/step on any graph.
 
-        A kernel computes the same rounds as init_node/step, bit for bit,
-        for all nodes at once.  ``start()`` computes round 0 and
-        ``advance()`` the next round.  Each returns (estimates, first),
-        where ``first`` holds values[0] of every slot's message when
+        A program's array form computes the same rounds as init_node/step,
+        bit for bit, for all nodes at once.  ``start()`` computes round 0
+        and ``advance()`` the next round.  Each returns (estimates, first),
+        where ``first`` holds [0] of every slot's message when
         check_positive_a is set, or raises NodeFault for the smallest node
-        whose transition faults.  A kernel refuses any g but its own
-        system's graph; a program without one has no system to compare,
-        and the per-node kernel runs it on any graph.
+        whose transition faults.  An array form refuses any g but its own
+        system's graph.
         """
-        return None
+        return _NodeKernel(self, g)
 
 
 class _NodeKernel:
@@ -173,8 +164,8 @@ class _NodeKernel:
 
     The first SolverError is therefore the smallest faulting node's.  Once
     every transition of a round succeeds, each outbox must address exactly
-    the node's neighbors (C1); messages are then delivered as
-    DirectedEdgeMessage dicts for the next round to read.
+    the node's neighbors (C1); each value is then delivered, as sent, to
+    its neighbor's inbox for the next round to read.
     """
 
     def __init__(self, program: NodeProgram, g: UndirectedGraph):
@@ -205,9 +196,8 @@ class _NodeKernel:
                 raise ProtocolViolationError(
                     f"node {u} addressed {sorted(out)} at round {k}, "
                     f"expected exactly its neighbors {list(g.neighbors[u])}")
-            for v, values in out.items():
-                inboxes[v][u] = DirectedEdgeMessage(src=u, dst=v, round=k,
-                                                    values=tuple(values))
+            for v, value in out.items():
+                inboxes[v][u] = value
         self._states = [state for state, _ in results]
         self._inboxes = inboxes
         self._k = k + 1
@@ -215,7 +205,7 @@ class _NodeKernel:
                               for u, state in enumerate(self._states)])
         first = None
         if program.check_positive_a:
-            first = np.array([inboxes[v][u].values[0]
+            first = np.array([inboxes[v][u][0]
                               for u, v in zip(g.owner.tolist(),
                                               g.nbr.tolist())])
         return estimates, first
@@ -267,8 +257,6 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
     kernel = program.edge_kernel(g)
-    if kernel is None:
-        kernel = _NodeKernel(program, g)
     deg = np.diff(g.indptr)
     round0_ops, later_ops, storage = program.costs(deg, g.n)
     init_acct, step_acct = (RoundAccounting(

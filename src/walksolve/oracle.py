@@ -23,7 +23,7 @@ import scipy.sparse.linalg
 
 from .analysis import ResidualMatrix
 from .core import SparseSystem, UndirectedGraph, is_acyclic
-from .engine import run_rounds
+from .engine import NodeFault
 from .errors import (
     CyclicGraphError,
     InvalidWalkError,
@@ -287,14 +287,21 @@ def unwrapped_equivalence_check(sys: SparseSystem, i: int,
     """Does t rounds of message passing at node i equal the unwrapped solve?
 
     Builds the t-round computation tree at i, replicates the system onto
-    it, solves that directly, and compares against the engine-run
-    estimate x^_i(t) to UNWRAP_AGREEMENT_TOL.  t = 0 compares the
-    initialization b_i / a_ii.
+    it, solves that directly, and compares against the estimate x^_i(t)
+    of the bp kernel that run_rounds drives, to UNWRAP_AGREEMENT_TOL.
+    t = 0 compares the initialization b_i / a_ii.  A node fault in
+    rounds 0..t raises that node's SolverError: x^_i(t) does not exist.
     """
     tree = unwrap_tree(sys.graph, i, t)
+    kernel = BPProgram(sys).edge_kernel(sys.graph)
+    try:
+        estimates, _ = kernel.start()
+        for _ in range(t):
+            estimates, _ = kernel.advance()
+    except NodeFault as fault:
+        raise fault.error from None
+    estimate = float(estimates[i])
     tree_value = _solve_root(unwrapped_system(sys, tree))
-    trace = run_rounds(sys, BPProgram(sys), t)
-    estimate = float(trace.final_estimates[i])
     ok = abs(estimate - tree_value) <= UNWRAP_AGREEMENT_TOL * max(
         1.0, abs(tree_value))
     return UnwrappedCheck(ok=ok, estimate=estimate, tree_value=tree_value,

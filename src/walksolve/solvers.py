@@ -268,8 +268,6 @@ class _BPEdgeKernel(_EdgeCoeffs):
 class BPProgram(NodeProgram):
     """Engine adapter around _bp_init_one / bp_round."""
 
-    name = "bp"
-    local_complexity = True
     check_positive_a = True
 
     def __init__(self, sys: SparseSystem):
@@ -281,7 +279,7 @@ class BPProgram(NodeProgram):
                        for j in state.coeffs.neighbors}
 
     def step(self, node: int, state, inbox):
-        return bp_round(state, {v: m.values for v, m in inbox.items()})
+        return bp_round(state, inbox)
 
     def estimate(self, node: int, state) -> float:
         return state.x_hat
@@ -399,20 +397,17 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
 
 
 class JacobiProgram(NodeProgram):
-    name = "jacobi"
-    local_complexity = True
+    """Engine adapter around _jacobi_init_one / jacobi_round."""
 
     def __init__(self, sys: SparseSystem):
         self._sys = sys
 
     def init_node(self, node: int):
         state = _jacobi_init_one(_node_coeffs(self._sys, node))
-        return state, {j: (state.x_hat,) for j in state.coeffs.neighbors}
+        return state, {j: state.x_hat for j in state.coeffs.neighbors}
 
     def step(self, node: int, state, inbox):
-        values = {v: m.values[0] for v, m in inbox.items()}
-        new_state, outbox = jacobi_round(state, values)
-        return new_state, {j: (x,) for j, x in outbox.items()}
+        return jacobi_round(state, inbox)
 
     def estimate(self, node: int, state) -> float:
         return state.x_hat
@@ -477,7 +472,7 @@ def consensus_round(state: ConsensusNodeState,
         return state, {}
     z = deg * state.x
     for v in state.neighbors:
-        z = z - np.asarray(inbox[v], dtype=float)
+        z = z - inbox[v]
     w = sum(a_ij * z[j] for j, a_ij in state.row.items())
     coef = w / state.row_norm_sq
     proj = z.copy()
@@ -552,7 +547,6 @@ class ConsensusProgram(NodeProgram):
     program (local_complexity is declared False).
     """
 
-    name = "consensus"
     local_complexity = False
 
     def __init__(self, sys: SparseSystem):
@@ -564,12 +558,10 @@ class ConsensusProgram(NodeProgram):
         x = np.zeros(self._sys.n)
         x[node] = float(self._sys.b[node]) / float(self._sys.diag[node])
         state = _consensus_state(self._sys, node, x)
-        return state, {j: tuple(state.x) for j in state.neighbors}
+        return state, {j: state.x for j in state.neighbors}
 
     def step(self, node: int, state, inbox):
-        vectors = {v: np.array(m.values) for v, m in inbox.items()}
-        new_state, outbox = consensus_round(state, vectors)
-        return new_state, {j: tuple(x) for j, x in outbox.items()}
+        return consensus_round(state, inbox)
 
     def estimate(self, node: int, state) -> float:
         return float(state.x[node])

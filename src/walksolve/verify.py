@@ -21,7 +21,7 @@ from .core import (
     system_from_edges,
 )
 from .engine import NodeFault
-from .errors import TooLargeError
+from .errors import SolverError, TooLargeError
 from .oracle import (
     ENUM_MAX_LENGTH,
     ENUM_MAX_NODES,
@@ -218,6 +218,11 @@ def check_unwrapped(seed: int = 0, instances: int = 6,
             except TooLargeError:
                 return CheckResult(name, True, cases, skipped=True,
                                    detail=f"skipped: tree guard at t={t}")
+            except SolverError as exc:
+                return CheckResult(
+                    name, False, cases + 1,
+                    detail=(f"system#{sidx} root={root} t={t} "
+                            f"{type(exc).__name__}: {exc}"))
             cases += 1
             if not res.ok:
                 return CheckResult(

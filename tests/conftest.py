@@ -42,22 +42,22 @@ PATH3_SOLUTION = np.array([2.5, 4.0, 3.5])
 class PerNodeBP(BPProgram):
     """BPProgram without its array form: runs on the per-node kernel."""
 
-    def edge_kernel(self, layout):
-        return None
+    def edge_kernel(self, g):
+        return _NodeKernel(self, g)
 
 
 class PerNodeJacobi(JacobiProgram):
     """JacobiProgram without its array form: runs on the per-node kernel."""
 
-    def edge_kernel(self, layout):
-        return None
+    def edge_kernel(self, g):
+        return _NodeKernel(self, g)
 
 
 class PerNodeConsensus(ConsensusProgram):
     """ConsensusProgram without its array form: runs on the per-node kernel."""
 
-    def edge_kernel(self, layout):
-        return None
+    def edge_kernel(self, g):
+        return _NodeKernel(self, g)
 
 
 def kernel_rounds(sys, program, rounds):
@@ -66,8 +66,6 @@ def kernel_rounds(sys, program, rounds):
     early, or None.  The trace keeps no per-round estimates, so tests that
     check every round step the kernel themselves."""
     kernel = program.edge_kernel(sys.graph)
-    if kernel is None:
-        kernel = _NodeKernel(program, sys.graph)
     out = []
     try:
         for step in [kernel.start] + [kernel.advance] * rounds:

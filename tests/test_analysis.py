@@ -22,10 +22,13 @@ from walksolve.errors import (
     InvalidSystemError,
     NoConvergenceError,
 )
+from walksolve.mmio import load_system
 from walksolve.solvers import bp_solve
 
+from test_golden import HAND_MTX, HAND_RHS
 
-def test_residual_matrix_values(two_node):
+
+def test_residual_matrix_values(two_node, tmp_path):
     rm = residual_matrix(two_node)
     # r_ij = -a_ij / a_ii: r_01 = 1/2, r_10 = 0.5/2
     assert rm.value(0, 1) == 0.5
@@ -34,6 +37,21 @@ def test_residual_matrix_values(two_node):
     assert np.array_equal(rm.as_dense(), np.array([[0.0, 0.5], [0.25, 0.0]]))
     assert analysis._abs_residual_csr(two_node).toarray()[0, 1] == 0.5
     assert rm.graph().has_edge(0, 1)
+    # the golden hand matrix has a one-directional entry and stored zeros
+    (tmp_path / "hand.mtx").write_text(HAND_MTX)
+    (tmp_path / "hand.rhs").write_text(HAND_RHS)
+    sys = load_system(tmp_path / "hand.mtx", tmp_path / "hand.rhs")
+    a = sys.as_dense()
+    want = -a / np.diag(a)[:, None]
+    np.fill_diagonal(want, 0.0)
+    rm = residual_matrix(sys)
+    assert np.array_equal(rm.as_dense(), want)
+    assert [[rm.value(i, j) for j in range(4)] for i in range(4)] \
+        == want.tolist()
+    joined = (want != 0.0) | (want.T != 0.0)
+    assert rm.graph().edges() == tuple(
+        (i, j) for i in range(4) for j in range(i + 1, 4) if joined[i, j])
+    assert rm.graph().edges() == ((0, 1), (0, 2), (1, 2), (2, 3))
 
 
 def test_spectral_radius_two_cycle(two_node):

@@ -69,6 +69,51 @@ def test_outbox_must_match_neighbor_set(two_node):
         run_rounds(sys3, _WrongAddressProgram(sys3), max_rounds=1)
 
 
+class _RecordingProgram(NodeProgram):
+    """Sends a fresh list on every edge each round and records, by
+    (sender, receiver, round sent), what it sent and what arrived."""
+
+    check_positive_a = True
+
+    def __init__(self, sys):
+        self.neighbors = sys.graph.neighbors
+        self.sent = {}
+        self.received = {}
+
+    def init_node(self, node):
+        return self._send(node, 0)
+
+    def step(self, node, k, inbox):
+        for v, value in inbox.items():
+            self.received[v, node, k - 1] = value
+        return self._send(node, k)
+
+    def _send(self, node, k):
+        out = {v: [1.0, node, v, k] for v in self.neighbors[node]}
+        for v, value in out.items():
+            self.sent[node, v, k] = value
+        return k + 1, out
+
+    def estimate(self, node, state):
+        return 0.0
+
+    def costs(self, deg, n):
+        return (np.ones_like(deg),) * 3
+
+
+def test_per_node_kernel_delivers_the_values_sent():
+    sys = generate_instance(GeneratorSpec(kind="loopy-small", n=8, seed=1))
+    program = _RecordingProgram(sys)
+    trace = run_rounds(sys, program, 3)
+    # [0] of every list is the positive scalar the diagnostic reads
+    assert trace.total_positivity_violations == 0
+    # rounds 1..3 read what rounds 0..2 sent, as the very same objects
+    assert sorted(program.received) == sorted(
+        key for key in program.sent if key[2] < 3)
+    for key, value in program.received.items():
+        assert value is program.sent[key], key
+
+
 def test_init_fault_keeps_empty_trace():
     # a numerically-zero diagonal faults message seeding at round 0
     sys = SparseSystem(2, [(0, 0, 1e-30), (0, 1, -1.0), (1, 0, -1.0),
@@ -169,7 +214,7 @@ def test_accounting_bounds_small_graph(two_node):
             ConsensusProgram: ([7, 7, 7], [19, 28, 46], [7, 14, 28])}
     for cls, costs in want.items():
         got = cls(two_node).costs(deg, 5)
-        assert [c.tolist() for c in got] == list(costs), cls.name
+        assert [c.tolist() for c in got] == list(costs), cls.__name__
 
 
 def _compare(monkeypatch, sys):

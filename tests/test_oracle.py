@@ -13,6 +13,7 @@ from walksolve.errors import (
     CyclicGraphError,
     InvalidWalkError,
     NotAnEdgeError,
+    SingularMessageError,
     TooLargeError,
 )
 from walksolve.oracle import (
@@ -25,6 +26,8 @@ from walksolve.oracle import (
     unwrapped_system,
     walk_weight,
 )
+
+from test_edge_kernel import FAULTING
 
 LOOPY_FIVE = ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
 
@@ -144,6 +147,20 @@ def test_unwrapped_equivalence_single_node():
     assert res.ok
     assert res.tree_nodes == 1
     assert res.estimate == 1.5
+
+
+def test_unwrapped_equivalence_raises_a_node_fault():
+    # bp faults at node 0, round 2 on "incoming" and at round 0 on "seed";
+    # no round from the fault on has an estimate to compare
+    incoming = FAULTING["incoming"]
+    for i in range(incoming.n):
+        for t in (0, 1):
+            assert unwrapped_equivalence_check(incoming, i, t).ok
+        for t in (2, 3):
+            with pytest.raises(SingularMessageError, match="incoming scalar"):
+                unwrapped_equivalence_check(incoming, i, t)
+    with pytest.raises(SingularMessageError, match="too small to seed"):
+        unwrapped_equivalence_check(FAULTING["seed"], 0, 0)
 
 
 def test_unwrap_validation():

@@ -1,5 +1,7 @@
 import pytest
 
+from walksolve import verify
+from walksolve.cli import main
 from walksolve.solvers import _BPEdgeKernel
 from walksolve.verify import (
     check_message_oracle,
@@ -10,6 +12,8 @@ from walksolve.verify import (
     run_all_checks,
     run_message_rounds,
 )
+
+from test_edge_kernel import FAULTING
 
 
 def test_run_message_rounds_shape(path3):
@@ -69,3 +73,18 @@ def test_individual_checks_report_cases():
     assert check_tail_bound(seed=3, instances=5).cases > 0
     assert check_unwrapped(seed=3, instances=2).cases > 0
     assert check_tree_exactness(seed=3, trees=5).cases == 5
+
+
+def test_unwrapped_check_reports_a_node_fault(monkeypatch, capsys):
+    # the check's first system becomes one where bp faults at node 0,
+    # round 2; verify reports it and goes on to the other checks
+    monkeypatch.setattr(verify, "system_from_edges",
+                        lambda n, edges, seed: FAULTING["incoming"])
+    res = check_unwrapped(seed=0, instances=0)
+    assert (res.ok, res.cases) == (False, 3)
+    assert res.detail.startswith(
+        "system#0 root=0 t=2 SingularMessageError: node 0: incoming scalar")
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL unwrapped-equivalence: {res.detail}\n" in out
+    assert "PASS tree-exactness" in out
