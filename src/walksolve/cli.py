@@ -162,7 +162,7 @@ def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
                 cause=f"estimate {float(nxt[node])!r} out of range")
         delta = float(np.max(np.abs(nxt - x))) if k else None
         rows.append((k, _ref_err(nxt, reference), delta))
-        if k and delta_stop(x, nxt, tol):
+        if k and delta_stop(delta, nxt, tol):
             return rows, "delta", None
         x = nxt
     return rows, "max-rounds", None

@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidSystemError, MissingDiagonalError
+from .errors import InvalidSystemError, MissingDiagonalError, TooLargeError
 
 GENERATOR_KINDS = (
     "example1-tree",
@@ -29,6 +29,9 @@ DIAG_RULES = ("neighbor-count", "unit", "explicit")
 SEVEN_NODE_TREE_EDGES = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6))
 
 DEFAULT_COEFF_RANGE = (-1.0, -0.85)
+#: a random-sparse spec expecting more edges, density * n (n - 1) / 2,
+#: is refused before anything is drawn
+MAX_RANDOM_SPARSE_EDGES = 10 ** 6
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -338,7 +341,8 @@ class GeneratorSpec:
     ``coeff_range`` is sampled half-open [lo, hi); a draw of exactly 0.0
     is redrawn so no stored off-diagonal can vanish, and lo == 0.0 is
     rejected outright because the included endpoint would zero an edge
-    weight.  ``density`` only affects kind "random-sparse";
+    weight.  ``density`` only affects kind "random-sparse", which raises
+    TooLargeError when it expects more than MAX_RANDOM_SPARSE_EDGES edges;
     ``diag_value`` only affects diag_rule "explicit".
     """
 
@@ -369,6 +373,11 @@ class GeneratorSpec:
                 "coeff_range low endpoint 0.0 would zero an edge weight")
         if not 0.0 <= self.density <= 1.0:
             raise InvalidSystemError("density must lie in [0, 1]")
+        expected = self.density * self.n * (self.n - 1) / 2
+        if self.kind == "random-sparse" and expected > MAX_RANDOM_SPARSE_EDGES:
+            raise TooLargeError(
+                f"random-sparse n={self.n} density={self.density:g} expects "
+                f"{expected:.3g} edges, more than {MAX_RANDOM_SPARSE_EDGES}")
         if self.diag_rule not in DIAG_RULES:
             raise InvalidSystemError(
                 f"unknown diag rule {self.diag_rule!r}; "

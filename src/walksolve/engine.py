@@ -37,7 +37,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .core import SparseSystem, UndirectedGraph, check_tolerance
-from .errors import ProtocolViolationError, SolverError
+from .errors import (DimensionMismatchError, ProtocolViolationError,
+                     SolverError)
 
 #: documented constants for the declared locality bounds
 OPS_BOUND_COEFF = 16
@@ -112,6 +113,13 @@ class NodeProgram:
     and state O(|N_i|) by construction, and ``check_positive_a`` opts into
     the positive-message diagnostic.
 
+    ``init_node`` and ``step`` are the program's per-node update, its
+    one statement of the transition: the per-node kernel runs them, and
+    an array form replays them on the node it finds faulting, so they
+    raise every fault.  C1 is the one protocol check, made by the
+    per-node kernel on every outbox before delivery, so ``step`` may
+    trust that its inbox holds exactly the node's neighbors.
+
     An outbox maps each neighbor to the value sent to it, and the
     neighbor's next inbox holds that very object.  A program must
     therefore not mutate a value once it has sent it.  A program that
@@ -152,8 +160,8 @@ class NodeProgram:
         and ``advance()`` the next round.  Each returns (estimates, first),
         where ``first`` holds [0] of every slot's message when
         check_positive_a is set, or raises NodeFault for the smallest node
-        whose transition faults.  An array form refuses any g but its own
-        system's graph.
+        whose transition faults, by replaying that node's init_node or
+        step.  An array form refuses any g but its own system's graph.
         """
         return _NodeKernel(self, g)
 
@@ -211,12 +219,12 @@ class _NodeKernel:
         return estimates, first
 
 
-def delta_stop(prev: np.ndarray, cur: np.ndarray, tol: float) -> bool:
-    """True when max_i |cur_i - prev_i| <= tol * max(1, max_i |cur_i|).
+def delta_stop(delta: float, cur: np.ndarray, tol: float) -> bool:
+    """True when delta, the round's max_i |cur_i - prev_i|, is at most
+    tol * max(1, max_i |cur_i|).
 
     A delta that is not finite never stops: inf <= tol * inf would hold.
     """
-    delta = float(np.max(np.abs(cur - prev)))
     return (math.isfinite(delta)
             and delta <= tol * max(1.0, float(np.max(np.abs(cur)))))
 
@@ -237,8 +245,9 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
     is exactly rounds 0..max_rounds and ends "fixed-rounds": an acyclic
     system is exact after diameter-many rounds.  With tol, a finite
     tolerance >= 0, it ends "delta" at the first round k >= 1 where
-    delta_stop(previous, current, tol) holds, or else "max-rounds": a
-    loopy system converges only asymptotically.
+    delta_stop(delta, current, tol) holds, or else "max-rounds": a
+    loopy system converges only asymptotically.  A reference, the
+    solution that log10_mse measures against, has shape (n,).
 
     Round 0 is initialization (it already sends one message per directed
     edge).  A SolverError raised inside a node transition aborts the run
@@ -256,6 +265,9 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
     g = sys.graph
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
+        if reference.shape != (g.n,):
+            raise DimensionMismatchError(
+                f"reference has shape {reference.shape}, expected ({g.n},)")
     kernel = program.edge_kernel(g)
     deg = np.diff(g.indptr)
     round0_ops, later_ops, storage = program.costs(deg, g.n)
@@ -290,7 +302,7 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
                  if prev is not None else None)
         trace.rounds.append(TraceRound(k=k, log10_mse=mse, max_delta=delta,
                                        accounting=acct))
-        if tol is not None and k and delta_stop(prev, estimates, tol):
+        if tol is not None and k and delta_stop(delta, estimates, tol):
             trace.stop_reason = "delta"
             return trace
     trace.stop_reason = "fixed-rounds" if tol is None else "max-rounds"

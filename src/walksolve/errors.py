@@ -64,7 +64,8 @@ class ProtocolViolationError(WalksolveError):
 
 
 class TooLargeError(WalksolveError):
-    """Input exceeds a guard limit for an exhaustive or dense computation."""
+    """Input exceeds a guard limit for an exhaustive or dense computation,
+    or for a generated instance."""
 
 
 class InvalidWalkError(WalksolveError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -87,7 +87,7 @@ def _replay(bad: np.ndarray, transition) -> None:
     """Re-run the smallest flagged node's per-node transition, which
     raises its fault; no node flagged, nothing happens.
 
-    The kernels only locate the smallest faulting node; the reference
+    The kernels only locate the smallest faulting node; the program's own
     transition, called with that node, decides the error type and message.
     """
     if not bad.any():
@@ -102,16 +102,18 @@ def _replay(bad: np.ndarray, transition) -> None:
 
 
 class _EdgeCoeffs:
-    """The system's coefficients as arrays over nodes and over the slots
-    of its graph's directed edges: a_row[s] is a_iv for the slot
+    """The program's system's coefficients as arrays over nodes and over
+    the slots of its graph's directed edges: a_row[s] is a_iv for the slot
     s = (i -> v), 0 when the system stores no (i, v) entry.  A graph that
     is not ``sys.graph`` itself is refused: one of the same shape would
     still run this system's coefficients on another system."""
 
-    def __init__(self, sys: SparseSystem, g: UndirectedGraph):
+    def __init__(self, program: NodeProgram, g: UndirectedGraph):
+        sys = program._sys
         if g is not sys.graph:
             raise ProtocolViolationError(
                 "program coefficients do not match the system's graph")
+        self.program = program
         self.sys = sys
         self.g = g
         self.a_ii = sys.diag
@@ -121,10 +123,14 @@ class _EdgeCoeffs:
         k = np.minimum(np.searchsorted(stored, wanted), len(stored) - 1)
         self.a_row = np.where(stored[k] == wanted, sys.data[k], 0.0)
 
-    def inbox(self, node: int, values: np.ndarray) -> dict:
-        """{v: values[s]} over node's slots s = (node -> v)."""
+    def _step(self, node: int, x_hat: np.ndarray, values: np.ndarray):
+        """program.step for node, whose state holds its previous estimate
+        x_hat[node] and whose inbox maps each neighbor v to values[s] over
+        the node's slots s = (node -> v)."""
         s = slice(self.g.indptr[node], self.g.indptr[node + 1])
-        return dict(zip(self.g.nbr[s].tolist(), values[s].tolist()))
+        state = NodeState(_node_coeffs(self.sys, node), float(x_hat[node]))
+        return self.program.step(
+            node, state, dict(zip(self.g.nbr[s].tolist(), values[s].tolist())))
 
 
 def _check_estimate(c: NodeCoeffs, x_hat: float) -> float:
@@ -134,90 +140,31 @@ def _check_estimate(c: NodeCoeffs, x_hat: float) -> float:
     return x_hat
 
 
+@dataclass(frozen=True)
+class NodeState:
+    """A message-passing or Jacobi node: its coefficients and estimate."""
+
+    coeffs: NodeCoeffs
+    x_hat: float
+
+
 # ---------------------------------------------------------------------------
 # message-passing solver
 
 
-@dataclass(frozen=True)
-class BPNodeState:
-    coeffs: NodeCoeffs
-    a_out: dict  # j -> a_{i->j} of the current round
-    b_out: dict  # j -> b_{i->j}
-    a_tilde: float
-    b_tilde: float
-    x_hat: float
-
-
-def _bp_init_one(c: NodeCoeffs) -> BPNodeState:
-    """Round 0: every edge carries (a_ii, b_i), estimate b_i / a_ii."""
-    if abs(c.a_ii) <= c.eps_sing:
-        raise SingularMessageError(
-            f"node {c.node}: diagonal {c.a_ii!r} too small to seed messages")
-    x_hat = _check_estimate(c, c.b_i / c.a_ii)
-    return BPNodeState(coeffs=c,
-                       a_out={j: c.a_ii for j in c.neighbors},
-                       b_out={j: c.b_i for j in c.neighbors},
-                       a_tilde=c.a_ii, b_tilde=c.b_i, x_hat=x_hat)
-
-
-def bp_round(state: BPNodeState, inbox: Mapping[int, tuple[float, float]]
-             ) -> tuple[BPNodeState, dict]:
-    """One node update from the previous round's incoming pairs.
-
-    inbox maps every neighbor v to its pair (a_{v->i}, b_{v->i}).  Returns
-    the new state and the outbox {j: (a_{i->j}, b_{i->j})}.
-    """
-    c = state.coeffs
-    if set(inbox) != set(c.neighbors):
-        raise ProtocolViolationError(
-            f"node {c.node} expected pairs from {sorted(c.neighbors)}, "
-            f"got {sorted(inbox)}")
-    eps = c.eps_sing
-    inv = {}
-    s_a = 0.0
-    s_b = 0.0
-    for v in c.neighbors:
-        a_in, b_in = inbox[v]
-        if abs(a_in) <= eps:
-            raise SingularMessageError(
-                f"node {c.node}: incoming scalar {a_in!r} from {v} is "
-                "numerically zero")
-        iv = 1.0 / a_in
-        inv[v] = (iv, b_in)
-        s_a += c.prod[v] * iv
-        s_b += c.a_row[v] * b_in * iv
-    a_tilde = c.a_ii - s_a
-    b_tilde = c.b_i - s_b
-    if abs(a_tilde) <= eps:
-        raise SingularMessageError(
-            f"node {c.node}: aggregate scalar {a_tilde!r} is numerically zero")
-    x_hat = _check_estimate(c, b_tilde / a_tilde)
-    a_out = {}
-    b_out = {}
-    for j in c.neighbors:
-        iv, b_in = inv[j]
-        a_out[j] = a_tilde + c.prod[j] * iv
-        b_out[j] = b_tilde + c.a_row[j] * b_in * iv
-        if not (math.isfinite(a_out[j]) and math.isfinite(b_out[j])):
-            raise DivergedEstimateError(
-                f"node {c.node}: outgoing pair to {j} is not finite")
-    new_state = BPNodeState(coeffs=c, a_out=a_out, b_out=b_out,
-                            a_tilde=a_tilde, b_tilde=b_tilde, x_hat=x_hat)
-    return new_state, {j: (a_out[j], b_out[j]) for j in c.neighbors}
-
-
 class _BPEdgeKernel(_EdgeCoeffs):
-    """_bp_init_one / bp_round for every node at once on the graph's arrays.
+    """BPProgram.init_node / step for every node at once on the graph's
+    arrays.
 
-    Each expression is the one bp_round evaluates, and the per-node sums
-    run in neighbor order (np.bincount adds its weights in sequence), so
+    Each expression is the one step evaluates, and the per-node sums run
+    in neighbor order (np.bincount adds its weights in sequence), so
     messages and estimates equal the per-node path's bit for bit.
     (a_msg[s], b_msg[s]) is the pair owner[s] sent nbr[s] in the latest
     round; start() and advance() replace both arrays, never write them.
     """
 
-    def __init__(self, sys: SparseSystem, g: UndirectedGraph):
-        super().__init__(sys, g)
+    def __init__(self, program: BPProgram, g: UndirectedGraph):
+        super().__init__(program, g)
         a_col = self.a_row[g.rev]
         with np.errstate(over="ignore"):
             self._prod = self.a_row * a_col
@@ -227,17 +174,18 @@ class _BPEdgeKernel(_EdgeCoeffs):
                       np.maximum(np.abs(self.a_row), np.abs(a_col)))
         self._eps = SING_EPS_FACTOR * scale
         self._eps_slot = self._eps[g.owner]
-        self.a_msg = self.b_msg = None
+        self.a_msg = self.b_msg = self._x = None
 
     def start(self):
         with np.errstate(all="ignore"):
             x_hat = self.b_i / self.a_ii
         bad = (np.abs(self.a_ii) <= self._eps) | ~(
             np.abs(x_hat) <= ESTIMATE_LIMIT)
-        _replay(bad, lambda i: _bp_init_one(_node_coeffs(self.sys, i)))
+        _replay(bad, self.program.init_node)
         owner = self.g.owner
         self.a_msg = self.a_ii[owner]
         self.b_msg = self.b_i[owner]
+        self._x = x_hat
         return x_hat, self.a_msg
 
     def advance(self):
@@ -257,16 +205,14 @@ class _BPEdgeKernel(_EdgeCoeffs):
                 np.abs(x_hat) <= ESTIMATE_LIMIT)
             bad[g.owner[(np.abs(a_in) <= self._eps_slot)
                         | ~(np.isfinite(a_out) & np.isfinite(b_out))]] = True
-        # bp_round reads only the node's coefficients from the state
-        _replay(bad, lambda i: bp_round(
-            _bp_init_one(_node_coeffs(self.sys, i)),
-            self.inbox(i, np.column_stack((a_in, b_in)))))
-        self.a_msg, self.b_msg = a_out, b_out
+        _replay(bad, lambda i: self._step(i, self._x,
+                                          np.column_stack((a_in, b_in))))
+        self.a_msg, self.b_msg, self._x = a_out, b_out, x_hat
         return x_hat, a_out
 
 
 class BPProgram(NodeProgram):
-    """Engine adapter around _bp_init_one / bp_round."""
+    """The message-passing solver, one node at a time."""
 
     check_positive_a = True
 
@@ -274,12 +220,52 @@ class BPProgram(NodeProgram):
         self._sys = sys
 
     def init_node(self, node: int):
-        state = _bp_init_one(_node_coeffs(self._sys, node))
-        return state, {j: (state.a_out[j], state.b_out[j])
-                       for j in state.coeffs.neighbors}
+        """Round 0: every edge carries (a_ii, b_i), estimate b_i / a_ii."""
+        c = _node_coeffs(self._sys, node)
+        if abs(c.a_ii) <= c.eps_sing:
+            raise SingularMessageError(f"node {c.node}: diagonal {c.a_ii!r} "
+                                       "too small to seed messages")
+        x_hat = _check_estimate(c, c.b_i / c.a_ii)
+        return NodeState(c, x_hat), {j: (c.a_ii, c.b_i) for j in c.neighbors}
 
     def step(self, node: int, state, inbox):
-        return bp_round(state, inbox)
+        """One node update from the previous round's incoming pairs.
+
+        inbox maps every neighbor v to its pair (a_{v->i}, b_{v->i}); the
+        outbox maps every neighbor j to (a_{i->j}, b_{i->j}).
+        """
+        c = state.coeffs
+        eps = c.eps_sing
+        inv = {}
+        s_a = 0.0
+        s_b = 0.0
+        for v in c.neighbors:
+            a_in, b_in = inbox[v]
+            if abs(a_in) <= eps:
+                raise SingularMessageError(
+                    f"node {c.node}: incoming scalar {a_in!r} from {v} is "
+                    "numerically zero")
+            iv = 1.0 / a_in
+            inv[v] = (iv, b_in)
+            s_a += c.prod[v] * iv
+            s_b += c.a_row[v] * b_in * iv
+        a_tilde = c.a_ii - s_a
+        b_tilde = c.b_i - s_b
+        if abs(a_tilde) <= eps:
+            raise SingularMessageError(
+                f"node {c.node}: aggregate scalar {a_tilde!r} is numerically "
+                "zero")
+        x_hat = _check_estimate(c, b_tilde / a_tilde)
+        out = {}
+        for j in c.neighbors:
+            iv, b_in = inv[j]
+            a_out = a_tilde + c.prod[j] * iv
+            b_out = b_tilde + c.a_row[j] * b_in * iv
+            if not (math.isfinite(a_out) and math.isfinite(b_out)):
+                raise DivergedEstimateError(
+                    f"node {c.node}: outgoing pair to {j} is not finite")
+            out[j] = (a_out, b_out)
+        return NodeState(c, x_hat), out
 
     def estimate(self, node: int, state) -> float:
         return state.x_hat
@@ -288,7 +274,7 @@ class BPProgram(NodeProgram):
         return 2 * deg + 1, 11 * deg + 3, 7 * deg + 5
 
     def edge_kernel(self, g: UndirectedGraph) -> _BPEdgeKernel:
-        return _BPEdgeKernel(self._sys, g)
+        return _BPEdgeKernel(self, g)
 
 
 def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
@@ -334,43 +320,17 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
 # baselines
 
 
-@dataclass(frozen=True)
-class JacobiNodeState:
-    coeffs: NodeCoeffs
-    x_hat: float
-
-
-def _jacobi_init_one(c: NodeCoeffs) -> JacobiNodeState:
-    return JacobiNodeState(coeffs=c, x_hat=_check_estimate(c, c.b_i / c.a_ii))
-
-
-def jacobi_round(state: JacobiNodeState, inbox: Mapping[int, float]
-                 ) -> tuple[JacobiNodeState, dict]:
-    """x^_i <- (b_i - sum_v a_iv * x^_v) / a_ii from neighbor estimates."""
-    c = state.coeffs
-    if set(inbox) != set(c.neighbors):
-        raise ProtocolViolationError(
-            f"node {c.node} expected estimates from {sorted(c.neighbors)}, "
-            f"got {sorted(inbox)}")
-    acc = c.b_i
-    for v in c.neighbors:
-        acc -= c.a_row[v] * inbox[v]
-    x_hat = _check_estimate(c, acc / c.a_ii)
-    new_state = JacobiNodeState(coeffs=c, x_hat=x_hat)
-    return new_state, {j: x_hat for j in c.neighbors}
-
-
 class _JacobiEdgeKernel(_EdgeCoeffs):
-    """jacobi_round for every node at once on the graph's arrays.
+    """JacobiProgram.step for every node at once on the graph's arrays.
 
-    jacobi_round subtracts the products one at a time from b_i; one
-    bincount over b followed by the negated products adds the same terms
-    in the same order, so the estimates equal the per-node path's bit for
-    bit (b - bincount(products) would not).
+    step subtracts the products one at a time from b_i; one bincount
+    over b followed by the negated products adds the same terms in the
+    same order, so the estimates equal the per-node path's bit for bit
+    (b - bincount(products) would not).
     """
 
-    def __init__(self, sys: SparseSystem, g: UndirectedGraph):
-        super().__init__(sys, g)
+    def __init__(self, program: JacobiProgram, g: UndirectedGraph):
+        super().__init__(program, g)
         self._rows = np.concatenate((np.arange(g.n), g.owner))
         self._x = None
 
@@ -378,7 +338,7 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
         with np.errstate(all="ignore"):
             x_hat = self.b_i / self.a_ii
         bad = ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
-        _replay(bad, lambda i: _jacobi_init_one(_node_coeffs(self.sys, i)))
+        _replay(bad, self.program.init_node)
         self._x = x_hat
         return x_hat, None
 
@@ -389,25 +349,30 @@ class _JacobiEdgeKernel(_EdgeCoeffs):
                 (self.b_i, -(self.a_row * x_in))), self.g.n)
             x_hat = acc / self.a_ii
             bad = ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
-        _replay(bad, lambda i: jacobi_round(
-            JacobiNodeState(coeffs=_node_coeffs(self.sys, i),
-                            x_hat=float(self._x[i])), self.inbox(i, x_in)))
+        _replay(bad, lambda i: self._step(i, self._x, x_in))
         self._x = x_hat
         return x_hat, None
 
 
 class JacobiProgram(NodeProgram):
-    """Engine adapter around _jacobi_init_one / jacobi_round."""
+    """Jacobi iteration, one node at a time."""
 
     def __init__(self, sys: SparseSystem):
         self._sys = sys
 
     def init_node(self, node: int):
-        state = _jacobi_init_one(_node_coeffs(self._sys, node))
-        return state, {j: state.x_hat for j in state.coeffs.neighbors}
+        c = _node_coeffs(self._sys, node)
+        x_hat = _check_estimate(c, c.b_i / c.a_ii)
+        return NodeState(c, x_hat), {j: x_hat for j in c.neighbors}
 
     def step(self, node: int, state, inbox):
-        return jacobi_round(state, inbox)
+        """x^_i <- (b_i - sum_v a_iv * x^_v) / a_ii from neighbor estimates."""
+        c = state.coeffs
+        acc = c.b_i
+        for v in c.neighbors:
+            acc -= c.a_row[v] * inbox[v]
+        x_hat = _check_estimate(c, acc / c.a_ii)
+        return NodeState(c, x_hat), {j: x_hat for j in c.neighbors}
 
     def estimate(self, node: int, state) -> float:
         return state.x_hat
@@ -416,7 +381,7 @@ class JacobiProgram(NodeProgram):
         return np.ones_like(deg), 2 * deg + 2, 2 * deg + 3
 
     def edge_kernel(self, g: UndirectedGraph) -> _JacobiEdgeKernel:
-        return _JacobiEdgeKernel(self._sys, g)
+        return _JacobiEdgeKernel(self, g)
 
 
 @dataclass(frozen=True)
@@ -453,41 +418,8 @@ def _consensus_state(sys: SparseSystem, i: int,
                               row_norm_sq=sum(v * v for v in row.values()))
 
 
-def consensus_round(state: ConsensusNodeState,
-                    inbox: Mapping[int, np.ndarray]
-                    ) -> tuple[ConsensusNodeState, dict]:
-    """Project the neighborhood disagreement out of this node's vector.
-
-    x_i <- x_i - (1/|N_i|) P_i (|N_i| x_i - sum_v x_v) with P_i the
-    orthogonal projector onto the complement of row i, so a_i . x_i = b_i
-    is preserved exactly.  Every node carries a full-length vector: this
-    baseline deliberately trades locality for per-row consistency.
-    """
-    if set(inbox) != set(state.neighbors):
-        raise ProtocolViolationError(
-            f"node {state.node} expected vectors from "
-            f"{sorted(state.neighbors)}, got {sorted(inbox)}")
-    deg = len(state.neighbors)
-    if deg == 0:
-        return state, {}
-    z = deg * state.x
-    for v in state.neighbors:
-        z = z - inbox[v]
-    w = sum(a_ij * z[j] for j, a_ij in state.row.items())
-    coef = w / state.row_norm_sq
-    proj = z.copy()
-    for j, a_ij in state.row.items():
-        proj[j] -= coef * a_ij
-    x_new = state.x - proj / deg
-    if not np.all(np.isfinite(x_new)):
-        raise DivergedEstimateError(
-            f"node {state.node}: consensus vector is not finite")
-    new_state = replace(state, x=x_new)
-    return new_state, {j: x_new for j in state.neighbors}
-
-
 class _ConsensusEdgeKernel(_EdgeCoeffs):
-    """consensus_round for every node at once on the graph's arrays.
+    """ConsensusProgram.step for every node at once on the graph's arrays.
 
     Row i of one (n, n) array is node i's vector.  A round starts each
     row as deg_i * x_i and subtracts the neighbors' rows one slot position
@@ -497,8 +429,8 @@ class _ConsensusEdgeKernel(_EdgeCoeffs):
     per-node path's bit for bit.  Isolated nodes keep their vector.
     """
 
-    def __init__(self, sys: SparseSystem, g: UndirectedGraph):
-        super().__init__(sys, g)
+    def __init__(self, program: ConsensusProgram, g: UndirectedGraph):
+        super().__init__(program, g)
         deg = np.diff(g.indptr)
         self._deg = deg[:, None]
         self._isolated = np.flatnonzero(deg == 0)
@@ -509,7 +441,7 @@ class _ConsensusEdgeKernel(_EdgeCoeffs):
             rows = np.flatnonzero(deg > p)
             self._gathers.append((rows, g.nbr[g.indptr[rows] + p]))
         (self._sup_row, self._sup_col, self._sup_val,
-         self._row_norm_sq) = _row_support(sys)
+         self._row_norm_sq) = _row_support(self.sys)
         self._x = None
 
     def start(self):
@@ -532,9 +464,9 @@ class _ConsensusEdgeKernel(_EdgeCoeffs):
         x_new[self._isolated] = x[self._isolated]
         bad = ~np.isfinite(x_new).all(axis=1)
         bad[self._isolated] = False
-        _replay(bad, lambda i: consensus_round(
-            _consensus_state(self.sys, i, x[i].copy()),
-            {v: x[v] for v in self.sys.graph.neighbors[i]}))
+        _replay(bad, lambda i: self.program.step(
+            i, _consensus_state(self.sys, i, x[i].copy()),
+            {v: x[v] for v in self.g.neighbors[i]}))
         self._x = x_new
         return x_new.diagonal().copy(), None
 
@@ -561,7 +493,29 @@ class ConsensusProgram(NodeProgram):
         return state, {j: state.x for j in state.neighbors}
 
     def step(self, node: int, state, inbox):
-        return consensus_round(state, inbox)
+        """Project the neighborhood disagreement out of this node's vector.
+
+        x_i <- x_i - (1/|N_i|) P_i (|N_i| x_i - sum_v x_v) with P_i the
+        orthogonal projector onto the complement of row i, so a_i . x_i = b_i
+        is preserved exactly.  Every node carries a full-length vector: this
+        baseline deliberately trades locality for per-row consistency.
+        """
+        deg = len(state.neighbors)
+        if deg == 0:
+            return state, {}
+        z = deg * state.x
+        for v in state.neighbors:
+            z = z - inbox[v]
+        w = sum(a_ij * z[j] for j, a_ij in state.row.items())
+        coef = w / state.row_norm_sq
+        proj = z.copy()
+        for j, a_ij in state.row.items():
+            proj[j] -= coef * a_ij
+        x_new = state.x - proj / deg
+        if not np.all(np.isfinite(x_new)):
+            raise DivergedEstimateError(
+                f"node {state.node}: consensus vector is not finite")
+        return replace(state, x=x_new), {j: x_new for j in state.neighbors}
 
     def estimate(self, node: int, state) -> float:
         return float(state.x[node])
@@ -571,7 +525,7 @@ class ConsensusProgram(NodeProgram):
                 (deg + 1) * n + 2 * (deg + 1))
 
     def edge_kernel(self, g: UndirectedGraph) -> _ConsensusEdgeKernel:
-        return _ConsensusEdgeKernel(self._sys, g)
+        return _ConsensusEdgeKernel(self, g)
 
 
 def gauss_seidel_sweep(sys: SparseSystem, x) -> np.ndarray:

@@ -35,7 +35,6 @@ from walksolve.solvers import (
     ConsensusProgram,
     JacobiProgram,
     bp_solve,
-    consensus_round,
     dense_solve,
 )
 from walksolve.verify import (
@@ -197,7 +196,7 @@ def test_criterion_07_baseline_error_ordering():
                     {v: states[v].x for v in g.neighbors[i]}
                     for i in range(sys_.n)
                 ]
-                states = [consensus_round(states[i], inboxes[i])[0]
+                states = [program.step(i, states[i], inboxes[i])[0]
                           for i in range(sys_.n)]
                 for i, st in enumerate(states):
                     lo, hi = sys_.indptr[i], sys_.indptr[i + 1]

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from walksolve import cli
+from walksolve import cli, engine
+
+from conftest import PerNodeBP
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -58,3 +60,14 @@ def test_tracer_spans_a_solve_and_an_analyze(tracing, tmp_path, capsys):
     assert after.keys() == before.keys()
     for key, value in before.items():
         assert after[key] is value, key
+
+
+def test_tracer_spans_the_per_node_transitions(tracing, path3):
+    # the per-node kernel calls BPProgram's own init_node and step, the
+    # methods the tracer wraps: one bp_step span per node and round
+    with tracing.Tracer() as tracer:
+        trace = engine.run_rounds(path3, PerNodeBP(path3), 2)
+    assert trace.fault is None
+    assert tracer.calls["bp_step"] == path3.n * 3
+    assert tracer.calls["run_rounds"] == 1
+    assert tracer.self_time["run_rounds"] < tracer.time["run_rounds"]

@@ -30,6 +30,18 @@ def test_generate_requires_n(tmp_path, capsys):
         main(["generate", "--out", str(tmp_path / "x.mtx")])
 
 
+def test_generate_refuses_an_oversized_random_sparse(tmp_path, capsys):
+    # the default density 0.3 expects ~1.5e9 edges at n = 100000
+    out = tmp_path / "big.mtx"
+    assert main(["generate", "--kind", "random-sparse", "--n", "100000",
+                 "--seed", "0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: random-sparse n=100000 ")
+    assert "more than 1000000" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_tree(tmp_path, capsys):
     mtx, rhs = _generate(tmp_path, capsys)
     assert main(["analyze", "--matrix", mtx, "--rhs", rhs]) == 0

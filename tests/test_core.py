@@ -22,7 +22,8 @@ from walksolve.core import (
     is_acyclic,
     system_from_edges,
 )
-from walksolve.errors import InvalidSystemError, MissingDiagonalError
+from walksolve.errors import (InvalidSystemError, MissingDiagonalError,
+                              TooLargeError)
 
 
 def test_entries_are_canonically_sorted():
@@ -409,6 +410,19 @@ def test_random_sparse_density_extremes():
     full = generate_instance(GeneratorSpec(kind="random-sparse", n=6,
                                            seed=1, density=1.0))
     assert induced_graph(full).edge_count() == 15
+
+
+def test_random_sparse_refuses_too_many_expected_edges():
+    # 0.3 * 100000 * 99999 / 2 ~ 1.5e9 edges: refused before any draw
+    with pytest.raises(TooLargeError, match=r"expects 1\.5e\+09 edges"):
+        GeneratorSpec(kind="random-sparse", n=100_000, seed=0, density=0.3)
+    # 0.5 * 2001 * 2000 / 2 = 1000500 is over the limit, 999500 is not
+    assert core.MAX_RANDOM_SPARSE_EDGES == 10 ** 6
+    with pytest.raises(TooLargeError):
+        GeneratorSpec(kind="random-sparse", n=2001, seed=0, density=0.5)
+    GeneratorSpec(kind="random-sparse", n=2000, seed=0, density=0.5)
+    # density is read only by random-sparse
+    GeneratorSpec(kind="random-tree", n=100_000, seed=0, density=0.3)
 
 
 def _pairwise_sparse_edges(n, rng, density):

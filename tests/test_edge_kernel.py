@@ -15,8 +15,7 @@ from conftest import PerNodeBP, PerNodeConsensus, PerNodeJacobi, kernel_rounds
 from walksolve.core import SparseSystem, UndirectedGraph
 from walksolve.engine import run_rounds
 from walksolve.errors import ProtocolViolationError, SolverError
-from walksolve.solvers import (BPProgram, ConsensusProgram, JacobiProgram,
-                               bp_round)
+from walksolve.solvers import BPProgram, ConsensusProgram, JacobiProgram
 from walksolve.verify import run_message_rounds
 
 PAIRS = ((BPProgram, PerNodeBP), (JacobiProgram, PerNodeJacobi),
@@ -100,7 +99,7 @@ def test_kernel_refuses_a_program_of_another_system(array_cls, two_node,
         run_rounds(a, array_cls(b), 5, reference=np.array([1.5, 2.0, 1.5]))
 
 
-# one system per fault stage of bp_round, with the message it reports
+# one system per fault stage of BPProgram, with the message it reports
 FAULTING = {
     # round 0: the diagonal is too small to seed messages
     "seed": SparseSystem(2, [(0, 0, 1e-30), (0, 1, -1.0), (1, 0, -1.0),
@@ -180,6 +179,25 @@ def test_faulting_systems_match(stage, array_cls, node_cls):
     assert len(trace.rounds) == k
 
 
+class TaggedBP(BPProgram):
+    """BPProgram whose step tags the message of every fault it raises."""
+
+    def step(self, node, state, inbox):
+        try:
+            return super().step(node, state, inbox)
+        except SolverError as exc:
+            raise type(exc)(f"tagged: {exc}") from None
+
+
+def test_array_kernel_replays_the_programs_own_step():
+    # the array kernel locates the fault; the program's step raises it
+    sys = FAULTING["incoming"]
+    trace = run_rounds(sys, TaggedBP(sys), 6)
+    assert (trace.fault.node, trace.fault.round) == (0, 2)
+    assert trace.fault.error == "SingularMessageError"
+    assert trace.fault.cause.startswith("tagged: node 0: incoming scalar")
+
+
 def test_jacobi_divergence_matches():
     sys = SparseSystem(3, [(0, 0, 1.0), (0, 1, -1e100), (1, 0, -1e100),
                            (1, 1, 1e-100), (1, 2, -1.0), (2, 1, -1.0),
@@ -249,7 +267,7 @@ def test_array_path_equals_per_node_path(sys, pair, max_rounds, use_tol,
 
 
 def _per_node_messages(sys, rounds):
-    """bp's messages from init_node and bp_round stepped node by node,
+    """bp's messages from init_node and step called node by node,
     each round reading the previous round's outboxes."""
     program = BPProgram(sys)
     states, outboxes = zip(*map(program.init_node, range(sys.n)))
@@ -259,7 +277,8 @@ def _per_node_messages(sys, rounds):
         if k:
             inboxes = [{v: outboxes[v][u] for v in g.neighbors[u]}
                        for u in range(sys.n)]
-            states, outboxes = zip(*map(bp_round, states, inboxes))
+            states, outboxes = zip(*map(program.step, range(sys.n), states,
+                                        inboxes))
         per_round.append({(i, j): pair for i, out in enumerate(outboxes)
                           for j, pair in out.items()})
     return per_round
@@ -279,6 +298,6 @@ def _bits(run, sys, rounds):
 @given(sys=systems(), rounds=st.integers(0, 10))
 @example(sys=FAULTING["incoming"], rounds=3)
 def test_kernel_messages_equal_per_node_messages(sys, rounds):
-    # the message oracle check reads the kernel; bp_round stays the truth
+    # the message oracle check reads the kernel; step stays the truth
     assert (_bits(run_message_rounds, sys, rounds)
             == _bits(_per_node_messages, sys, rounds))

@@ -4,7 +4,8 @@ import pytest
 from walksolve.core import (GeneratorSpec, SparseSystem, generate_instance,
                             system_from_edges)
 from walksolve.engine import NodeProgram, delta_stop, run_rounds
-from walksolve.errors import ProtocolViolationError, SingularMessageError
+from walksolve.errors import (DimensionMismatchError, ProtocolViolationError,
+                              SingularMessageError)
 from walksolve.solvers import (BPProgram, ConsensusProgram, JacobiProgram,
                                bp_solve)
 
@@ -12,17 +13,19 @@ from conftest import PerNodeBP
 
 def test_delta_stop_is_relative():
     a = np.array([1e10, 0.0])
-    assert delta_stop(a - 0.5, a, 1e-10)       # 0.5 <= 1e-10 * 1e10
-    assert not delta_stop(a - 0.5, a, 1e-12)
-    small = np.array([1.0, 1.0])
-    assert delta_stop(small, small + 5e-11, 1e-10)
+    assert delta_stop(0.5, a, 1e-10)       # 0.5 <= 1e-10 * 1e10
+    assert not delta_stop(0.5, a, 1e-12)
+    # below 1 the bound is tol itself
+    small = np.array([0.5, -0.25])
+    assert delta_stop(5e-11, small, 1e-10)
+    assert not delta_stop(2e-10, small, 1e-10)
 
 
 def test_delta_stop_needs_a_finite_delta():
-    # an overflow to inf is not convergence, though inf <= tol * inf
-    big = np.array([1e308, 1.0])
-    assert not delta_stop(big, np.array([np.inf, 1.0]), 1e-10)
-    assert not delta_stop(np.array([np.inf]), np.array([np.inf]), 1e-10)
+    # an overflow to inf is not convergence, though inf <= tol * inf;
+    # inf - inf makes the delta NaN
+    assert not delta_stop(np.inf, np.array([np.inf, 1.0]), 1e-10)
+    assert not delta_stop(np.nan, np.array([np.inf]), 1e-10)
 
 
 def test_fixed_rounds_validation(two_node):
@@ -163,6 +166,25 @@ def test_delta_stop_reason(two_node):
     assert trace.stop_reason == "delta"
     assert trace.rounds[-1].max_delta <= 1e-10 * max(
         1.0, float(np.max(np.abs(trace.final_estimates))))
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (20, 1), (20, 20)])
+def test_run_rounds_refuses_a_reference_of_another_shape(shape):
+    # each shape either broadcasts against the 20 estimates into a wrong
+    # log10_mse or fails only once round 0 has run; it is refused first
+    sys = generate_instance(GeneratorSpec(kind="loopy-small", n=20, seed=0))
+    kernels = []
+
+    class Recording(JacobiProgram):
+        def edge_kernel(self, g):
+            kernels.append(g)
+            return super().edge_kernel(g)
+
+    with pytest.raises(DimensionMismatchError, match=r"expected \(20,\)"):
+        run_rounds(sys, Recording(sys), 3, reference=np.zeros(shape))
+    assert not kernels
+    with pytest.raises(DimensionMismatchError):
+        bp_solve(sys, reference=np.ones(shape))
 
 
 def test_max_rounds_reason(two_node):

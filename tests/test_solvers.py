@@ -16,9 +16,7 @@ from walksolve.solvers import (
     BPProgram,
     ConsensusProgram,
     JacobiProgram,
-    bp_round,
     bp_solve,
-    consensus_round,
     dense_solve,
     gauss_seidel_sweep,
 )
@@ -27,42 +25,32 @@ from walksolve.verify import run_message_rounds
 from conftest import PATH3_SOLUTION, TWO_NODE_SOLUTION, kernel_estimates
 
 
-def _round_zero(program_cls, sys):
-    """Every node's round-0 state from the program's per-node path."""
-    program = program_cls(sys)
-    return [program.init_node(i)[0] for i in range(sys.n)]
+def _round_zero(program, sys):
+    """Every node's round-0 states and outboxes from the program's
+    per-node path."""
+    states, outboxes = zip(*map(program.init_node, range(sys.n)))
+    return list(states), list(outboxes)
 
 
 def test_bp_init_values(two_node):
-    states = _round_zero(BPProgram, two_node)
-    assert states[0].a_out == {1: 2.0}
-    assert states[0].b_out == {1: 2.0}
-    assert states[1].b_out == {0: 4.0}
-    assert states[0].x_hat == 1.0
-    assert states[1].x_hat == 2.0
+    states, outboxes = _round_zero(BPProgram(two_node), two_node)
+    assert outboxes == [{1: (2.0, 2.0)}, {0: (2.0, 4.0)}]
+    assert [s.x_hat for s in states] == [1.0, 2.0]
 
 
 def test_bp_round_hand_values(two_node):
     # node 0 from the round-0 pair (2, 4):
     #   a~ = 2 - (-0.5)(-1)/2 = 1.75,  b~ = 2 - (-1)(4)/2 = 4
     #   x^ = 4/1.75 = 16/7; outgoing puts the removed term back: (2, 2)
-    states = _round_zero(BPProgram, two_node)
-    new0, out0 = bp_round(states[0], {1: (2.0, 4.0)})
-    assert new0.a_tilde == 1.75
-    assert new0.b_tilde == 4.0
+    # node 1 from (2, 2): a~ = 1.75, b~ = 4.5, x^ = 18/7, outgoing (2, 4)
+    program = BPProgram(two_node)
+    states, _ = _round_zero(program, two_node)
+    new0, out0 = program.step(0, states[0], {1: (2.0, 4.0)})
     assert new0.x_hat == pytest.approx(16.0 / 7.0, abs=1e-15)
     assert out0 == {1: (2.0, 2.0)}
-    new1, out1 = bp_round(states[1], {0: (2.0, 2.0)})
-    assert new1.a_tilde == 1.75
-    assert new1.b_tilde == 4.5
+    new1, out1 = program.step(1, states[1], {0: (2.0, 2.0)})
     assert new1.x_hat == pytest.approx(18.0 / 7.0, abs=1e-15)
     assert out1 == {0: (2.0, 4.0)}
-
-
-def test_bp_round_rejects_wrong_inbox(two_node):
-    states = _round_zero(BPProgram, two_node)
-    with pytest.raises(ProtocolViolationError):
-        bp_round(states[0], {})
 
 
 def test_bp_messages_path3(path3):
@@ -159,7 +147,7 @@ def test_bp_solve_converges_on_loopy_dominant():
 
 
 def test_jacobi_hand_values(two_node):
-    states = _round_zero(JacobiProgram, two_node)
+    states, _ = _round_zero(JacobiProgram(two_node), two_node)
     assert [s.x_hat for s in states] == [1.0, 2.0]
     by_k = kernel_estimates(two_node, JacobiProgram(two_node), 2)
     assert by_k[1] == pytest.approx([2.0, 2.25])
@@ -198,21 +186,23 @@ def test_gauss_seidel_converges(two_node):
 def test_consensus_hand_round(two_node):
     # node 0: z = x0 - x1 = [1, -2]; row [2, -1] with norm^2 5 gives
     # projection coefficient 4/5, so x0 <- [1.6, 1.2]
-    states = _round_zero(ConsensusProgram, two_node)
+    program = ConsensusProgram(two_node)
+    states, _ = _round_zero(program, two_node)
     assert np.array_equal(states[0].x, [1.0, 0.0])
     assert np.array_equal(states[1].x, [0.0, 2.0])
-    new0, out0 = consensus_round(states[0], {1: states[1].x})
+    new0, out0 = program.step(0, states[0], {1: states[1].x})
     assert new0.x == pytest.approx([1.6, 1.2], abs=1e-15)
-    new1, _ = consensus_round(states[1], {0: states[0].x})
+    new1, _ = program.step(1, states[1], {0: states[0].x})
     assert new1.x == pytest.approx([8.0 / 17.0, 36.0 / 17.0], abs=1e-15)
 
 
 def test_consensus_preserves_row_consistency(two_node):
     a = two_node.as_dense()
-    states = _round_zero(ConsensusProgram, two_node)
+    program = ConsensusProgram(two_node)
+    states, _ = _round_zero(program, two_node)
     for _ in range(40):
         inboxes = [{1: states[1].x}, {0: states[0].x}]
-        states = [consensus_round(s, inboxes[i])[0]
+        states = [program.step(i, s, inboxes[i])[0]
                   for i, s in enumerate(states)]
         for i, s in enumerate(states):
             assert abs(a[i] @ s.x - two_node.b[i]) < 1e-12
