@@ -6,17 +6,16 @@ an outbox; delivery happens at the barrier after all nodes have stepped.
 Node transitions therefore commute and the trace is bit-identical no
 matter which order nodes are evaluated in.
 
-``run_rounds`` drives one kernel per run, with one set of stop rules,
-trace rows and fault records:
-  - a program's own array form, which its ``edge_kernel`` returns (the
-    message-passing solver, Jacobi and projection consensus).  It runs
-    on the graph's own arrays, its directed edges in CSR order
-    (:class:`~walksolve.core.UndirectedGraph`): a round gathers the
-    incoming messages along the edges, updates them elementwise and sums
-    them per node in neighbor order.  Messages only ever travel along
-    edges, so C1 holds by construction.  Consensus keeps every node's
-    full-length vector as one row of an (n, n) array.
-  - otherwise :class:`_NodeKernel`, the per-node reference: it calls the
+``run_rounds`` consumes one generator per run, the program's ``rounds``,
+with one set of stop rules, trace rows and fault records:
+  - a program's own array form (the message-passing solver, Jacobi and
+    projection consensus).  It runs on the graph's own arrays, its
+    directed edges in CSR order (:class:`~walksolve.core.UndirectedGraph`):
+    a round gathers the incoming messages along the edges, updates them
+    elementwise and sums them per node in neighbor order.  Messages only
+    ever travel along edges, so C1 holds by construction.  Consensus
+    keeps every node's full-length vector as one row of an (n, n) array.
+  - otherwise :func:`node_rounds`, the per-node reference: it calls the
     program's transitions node by node, delivers each value as it was
     sent, and checks C1 on every round.  Tests hold the array forms to it.
 When several nodes fault in one round, the fault of the smallest node id
@@ -30,9 +29,10 @@ Locality contracts enforced or declared here:
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -114,11 +114,12 @@ class NodeProgram:
     the positive-message diagnostic.
 
     ``init_node`` and ``step`` are the program's per-node update, its
-    one statement of the transition: the per-node kernel runs them, and
-    an array form replays them on the node it finds faulting, so they
-    raise every fault.  C1 is the one protocol check, made by the
-    per-node kernel on every outbox before delivery, so ``step`` may
-    trust that its inbox holds exactly the node's neighbors.
+    one statement of the transition: node_rounds, the per-node reference,
+    runs them, and a program's ``rounds`` generator, when it is an array
+    form, replays them on the node it finds faulting, so they raise every
+    fault.  C1 is the one protocol check, made by node_rounds on every
+    outbox before delivery, so ``step`` may trust that its inbox holds
+    exactly the node's neighbors.
 
     An outbox maps each neighbor to the value sent to it, and the
     neighbor's next inbox holds that very object.  A program must
@@ -150,52 +151,39 @@ class NodeProgram:
         included."""
         raise NotImplementedError
 
-    def edge_kernel(self, g: UndirectedGraph):
-        """The kernel that runs this program on g, run_rounds's
-        ``sys.graph``: by default the per-node kernel, which runs
-        init_node/step on any graph.
+    def rounds(self, g: UndirectedGraph) -> Iterator:
+        """This program's rounds on g, run_rounds's ``sys.graph``: a
+        generator of (estimates, first) for rounds 0, 1, 2, ..., where
+        ``first`` holds [0] of every slot's message when check_positive_a
+        is set, or None.  The round in which a transition faults raises
+        NodeFault for the smallest faulting node instead.  By default the
+        per-node reference node_rounds, which runs init_node/step on any
+        graph.
 
         A program's array form computes the same rounds as init_node/step,
-        bit for bit, for all nodes at once.  ``start()`` computes round 0
-        and ``advance()`` the next round.  Each returns (estimates, first),
-        where ``first`` holds [0] of every slot's message when
-        check_positive_a is set, or raises NodeFault for the smallest node
-        whose transition faults, by replaying that node's init_node or
-        step.  An array form refuses any g but its own system's graph.
+        bit for bit, for all nodes at once, and raises each fault by
+        replaying the faulting node's init_node or step.  An array form
+        refuses any g but its own system's graph.
         """
-        return _NodeKernel(self, g)
+        return node_rounds(self, g)
 
 
-class _NodeKernel:
-    """A program's init_node/step run node by node, in ascending id order,
-    with the kernel interface of the array forms.
+def node_rounds(program: NodeProgram, g: UndirectedGraph) -> Iterator:
+    """A program's init_node/step run node by node, in ascending id order:
+    the per-node reference for NodeProgram.rounds.
 
-    The first SolverError is therefore the smallest faulting node's.  Once
-    every transition of a round succeeds, each outbox must address exactly
-    the node's neighbors (C1); each value is then delivered, as sent, to
-    its neighbor's inbox for the next round to read.
+    The first SolverError of a round is therefore the smallest faulting
+    node's.  Once every transition of a round succeeds, each outbox must
+    address exactly the node's neighbors (C1); each value is then
+    delivered, as sent, to its neighbor's inbox for the next round to read.
     """
-
-    def __init__(self, program: NodeProgram, g: UndirectedGraph):
-        self.program = program
-        self.g = g
-        self._k = 0
-        self._states = self._inboxes = None
-
-    def start(self):
-        return self._round(self.program.init_node)
-
-    def advance(self):
-        states, inboxes = self._states, self._inboxes
-        return self._round(
-            lambda u: self.program.step(u, states[u], inboxes[u]))
-
-    def _round(self, transition):
-        program, g, k = self.program, self.g, self._k
+    states = inboxes = None
+    for k in itertools.count():
         results = []
         for u in range(g.n):
             try:
-                results.append(transition(u))
+                results.append(program.step(u, states[u], inboxes[u]) if k
+                               else program.init_node(u))
             except SolverError as exc:
                 raise NodeFault(u, exc) from None
         inboxes = [dict() for _ in range(g.n)]
@@ -206,17 +194,21 @@ class _NodeKernel:
                     f"expected exactly its neighbors {list(g.neighbors[u])}")
             for v, value in out.items():
                 inboxes[v][u] = value
-        self._states = [state for state, _ in results]
-        self._inboxes = inboxes
-        self._k = k + 1
+        states = [state for state, _ in results]
         estimates = np.array([program.estimate(u, state)
-                              for u, state in enumerate(self._states)])
+                              for u, state in enumerate(states)])
         first = None
         if program.check_positive_a:
             first = np.array([inboxes[v][u][0]
                               for u, v in zip(g.owner.tolist(),
                                               g.nbr.tolist())])
-        return estimates, first
+        yield estimates, first
+
+
+def check_max_rounds(max_rounds: int) -> None:
+    """Refuse a negative round count with ValueError."""
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
 
 
 def delta_stop(delta: float, cur: np.ndarray, tol: float) -> bool:
@@ -249,17 +241,18 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
     loopy system converges only asymptotically.  A reference, the
     solution that log10_mse measures against, has shape (n,).
 
-    Round 0 is initialization (it already sends one message per directed
-    edge).  A SolverError raised inside a node transition aborts the run
-    at that round's barrier: the trace keeps rounds 0..k-1 and carries a
+    The run consumes program.rounds(sys.graph) and never asks it for a
+    round past max_rounds or after a delta stop.  Round 0 is
+    initialization (it already sends one message per directed edge).  A
+    SolverError raised inside a node transition aborts the run at that
+    round's barrier: the trace keeps rounds 0..k-1 and carries a
     SolverFault record for the smallest faulting node; stop_reason is
     then "fault".  The trace keeps each round's scalars and only the last
     completed round's estimates, so a run's memory does not grow with its
     round count.  Every round's accounting comes from program.costs:
     round 0 counts its round-0 ops, later rounds their own.
     """
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
+    check_max_rounds(max_rounds)
     if tol is not None:
         check_tolerance(tol)
     g = sys.graph
@@ -268,7 +261,6 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
         if reference.shape != (g.n,):
             raise DimensionMismatchError(
                 f"reference has shape {reference.shape}, expected ({g.n},)")
-    kernel = program.edge_kernel(g)
     deg = np.diff(g.indptr)
     round0_ops, later_ops, storage = program.costs(deg, g.n)
     init_acct, step_acct = (RoundAccounting(
@@ -282,28 +274,29 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
         for ops in (round0_ops, later_ops))
 
     trace = ConvergenceTrace()
-    for k in range(max_rounds + 1):
-        try:
-            estimates, first = kernel.advance() if k else kernel.start()
-        except NodeFault as fault:
-            trace.stop_reason = "fault"
-            trace.fault = SolverFault(node=fault.node, round=k,
-                                      error=type(fault.error).__name__,
-                                      cause=str(fault.error))
-            return trace
-        acct = step_acct if k else init_acct
-        if program.check_positive_a:
-            violations = int(np.count_nonzero(~(first > 0.0)))
-            if violations:
-                acct = replace(acct, positivity_violations=violations)
-        mse = _log10_mse(estimates, reference) if reference is not None else None
-        prev, trace.final_estimates = trace.final_estimates, estimates
-        delta = (float(np.max(np.abs(estimates - prev)))
-                 if prev is not None else None)
-        trace.rounds.append(TraceRound(k=k, log10_mse=mse, max_delta=delta,
-                                       accounting=acct))
-        if tol is not None and k and delta_stop(delta, estimates, tol):
-            trace.stop_reason = "delta"
-            return trace
+    try:
+        for k, (estimates, first) in zip(range(max_rounds + 1),
+                                         program.rounds(g)):
+            acct = step_acct if k else init_acct
+            if program.check_positive_a:
+                violations = int(np.count_nonzero(~(first > 0.0)))
+                if violations:
+                    acct = replace(acct, positivity_violations=violations)
+            mse = (_log10_mse(estimates, reference)
+                   if reference is not None else None)
+            prev, trace.final_estimates = trace.final_estimates, estimates
+            delta = (float(np.max(np.abs(estimates - prev)))
+                     if prev is not None else None)
+            trace.rounds.append(TraceRound(k=k, log10_mse=mse,
+                                           max_delta=delta, accounting=acct))
+            if tol is not None and k and delta_stop(delta, estimates, tol):
+                trace.stop_reason = "delta"
+                return trace
+    except NodeFault as fault:
+        trace.stop_reason = "fault"
+        trace.fault = SolverFault(node=fault.node, round=len(trace.rounds),
+                                  error=type(fault.error).__name__,
+                                  cause=str(fault.error))
+        return trace
     trace.stop_reason = "fixed-rounds" if tol is None else "max-rounds"
     return trace

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -288,16 +289,13 @@ def unwrapped_equivalence_check(sys: SparseSystem, i: int,
 
     Builds the t-round computation tree at i, replicates the system onto
     it, solves that directly, and compares against the estimate x^_i(t)
-    of the bp kernel that run_rounds drives, to UNWRAP_AGREEMENT_TOL.
+    of bp's rounds, as run_rounds drives them, to UNWRAP_AGREEMENT_TOL.
     t = 0 compares the initialization b_i / a_ii.  A node fault in
     rounds 0..t raises that node's SolverError: x^_i(t) does not exist.
     """
     tree = unwrap_tree(sys.graph, i, t)
-    kernel = BPProgram(sys).edge_kernel(sys.graph)
     try:
-        estimates, _ = kernel.start()
-        for _ in range(t):
-            estimates, _ = kernel.advance()
+        estimates, _ = next(islice(BPProgram(sys).rounds(sys.graph), t, None))
     except NodeFault as fault:
         raise fault.error from None
     estimate = float(estimates[i])

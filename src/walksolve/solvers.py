@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +34,8 @@ import scipy.linalg
 from . import analysis
 from .core import (SparseSystem, UndirectedGraph, check_tolerance, diameter,
                    is_acyclic)
-from .engine import ConvergenceTrace, NodeFault, NodeProgram, run_rounds
+from .engine import (ConvergenceTrace, NodeFault, NodeProgram,
+                     check_max_rounds, run_rounds)
 from .errors import (
     DivergedEstimateError,
     NotWalkSummableError,
@@ -87,8 +88,9 @@ def _replay(bad: np.ndarray, transition) -> None:
     """Re-run the smallest flagged node's per-node transition, which
     raises its fault; no node flagged, nothing happens.
 
-    The kernels only locate the smallest faulting node; the program's own
-    transition, called with that node, decides the error type and message.
+    The array forms only locate the smallest faulting node; the program's
+    own transition, called with that node, decides the error type and
+    message.
     """
     if not bad.any():
         return
@@ -97,46 +99,45 @@ def _replay(bad: np.ndarray, transition) -> None:
         transition(node)
     except SolverError as exc:
         raise NodeFault(node, exc) from None
-    raise RuntimeError(f"edge kernel flagged node {node}, but its "
+    raise RuntimeError(f"array form flagged node {node}, but its "
                        "per-node transition did not fault")
 
 
-class _EdgeCoeffs:
-    """The program's system's coefficients as arrays over nodes and over
-    the slots of its graph's directed edges: a_row[s] is a_iv for the slot
-    s = (i -> v), 0 when the system stores no (i, v) entry.  A graph that
-    is not ``sys.graph`` itself is refused: one of the same shape would
-    still run this system's coefficients on another system."""
-
-    def __init__(self, program: NodeProgram, g: UndirectedGraph):
-        sys = program._sys
-        if g is not sys.graph:
-            raise ProtocolViolationError(
-                "program coefficients do not match the system's graph")
-        self.program = program
-        self.sys = sys
-        self.g = g
-        self.a_ii = sys.diag
-        self.b_i = sys.b
-        stored = sys.rows * sys.n + sys.indices  # ascending: CSR order
-        wanted = g.owner * sys.n + g.nbr
-        k = np.minimum(np.searchsorted(stored, wanted), len(stored) - 1)
-        self.a_row = np.where(stored[k] == wanted, sys.data[k], 0.0)
-
-    def _step(self, node: int, x_hat: np.ndarray, values: np.ndarray):
-        """program.step for node, whose state holds its previous estimate
-        x_hat[node] and whose inbox maps each neighbor v to values[s] over
-        the node's slots s = (node -> v)."""
-        s = slice(self.g.indptr[node], self.g.indptr[node + 1])
-        state = NodeState(_node_coeffs(self.sys, node), float(x_hat[node]))
-        return self.program.step(
-            node, state, dict(zip(self.g.nbr[s].tolist(), values[s].tolist())))
+def _check_graph(sys: SparseSystem, g: UndirectedGraph) -> None:
+    """Refuse a graph that is not ``sys.graph`` itself: one of the same
+    shape would still run this system's coefficients on another system."""
+    if g is not sys.graph:
+        raise ProtocolViolationError(
+            "program coefficients do not match the system's graph")
 
 
-def _check_estimate(c: NodeCoeffs, x_hat: float) -> float:
+def _slot_a_row(sys: SparseSystem, g: UndirectedGraph) -> np.ndarray:
+    """a_row over the slots of g, sys's own graph: a_row[s] is a_iv for the
+    slot s = (i -> v), 0 when the system stores no (i, v) entry."""
+    _check_graph(sys, g)
+    stored = sys.rows * sys.n + sys.indices  # ascending: CSR order
+    wanted = g.owner * sys.n + g.nbr
+    k = np.minimum(np.searchsorted(stored, wanted), len(stored) - 1)
+    return np.where(stored[k] == wanted, sys.data[k], 0.0)
+
+
+def _replay_step(program: NodeProgram, node: int, x_hat: np.ndarray,
+                 values: np.ndarray):
+    """program.step for node, whose state holds its previous estimate
+    x_hat[node] and whose inbox maps each neighbor v to values[s] over
+    the node's slots s = (node -> v)."""
+    sys = program._sys
+    g = sys.graph
+    s = slice(g.indptr[node], g.indptr[node + 1])
+    state = NodeState(_node_coeffs(sys, node), float(x_hat[node]))
+    return program.step(
+        node, state, dict(zip(g.nbr[s].tolist(), values[s].tolist())))
+
+
+def _check_estimate(node: int, x_hat: float) -> float:
     if not (abs(x_hat) <= ESTIMATE_LIMIT):
         raise DivergedEstimateError(
-            f"node {c.node}: estimate {x_hat!r} out of range")
+            f"node {node}: estimate {x_hat!r} out of range")
     return x_hat
 
 
@@ -150,65 +151,6 @@ class NodeState:
 
 # ---------------------------------------------------------------------------
 # message-passing solver
-
-
-class _BPEdgeKernel(_EdgeCoeffs):
-    """BPProgram.init_node / step for every node at once on the graph's
-    arrays.
-
-    Each expression is the one step evaluates, and the per-node sums run
-    in neighbor order (np.bincount adds its weights in sequence), so
-    messages and estimates equal the per-node path's bit for bit.
-    (a_msg[s], b_msg[s]) is the pair owner[s] sent nbr[s] in the latest
-    round; start() and advance() replace both arrays, never write them.
-    """
-
-    def __init__(self, program: BPProgram, g: UndirectedGraph):
-        super().__init__(program, g)
-        a_col = self.a_row[g.rev]
-        with np.errstate(over="ignore"):
-            self._prod = self.a_row * a_col
-        # NodeCoeffs.eps_sing, from the largest of |a_ii|, |a_iv|, |a_vi|
-        scale = np.abs(self.a_ii)
-        np.maximum.at(scale, g.owner,
-                      np.maximum(np.abs(self.a_row), np.abs(a_col)))
-        self._eps = SING_EPS_FACTOR * scale
-        self._eps_slot = self._eps[g.owner]
-        self.a_msg = self.b_msg = self._x = None
-
-    def start(self):
-        with np.errstate(all="ignore"):
-            x_hat = self.b_i / self.a_ii
-        bad = (np.abs(self.a_ii) <= self._eps) | ~(
-            np.abs(x_hat) <= ESTIMATE_LIMIT)
-        _replay(bad, self.program.init_node)
-        owner = self.g.owner
-        self.a_msg = self.a_ii[owner]
-        self.b_msg = self.b_i[owner]
-        self._x = x_hat
-        return x_hat, self.a_msg
-
-    def advance(self):
-        g = self.g
-        a_in = self.a_msg[g.rev]
-        b_in = self.b_msg[g.rev]
-        with np.errstate(all="ignore"):
-            iv = 1.0 / a_in
-            terms_a = self._prod * iv
-            terms_b = (self.a_row * b_in) * iv
-            a_tilde = self.a_ii - np.bincount(g.owner, terms_a, g.n)
-            b_tilde = self.b_i - np.bincount(g.owner, terms_b, g.n)
-            x_hat = b_tilde / a_tilde
-            a_out = a_tilde[g.owner] + terms_a
-            b_out = b_tilde[g.owner] + terms_b
-            bad = (np.abs(a_tilde) <= self._eps) | ~(
-                np.abs(x_hat) <= ESTIMATE_LIMIT)
-            bad[g.owner[(np.abs(a_in) <= self._eps_slot)
-                        | ~(np.isfinite(a_out) & np.isfinite(b_out))]] = True
-        _replay(bad, lambda i: self._step(i, self._x,
-                                          np.column_stack((a_in, b_in))))
-        self.a_msg, self.b_msg, self._x = a_out, b_out, x_hat
-        return x_hat, a_out
 
 
 class BPProgram(NodeProgram):
@@ -225,7 +167,7 @@ class BPProgram(NodeProgram):
         if abs(c.a_ii) <= c.eps_sing:
             raise SingularMessageError(f"node {c.node}: diagonal {c.a_ii!r} "
                                        "too small to seed messages")
-        x_hat = _check_estimate(c, c.b_i / c.a_ii)
+        x_hat = _check_estimate(c.node, c.b_i / c.a_ii)
         return NodeState(c, x_hat), {j: (c.a_ii, c.b_i) for j in c.neighbors}
 
     def step(self, node: int, state, inbox):
@@ -255,7 +197,7 @@ class BPProgram(NodeProgram):
             raise SingularMessageError(
                 f"node {c.node}: aggregate scalar {a_tilde!r} is numerically "
                 "zero")
-        x_hat = _check_estimate(c, b_tilde / a_tilde)
+        x_hat = _check_estimate(c.node, b_tilde / a_tilde)
         out = {}
         for j in c.neighbors:
             iv, b_in = inv[j]
@@ -273,8 +215,58 @@ class BPProgram(NodeProgram):
     def costs(self, deg: np.ndarray, n: int):
         return 2 * deg + 1, 11 * deg + 3, 7 * deg + 5
 
-    def edge_kernel(self, g: UndirectedGraph) -> _BPEdgeKernel:
-        return _BPEdgeKernel(self, g)
+    def messages(self, g: UndirectedGraph) -> Iterator:
+        """init_node / step for every node at once on the graph's arrays:
+        a generator of (estimates, a_msg, b_msg) for rounds 0, 1, 2, ...
+
+        Each expression is the one step evaluates, and the per-node sums
+        run in neighbor order (np.bincount adds its weights in sequence),
+        so messages and estimates equal the per-node path's bit for bit.
+        (a_msg[s], b_msg[s]) is the pair owner[s] sent nbr[s] in the
+        round; each round makes new arrays and never writes old ones.
+        """
+        sys = self._sys
+        a_row = _slot_a_row(sys, g)
+        a_ii, b_i, owner = sys.diag, sys.b, g.owner
+        a_col = a_row[g.rev]
+        with np.errstate(over="ignore"):
+            prod = a_row * a_col
+        # NodeCoeffs.eps_sing, from the largest of |a_ii|, |a_iv|, |a_vi|
+        scale = np.abs(a_ii)
+        np.maximum.at(scale, owner, np.maximum(np.abs(a_row), np.abs(a_col)))
+        eps = SING_EPS_FACTOR * scale
+        eps_slot = eps[owner]
+        with np.errstate(all="ignore"):
+            x_hat = b_i / a_ii
+        bad = (np.abs(a_ii) <= eps) | ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
+        _replay(bad, self.init_node)
+        a_msg = a_ii[owner]
+        b_msg = b_i[owner]
+        while True:
+            yield x_hat, a_msg, b_msg
+            a_in = a_msg[g.rev]
+            b_in = b_msg[g.rev]
+            with np.errstate(all="ignore"):
+                iv = 1.0 / a_in
+                terms_a = prod * iv
+                terms_b = (a_row * b_in) * iv
+                a_tilde = a_ii - np.bincount(owner, terms_a, g.n)
+                b_tilde = b_i - np.bincount(owner, terms_b, g.n)
+                x_new = b_tilde / a_tilde
+                a_msg = a_tilde[owner] + terms_a
+                b_msg = b_tilde[owner] + terms_b
+                bad = (np.abs(a_tilde) <= eps) | ~(
+                    np.abs(x_new) <= ESTIMATE_LIMIT)
+                bad[owner[(np.abs(a_in) <= eps_slot)
+                          | ~(np.isfinite(a_msg) & np.isfinite(b_msg))]] = True
+            _replay(bad, lambda i: _replay_step(
+                self, i, x_hat, np.column_stack((a_in, b_in))))
+            x_hat = x_new
+
+    def rounds(self, g: UndirectedGraph) -> Iterator:
+        """The rounds of messages(g), whose first is a_msg."""
+        for x_hat, a_msg, _ in self.messages(g):
+            yield x_hat, a_msg
 
 
 def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
@@ -288,9 +280,11 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
     instead emits NotWalkSummableWarning and runs anyway).  Acyclic
     instances run exactly diameter-many rounds, which is where the
     estimates become exact; cyclic ones run until the estimate delta
-    drops below tol or max_rounds is reached.  estimates is None when
-    round 0 faults, since no round completed; trace.fault says why.
+    drops below tol or max_rounds is reached.  A negative max_rounds or
+    a bad tol raises ValueError before any analysis.  estimates is None
+    when round 0 faults, since no round completed; trace.fault says why.
     """
+    check_max_rounds(max_rounds)
     check_tolerance(tol)
     if not analysis.is_diagonally_dominant(sys):
         report = analysis.analyze(sys, want_scaling=False)
@@ -320,40 +314,6 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
 # baselines
 
 
-class _JacobiEdgeKernel(_EdgeCoeffs):
-    """JacobiProgram.step for every node at once on the graph's arrays.
-
-    step subtracts the products one at a time from b_i; one bincount
-    over b followed by the negated products adds the same terms in the
-    same order, so the estimates equal the per-node path's bit for bit
-    (b - bincount(products) would not).
-    """
-
-    def __init__(self, program: JacobiProgram, g: UndirectedGraph):
-        super().__init__(program, g)
-        self._rows = np.concatenate((np.arange(g.n), g.owner))
-        self._x = None
-
-    def start(self):
-        with np.errstate(all="ignore"):
-            x_hat = self.b_i / self.a_ii
-        bad = ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
-        _replay(bad, self.program.init_node)
-        self._x = x_hat
-        return x_hat, None
-
-    def advance(self):
-        x_in = self._x[self.g.nbr]
-        with np.errstate(all="ignore"):
-            acc = np.bincount(self._rows, np.concatenate(
-                (self.b_i, -(self.a_row * x_in))), self.g.n)
-            x_hat = acc / self.a_ii
-            bad = ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
-        _replay(bad, lambda i: self._step(i, self._x, x_in))
-        self._x = x_hat
-        return x_hat, None
-
-
 class JacobiProgram(NodeProgram):
     """Jacobi iteration, one node at a time."""
 
@@ -362,7 +322,7 @@ class JacobiProgram(NodeProgram):
 
     def init_node(self, node: int):
         c = _node_coeffs(self._sys, node)
-        x_hat = _check_estimate(c, c.b_i / c.a_ii)
+        x_hat = _check_estimate(c.node, c.b_i / c.a_ii)
         return NodeState(c, x_hat), {j: x_hat for j in c.neighbors}
 
     def step(self, node: int, state, inbox):
@@ -371,7 +331,7 @@ class JacobiProgram(NodeProgram):
         acc = c.b_i
         for v in c.neighbors:
             acc -= c.a_row[v] * inbox[v]
-        x_hat = _check_estimate(c, acc / c.a_ii)
+        x_hat = _check_estimate(c.node, acc / c.a_ii)
         return NodeState(c, x_hat), {j: x_hat for j in c.neighbors}
 
     def estimate(self, node: int, state) -> float:
@@ -380,8 +340,30 @@ class JacobiProgram(NodeProgram):
     def costs(self, deg: np.ndarray, n: int):
         return np.ones_like(deg), 2 * deg + 2, 2 * deg + 3
 
-    def edge_kernel(self, g: UndirectedGraph) -> _JacobiEdgeKernel:
-        return _JacobiEdgeKernel(self, g)
+    def rounds(self, g: UndirectedGraph) -> Iterator:
+        """init_node / step for every node at once on the graph's arrays.
+
+        step subtracts the products one at a time from b_i; one bincount
+        over b followed by the negated products adds the same terms in
+        the same order, so the estimates equal the per-node path's bit
+        for bit (b - bincount(products) would not).
+        """
+        sys = self._sys
+        a_row = _slot_a_row(sys, g)
+        rows = np.concatenate((np.arange(g.n), g.owner))
+        with np.errstate(all="ignore"):
+            x_hat = sys.b / sys.diag
+        _replay(~(np.abs(x_hat) <= ESTIMATE_LIMIT), self.init_node)
+        while True:
+            yield x_hat, None
+            x_in = x_hat[g.nbr]
+            with np.errstate(all="ignore"):
+                acc = np.bincount(rows, np.concatenate(
+                    (sys.b, -(a_row * x_in))), g.n)
+                x_new = acc / sys.diag
+                bad = ~(np.abs(x_new) <= ESTIMATE_LIMIT)
+            _replay(bad, lambda i: _replay_step(self, i, x_hat, x_in))
+            x_hat = x_new
 
 
 @dataclass(frozen=True)
@@ -418,59 +400,6 @@ def _consensus_state(sys: SparseSystem, i: int,
                               row_norm_sq=sum(v * v for v in row.values()))
 
 
-class _ConsensusEdgeKernel(_EdgeCoeffs):
-    """ConsensusProgram.step for every node at once on the graph's arrays.
-
-    Row i of one (n, n) array is node i's vector.  A round starts each
-    row as deg_i * x_i and subtracts the neighbors' rows one slot position
-    at a time, so every row subtracts in neighbor order; w sums the row
-    support's terms in CSR order with np.bincount, which adds in
-    sequence as sum() does.  Vectors and estimates therefore equal the
-    per-node path's bit for bit.  Isolated nodes keep their vector.
-    """
-
-    def __init__(self, program: ConsensusProgram, g: UndirectedGraph):
-        super().__init__(program, g)
-        deg = np.diff(g.indptr)
-        self._deg = deg[:, None]
-        self._isolated = np.flatnonzero(deg == 0)
-        # slot position p: the nodes with more than p neighbors, and the
-        # p-th neighbor of each
-        self._gathers = []
-        for p in range(int(deg.max(initial=0))):
-            rows = np.flatnonzero(deg > p)
-            self._gathers.append((rows, g.nbr[g.indptr[rows] + p]))
-        (self._sup_row, self._sup_col, self._sup_val,
-         self._row_norm_sq) = _row_support(self.sys)
-        self._x = None
-
-    def start(self):
-        with np.errstate(all="ignore"):
-            x_hat = self.b_i / self.a_ii
-        self._x = np.diag(x_hat)
-        return x_hat, None
-
-    def advance(self):
-        x = self._x
-        sup = (self._sup_row, self._sup_col)
-        with np.errstate(all="ignore"):
-            z = self._deg * x
-            for rows, nbrs in self._gathers:
-                z[rows] -= x[nbrs]
-            w = np.bincount(self._sup_row, self._sup_val * z[sup], len(x))
-            coef = w / self._row_norm_sq
-            z[sup] -= coef[self._sup_row] * self._sup_val
-            x_new = np.subtract(x, np.divide(z, self._deg, out=z), out=z)
-        x_new[self._isolated] = x[self._isolated]
-        bad = ~np.isfinite(x_new).all(axis=1)
-        bad[self._isolated] = False
-        _replay(bad, lambda i: self.program.step(
-            i, _consensus_state(self.sys, i, x[i].copy()),
-            {v: x[v] for v in self.g.neighbors[i]}))
-        self._x = x_new
-        return x_new.diagonal().copy(), None
-
-
 class ConsensusProgram(NodeProgram):
     """Projection-consensus baseline; violates the locality contracts.
 
@@ -486,9 +415,11 @@ class ConsensusProgram(NodeProgram):
         self._sys = sys
 
     def init_node(self, node: int):
-        """x_i(0) = (b_i / a_ii) e_i, which satisfies row i by construction."""
+        """x_i(0) = (b_i / a_ii) e_i, which satisfies row i by construction;
+        an estimate beyond ESTIMATE_LIMIT faults, as in Jacobi."""
         x = np.zeros(self._sys.n)
-        x[node] = float(self._sys.b[node]) / float(self._sys.diag[node])
+        x[node] = _check_estimate(
+            node, float(self._sys.b[node]) / float(self._sys.diag[node]))
         state = _consensus_state(self._sys, node, x)
         return state, {j: state.x for j in state.neighbors}
 
@@ -524,8 +455,52 @@ class ConsensusProgram(NodeProgram):
         return (np.full_like(deg, n + 2), (deg + 3) * n + 4 * (deg + 1),
                 (deg + 1) * n + 2 * (deg + 1))
 
-    def edge_kernel(self, g: UndirectedGraph) -> _ConsensusEdgeKernel:
-        return _ConsensusEdgeKernel(self, g)
+    def rounds(self, g: UndirectedGraph) -> Iterator:
+        """init_node / step for every node at once on the graph's arrays.
+
+        Row i of one (n, n) array is node i's vector.  A round starts each
+        row as deg_i * x_i and subtracts the neighbors' rows one slot
+        position at a time, so every row subtracts in neighbor order; w
+        sums the row support's terms in CSR order with np.bincount, which
+        adds in sequence as sum() does.  Vectors and estimates therefore
+        equal the per-node path's bit for bit.  Isolated nodes keep their
+        vector.
+        """
+        sys = self._sys
+        _check_graph(sys, g)
+        deg = np.diff(g.indptr)
+        isolated = np.flatnonzero(deg == 0)
+        # slot position p: the nodes with more than p neighbors, and the
+        # p-th neighbor of each
+        gathers = []
+        for p in range(int(deg.max(initial=0))):
+            rows = np.flatnonzero(deg > p)
+            gathers.append((rows, g.nbr[g.indptr[rows] + p]))
+        deg = deg[:, None]
+        sup_row, sup_col, sup_val, row_norm_sq = _row_support(sys)
+        sup = (sup_row, sup_col)
+        with np.errstate(all="ignore"):
+            x_hat = sys.b / sys.diag
+        _replay(~(np.abs(x_hat) <= ESTIMATE_LIMIT), self.init_node)
+        x = np.diag(x_hat)
+        yield x_hat, None
+        while True:
+            with np.errstate(all="ignore"):
+                z = deg * x
+                for rows, nbrs in gathers:
+                    z[rows] -= x[nbrs]
+                w = np.bincount(sup_row, sup_val * z[sup], len(x))
+                coef = w / row_norm_sq
+                z[sup] -= coef[sup_row] * sup_val
+                x_new = np.subtract(x, np.divide(z, deg, out=z), out=z)
+            x_new[isolated] = x[isolated]
+            bad = ~np.isfinite(x_new).all(axis=1)
+            bad[isolated] = False
+            _replay(bad, lambda i: self.step(
+                i, _consensus_state(sys, i, x[i].copy()),
+                {v: x[v] for v in g.neighbors[i]}))
+            x = x_new
+            yield x.diagonal().copy(), None
 
 
 def gauss_seidel_sweep(sys: SparseSystem, x) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 Each check builds reproducible random instances, runs an implementation
 route and an independent oracle route, and reports a CheckResult.  The
-message-oracle check reads the messages of the bp kernel that run_rounds
-drives, so it checks what a solve computes.
+message-oracle check reads the messages that bp's rounds in run_rounds
+are built on, so it checks what a solve computes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -20,7 +21,7 @@ from .core import (
     generate_instance,
     system_from_edges,
 )
-from .engine import NodeFault
+from .engine import NodeFault, check_max_rounds
 from .errors import SolverError, TooLargeError
 from .oracle import (
     ENUM_MAX_LENGTH,
@@ -53,21 +54,22 @@ def _tree_system(n: int, seed: int) -> SparseSystem:
 
 
 def run_message_rounds(sys: SparseSystem, rounds: int):
-    """The bp kernel's directed-edge messages, round by round.
+    """bp's directed-edge messages, round by round.
 
-    Steps the kernel that run_rounds drives and returns a list indexed by
-    round k of {(i, j): (a, b)} directed-edge message maps, k = 0 ..
-    rounds.  A node fault raises that node's SolverError.
+    Reads BPProgram.messages, the generator that bp's rounds in
+    run_rounds are built on, and returns a list indexed by round k of
+    {(i, j): (a, b)} directed-edge message maps, k = 0 .. rounds.  A
+    negative round count raises ValueError; a node fault raises that
+    node's SolverError.
     """
+    check_max_rounds(rounds)
     g = sys.graph
-    kernel = BPProgram(sys).edge_kernel(g)
     edges = list(zip(g.owner.tolist(), g.nbr.tolist()))
     per_round = []
     try:
-        for step in [kernel.start] + [kernel.advance] * rounds:
-            step()
-            per_round.append(dict(zip(edges, zip(kernel.a_msg.tolist(),
-                                                  kernel.b_msg.tolist()))))
+        for _, a_msg, b_msg in islice(BPProgram(sys).messages(g), rounds + 1):
+            per_round.append(dict(zip(edges, zip(a_msg.tolist(),
+                                                  b_msg.tolist()))))
     except NodeFault as fault:
         raise fault.error from None
     return per_round

@@ -1,8 +1,10 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from walksolve.core import SparseSystem
-from walksolve.engine import NodeFault, _NodeKernel
+from walksolve.engine import NodeFault, node_rounds
 from walksolve.solvers import BPProgram, ConsensusProgram, JacobiProgram
 
 # Roster lines collected by test_acceptance; replayed after the run so
@@ -40,36 +42,32 @@ PATH3_SOLUTION = np.array([2.5, 4.0, 3.5])
 
 
 class PerNodeBP(BPProgram):
-    """BPProgram without its array form: runs on the per-node kernel."""
+    """BPProgram without its array form: runs on node_rounds."""
 
-    def edge_kernel(self, g):
-        return _NodeKernel(self, g)
+    rounds = node_rounds
 
 
 class PerNodeJacobi(JacobiProgram):
-    """JacobiProgram without its array form: runs on the per-node kernel."""
+    """JacobiProgram without its array form: runs on node_rounds."""
 
-    def edge_kernel(self, g):
-        return _NodeKernel(self, g)
+    rounds = node_rounds
 
 
 class PerNodeConsensus(ConsensusProgram):
-    """ConsensusProgram without its array form: runs on the per-node kernel."""
+    """ConsensusProgram without its array form: runs on node_rounds."""
 
-    def edge_kernel(self, g):
-        return _NodeKernel(self, g)
+    rounds = node_rounds
 
 
 def kernel_rounds(sys, program, rounds):
-    """Rounds 0..rounds of the kernel run_rounds drives for program, as a
+    """Rounds 0..rounds of program.rounds, which run_rounds drives, as a
     list of (estimates, first) pairs, and the NodeFault that ended them
     early, or None.  The trace keeps no per-round estimates, so tests that
-    check every round step the kernel themselves."""
-    kernel = program.edge_kernel(sys.graph)
+    check every round read the generator themselves."""
     out = []
     try:
-        for step in [kernel.start] + [kernel.advance] * rounds:
-            out.append(step())
+        for pair in islice(program.rounds(sys.graph), rounds + 1):
+            out.append(pair)
     except NodeFault as fault:
         return out, fault
     return out, None

@@ -1,9 +1,9 @@
-"""The array kernels of run_rounds against the per-node kernel.
+"""The programs' array rounds against the per-node reference.
 
-BPProgram, JacobiProgram and ConsensusProgram run on directed-edge
-arrays; their PerNode* subclasses have no array form and run on the
-engine's per-node kernel, which is the reference here.  Every round
-must agree bit for bit, and so must the fault record.
+BPProgram, JacobiProgram and ConsensusProgram run their rounds on
+directed-edge arrays; their PerNode* subclasses have no array form and
+run on the engine's node_rounds, which is the reference here.  Every
+round must agree bit for bit, and so must the fault record.
 """
 import numpy as np
 import pytest
@@ -32,9 +32,9 @@ def _fault_key(fault):
     return fault and (fault.node, type(fault.error), str(fault.error))
 
 
-def _assert_same_kernels(sys, array_cls, node_cls, max_rounds):
-    """Both kernels stepped to max_rounds: every round's estimates and
-    first messages, and the fault that ends them, bit for bit."""
+def _assert_same_rounds(sys, array_cls, node_cls, max_rounds):
+    """Both programs' rounds read to max_rounds: every round's estimates
+    and first messages, and the fault that ends them, bit for bit."""
     got, got_fault = kernel_rounds(sys, array_cls(sys), max_rounds)
     want, want_fault = kernel_rounds(sys, node_cls(sys), max_rounds)
     assert len(got) == len(want)
@@ -48,7 +48,7 @@ def _assert_same_kernels(sys, array_cls, node_cls, max_rounds):
 
 def _assert_same_run(sys, array_cls, node_cls, max_rounds, tol=None,
                      reference=None):
-    rounds = _assert_same_kernels(sys, array_cls, node_cls, max_rounds)
+    rounds = _assert_same_rounds(sys, array_cls, node_cls, max_rounds)
     got = run_rounds(sys, array_cls(sys), max_rounds, tol=tol,
                      reference=reference)
     want = run_rounds(sys, node_cls(sys), max_rounds, tol=tol,
@@ -130,12 +130,16 @@ FAULTING = {
     # round 1: products overflow and the outgoing pair is NaN
     "outgoing": SparseSystem(2, [(0, 0, 1e200), (0, 1, 1e200),
                                  (1, 0, 1e200), (1, 1, 1e200)], [1.0, 1.0]),
-    # path 0-1-2 with estimates 1e308: bp and Jacobi refuse them at round
-    # 0; at round 1 consensus starts the hub's vector as 2 * x_1, which
-    # overflows, while the leaves' vectors stay finite
+    # path 0-1-2 with estimates 1e308, finite but beyond ESTIMATE_LIMIT:
+    # every program refuses them at round 0
     "overflow": SparseSystem(3, [(0, 0, 1.0), (0, 1, -0.5), (1, 0, -0.5),
                                  (1, 1, 1.0), (1, 2, -0.5), (2, 1, -0.5),
                                  (2, 2, 1.0)], [1e308, 1e308, 1e308]),
+    # round 1: the product a_01 * x_1 = 1e160 * 1e150 overflows, in node
+    # 0's consensus projection (NaN) and in its Jacobi estimate (-inf);
+    # a_01 also scales bp's seeding threshold above the diagonal 1.0
+    "projection": SparseSystem(2, [(0, 0, 1.0), (0, 1, 1e160), (1, 0, 1.0),
+                                   (1, 1, 1.0)], [1.0, 1e150]),
 }
 
 
@@ -146,17 +150,21 @@ BP_FAULTS = {"seed": (0, 0, "too small to seed messages"),
              "estimate": (0, 0, "estimate inf out of range"),
              "diverge": (0, 1, "estimate 1.99999983"),
              "outgoing": (0, 1, "outgoing pair to 1 is not finite"),
-             "overflow": (0, 0, "estimate 1e+308 out of range")}
+             "overflow": (0, 0, "estimate 1e+308 out of range"),
+             "projection": (0, 0, "diagonal 1.0 too small to seed")}
 
 
-#: Jacobi faults on the round-0 estimate only; it has no messages to fault
+#: Jacobi faults on its estimates only; it has no messages to fault
 JACOBI_FAULTS = {"estimate": (0, 0, "estimate inf out of range"),
-                 "overflow": (0, 0, "estimate 1e+308 out of range")}
+                 "overflow": (0, 0, "estimate 1e+308 out of range"),
+                 "projection": (0, 1, "estimate -inf out of range")}
 
 
-#: consensus checks only that each round's vector is finite
-CONSENSUS_FAULTS = {"estimate": (0, 1, "consensus vector is not finite"),
-                    "overflow": (1, 1, "consensus vector is not finite")}
+#: consensus checks its round-0 estimates, as Jacobi does, and then that
+#: each round's vector is finite
+CONSENSUS_FAULTS = {"estimate": (0, 0, "estimate inf out of range"),
+                    "overflow": (0, 0, "estimate 1e+308 out of range"),
+                    "projection": (0, 1, "consensus vector is not finite")}
 
 FAULTS = {BPProgram: BP_FAULTS, JacobiProgram: JACOBI_FAULTS,
           ConsensusProgram: CONSENSUS_FAULTS}
@@ -190,7 +198,7 @@ class TaggedBP(BPProgram):
 
 
 def test_array_kernel_replays_the_programs_own_step():
-    # the array kernel locates the fault; the program's step raises it
+    # the array rounds locate the fault; the program's step raises it
     sys = FAULTING["incoming"]
     trace = run_rounds(sys, TaggedBP(sys), 6)
     assert (trace.fault.node, trace.fault.round) == (0, 2)
@@ -244,7 +252,7 @@ def systems(draw):
 
 
 #: node 0 joins 1..5; 6 and 7 are isolated, and 7's estimate overflows
-#: to inf, which is no fault for a node that never steps
+#: to inf, which every program refuses at round 0
 STAR_AND_ISOLATED = SparseSystem(8, [(i, i, 2.0) for i in range(7)] + [
     (7, 7, 1e-100)] + [e for j in range(1, 6)
                        for e in ((0, j, -0.3), (j, 0, 0.5))],
@@ -257,7 +265,7 @@ STAR_AND_ISOLATED = SparseSystem(8, [(i, i, 2.0) for i in range(7)] + [
        use_reference=st.booleans())
 @example(sys=STAR_AND_ISOLATED, pair=PAIRS[2], max_rounds=12,
          use_tol=False, use_reference=True)
-@example(sys=FAULTING["overflow"], pair=PAIRS[2], max_rounds=3,
+@example(sys=FAULTING["projection"], pair=PAIRS[2], max_rounds=3,
          use_tol=True, use_reference=False)
 def test_array_path_equals_per_node_path(sys, pair, max_rounds, use_tol,
                                          use_reference):
@@ -298,6 +306,7 @@ def _bits(run, sys, rounds):
 @given(sys=systems(), rounds=st.integers(0, 10))
 @example(sys=FAULTING["incoming"], rounds=3)
 def test_kernel_messages_equal_per_node_messages(sys, rounds):
-    # the message oracle check reads the kernel; step stays the truth
+    # the message oracle check reads BPProgram.messages; step stays the
+    # truth
     assert (_bits(run_message_rounds, sys, rounds)
             == _bits(_per_node_messages, sys, rounds))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from walksolve import analysis
 from walksolve.core import (GeneratorSpec, SparseSystem, generate_instance,
                             system_from_edges)
 from walksolve.engine import NodeProgram, delta_stop, run_rounds
@@ -8,8 +9,11 @@ from walksolve.errors import (DimensionMismatchError, ProtocolViolationError,
                               SingularMessageError)
 from walksolve.solvers import (BPProgram, ConsensusProgram, JacobiProgram,
                                bp_solve)
+from walksolve.verify import run_message_rounds
 
 from conftest import PerNodeBP
+from test_edge_kernel import FAULTING
+
 
 def test_delta_stop_is_relative():
     a = np.array([1e10, 0.0])
@@ -32,6 +36,41 @@ def test_fixed_rounds_validation(two_node):
     # a negative cap is refused, not read as round 0 only
     with pytest.raises(ValueError, match="max_rounds"):
         run_rounds(two_node, JacobiProgram(two_node), -1)
+
+
+def test_negative_round_counts_are_refused_before_any_round(monkeypatch):
+    # a tree runs diameter-many rounds whatever the cap, and the message
+    # reader asked for no round at all; both refuse a negative count, as
+    # run_rounds does, before any analysis
+    tree = generate_instance(GeneratorSpec(kind="random-tree", n=50, seed=1))
+    monkeypatch.setattr(analysis, "is_diagonally_dominant",
+                        lambda sys: pytest.fail("analysis ran"))
+    with pytest.raises(ValueError, match="max_rounds must be >= 0, got -5"):
+        bp_solve(tree, max_rounds=-5)
+    for rounds in (-1, -2):
+        with pytest.raises(ValueError, match="max_rounds must be >= 0"):
+            run_message_rounds(tree, rounds)
+
+
+def test_a_run_reads_no_round_past_its_cap_or_its_stop(two_node):
+    # bp faults at round 2 here; a cap of 1 never computes that round
+    sys = FAULTING["incoming"]
+    trace = run_rounds(sys, BPProgram(sys), 1)
+    assert (trace.stop_reason, trace.fault) == ("fixed-rounds", None)
+    read = []
+
+    class Counting(JacobiProgram):
+        def rounds(self, g):
+            for k, pair in enumerate(super().rounds(g)):
+                read.append(k)
+                yield pair
+
+    run_rounds(two_node, Counting(two_node), 3)
+    assert read == [0, 1, 2, 3]
+    read.clear()
+    trace = run_rounds(two_node, Counting(two_node), 500, tol=1e-10)
+    assert trace.stop_reason == "delta"
+    assert read == list(range(len(trace.rounds)))
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
@@ -173,16 +212,16 @@ def test_run_rounds_refuses_a_reference_of_another_shape(shape):
     # each shape either broadcasts against the 20 estimates into a wrong
     # log10_mse or fails only once round 0 has run; it is refused first
     sys = generate_instance(GeneratorSpec(kind="loopy-small", n=20, seed=0))
-    kernels = []
+    graphs = []
 
     class Recording(JacobiProgram):
-        def edge_kernel(self, g):
-            kernels.append(g)
-            return super().edge_kernel(g)
+        def rounds(self, g):
+            graphs.append(g)
+            return super().rounds(g)
 
     with pytest.raises(DimensionMismatchError, match=r"expected \(20,\)"):
         run_rounds(sys, Recording(sys), 3, reference=np.zeros(shape))
-    assert not kernels
+    assert not graphs
     with pytest.raises(DimensionMismatchError):
         bp_solve(sys, reference=np.ones(shape))
 
@@ -252,10 +291,10 @@ def test_runs_on_one_system_share_one_layout(monkeypatch, capsys):
     sys = generate_instance(GeneratorSpec(kind="loopy-small", n=30, seed=2))
     revs = []
     for cls in (BPProgram, JacobiProgram, ConsensusProgram):
-        def recording(self, g, real=cls.edge_kernel):
+        def recording(self, g, real=cls.rounds):
             revs.append(g.rev)
             return real(self, g)
-        monkeypatch.setattr(cls, "edge_kernel", recording)
+        monkeypatch.setattr(cls, "rounds", recording)
     run_rounds(sys, BPProgram(sys), 3)
     run_rounds(sys, JacobiProgram(sys), 3)
     _compare(monkeypatch, sys)

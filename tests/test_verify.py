@@ -2,7 +2,7 @@ import pytest
 
 from walksolve import verify
 from walksolve.cli import main
-from walksolve.solvers import _BPEdgeKernel
+from walksolve.solvers import BPProgram
 from walksolve.verify import (
     check_message_oracle,
     check_tail_bound,
@@ -45,24 +45,23 @@ def test_guarded_checks_skip_beyond_limits():
     assert by_name["message-oracle-trees"].ok
 
 
-def _flip_b_sign(kernel):
-    kernel.b_msg = -kernel.b_msg
+def _flip_b_sign(g, a_msg, b_msg):
+    return a_msg, -b_msg
 
 
-def _swap_reverse_edges(kernel):
+def _swap_reverse_edges(g, a_msg, b_msg):
     # every edge carries the message of its reverse edge
-    rev = kernel.g.rev
-    kernel.a_msg, kernel.b_msg = kernel.a_msg[rev], kernel.b_msg[rev]
+    return a_msg[g.rev], b_msg[g.rev]
 
 
 @pytest.mark.parametrize("mutation", [_flip_b_sign, _swap_reverse_edges])
 def test_message_oracle_check_catches_mutations(mutation, monkeypatch):
-    # the kernel's messages are corrupted after each advance()
-    def advance(self, real=_BPEdgeKernel.advance):
-        result = real(self)
-        mutation(self)
-        return result
-    monkeypatch.setattr(_BPEdgeKernel, "advance", advance)
+    # the generator's messages are corrupted in every round after round 0
+    def messages(self, g, real=BPProgram.messages):
+        for k, (x_hat, a_msg, b_msg) in enumerate(real(self, g)):
+            yield (x_hat, *(mutation(g, a_msg, b_msg) if k
+                            else (a_msg, b_msg)))
+    monkeypatch.setattr(BPProgram, "messages", messages)
     res = check_message_oracle(seed=0, trees=10)
     assert not res.ok
     assert "edge" in res.detail and "want" in res.detail
