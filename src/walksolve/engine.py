@@ -133,16 +133,20 @@ class NodeProgram:
     check_positive_a = False
 
     def init_node(self, node: int):
-        """Return (state, outbox); outbox maps neighbor -> value."""
+        """Return (state, outbox); the state is whatever the node keeps
+        between rounds, and outbox maps neighbor -> value."""
         raise NotImplementedError
 
     def step(self, node: int, state, inbox: Mapping[int, object]):
-        """Return (state, outbox) from the round-(k-1) snapshot; inbox
-        maps neighbor -> the value it sent this node."""
+        """Return (state, outbox) from the node's state and the
+        round-(k-1) snapshot; inbox maps neighbor -> the value it sent
+        this node."""
         raise NotImplementedError
 
     def estimate(self, node: int, state) -> float:
-        raise NotImplementedError
+        """The node's estimate from its state, whatever the node keeps
+        between rounds; by default the state is the estimate."""
+        return state
 
     def costs(self, deg: np.ndarray, n: int):
         """The cost model: per-node int arrays (ops at round 0, ops in each

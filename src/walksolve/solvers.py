@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -55,35 +54,6 @@ PIVOT_EPS = 1e-14
 RESIDUAL_FACTOR = 1e-10
 
 
-@dataclass(frozen=True)
-class NodeCoeffs:
-    """The slice of the system one node owns, as Python floats."""
-
-    node: int
-    a_ii: float
-    b_i: float
-    neighbors: tuple[int, ...]
-    a_row: dict  # v -> a_iv
-    prod: dict   # v -> a_iv * a_vi
-    #: incoming scalars at or below this fault: SING_EPS_FACTOR times the
-    #: largest of |a_ii|, |a_iv| and |a_vi|
-    eps_sing: float
-
-
-def _node_coeffs(sys: SparseSystem, i: int) -> NodeCoeffs:
-    """Node i's record, for the per-node path and for fault replay."""
-    nbrs = sys.graph.neighbors[i]
-    a_ii = float(sys.diag[i])
-    a_row = {v: sys.entry(i, v) for v in nbrs}
-    a_col = {v: sys.entry(v, i) for v in nbrs}
-    scale = max([abs(a_ii)] + [abs(x) for x in a_row.values()]
-                + [abs(x) for x in a_col.values()])
-    return NodeCoeffs(node=i, a_ii=a_ii, b_i=float(sys.b[i]), neighbors=nbrs,
-                      a_row=a_row,
-                      prod={v: a_row[v] * a_col[v] for v in nbrs},
-                      eps_sing=SING_EPS_FACTOR * scale)
-
-
 def _replay(bad: np.ndarray, transition) -> None:
     """Re-run the smallest flagged node's per-node transition, which
     raises its fault; no node flagged, nothing happens.
@@ -111,27 +81,20 @@ def _check_graph(sys: SparseSystem, g: UndirectedGraph) -> None:
             "program coefficients do not match the system's graph")
 
 
-def _slot_a_row(sys: SparseSystem, g: UndirectedGraph) -> np.ndarray:
-    """a_row over the slots of g, sys's own graph: a_row[s] is a_iv for the
-    slot s = (i -> v), 0 when the system stores no (i, v) entry."""
-    _check_graph(sys, g)
+def _a_iv(sys: SparseSystem) -> np.ndarray:
+    """a_iv over the slots s = (i -> v) of sys.graph, 0.0 where no (i, v)
+    is stored.  The last stored key, (n-1, n-1)'s, tops every slot's."""
+    g = sys.graph
     stored = sys.rows * sys.n + sys.indices  # ascending: CSR order
     wanted = g.owner * sys.n + g.nbr
-    k = np.minimum(np.searchsorted(stored, wanted), len(stored) - 1)
+    k = np.searchsorted(stored, wanted)
     return np.where(stored[k] == wanted, sys.data[k], 0.0)
 
 
-def _replay_step(program: NodeProgram, node: int, x_hat: np.ndarray,
-                 values: np.ndarray):
-    """program.step for node, whose state holds its previous estimate
-    x_hat[node] and whose inbox maps each neighbor v to values[s] over
-    the node's slots s = (node -> v)."""
-    sys = program._sys
-    g = sys.graph
+def _inbox(g: UndirectedGraph, node: int, values: np.ndarray) -> dict:
+    """node's inbox in a fault replay: v -> values[s], s = (node -> v)."""
     s = slice(g.indptr[node], g.indptr[node + 1])
-    state = NodeState(_node_coeffs(sys, node), float(x_hat[node]))
-    return program.step(
-        node, state, dict(zip(g.nbr[s].tolist(), values[s].tolist())))
+    return dict(zip(g.nbr[s].tolist(), values[s].tolist()))
 
 
 def _check_estimate(node: int, x_hat: float) -> float:
@@ -141,34 +104,40 @@ def _check_estimate(node: int, x_hat: float) -> float:
     return x_hat
 
 
-@dataclass(frozen=True)
-class NodeState:
-    """A message-passing or Jacobi node: its coefficients and estimate."""
-
-    coeffs: NodeCoeffs
-    x_hat: float
-
-
 # ---------------------------------------------------------------------------
 # message-passing solver
 
 
 class BPProgram(NodeProgram):
-    """The message-passing solver, one node at a time."""
+    """The message-passing solver, one node at a time.
+
+    The coefficients are built once, over the slots s = (i -> v) of
+    ``sys.graph``: a_iv, a_vi, and each node's singularity threshold,
+    SING_EPS_FACTOR times the largest of |a_ii|, |a_iv| and |a_vi|.  A
+    node's state is its estimate.
+    """
 
     check_positive_a = True
 
     def __init__(self, sys: SparseSystem):
         self._sys = sys
+        g = sys.graph
+        self._a_iv = _a_iv(sys)
+        self._a_vi = self._a_iv[g.rev]
+        scale = np.abs(sys.diag)
+        np.maximum.at(scale, g.owner,
+                      np.maximum(np.abs(self._a_iv), np.abs(self._a_vi)))
+        self._eps = SING_EPS_FACTOR * scale
 
     def init_node(self, node: int):
         """Round 0: every edge carries (a_ii, b_i), estimate b_i / a_ii."""
-        c = _node_coeffs(self._sys, node)
-        if abs(c.a_ii) <= c.eps_sing:
-            raise SingularMessageError(f"node {c.node}: diagonal {c.a_ii!r} "
+        sys = self._sys
+        a_ii, b_i = float(sys.diag[node]), float(sys.b[node])
+        if abs(a_ii) <= self._eps[node]:
+            raise SingularMessageError(f"node {node}: diagonal {a_ii!r} "
                                        "too small to seed messages")
-        x_hat = _check_estimate(c.node, c.b_i / c.a_ii)
-        return NodeState(c, x_hat), {j: (c.a_ii, c.b_i) for j in c.neighbors}
+        x_hat = _check_estimate(node, b_i / a_ii)
+        return x_hat, {j: (a_ii, b_i) for j in sys.graph.neighbors[node]}
 
     def step(self, node: int, state, inbox):
         """One node update from the previous round's incoming pairs.
@@ -176,41 +145,43 @@ class BPProgram(NodeProgram):
         inbox maps every neighbor v to its pair (a_{v->i}, b_{v->i}); the
         outbox maps every neighbor j to (a_{i->j}, b_{i->j}).
         """
-        c = state.coeffs
-        eps = c.eps_sing
-        inv = {}
+        sys = self._sys
+        g = sys.graph
+        s = slice(g.indptr[node], g.indptr[node + 1])
+        nbrs = g.neighbors[node]
+        eps = float(self._eps[node])
+        terms = []
         s_a = 0.0
         s_b = 0.0
-        for v in c.neighbors:
+        for v, a_iv, a_vi in zip(nbrs, self._a_iv[s].tolist(),
+                                 self._a_vi[s].tolist()):
             a_in, b_in = inbox[v]
             if abs(a_in) <= eps:
                 raise SingularMessageError(
-                    f"node {c.node}: incoming scalar {a_in!r} from {v} is "
+                    f"node {node}: incoming scalar {a_in!r} from {v} is "
                     "numerically zero")
             iv = 1.0 / a_in
-            inv[v] = (iv, b_in)
-            s_a += c.prod[v] * iv
-            s_b += c.a_row[v] * b_in * iv
-        a_tilde = c.a_ii - s_a
-        b_tilde = c.b_i - s_b
+            t_a = a_iv * a_vi * iv
+            t_b = a_iv * b_in * iv
+            terms.append((t_a, t_b))
+            s_a += t_a
+            s_b += t_b
+        a_tilde = float(sys.diag[node]) - s_a
+        b_tilde = float(sys.b[node]) - s_b
         if abs(a_tilde) <= eps:
             raise SingularMessageError(
-                f"node {c.node}: aggregate scalar {a_tilde!r} is numerically "
+                f"node {node}: aggregate scalar {a_tilde!r} is numerically "
                 "zero")
-        x_hat = _check_estimate(c.node, b_tilde / a_tilde)
+        x_hat = _check_estimate(node, b_tilde / a_tilde)
         out = {}
-        for j in c.neighbors:
-            iv, b_in = inv[j]
-            a_out = a_tilde + c.prod[j] * iv
-            b_out = b_tilde + c.a_row[j] * b_in * iv
+        for j, (t_a, t_b) in zip(nbrs, terms):
+            a_out = a_tilde + t_a
+            b_out = b_tilde + t_b
             if not (math.isfinite(a_out) and math.isfinite(b_out)):
                 raise DivergedEstimateError(
-                    f"node {c.node}: outgoing pair to {j} is not finite")
+                    f"node {node}: outgoing pair to {j} is not finite")
             out[j] = (a_out, b_out)
-        return NodeState(c, x_hat), out
-
-    def estimate(self, node: int, state) -> float:
-        return state.x_hat
+        return x_hat, out
 
     def costs(self, deg: np.ndarray, n: int):
         return 2 * deg + 1, 11 * deg + 3, 7 * deg + 5
@@ -226,15 +197,11 @@ class BPProgram(NodeProgram):
         round; each round makes new arrays and never writes old ones.
         """
         sys = self._sys
-        a_row = _slot_a_row(sys, g)
-        a_ii, b_i, owner = sys.diag, sys.b, g.owner
-        a_col = a_row[g.rev]
+        _check_graph(sys, g)
+        a_ii, b_i, owner, a_iv, eps = (sys.diag, sys.b, g.owner, self._a_iv,
+                                       self._eps)
         with np.errstate(over="ignore"):
-            prod = a_row * a_col
-        # NodeCoeffs.eps_sing, from the largest of |a_ii|, |a_iv|, |a_vi|
-        scale = np.abs(a_ii)
-        np.maximum.at(scale, owner, np.maximum(np.abs(a_row), np.abs(a_col)))
-        eps = SING_EPS_FACTOR * scale
+            prod = a_iv * self._a_vi
         eps_slot = eps[owner]
         with np.errstate(all="ignore"):
             x_hat = b_i / a_ii
@@ -249,7 +216,7 @@ class BPProgram(NodeProgram):
             with np.errstate(all="ignore"):
                 iv = 1.0 / a_in
                 terms_a = prod * iv
-                terms_b = (a_row * b_in) * iv
+                terms_b = (a_iv * b_in) * iv
                 a_tilde = a_ii - np.bincount(owner, terms_a, g.n)
                 b_tilde = b_i - np.bincount(owner, terms_b, g.n)
                 x_new = b_tilde / a_tilde
@@ -259,8 +226,8 @@ class BPProgram(NodeProgram):
                     np.abs(x_new) <= ESTIMATE_LIMIT)
                 bad[owner[(np.abs(a_in) <= eps_slot)
                           | ~(np.isfinite(a_msg) & np.isfinite(b_msg))]] = True
-            _replay(bad, lambda i: _replay_step(
-                self, i, x_hat, np.column_stack((a_in, b_in))))
+            _replay(bad, lambda i: self.step(i, x_hat[i], _inbox(
+                g, i, np.column_stack((a_in, b_in)))))
             x_hat = x_new
 
     def rounds(self, g: UndirectedGraph) -> Iterator:
@@ -315,27 +282,30 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
 
 
 class JacobiProgram(NodeProgram):
-    """Jacobi iteration, one node at a time."""
+    """Jacobi iteration, one node at a time; a node's state is its
+    estimate."""
 
     def __init__(self, sys: SparseSystem):
         self._sys = sys
+        self._a_iv = _a_iv(sys)
 
     def init_node(self, node: int):
-        c = _node_coeffs(self._sys, node)
-        x_hat = _check_estimate(c.node, c.b_i / c.a_ii)
-        return NodeState(c, x_hat), {j: x_hat for j in c.neighbors}
+        sys = self._sys
+        x_hat = _check_estimate(
+            node, float(sys.b[node]) / float(sys.diag[node]))
+        return x_hat, {j: x_hat for j in sys.graph.neighbors[node]}
 
     def step(self, node: int, state, inbox):
         """x^_i <- (b_i - sum_v a_iv * x^_v) / a_ii from neighbor estimates."""
-        c = state.coeffs
-        acc = c.b_i
-        for v in c.neighbors:
-            acc -= c.a_row[v] * inbox[v]
-        x_hat = _check_estimate(c.node, acc / c.a_ii)
-        return NodeState(c, x_hat), {j: x_hat for j in c.neighbors}
-
-    def estimate(self, node: int, state) -> float:
-        return state.x_hat
+        sys = self._sys
+        g = sys.graph
+        nbrs = g.neighbors[node]
+        acc = float(sys.b[node])
+        a_iv = self._a_iv[g.indptr[node]:g.indptr[node + 1]].tolist()
+        for v, a in zip(nbrs, a_iv):
+            acc -= a * inbox[v]
+        x_hat = _check_estimate(node, acc / float(sys.diag[node]))
+        return x_hat, {j: x_hat for j in nbrs}
 
     def costs(self, deg: np.ndarray, n: int):
         return np.ones_like(deg), 2 * deg + 2, 2 * deg + 3
@@ -349,7 +319,7 @@ class JacobiProgram(NodeProgram):
         for bit (b - bincount(products) would not).
         """
         sys = self._sys
-        a_row = _slot_a_row(sys, g)
+        _check_graph(sys, g)
         rows = np.concatenate((np.arange(g.n), g.owner))
         with np.errstate(all="ignore"):
             x_hat = sys.b / sys.diag
@@ -359,45 +329,11 @@ class JacobiProgram(NodeProgram):
             x_in = x_hat[g.nbr]
             with np.errstate(all="ignore"):
                 acc = np.bincount(rows, np.concatenate(
-                    (sys.b, -(a_row * x_in))), g.n)
+                    (sys.b, -(self._a_iv * x_in))), g.n)
                 x_new = acc / sys.diag
                 bad = ~(np.abs(x_new) <= ESTIMATE_LIMIT)
-            _replay(bad, lambda i: _replay_step(self, i, x_hat, x_in))
+            _replay(bad, lambda i: self.step(i, x_hat[i], _inbox(g, i, x_in)))
             x_hat = x_new
-
-
-@dataclass(frozen=True)
-class ConsensusNodeState:
-    node: int
-    neighbors: tuple[int, ...]
-    row: dict  # j -> a_ij over the row's support, diagonal included
-    row_norm_sq: float
-    x: np.ndarray  # this node's full-length solution vector
-
-
-def _row_support(sys: SparseSystem):
-    """(rows, cols, values) of the nonzero entries in CSR order, and each
-    row's squared norm summed in that order; a row of norm 0 raises."""
-    nonzero = sys.data != 0.0
-    rows = sys.rows[nonzero]
-    vals = sys.data[nonzero]
-    with np.errstate(over="ignore"):
-        norm_sq = np.bincount(rows, vals * vals, sys.n)
-    if not norm_sq.all():
-        raise ZeroRowError(f"row {int(np.argmin(norm_sq != 0.0))} has "
-                           "zero norm")
-    return rows, sys.indices[nonzero], vals, norm_sq
-
-
-def _consensus_state(sys: SparseSystem, i: int,
-                     x: np.ndarray) -> ConsensusNodeState:
-    """Node i's state holding the vector x, as Python floats."""
-    s = slice(sys.indptr[i], sys.indptr[i + 1])
-    row = {j: v for j, v in zip(sys.indices[s].tolist(),
-                                sys.data[s].tolist()) if v != 0.0}
-    return ConsensusNodeState(node=i, neighbors=sys.graph.neighbors[i],
-                              row=row, x=x,
-                              row_norm_sq=sum(v * v for v in row.values()))
 
 
 class ConsensusProgram(NodeProgram):
@@ -406,13 +342,28 @@ class ConsensusProgram(NodeProgram):
     Messages carry full-length vectors and per-node work grows with the
     global size n, so the engine's accounting flags C2/C3 for this
     program (local_complexity is declared False).
+
+    Each row's nonzero support is built once: its columns and values,
+    in CSR order, at positions ptr[i]:ptr[i+1], and its squared norm.  A
+    row of norm 0 cannot be projected on and raises ZeroRowError.  A
+    node's state is its full-length vector x_i.
     """
 
     local_complexity = False
 
     def __init__(self, sys: SparseSystem):
-        _row_support(sys)  # a row of norm 0 cannot be projected on
         self._sys = sys
+        nonzero = sys.data != 0.0
+        self._sup_row = sys.rows[nonzero]
+        self._sup_col = sys.indices[nonzero]
+        self._sup_val = sys.data[nonzero]
+        self._sup_ptr = np.searchsorted(self._sup_row, np.arange(sys.n + 1))
+        with np.errstate(over="ignore"):
+            self._norm_sq = np.bincount(self._sup_row,
+                                        self._sup_val * self._sup_val, sys.n)
+        if not self._norm_sq.all():
+            raise ZeroRowError(f"row {int(np.argmin(self._norm_sq != 0.0))} "
+                               "has zero norm")
 
     def init_node(self, node: int):
         """x_i(0) = (b_i / a_ii) e_i, which satisfies row i by construction;
@@ -420,8 +371,7 @@ class ConsensusProgram(NodeProgram):
         x = np.zeros(self._sys.n)
         x[node] = _check_estimate(
             node, float(self._sys.b[node]) / float(self._sys.diag[node]))
-        state = _consensus_state(self._sys, node, x)
-        return state, {j: state.x for j in state.neighbors}
+        return x, {j: x for j in self._sys.graph.neighbors[node]}
 
     def step(self, node: int, state, inbox):
         """Project the neighborhood disagreement out of this node's vector.
@@ -431,25 +381,29 @@ class ConsensusProgram(NodeProgram):
         is preserved exactly.  Every node carries a full-length vector: this
         baseline deliberately trades locality for per-row consistency.
         """
-        deg = len(state.neighbors)
+        nbrs = self._sys.graph.neighbors[node]
+        deg = len(nbrs)
         if deg == 0:
             return state, {}
-        z = deg * state.x
-        for v in state.neighbors:
-            z = z - inbox[v]
-        w = sum(a_ij * z[j] for j, a_ij in state.row.items())
-        coef = w / state.row_norm_sq
-        proj = z.copy()
-        for j, a_ij in state.row.items():
-            proj[j] -= coef * a_ij
-        x_new = state.x - proj / deg
+        s = slice(self._sup_ptr[node], self._sup_ptr[node + 1])
+        row = list(zip(self._sup_col[s].tolist(), self._sup_val[s].tolist()))
+        with np.errstate(all="ignore"):
+            z = deg * state
+            for v in nbrs:
+                z = z - inbox[v]
+            w = sum(a_ij * z[j] for j, a_ij in row)
+            coef = w / self._norm_sq[node]
+            proj = z.copy()
+            for j, a_ij in row:
+                proj[j] -= coef * a_ij
+            x_new = state - proj / deg
         if not np.all(np.isfinite(x_new)):
             raise DivergedEstimateError(
-                f"node {state.node}: consensus vector is not finite")
-        return replace(state, x=x_new), {j: x_new for j in state.neighbors}
+                f"node {node}: consensus vector is not finite")
+        return x_new, {j: x_new for j in nbrs}
 
     def estimate(self, node: int, state) -> float:
-        return float(state.x[node])
+        return float(state[node])
 
     def costs(self, deg: np.ndarray, n: int):
         return (np.full_like(deg, n + 2), (deg + 3) * n + 4 * (deg + 1),
@@ -477,8 +431,8 @@ class ConsensusProgram(NodeProgram):
             rows = np.flatnonzero(deg > p)
             gathers.append((rows, g.nbr[g.indptr[rows] + p]))
         deg = deg[:, None]
-        sup_row, sup_col, sup_val, row_norm_sq = _row_support(sys)
-        sup = (sup_row, sup_col)
+        sup_row, sup_val = self._sup_row, self._sup_val
+        sup = (sup_row, self._sup_col)
         with np.errstate(all="ignore"):
             x_hat = sys.b / sys.diag
         _replay(~(np.abs(x_hat) <= ESTIMATE_LIMIT), self.init_node)
@@ -490,15 +444,14 @@ class ConsensusProgram(NodeProgram):
                 for rows, nbrs in gathers:
                     z[rows] -= x[nbrs]
                 w = np.bincount(sup_row, sup_val * z[sup], len(x))
-                coef = w / row_norm_sq
+                coef = w / self._norm_sq
                 z[sup] -= coef[sup_row] * sup_val
                 x_new = np.subtract(x, np.divide(z, deg, out=z), out=z)
             x_new[isolated] = x[isolated]
             bad = ~np.isfinite(x_new).all(axis=1)
             bad[isolated] = False
             _replay(bad, lambda i: self.step(
-                i, _consensus_state(sys, i, x[i].copy()),
-                {v: x[v] for v in g.neighbors[i]}))
+                i, x[i], {v: x[v] for v in g.neighbors[i]}))
             x = x_new
             yield x.diagonal().copy(), None
 

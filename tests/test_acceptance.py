@@ -193,18 +193,18 @@ def test_criterion_07_baseline_error_ordering():
             g = induced_graph(sys_)
             for _ in range(60):
                 inboxes = [
-                    {v: states[v].x for v in g.neighbors[i]}
+                    {v: states[v] for v in g.neighbors[i]}
                     for i in range(sys_.n)
                 ]
                 states = [program.step(i, states[i], inboxes[i])[0]
                           for i in range(sys_.n)]
                 for i, st in enumerate(states):
                     lo, hi = sys_.indptr[i], sys_.indptr[i + 1]
-                    lhs = sum(a * st.x[j] for j, a in zip(
+                    lhs = sum(a * st[j] for j, a in zip(
                         sys_.indices[lo:hi].tolist(),
                         sys_.data[lo:hi].tolist()))
                     assert abs(lhs - sys_.b[i]) <= 1e-12
-            cons60 = _l2_err([states[i].x[i] for i in range(sys_.n)], ref)
+            cons60 = _l2_err([states[i][i] for i in range(sys_.n)], ref)
             assert cons60 > jac60
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,6 +203,29 @@ def test_solve_bp_round_zero_fault_exits_three(tmp_path, capsys):
     assert lines[-2:] == ["iter,log10_mse,max_delta,messages",
                           "# fault: node 0 round 0: DivergedEstimateError"]
     assert "method=bp rounds=0 stop=fault" in captured.err
+
+
+def test_solve_consensus_fault_writes_no_numpy_warning(tmp_path):
+    # A = [[1, 1e160], [1, 1]], b = [1, 1e150]: node 0's round-1
+    # projection overflows.  A separate process, so that stderr is what a
+    # user sees rather than what pytest's warning capture collects.
+    from walksolve.core import SparseSystem
+    sys_ = SparseSystem(2, [(0, 0, 1.0), (0, 1, 1e160), (1, 0, 1.0),
+                            (1, 1, 1.0)], (1.0, 1e150))
+    mtx, rhs = str(tmp_path / "m.mtx"), str(tmp_path / "m.rhs")
+    write_matrix_market(sys_, mtx)
+    write_rhs(sys_.b, rhs)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from walksolve.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "solve", "--matrix", mtx, "--rhs",
+         rhs, "--method", "consensus", "--max-iters", "3"],
+        capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == 3
+    assert "# fault: node 0 round 1: DivergedEstimateError" in run.stdout
+    assert "RuntimeWarning" not in run.stderr
 
 
 def test_solve_gauss_seidel_overflow_is_not_converged(tmp_path, capsys):

@@ -5,6 +5,8 @@ directed-edge arrays; their PerNode* subclasses have no array form and
 run on the engine's node_rounds, which is the reference here.  Every
 round must agree bit for bit, and so must the fault record.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -185,6 +187,19 @@ def test_faulting_systems_match(stage, array_cls, node_cls):
     assert cause in trace.fault.cause
     # rounds 0..k-1 are kept; the faulting round writes no row
     assert len(trace.rounds) == k
+
+
+@pytest.mark.parametrize("program_cls", [ConsensusProgram, PerNodeConsensus],
+                         ids=["array", "per-node"])
+def test_consensus_fault_raises_no_numpy_warning(program_cls):
+    # node 0's round-1 projection overflows 1e160 * 1e150 and divides
+    # inf by the row norm; the step reports that as its fault, silently
+    sys = FAULTING["projection"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_rounds(sys, program_cls(sys), 3)
+    assert (trace.fault.node, trace.fault.round) == (0, 1)
+    assert trace.fault.error == "DivergedEstimateError"
 
 
 class TaggedBP(BPProgram):

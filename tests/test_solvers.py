@@ -35,7 +35,7 @@ def _round_zero(program, sys):
 def test_bp_init_values(two_node):
     states, outboxes = _round_zero(BPProgram(two_node), two_node)
     assert outboxes == [{1: (2.0, 2.0)}, {0: (2.0, 4.0)}]
-    assert [s.x_hat for s in states] == [1.0, 2.0]
+    assert states == [1.0, 2.0]
 
 
 def test_bp_round_hand_values(two_node):
@@ -46,11 +46,54 @@ def test_bp_round_hand_values(two_node):
     program = BPProgram(two_node)
     states, _ = _round_zero(program, two_node)
     new0, out0 = program.step(0, states[0], {1: (2.0, 4.0)})
-    assert new0.x_hat == pytest.approx(16.0 / 7.0, abs=1e-15)
+    assert new0 == pytest.approx(16.0 / 7.0, abs=1e-15)
     assert out0 == {1: (2.0, 2.0)}
     new1, out1 = program.step(1, states[1], {0: (2.0, 2.0)})
-    assert new1.x_hat == pytest.approx(18.0 / 7.0, abs=1e-15)
+    assert new1 == pytest.approx(18.0 / 7.0, abs=1e-15)
     assert out1 == {0: (2.0, 4.0)}
+
+
+#: A = [[2, -1], [0, 2]], b = [2, 4], with the (1, 0) entry not stored
+#: or stored as 0.0: the edge exists through a_01 alone, and a program
+#: must read a_10 = 0, not a_01
+ONE_SIDED = {
+    "absent": SparseSystem(2, [(0, 0, 2.0), (0, 1, -1.0), (1, 1, 2.0)],
+                           [2.0, 4.0]),
+    "stored-zero": SparseSystem(2, [(0, 0, 2.0), (0, 1, -1.0), (1, 0, 0.0),
+                                    (1, 1, 2.0)], [2.0, 4.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SIDED))
+def test_bp_one_sided_entry_hand_values(name):
+    # round 0: x^ = [1, 2], pairs (2, 2) from node 0 and (2, 4) from 1
+    # node 0 from (2, 4): a_01 a_10 = 0, so a~ = 2; b~ = 2 - (-1)(4)/2 = 4,
+    #   x^ = 2; outgoing puts its terms back: (2 + 0, 4 - 2) = (2, 2)
+    # node 1 from (2, 2): a_10 = 0, so a~ = 2, b~ = 4, x^ = 2, and it
+    #   sends (2, 4) again; reading a_01 = -1 instead would give x^ = 2.5
+    sys = ONE_SIDED[name]
+    program = BPProgram(sys)
+    states, outboxes = _round_zero(program, sys)
+    assert states == [1.0, 2.0]
+    assert outboxes == [{1: (2.0, 2.0)}, {0: (2.0, 4.0)}]
+    assert program.step(0, states[0], {1: (2.0, 4.0)}) == (2.0,
+                                                           {1: (2.0, 2.0)})
+    assert program.step(1, states[1], {0: (2.0, 2.0)}) == (2.0,
+                                                           {0: (2.0, 4.0)})
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SIDED))
+def test_jacobi_one_sided_entry_hand_values(name):
+    # round 0: x^ = [2/2, 4/2] = [1, 2]
+    # node 0 from x^_1 = 2: (2 - (-1)(2)) / 2 = 2
+    # node 1 from x^_0 = 1: (4 - 0 * 1) / 2 = 2; a_01 = -1 would give 2.5
+    sys = ONE_SIDED[name]
+    program = JacobiProgram(sys)
+    states, outboxes = _round_zero(program, sys)
+    assert states == [1.0, 2.0]
+    assert outboxes == [{1: 1.0}, {0: 2.0}]
+    assert program.step(0, states[0], {1: 2.0}) == (2.0, {1: 2.0})
+    assert program.step(1, states[1], {0: 1.0}) == (2.0, {0: 2.0})
 
 
 def test_bp_messages_path3(path3):
@@ -148,7 +191,7 @@ def test_bp_solve_converges_on_loopy_dominant():
 
 def test_jacobi_hand_values(two_node):
     states, _ = _round_zero(JacobiProgram(two_node), two_node)
-    assert [s.x_hat for s in states] == [1.0, 2.0]
+    assert states == [1.0, 2.0]
     by_k = kernel_estimates(two_node, JacobiProgram(two_node), 2)
     assert by_k[1] == pytest.approx([2.0, 2.25])
     assert by_k[2] == pytest.approx([2.125, 2.5])
@@ -188,12 +231,12 @@ def test_consensus_hand_round(two_node):
     # projection coefficient 4/5, so x0 <- [1.6, 1.2]
     program = ConsensusProgram(two_node)
     states, _ = _round_zero(program, two_node)
-    assert np.array_equal(states[0].x, [1.0, 0.0])
-    assert np.array_equal(states[1].x, [0.0, 2.0])
-    new0, out0 = program.step(0, states[0], {1: states[1].x})
-    assert new0.x == pytest.approx([1.6, 1.2], abs=1e-15)
-    new1, _ = program.step(1, states[1], {0: states[0].x})
-    assert new1.x == pytest.approx([8.0 / 17.0, 36.0 / 17.0], abs=1e-15)
+    assert np.array_equal(states[0], [1.0, 0.0])
+    assert np.array_equal(states[1], [0.0, 2.0])
+    new0, out0 = program.step(0, states[0], {1: states[1]})
+    assert new0 == pytest.approx([1.6, 1.2], abs=1e-15)
+    new1, _ = program.step(1, states[1], {0: states[0]})
+    assert new1 == pytest.approx([8.0 / 17.0, 36.0 / 17.0], abs=1e-15)
 
 
 def test_consensus_preserves_row_consistency(two_node):
@@ -201,11 +244,11 @@ def test_consensus_preserves_row_consistency(two_node):
     program = ConsensusProgram(two_node)
     states, _ = _round_zero(program, two_node)
     for _ in range(40):
-        inboxes = [{1: states[1].x}, {0: states[0].x}]
+        inboxes = [{1: states[1]}, {0: states[0]}]
         states = [program.step(i, s, inboxes[i])[0]
                   for i, s in enumerate(states)]
         for i, s in enumerate(states):
-            assert abs(a[i] @ s.x - two_node.b[i]) < 1e-12
+            assert abs(a[i] @ s - two_node.b[i]) < 1e-12
 
 
 def test_consensus_program_flags_locality():
