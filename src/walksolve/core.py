@@ -5,7 +5,9 @@ Node ids are 0-based everywhere inside the library; text formats that use
 """
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -32,6 +34,12 @@ DEFAULT_COEFF_RANGE = (-1.0, -0.85)
 #: a random-sparse spec expecting more edges, density * n (n - 1) / 2,
 #: is refused before anything is drawn
 MAX_RANDOM_SPARSE_EDGES = 10 ** 6
+#: random-sparse draws at most this many pair doubles per rng.random call
+#: (512 KB), unless one row is longer
+SPARSE_DRAW_BLOCK = 2 ** 16
+#: generated node ids are below 2**32: each is one word of an edge lane's
+#: SeedSequence spawn key
+MAX_NODES = 2 ** 32
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -343,7 +351,9 @@ class GeneratorSpec:
     rejected outright because the included endpoint would zero an edge
     weight.  ``density`` only affects kind "random-sparse", which raises
     TooLargeError when it expects more than MAX_RANDOM_SPARSE_EDGES edges;
-    ``diag_value`` only affects diag_rule "explicit".
+    ``diag_value`` only affects diag_rule "explicit".  ``n`` is at most
+    MAX_NODES, so every node id is below 2**32: an edge's coefficient lane
+    takes each id as one 32-bit word of its spawn key.
     """
 
     kind: str
@@ -361,6 +371,9 @@ class GeneratorSpec:
                 f"expected one of {GENERATOR_KINDS}")
         if self.n < 1:
             raise InvalidSystemError(f"n must be >= 1, got {self.n}")
+        if self.n > MAX_NODES:
+            raise InvalidSystemError(
+                f"n must be at most 2**32 for 32-bit edge lanes, got {self.n}")
         if not (0 <= self.seed < 2 ** 64):
             raise InvalidSystemError("seed must fit in an unsigned 64-bit int")
         lo, hi = self.coeff_range
@@ -394,16 +407,128 @@ def _topology_rng(seed: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
 
 
-def _edge_rng(seed: int, i: int, j: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, i, j))))
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier, high and low words, and its 32-bit limbs
+_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_PCG_LO0, _PCG_LO1 = _PCG_LO & np.uint64(_M32), _PCG_LO >> np.uint64(32)
 
 
-def _draw_nonzero(rng: np.random.Generator, lo: float, hi: float) -> float:
-    while True:
-        v = float(rng.uniform(lo, hi))
-        if v != 0.0:
-            return v
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash: each call xors in the constant,
+    advances it by mult, multiplies by it and folds the high half down."""
+    def hash_(x: np.ndarray) -> np.ndarray:
+        nonlocal const
+        x = x ^ np.uint32(const)
+        const = const * mult & _M32
+        x = x * np.uint32(const)
+        return x ^ (x >> np.uint32(16))
+    return hash_
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """(hi, lo) * multiplier + (inc_hi, inc_lo) mod 2**128, on uint64
+    halves; the high word of lo times the multiplier's low word is
+    summed from 32-bit limbs."""
+    lo0, lo1 = lo & np.uint64(_M32), lo >> np.uint64(32)
+    p00, p01, p10 = lo0 * _PCG_LO0, lo0 * _PCG_LO1, lo1 * _PCG_LO0
+    mid = ((p00 >> np.uint64(32)) + (p01 & np.uint64(_M32))
+           + (p10 & np.uint64(_M32)))
+    carry = (lo1 * _PCG_LO1 + (p01 >> np.uint64(32))
+             + (p10 >> np.uint64(32)) + (mid >> np.uint64(32)))
+    new_lo = lo * _PCG_LO + inc_lo
+    new_hi = (hi * _PCG_LO + lo * _PCG_HI + carry + inc_hi
+              + (new_lo < inc_lo).astype(np.uint64))
+    return new_hi, new_lo
+
+
+class _EdgeLanes:
+    """``PCG64(SeedSequence(seed, spawn_key=(1, u, v)))`` for every edge
+    (u[k], v[k]) at once, as uint64 arrays of the 128-bit states and
+    increments: numpy's seeding and output steps, one element per edge.
+    Node ids must be below 2**32, so that each is one spawn-key word."""
+
+    def __init__(self, seed: int, u: np.ndarray, v: np.ndarray):
+        seed = operator.index(seed)
+        if seed < 0:  # refused as numpy's SeedSequence refuses it
+            raise ValueError("expected non-negative integer")
+        words = [np.array([seed >> s & _M32], dtype=np.uint32)
+                 for s in range(0, max(seed.bit_length(), 1), 32)]
+        # SeedSequence pads a spawned sequence's seed words to its pool
+        # size of 4, then appends the spawn key
+        words += [np.zeros(1, dtype=np.uint32)] * (4 - len(words))
+        words += [np.ones(1, dtype=np.uint32), u.astype(np.uint32),
+                  v.astype(np.uint32)]
+        hash_ = _hasher(_INIT_A, _MULT_A)
+        pool = [hash_(w) for w in words[:4]]
+        for s in range(4):
+            for d in range(4):
+                if s != d:
+                    pool[d] = _mix(pool[d], hash_(pool[s]))
+        for w in words[4:]:
+            for d in range(4):
+                pool[d] = _mix(pool[d], hash_(w))
+        # generate_state(4, uint64): eight words from the pool, paired
+        # little-endian
+        hash_ = _hasher(_INIT_B, _MULT_B)
+        out = [hash_(pool[k % 4]).astype(np.uint64) for k in range(8)]
+        w0, w1, w2, w3 = (out[k] | out[k + 1] << np.uint64(32)
+                          for k in range(0, 8, 2))
+        # PCG64 seeding: inc = (w2:w3) << 1 | 1; state = 0, step, add the
+        # initial state (w0:w1), step
+        self.inc_hi = w2 << np.uint64(1) | w3 >> np.uint64(63)
+        self.inc_lo = w3 << np.uint64(1) | np.uint64(1)
+        lo = self.inc_lo + w1
+        hi = self.inc_hi + w0 + (lo < w1).astype(np.uint64)
+        self.hi, self.lo = _lcg_step(hi, lo, self.inc_hi, self.inc_lo)
+
+    def uniform(self, rows: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        """Advance the lanes ``rows`` one step and return each one's
+        ``rng.uniform(lo, hi)``: the XSL-RR output's top 53 bits scaled
+        to [0, 1), then lo + (hi - lo) * d."""
+        s_hi, s_lo = _lcg_step(self.hi[rows], self.lo[rows],
+                               self.inc_hi[rows], self.inc_lo[rows])
+        self.hi[rows], self.lo[rows] = s_hi, s_lo
+        x = s_hi ^ s_lo
+        rot = s_hi >> np.uint64(58)
+        x = x >> rot | x << (-rot & np.uint64(63))
+        return lo + (hi - lo) * ((x >> np.uint64(11)) * 2.0 ** -53)
+
+
+def _edge_lanes(seed: int, u: np.ndarray, v: np.ndarray, lo: float,
+                hi: float) -> np.ndarray:
+    """The two coefficients of every edge (u[k], v[k]) as an (m, 2) array:
+    the first two nonzero ``rng.uniform(lo, hi)`` draws of the edge's lane
+    ``PCG64(SeedSequence(seed, spawn_key=(1, u, v)))``, bit for bit.
+
+    A draw of exactly 0.0 is skipped, and only the lanes that drew one
+    draw again, so each edge keeps the values a scalar loop of
+    nonzero draws would keep from its lane.
+    """
+    if not len(u):
+        return np.empty((0, 2))
+    # refused as numpy's uniform refuses it
+    if not math.isfinite(hi - lo):
+        raise OverflowError("high - low range exceeds valid bounds")
+    lanes = _EdgeLanes(seed, u, v)
+    out = np.empty((len(u), 2))
+    kept = np.zeros(len(u), dtype=np.intp)
+    rows = np.arange(len(u))
+    while len(rows):
+        d = lanes.uniform(rows, lo, hi)
+        took = rows[d != 0.0]
+        out[took, kept[took]] = d[d != 0.0]
+        kept[took] += 1
+        rows = rows[kept[rows] < 2]
+    return out
 
 
 def _pruefer_tree(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -417,9 +542,7 @@ def _pruefer_tree(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     for x in seq:
         degree[x] += 1
     edges = []
-    # smallest-leaf decoding; a heap would be O(n log n) but n stays small
-    import heapq
-
+    # smallest-leaf decoding
     leaves = [i for i in range(n) if degree[i] == 1]
     heapq.heapify(leaves)
     for x in seq:
@@ -460,22 +583,34 @@ def _loopy_small_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]
 
 def _random_sparse_edges(n: int, rng: np.random.Generator,
                          density: float) -> list[tuple[int, int]]:
-    # one draw per pair i < j, in row order: the same stream as drawing
-    # the pairs one at a time, without an n^2/2 array
-    edges = []
-    for i in range(n):
-        hits = np.flatnonzero(rng.random(n - i - 1) < density)
-        edges.extend((i, i + 1 + int(j)) for j in hits)
-    return edges
+    # one draw per pair i < j, in row order, drawn SPARSE_DRAW_BLOCK pairs
+    # of whole rows at a time: each double takes one 64-bit output, so
+    # this is the stream of drawing the pairs one at a time, without an
+    # n^2/2 array.  Row i's n - 1 - i pairs start at start[i].
+    start = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1))))
+    rows, cols = [], []
+    i = 0
+    while i < n:
+        j = max(i + 1, int(np.searchsorted(
+            start, start[i] + SPARSE_DRAW_BLOCK, side="right")) - 1)
+        hits = start[i] + np.flatnonzero(
+            rng.random(start[j] - start[i]) < density)
+        row = np.searchsorted(start, hits, side="right") - 1
+        rows.append(row)
+        cols.append(hits - start[row] + row + 1)
+        i = j
+    return list(zip(np.concatenate(rows).tolist(),
+                    np.concatenate(cols).tolist()))
 
 
-def _diag_value(rule: str, degree: int, explicit: float) -> float:
+def _diag_values(rule: str, degrees: np.ndarray,
+                 explicit: float) -> np.ndarray:
     if rule == "neighbor-count":
         # isolated nodes get 1.0 so the diagonal stays nonzero
-        return float(max(1, degree))
+        return np.maximum(degrees, 1).astype(float)
     if rule == "unit":
-        return 1.0
-    return float(explicit)
+        return np.ones(len(degrees))
+    return np.full(len(degrees), float(explicit))
 
 
 def system_from_edges(n: int, edges: Sequence[tuple[int, int]], seed: int,
@@ -485,21 +620,33 @@ def system_from_edges(n: int, edges: Sequence[tuple[int, int]], seed: int,
                       b: Optional[Sequence[float]] = None) -> SparseSystem:
     """Fill a fixed edge pattern with seeded coefficients.
 
-    Both directions of every edge get independent draws from
-    ``coeff_range`` (the i->j value first for i < j, then j->i), each from
-    the edge's own RNG lane, so the result does not depend on edge
-    enumeration order.  Default right-hand side is b_i = i + 1.
+    Both directions of every edge i < j get independent draws from
+    ``coeff_range``: the first two nonzero draws of the edge's own lane
+    ``PCG64(SeedSequence(seed, spawn_key=(1, i, j)))``, the i->j value
+    first, so the result does not depend on edge enumeration order.  The
+    lanes of all edges are computed in one array pass, bit-identical to
+    numpy's scalar SeedSequence/PCG64 lane; the test
+    ``test_edge_lanes_equal_numpy_scalar_lanes`` pins that, and NumPy's
+    stream policy (NEP 19) keeps those streams stable.  Node ids must be
+    below 2**32 (n <= MAX_NODES), so that each is one spawn-key word;
+    InvalidSystemError otherwise.  Default right-hand side is b_i = i + 1.
     """
+    if n > MAX_NODES:
+        raise InvalidSystemError(
+            f"n must be at most 2**32 for 32-bit edge lanes, got {n}")
     g = UndirectedGraph(n, edges)
-    entries = [(i, i, _diag_value(diag_rule, g.degree(i), diag_value))
-               for i in range(n)]
+    upper = g.owner < g.nbr
+    u, v = g.owner[upper], g.nbr[upper]
     lo, hi = coeff_range
-    for u, v in g.edges():
-        rng = _edge_rng(seed, u, v)
-        entries.append((u, v, _draw_nonzero(rng, lo, hi)))
-        entries.append((v, u, _draw_nonzero(rng, lo, hi)))
+    w = _edge_lanes(seed, u, v, lo, hi)
+    nodes = np.arange(n)
+    rows = np.concatenate((nodes, u, v))
+    cols = np.concatenate((nodes, v, u))
+    vals = np.concatenate((_diag_values(diag_rule, np.diff(g.indptr),
+                                        diag_value), w[:, 0], w[:, 1]))
     if b is None:
-        b = [float(i + 1) for i in range(n)]
+        b = np.arange(1.0, n + 1)
+    entries = list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
     return SparseSystem(n, entries, b)
 
 

@@ -1,10 +1,11 @@
 import math
 import re
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from walksolve import core
@@ -341,6 +342,7 @@ def test_cycle_detection():
     dict(kind="random-tree", n=3, seed=0, diag_rule="bogus"),
     dict(kind="random-tree", n=3, seed=0, diag_rule="explicit",
          diag_value=0.0),
+    dict(kind="path", n=2 ** 32 + 1, seed=0),
 ])
 def test_generator_spec_validation(kwargs):
     with pytest.raises(InvalidSystemError):
@@ -364,6 +366,98 @@ def test_edge_order_does_not_change_coefficients():
     a = system_from_edges(4, e1, seed=7)
     b = system_from_edges(4, e2, seed=7)
     assert a.entries == b.entries
+
+
+def _edge_rng(seed, i, j):
+    """The scalar lane of edge i < j, the reference for the array lanes."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, i, j))))
+
+
+def _draw_nonzero(rng, lo, hi):
+    """The scalar redraw rule: the lane's next nonzero uniform draw."""
+    while True:
+        v = float(rng.uniform(lo, hi))
+        if v != 0.0:
+            return v
+
+
+@st.composite
+def lane_cases(draw):
+    pairs = draw(st.lists(st.tuples(st.integers(0, 2 ** 32 - 1),
+                                    st.integers(0, 2 ** 32 - 1)),
+                          min_size=1, max_size=6))
+    pairs = [(min(a, b), max(a, b)) for a, b in pairs if a != b]
+    assume(pairs)
+    lo, hi = sorted(draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=2, max_size=2, unique=True)))
+    assume(lo != 0.0 and math.isfinite(hi - lo))
+    return pairs, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), case=lane_cases())
+@example(seed=0, case=([(0, 1), (0, 2 ** 32 - 1)], -1.0, -0.85))
+@example(seed=2 ** 32, case=([(0, 5), (7, 9)], -0.3, 0.3))
+@example(seed=2 ** 64 - 1, case=([(0, 1), (3, 4)], 2.5, 1e6))
+@example(seed=2 ** 160 + 7, case=([(0, 1), (3, 4)], -1.0, -0.85))
+def test_edge_lanes_equal_numpy_scalar_lanes(seed, case):
+    # numpy's stream policy (NEP 19) keeps SeedSequence and PCG64 streams
+    # stable; if a numpy release changed them, this fails by name
+    pairs, lo, hi = case
+    u, v = np.array(pairs, dtype=np.int64).T
+    got = core._edge_lanes(seed, u, v, lo, hi)
+    for k, (i, j) in enumerate(pairs):
+        rng = _edge_rng(seed, i, j)
+        want = [_draw_nonzero(rng, lo, hi), _draw_nonzero(rng, lo, hi)]
+        assert got[k].tolist() == want
+
+
+def test_zero_draws_are_redrawn_from_their_own_lane(monkeypatch):
+    # edge 1's first and edge 3's second draw are stubbed to 0.0
+    zeros = {(1, 0), (3, 1)}
+    drawn = {k: [] for k in range(5)}
+    real = core._EdgeLanes.uniform
+
+    def stub(self, rows, lo, hi):
+        d = real(self, rows, lo, hi)
+        for pos, k in enumerate(rows.tolist()):
+            if (k, len(drawn[k])) in zeros:
+                d[pos] = 0.0
+            drawn[k].append(float(d[pos]))
+        return d
+
+    u, v = np.array([0, 0, 1, 2, 3]), np.array([1, 4, 2, 3, 4])
+    plain = core._edge_lanes(9, u, v, -1.0, 1.0)
+    monkeypatch.setattr(core._EdgeLanes, "uniform", stub)
+    got = core._edge_lanes(9, u, v, -1.0, 1.0)
+    assert [len(drawn[k]) for k in range(5)] == [2, 3, 2, 3, 2]
+    for k in range(5):
+        replay = iter(drawn[k])
+        rng = SimpleNamespace(uniform=lambda lo, hi: next(replay))
+        assert got[k].tolist() == [_draw_nonzero(rng, -1.0, 1.0),
+                                   _draw_nonzero(rng, -1.0, 1.0)]
+        lane = _edge_rng(9, int(u[k]), int(v[k]))
+        real_draws = [float(lane.uniform(-1.0, 1.0)) for _ in drawn[k]]
+        assert got[k].tolist() == [x for x, d in zip(real_draws, drawn[k])
+                                   if d != 0.0]
+    untouched = [0, 2, 4]
+    assert np.array_equal(got[untouched], plain[untouched])
+
+
+def test_system_from_edges_refuses_what_numpy_lanes_refuse():
+    with pytest.raises(InvalidSystemError, match=r"2\*\*32"):
+        system_from_edges(2 ** 32 + 1, [(0, 2 ** 32)], seed=0)
+    # numpy refuses a range that overflows and a negative seed
+    with pytest.raises(OverflowError):
+        system_from_edges(2, [(0, 1)], seed=0, coeff_range=(-1e308, 1e308))
+    with pytest.raises(ValueError, match="non-negative"):
+        system_from_edges(2, [(0, 1)], seed=-1)
+    # with no edge nothing is drawn
+    system_from_edges(2, [], seed=-1, coeff_range=(-1e308, 1e308))
+    assert system_from_edges(2, [(0, 1)], seed=np.uint64(5)).entries == \
+        system_from_edges(2, [(0, 1)], seed=5).entries
 
 
 def test_example1_tree_shape():
@@ -438,6 +532,25 @@ def test_random_sparse_edges_keep_the_pairwise_stream(n, seed, density):
     got = core._random_sparse_edges(n, core._topology_rng(seed), density)
     want = _pairwise_sparse_edges(n, core._topology_rng(seed), density)
     assert got == want
+    assert all(type(u) is int and type(v) is int for u, v in got)
+
+
+def _row_sparse_edges(n, rng, density):
+    """The former generator: one rng.random call per row."""
+    edges = []
+    for i in range(n):
+        hits = np.flatnonzero(rng.random(n - i - 1) < density)
+        edges.extend((i, i + 1 + int(j)) for j in hits)
+    return edges
+
+
+@pytest.mark.parametrize("block", [core.SPARSE_DRAW_BLOCK, 7])
+@pytest.mark.parametrize("n", [1, 2, 300, 3000])
+def test_random_sparse_blocks_keep_the_row_stream(monkeypatch, n, block):
+    # a block of 7 doubles is shorter than most rows: one row per call
+    monkeypatch.setattr(core, "SPARSE_DRAW_BLOCK", block)
+    got = core._random_sparse_edges(n, core._topology_rng(n), 2.5 / n)
+    assert got == _row_sparse_edges(n, core._topology_rng(n), 2.5 / n)
     assert all(type(u) is int and type(v) is int for u, v in got)
 
 
