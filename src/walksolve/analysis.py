@@ -231,8 +231,9 @@ class DominanceReport:
     names (see _certify); rho_abs is the midpoint, rho_reliable when the
     width is at most rho_tol * max(1, rho_hi).  walk_summable is True
     when rho_hi + rho_tol < 1 or the system is strictly diagonally
-    dominant, False when rho_lo - rho_tol > 1, else None.  scaling, if
-    any, is a positive d validated to make A D strictly dominant.
+    dominant, False when rho_lo - rho_tol > 1, else None.  scaling is
+    sought only on a walk-summable verdict; if any, it is a positive d
+    validated to make A D strictly dominant.
     """
 
     diag_dominant: bool
@@ -283,12 +284,13 @@ def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT
     return _perron_scaling(sys, _certify(abs_r, rho_tol)[3])
 
 
-def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
-            want_scaling: bool = True) -> DominanceReport:
+def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT
+            ) -> DominanceReport:
     """Combined dominance check, certified rho(|R|) interval, and verdict.
 
-    One certification serves rho and the scaling; they equal, bit for
-    bit, what spectral_radius_nonneg and find_gdd_scaling return.
+    One certification serves rho and, on a walk-summable verdict, the
+    scaling; they equal, bit for bit, what spectral_radius_nonneg and
+    find_gdd_scaling return.
     """
     dom = is_diagonally_dominant(sys)
     abs_r = _abs_residual_csr(sys)
@@ -300,7 +302,7 @@ def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT,
     else:
         walk_summable = None
     scaling = None
-    if want_scaling and walk_summable:
+    if walk_summable:
         scaling = (1.0,) * sys.n if dom else _perron_scaling(sys, x)
     return DominanceReport(
         diag_dominant=dom, rho_abs=0.5 * (lo + hi), rho_tol=rho_tol,

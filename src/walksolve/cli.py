@@ -119,7 +119,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     sys_ = _load(args)
     g = sys_.graph
-    report = analyze(sys_, rho_tol=_tol(args.rho_tol), want_scaling=True)
+    report = analyze(sys_, rho_tol=_tol(args.rho_tol))
     print(f"nodes: {sys_.n}")
     print(f"undirected edges: {g.edge_count()}")
     print(f"acyclic: {'yes' if is_acyclic(g) else 'no'}")
@@ -214,8 +214,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         program = (JacobiProgram(sys_) if args.method == "jacobi"
                    else ConsensusProgram(sys_))
-        trace = run_rounds(sys_, program, max_rounds, tol=tol,
-                           reference=reference)
+        trace = run_rounds(program, max_rounds, tol=tol, reference=reference)
 
     comments = [f"method: {args.method}", f"stop: {trace.stop_reason}"]
     _write_lines(_trace_csv(trace, comments), args.out)
@@ -244,8 +243,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for name, program in (("bp", BPProgram(sys_)),
                           ("jacobi", JacobiProgram(sys_)),
                           ("consensus", ConsensusProgram(sys_))):
-        trace = run_rounds(sys_, program, max_rounds, tol=tol,
-                           reference=reference)
+        trace = run_rounds(program, max_rounds, tol=tol, reference=reference)
         columns[name] = {row.k: row.log10_mse for row in trace.rounds}
         note = f"method {name}: stop={trace.stop_reason} " \
                f"rounds={trace.rounds[-1].k if trace.rounds else 0}"

@@ -190,7 +190,9 @@ class UndirectedGraph:
             raise InvalidSystemError(f"self-loop at node {a} not allowed")
         u, v = u.astype(np.int64), v.astype(np.int64)
         # each directed edge once as owner * n + nbr, ascending: CSR order
-        slots = np.unique(np.concatenate((u * n + v, v * n + u)))
+        # (sorted and masked: numpy 2.4's hash-based np.unique is far slower)
+        keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        slots = keys[np.diff(keys, prepend=-1) != 0]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "indptr", _read_only(
             np.searchsorted(slots, np.arange(n + 1) * n)))

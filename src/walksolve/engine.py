@@ -6,8 +6,10 @@ an outbox; delivery happens at the barrier after all nodes have stepped.
 Node transitions therefore commute and the trace is bit-identical no
 matter which order nodes are evaluated in.
 
-``run_rounds`` consumes one generator per run, the program's ``rounds``,
-with one set of stop rules, trace rows and fault records:
+A program keeps the system it was built from as ``program.sys`` and runs
+on ``sys.graph``.  ``run_rounds`` consumes one generator per run, the
+program's ``rounds``, with one set of stop rules, trace rows and fault
+records:
   - a program's own array form (the message-passing solver, Jacobi and
     projection consensus).  It runs on the graph's own arrays, its
     directed edges in CSR order (:class:`~walksolve.core.UndirectedGraph`):
@@ -36,7 +38,7 @@ from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .core import SparseSystem, UndirectedGraph, check_tolerance
+from .core import SparseSystem, check_tolerance
 from .errors import (DimensionMismatchError, ProtocolViolationError,
                      SolverError)
 
@@ -108,7 +110,8 @@ class ConvergenceTrace:
 class NodeProgram:
     """Interface a distributed program exposes to the engine.
 
-    Subclasses override the transition hooks and ``costs``;
+    A program's constructor sets ``sys``, the system it was built from
+    and runs on.  Subclasses override the transition hooks and ``costs``;
     ``local_complexity`` declares whether the program keeps per-node work
     and state O(|N_i|) by construction, and ``check_positive_a`` opts into
     the positive-message diagnostic.
@@ -129,6 +132,7 @@ class NodeProgram:
     non-positive ones as a diagnostic, not a fault.
     """
 
+    sys: SparseSystem
     local_complexity = True
     check_positive_a = False
 
@@ -155,24 +159,21 @@ class NodeProgram:
         included."""
         raise NotImplementedError
 
-    def rounds(self, g: UndirectedGraph) -> Iterator:
-        """This program's rounds on g, run_rounds's ``sys.graph``: a
-        generator of (estimates, first) for rounds 0, 1, 2, ..., where
-        ``first`` holds [0] of every slot's message when check_positive_a
-        is set, or None.  The round in which a transition faults raises
-        NodeFault for the smallest faulting node instead.  By default the
-        per-node reference node_rounds, which runs init_node/step on any
-        graph.
+    def rounds(self) -> Iterator:
+        """This program's rounds: a generator of (estimates, first) for
+        rounds 0, 1, 2, ..., where ``first`` holds [0] of every slot's
+        message when check_positive_a is set, or None.  The round in which
+        a transition faults raises NodeFault for the smallest faulting
+        node instead.  By default the per-node reference node_rounds.
 
         A program's array form computes the same rounds as init_node/step,
         bit for bit, for all nodes at once, and raises each fault by
-        replaying the faulting node's init_node or step.  An array form
-        refuses any g but its own system's graph.
+        replaying the faulting node's init_node or step.
         """
-        return node_rounds(self, g)
+        return node_rounds(self)
 
 
-def node_rounds(program: NodeProgram, g: UndirectedGraph) -> Iterator:
+def node_rounds(program: NodeProgram) -> Iterator:
     """A program's init_node/step run node by node, in ascending id order:
     the per-node reference for NodeProgram.rounds.
 
@@ -181,6 +182,7 @@ def node_rounds(program: NodeProgram, g: UndirectedGraph) -> Iterator:
     address exactly the node's neighbors (C1); each value is then
     delivered, as sent, to its neighbor's inbox for the next round to read.
     """
+    g = program.sys.graph
     states = inboxes = None
     for k in itertools.count():
         results = []
@@ -232,7 +234,7 @@ def _log10_mse(estimates: np.ndarray, reference: np.ndarray) -> float:
     return math.log10(mse)
 
 
-def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
+def run_rounds(program: NodeProgram, max_rounds: int,
                tol: Optional[float] = None,
                reference: Optional[np.ndarray] = None) -> ConvergenceTrace:
     """Drive a node program for up to max_rounds synchronous rounds.
@@ -245,7 +247,7 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
     loopy system converges only asymptotically.  A reference, the
     solution that log10_mse measures against, has shape (n,).
 
-    The run consumes program.rounds(sys.graph) and never asks it for a
+    The run consumes program.rounds() and never asks it for a
     round past max_rounds or after a delta stop.  Round 0 is
     initialization (it already sends one message per directed edge).  A
     SolverError raised inside a node transition aborts the run at that
@@ -259,7 +261,7 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
     check_max_rounds(max_rounds)
     if tol is not None:
         check_tolerance(tol)
-    g = sys.graph
+    g = program.sys.graph
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
         if reference.shape != (g.n,):
@@ -280,7 +282,7 @@ def run_rounds(sys: SparseSystem, program: NodeProgram, max_rounds: int,
     trace = ConvergenceTrace()
     try:
         for k, (estimates, first) in zip(range(max_rounds + 1),
-                                         program.rounds(g)):
+                                         program.rounds()):
             acct = step_acct if k else init_acct
             if program.check_positive_a:
                 violations = int(np.count_nonzero(~(first > 0.0)))

@@ -295,7 +295,7 @@ def unwrapped_equivalence_check(sys: SparseSystem, i: int,
     """
     tree = unwrap_tree(sys.graph, i, t)
     try:
-        estimates, _ = next(islice(BPProgram(sys).rounds(sys.graph), t, None))
+        estimates, _ = next(islice(BPProgram(sys).rounds(), t, None))
     except NodeFault as fault:
         raise fault.error from None
     estimate = float(estimates[i])

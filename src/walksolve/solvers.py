@@ -73,14 +73,6 @@ def _replay(bad: np.ndarray, transition) -> None:
                        "per-node transition did not fault")
 
 
-def _check_graph(sys: SparseSystem, g: UndirectedGraph) -> None:
-    """Refuse a graph that is not ``sys.graph`` itself: one of the same
-    shape would still run this system's coefficients on another system."""
-    if g is not sys.graph:
-        raise ProtocolViolationError(
-            "program coefficients do not match the system's graph")
-
-
 def _a_iv(sys: SparseSystem) -> np.ndarray:
     """a_iv over the slots s = (i -> v) of sys.graph, 0.0 where no (i, v)
     is stored.  The last stored key, (n-1, n-1)'s, tops every slot's."""
@@ -120,7 +112,7 @@ class BPProgram(NodeProgram):
     check_positive_a = True
 
     def __init__(self, sys: SparseSystem):
-        self._sys = sys
+        self.sys = sys
         g = sys.graph
         self._a_iv = _a_iv(sys)
         self._a_vi = self._a_iv[g.rev]
@@ -131,7 +123,7 @@ class BPProgram(NodeProgram):
 
     def init_node(self, node: int):
         """Round 0: every edge carries (a_ii, b_i), estimate b_i / a_ii."""
-        sys = self._sys
+        sys = self.sys
         a_ii, b_i = float(sys.diag[node]), float(sys.b[node])
         if abs(a_ii) <= self._eps[node]:
             raise SingularMessageError(f"node {node}: diagonal {a_ii!r} "
@@ -145,7 +137,7 @@ class BPProgram(NodeProgram):
         inbox maps every neighbor v to its pair (a_{v->i}, b_{v->i}); the
         outbox maps every neighbor j to (a_{i->j}, b_{i->j}).
         """
-        sys = self._sys
+        sys = self.sys
         g = sys.graph
         s = slice(g.indptr[node], g.indptr[node + 1])
         nbrs = g.neighbors[node]
@@ -186,7 +178,7 @@ class BPProgram(NodeProgram):
     def costs(self, deg: np.ndarray, n: int):
         return 2 * deg + 1, 11 * deg + 3, 7 * deg + 5
 
-    def messages(self, g: UndirectedGraph) -> Iterator:
+    def messages(self) -> Iterator:
         """init_node / step for every node at once on the graph's arrays:
         a generator of (estimates, a_msg, b_msg) for rounds 0, 1, 2, ...
 
@@ -196,8 +188,8 @@ class BPProgram(NodeProgram):
         (a_msg[s], b_msg[s]) is the pair owner[s] sent nbr[s] in the
         round; each round makes new arrays and never writes old ones.
         """
-        sys = self._sys
-        _check_graph(sys, g)
+        sys = self.sys
+        g = sys.graph
         a_ii, b_i, owner, a_iv, eps = (sys.diag, sys.b, g.owner, self._a_iv,
                                        self._eps)
         with np.errstate(over="ignore"):
@@ -230,9 +222,9 @@ class BPProgram(NodeProgram):
                 g, i, np.column_stack((a_in, b_in)))))
             x_hat = x_new
 
-    def rounds(self, g: UndirectedGraph) -> Iterator:
-        """The rounds of messages(g), whose first is a_msg."""
-        for x_hat, a_msg, _ in self.messages(g):
+    def rounds(self) -> Iterator:
+        """The rounds of messages(), whose first is a_msg."""
+        for x_hat, a_msg, _ in self.messages():
             yield x_hat, a_msg
 
 
@@ -254,7 +246,7 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
     check_max_rounds(max_rounds)
     check_tolerance(tol)
     if not analysis.is_diagonally_dominant(sys):
-        report = analysis.analyze(sys, want_scaling=False)
+        report = analysis.analyze(sys)
         if report.walk_summable is not True:
             verdict = ("indeterminate" if report.walk_summable is None
                        else "not walk-summable")
@@ -269,11 +261,9 @@ def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
     g = sys.graph
     program = BPProgram(sys)
     if is_acyclic(g):
-        d = diameter(g)
-        trace = run_rounds(sys, program, d, reference=reference)
+        trace = run_rounds(program, diameter(g), reference=reference)
     else:
-        trace = run_rounds(sys, program, max_rounds, tol=tol,
-                           reference=reference)
+        trace = run_rounds(program, max_rounds, tol=tol, reference=reference)
     return trace.final_estimates, trace
 
 
@@ -286,18 +276,18 @@ class JacobiProgram(NodeProgram):
     estimate."""
 
     def __init__(self, sys: SparseSystem):
-        self._sys = sys
+        self.sys = sys
         self._a_iv = _a_iv(sys)
 
     def init_node(self, node: int):
-        sys = self._sys
+        sys = self.sys
         x_hat = _check_estimate(
             node, float(sys.b[node]) / float(sys.diag[node]))
         return x_hat, {j: x_hat for j in sys.graph.neighbors[node]}
 
     def step(self, node: int, state, inbox):
         """x^_i <- (b_i - sum_v a_iv * x^_v) / a_ii from neighbor estimates."""
-        sys = self._sys
+        sys = self.sys
         g = sys.graph
         nbrs = g.neighbors[node]
         acc = float(sys.b[node])
@@ -310,7 +300,7 @@ class JacobiProgram(NodeProgram):
     def costs(self, deg: np.ndarray, n: int):
         return np.ones_like(deg), 2 * deg + 2, 2 * deg + 3
 
-    def rounds(self, g: UndirectedGraph) -> Iterator:
+    def rounds(self) -> Iterator:
         """init_node / step for every node at once on the graph's arrays.
 
         step subtracts the products one at a time from b_i; one bincount
@@ -318,8 +308,8 @@ class JacobiProgram(NodeProgram):
         the same order, so the estimates equal the per-node path's bit
         for bit (b - bincount(products) would not).
         """
-        sys = self._sys
-        _check_graph(sys, g)
+        sys = self.sys
+        g = sys.graph
         rows = np.concatenate((np.arange(g.n), g.owner))
         with np.errstate(all="ignore"):
             x_hat = sys.b / sys.diag
@@ -352,7 +342,7 @@ class ConsensusProgram(NodeProgram):
     local_complexity = False
 
     def __init__(self, sys: SparseSystem):
-        self._sys = sys
+        self.sys = sys
         nonzero = sys.data != 0.0
         self._sup_row = sys.rows[nonzero]
         self._sup_col = sys.indices[nonzero]
@@ -368,10 +358,10 @@ class ConsensusProgram(NodeProgram):
     def init_node(self, node: int):
         """x_i(0) = (b_i / a_ii) e_i, which satisfies row i by construction;
         an estimate beyond ESTIMATE_LIMIT faults, as in Jacobi."""
-        x = np.zeros(self._sys.n)
+        x = np.zeros(self.sys.n)
         x[node] = _check_estimate(
-            node, float(self._sys.b[node]) / float(self._sys.diag[node]))
-        return x, {j: x for j in self._sys.graph.neighbors[node]}
+            node, float(self.sys.b[node]) / float(self.sys.diag[node]))
+        return x, {j: x for j in self.sys.graph.neighbors[node]}
 
     def step(self, node: int, state, inbox):
         """Project the neighborhood disagreement out of this node's vector.
@@ -381,7 +371,7 @@ class ConsensusProgram(NodeProgram):
         is preserved exactly.  Every node carries a full-length vector: this
         baseline deliberately trades locality for per-row consistency.
         """
-        nbrs = self._sys.graph.neighbors[node]
+        nbrs = self.sys.graph.neighbors[node]
         deg = len(nbrs)
         if deg == 0:
             return state, {}
@@ -409,7 +399,7 @@ class ConsensusProgram(NodeProgram):
         return (np.full_like(deg, n + 2), (deg + 3) * n + 4 * (deg + 1),
                 (deg + 1) * n + 2 * (deg + 1))
 
-    def rounds(self, g: UndirectedGraph) -> Iterator:
+    def rounds(self) -> Iterator:
         """init_node / step for every node at once on the graph's arrays.
 
         Row i of one (n, n) array is node i's vector.  A round starts each
@@ -420,8 +410,8 @@ class ConsensusProgram(NodeProgram):
         equal the per-node path's bit for bit.  Isolated nodes keep their
         vector.
         """
-        sys = self._sys
-        _check_graph(sys, g)
+        sys = self.sys
+        g = sys.graph
         deg = np.diff(g.indptr)
         isolated = np.flatnonzero(deg == 0)
         # slot position p: the nodes with more than p neighbors, and the

@@ -67,7 +67,7 @@ def run_message_rounds(sys: SparseSystem, rounds: int):
     edges = list(zip(g.owner.tolist(), g.nbr.tolist()))
     per_round = []
     try:
-        for _, a_msg, b_msg in islice(BPProgram(sys).messages(g), rounds + 1):
+        for _, a_msg, b_msg in islice(BPProgram(sys).messages(), rounds + 1):
             per_round.append(dict(zip(edges, zip(a_msg.tolist(),
                                                   b_msg.tolist()))))
     except NodeFault as fault:

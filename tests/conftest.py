@@ -59,22 +59,22 @@ class PerNodeConsensus(ConsensusProgram):
     rounds = node_rounds
 
 
-def kernel_rounds(sys, program, rounds):
+def kernel_rounds(program, rounds):
     """Rounds 0..rounds of program.rounds, which run_rounds drives, as a
     list of (estimates, first) pairs, and the NodeFault that ended them
     early, or None.  The trace keeps no per-round estimates, so tests that
     check every round read the generator themselves."""
     out = []
     try:
-        for pair in islice(program.rounds(sys.graph), rounds + 1):
+        for pair in islice(program.rounds(), rounds + 1):
             out.append(pair)
     except NodeFault as fault:
         return out, fault
     return out, None
 
 
-def kernel_estimates(sys, program, rounds):
+def kernel_estimates(program, rounds):
     """Every round's estimates, 0..rounds, of a run that must not fault."""
-    out, fault = kernel_rounds(sys, program, rounds)
+    out, fault = kernel_rounds(program, rounds)
     assert fault is None, fault.error
     return [estimates for estimates, _ in out]

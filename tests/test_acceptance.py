@@ -85,7 +85,7 @@ def test_criterion_01_tree_exactness_at_diameter():
             assert _rel_err(x, ref) <= 1e-10
             # one round short is not enough: convergence is exact at the
             # diameter, not before it
-            short = run_rounds(sys_, BPProgram(sys_), max_rounds=3)
+            short = run_rounds(BPProgram(sys_), max_rounds=3)
             assert _rel_err(short.final_estimates, ref) > 1e-10
             per_round = run_message_rounds(sys_, 6)
             for later in (5, 6):
@@ -107,7 +107,7 @@ def test_criterion_02_message_positivity():
             g = induced_graph(sys_)
             rounds = diameter(g) if is_acyclic(g) else 15
             rounds = max(rounds, 1)
-            trace = run_rounds(sys_, BPProgram(sys_), max_rounds=rounds)
+            trace = run_rounds(BPProgram(sys_), max_rounds=rounds)
             assert trace.fault is None
             assert trace.total_positivity_violations == 0
 
@@ -165,8 +165,7 @@ def test_criterion_06_loopy_convergence():
                 probe = sys_, ref
         # informational only: mid-run error level on the first instance
         sys_, ref = probe
-        trace = run_rounds(sys_, BPProgram(sys_), max_rounds=100,
-                           reference=ref)
+        trace = run_rounds(BPProgram(sys_), max_rounds=100, reference=ref)
         _console(f"ACCEPTANCE 06 info: first instance log10 mse at "
                  f"round 100 = {trace.rounds[-1].log10_mse:.2f}")
 
@@ -181,7 +180,7 @@ def test_criterion_07_baseline_error_ordering():
             bp_x, bp_trace = bp_solve(sys_, reference=ref)
             assert bp_trace.rounds[-1].k == 4
             bp4 = _l2_err(bp_x, ref)
-            jac_by_k = conftest.kernel_estimates(sys_, JacobiProgram(sys_), 60)
+            jac_by_k = conftest.kernel_estimates(JacobiProgram(sys_), 60)
             jac4 = _l2_err(jac_by_k[4], ref)
             jac60 = _l2_err(jac_by_k[60], ref)
             assert jac4 >= 10.0 * bp4
@@ -223,7 +222,7 @@ def test_criterion_08_jacobi_power_series_identity():
             r = residual_matrix(sys_).as_dense()
             d_inv_b = np.array(
                 [sys_.b[i] / sys_.diag[i] for i in range(sys_.n)])
-            by_k = conftest.kernel_estimates(sys_, JacobiProgram(sys_), 20)
+            by_k = conftest.kernel_estimates(JacobiProgram(sys_), 20)
             # the round-0 estimate is the series' first term, so round k
             # holds the sum of powers 0..k; starting the sum at power 1
             # would sit one round off everywhere
@@ -247,8 +246,7 @@ def test_criterion_09_mid_size_monotone_convergence():
         sys_ = SparseSystem(base.n, base.entries,
                             [float(i) for i in range(base.n)])
         ref = dense_solve(sys_)
-        trace = run_rounds(sys_, BPProgram(sys_), max_rounds=30,
-                           reference=ref)
+        trace = run_rounds(BPProgram(sys_), max_rounds=30, reference=ref)
         vals = [r.log10_mse for r in trace.rounds]
         floor = -25.0
         for prev, cur in zip(vals, vals[1:]):
@@ -277,7 +275,7 @@ def test_criterion_10_analyzer_soundness():
             sys_ = generate_instance(GeneratorSpec(
                 kind="random-sparse", n=n, seed=idx, coeff_range=(-c, c),
                 diag_rule="unit", density=float(rng.uniform(0.2, 0.9))))
-            report = analyze(sys_, want_scaling=True)
+            report = analyze(sys_)
             r_abs = np.abs(residual_matrix(sys_).as_dense())
             rho_true = float(max(abs(np.linalg.eigvals(r_abs))))
             if abs(rho_true - 1.0) > 10.0 * report.rho_tol:
@@ -314,7 +312,7 @@ def test_criterion_11_locality_accounting():
             two_e = 2 * g.edge_count()
             degs = [g.degree(u) for u in range(sys_.n)]
             for program in (BPProgram(sys_), JacobiProgram(sys_)):
-                trace = run_rounds(sys_, program, max_rounds=5)
+                trace = run_rounds(program, max_rounds=5)
                 for row in trace.rounds:
                     acc = row.accounting
                     assert acc.messages_sent == two_e
@@ -324,7 +322,7 @@ def test_criterion_11_locality_accounting():
                         assert acc.per_node_storage[u] <= 12 * (degs[u] + 1)
         # the vector-passing baseline must be flagged, not silently allowed
         star = generate_instance(GeneratorSpec(kind="star", n=40, seed=2))
-        trace = run_rounds(star, ConsensusProgram(star), max_rounds=3)
+        trace = run_rounds(ConsensusProgram(star), max_rounds=3)
         for row in trace.rounds:
             acc = row.accounting
             assert not acc.local_complexity_declared

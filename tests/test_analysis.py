@@ -230,7 +230,7 @@ def test_gdd_scaling_non_dominant_certificate():
     assert d is not None
     for i in range(sys.n):
         assert abs(sys.diag[i]) * d[i] > _off_diagonal_sum(sys, i, d)
-    rep = analyze(sys, want_scaling=True)
+    rep = analyze(sys)
     assert rep.walk_summable is True
     assert rep.scaling is not None
 

@@ -66,7 +66,7 @@ def test_tracer_spans_the_per_node_transitions(tracing, path3):
     # the per-node kernel calls BPProgram's own init_node and step, the
     # methods the tracer wraps: one bp_step span per node and round
     with tracing.Tracer() as tracer:
-        trace = engine.run_rounds(path3, PerNodeBP(path3), 2)
+        trace = engine.run_rounds(PerNodeBP(path3), 2)
     assert trace.fault is None
     assert tracer.calls["bp_step"] == path3.n * 3
     assert tracer.calls["run_rounds"] == 1

@@ -418,3 +418,70 @@ def test_bad_tolerance_is_an_input_error(tmp_path, capsys, monkeypatch,
     assert captured.err == (f"error: --tol must be finite and >= 0, "
                             f"got {float(tol)!r}\n")
     assert captured.out == ""
+
+
+def test_analyze_reports_a_margin_within_tolerance_as_indeterminate(
+        tmp_path, capsys):
+    # rho(|R|) = 0.614 is certified, but 0.614 + 0.5 is not below 1
+    mtx = str(tmp_path / "sparse.mtx")
+    assert main(["generate", "--kind", "random-sparse", "--n", "40",
+                 "--seed", "3", "--coeff-lo", "-0.3", "--coeff-hi", "0.3",
+                 "--diag-rule", "unit", "--density", "0.1",
+                 "--out", mtx]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--matrix", mtx, "--rhs", mtx[:-4] + ".rhs",
+                 "--tol", "0.5"]) == 0
+    rep = _report(capsys.readouterr().out)
+    assert rep["walk-summable"] == "indeterminate (margin within tolerance)"
+    assert rep["rho(|R|)"].endswith("(certified, tol 0.5)")
+    assert "margin to 1" not in rep
+    assert "scaling certificate" not in rep
+
+
+@pytest.mark.parametrize("method", ["jacobi", "gauss-seidel"])
+def test_reference_none_leaves_log10_mse_empty(tmp_path, capsys,
+                                               monkeypatch, method):
+    from walksolve import cli
+    mtx, rhs = _loopy(tmp_path, capsys)
+
+    def refuse(sys_):
+        raise AssertionError("the reference was computed")
+
+    monkeypatch.setattr(cli, "dense_solve", refuse)
+    code = main(["solve", "--matrix", mtx, "--rhs", rhs, "--method", method,
+                 "--max-iters", "3", "--reference", "none"])
+    captured = capsys.readouterr()
+    assert code == 2
+    rows = [r.split(",") for r in _rows(captured.out)]
+    assert [r[0] for r in rows] == ["0", "1", "2", "3"]
+    assert all(r[1] == "" for r in rows)
+    assert "log10_mse" not in captured.err
+
+
+def test_reference_is_skipped_above_the_dense_limit(tmp_path, capsys,
+                                                    monkeypatch):
+    from walksolve import cli
+    mtx, rhs = _loopy(tmp_path, capsys)
+    monkeypatch.setattr(cli, "DENSE_REFERENCE_LIMIT", 10)
+    code = main(["solve", "--matrix", mtx, "--rhs", rhs, "--method",
+                 "jacobi", "--max-iters", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("# reference: skipped, n=30 exceeds 10\n")
+    assert all(r.split(",")[1] == "" for r in _rows(captured.out))
+
+
+@pytest.mark.parametrize("reference", ["none", "auto"])
+def test_compare_without_a_reference_exits_one(tmp_path, capsys,
+                                               monkeypatch, reference):
+    # with --reference auto the 30-node system is above a limit of 10
+    from walksolve import cli
+    mtx, rhs = _loopy(tmp_path, capsys)
+    monkeypatch.setattr(cli, "DENSE_REFERENCE_LIMIT", 10)
+    code = main(["compare", "--matrix", mtx, "--rhs", rhs,
+                 "--reference", reference])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: compare needs a dense reference solution\n")

@@ -194,6 +194,8 @@ def edge_lists(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=edge_lists())
+@example(case=(1, []))
+@example(case=(4, np.zeros((0, 2), dtype=np.int64)))
 def test_csr_graph_matches_set_graph(case):
     n, edges = case
     g = UndirectedGraph(n, edges)

@@ -35,7 +35,7 @@ def test_delta_stop_needs_a_finite_delta():
 def test_fixed_rounds_validation(two_node):
     # a negative cap is refused, not read as round 0 only
     with pytest.raises(ValueError, match="max_rounds"):
-        run_rounds(two_node, JacobiProgram(two_node), -1)
+        run_rounds(JacobiProgram(two_node), -1)
 
 
 def test_negative_round_counts_are_refused_before_any_round(monkeypatch):
@@ -55,20 +55,20 @@ def test_negative_round_counts_are_refused_before_any_round(monkeypatch):
 def test_a_run_reads_no_round_past_its_cap_or_its_stop(two_node):
     # bp faults at round 2 here; a cap of 1 never computes that round
     sys = FAULTING["incoming"]
-    trace = run_rounds(sys, BPProgram(sys), 1)
+    trace = run_rounds(BPProgram(sys), 1)
     assert (trace.stop_reason, trace.fault) == ("fixed-rounds", None)
     read = []
 
     class Counting(JacobiProgram):
-        def rounds(self, g):
-            for k, pair in enumerate(super().rounds(g)):
+        def rounds(self):
+            for k, pair in enumerate(super().rounds()):
                 read.append(k)
                 yield pair
 
-    run_rounds(two_node, Counting(two_node), 3)
+    run_rounds(Counting(two_node), 3)
     assert read == [0, 1, 2, 3]
     read.clear()
-    trace = run_rounds(two_node, Counting(two_node), 500, tol=1e-10)
+    trace = run_rounds(Counting(two_node), 500, tol=1e-10)
     assert trace.stop_reason == "delta"
     assert read == list(range(len(trace.rounds)))
 
@@ -78,8 +78,7 @@ def test_tolerance_must_be_finite_and_nonnegative(two_node, tol):
     # a tree runs a fixed number of rounds without tol, and is refused
     # all the same
     tree = generate_instance(GeneratorSpec(kind="random-tree", n=50, seed=1))
-    calls = [lambda: run_rounds(two_node, JacobiProgram(two_node), 3,
-                                tol=tol),
+    calls = [lambda: run_rounds(JacobiProgram(two_node), 3, tol=tol),
              lambda: bp_solve(tree, tol=tol)]
     for call in calls:
         with pytest.raises(ValueError, match="tol must be finite"):
@@ -90,10 +89,10 @@ class _WrongAddressProgram(NodeProgram):
     """Addresses a non-neighbor to trip the per-edge contract."""
 
     def __init__(self, sys):
-        self.n = sys.n
+        self.sys = sys
 
     def init_node(self, node):
-        return None, {(node + 1) % self.n: (0.0,)}
+        return None, {(node + 1) % self.sys.n: (0.0,)}
 
     def step(self, node, state, inbox):
         return None, {}
@@ -108,7 +107,7 @@ class _WrongAddressProgram(NodeProgram):
 def test_outbox_must_match_neighbor_set(two_node):
     sys3 = system_from_edges(3, [(0, 1)], seed=0)
     with pytest.raises(ProtocolViolationError, match="expected exactly"):
-        run_rounds(sys3, _WrongAddressProgram(sys3), max_rounds=1)
+        run_rounds(_WrongAddressProgram(sys3), max_rounds=1)
 
 
 class _RecordingProgram(NodeProgram):
@@ -118,7 +117,7 @@ class _RecordingProgram(NodeProgram):
     check_positive_a = True
 
     def __init__(self, sys):
-        self.neighbors = sys.graph.neighbors
+        self.sys = sys
         self.sent = {}
         self.received = {}
 
@@ -131,7 +130,7 @@ class _RecordingProgram(NodeProgram):
         return self._send(node, k)
 
     def _send(self, node, k):
-        out = {v: [1.0, node, v, k] for v in self.neighbors[node]}
+        out = {v: [1.0, node, v, k] for v in self.sys.graph.neighbors[node]}
         for v, value in out.items():
             self.sent[node, v, k] = value
         return k + 1, out
@@ -146,7 +145,7 @@ class _RecordingProgram(NodeProgram):
 def test_per_node_kernel_delivers_the_values_sent():
     sys = generate_instance(GeneratorSpec(kind="loopy-small", n=8, seed=1))
     program = _RecordingProgram(sys)
-    trace = run_rounds(sys, program, 3)
+    trace = run_rounds(program, 3)
     # [0] of every list is the positive scalar the diagnostic reads
     assert trace.total_positivity_violations == 0
     # rounds 1..3 read what rounds 0..2 sent, as the very same objects
@@ -160,7 +159,7 @@ def test_init_fault_keeps_empty_trace():
     # a numerically-zero diagonal faults message seeding at round 0
     sys = SparseSystem(2, [(0, 0, 1e-30), (0, 1, -1.0), (1, 0, -1.0),
                            (1, 1, 1.0)], [1.0, 1.0])
-    trace = run_rounds(sys, BPProgram(sys), max_rounds=5)
+    trace = run_rounds(BPProgram(sys), max_rounds=5)
     assert trace.stop_reason == "fault"
     assert trace.fault is not None
     assert trace.fault.round == 0
@@ -173,7 +172,7 @@ def test_mid_run_fault_keeps_partial_trace():
     # singular 2x2: the aggregate scalar cancels exactly at round 1
     sys = SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0),
                            (1, 1, 1.0)], [1.0, 1.0])
-    trace = run_rounds(sys, BPProgram(sys), max_rounds=5)
+    trace = run_rounds(BPProgram(sys), max_rounds=5)
     assert trace.stop_reason == "fault"
     assert trace.fault.round == 1
     assert trace.fault.error == "SingularMessageError"
@@ -185,14 +184,14 @@ def test_both_kernels_report_the_smallest_faulting_node():
     # per-node kernel and by the array kernel alike
     sys = SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0),
                            (1, 1, 1.0)], [1.0, 1.0])
-    faults = [run_rounds(sys, cls(sys), max_rounds=5).fault
+    faults = [run_rounds(cls(sys), max_rounds=5).fault
               for cls in (PerNodeBP, BPProgram)]
     assert [(f.node, f.round) for f in faults] == [(0, 1)] * 2
     assert faults[0] == faults[1]
 
 
 def test_round_zero_counts_and_stopping(two_node):
-    trace = run_rounds(two_node, BPProgram(two_node), max_rounds=0)
+    trace = run_rounds(BPProgram(two_node), max_rounds=0)
     assert trace.stop_reason == "fixed-rounds"
     assert [r.k for r in trace.rounds] == [0]
     assert trace.rounds[0].accounting.messages_sent == 2
@@ -200,8 +199,7 @@ def test_round_zero_counts_and_stopping(two_node):
 
 
 def test_delta_stop_reason(two_node):
-    trace = run_rounds(two_node, JacobiProgram(two_node), max_rounds=500,
-                       tol=1e-10)
+    trace = run_rounds(JacobiProgram(two_node), max_rounds=500, tol=1e-10)
     assert trace.stop_reason == "delta"
     assert trace.rounds[-1].max_delta <= 1e-10 * max(
         1.0, float(np.max(np.abs(trace.final_estimates))))
@@ -215,12 +213,12 @@ def test_run_rounds_refuses_a_reference_of_another_shape(shape):
     graphs = []
 
     class Recording(JacobiProgram):
-        def rounds(self, g):
-            graphs.append(g)
-            return super().rounds(g)
+        def rounds(self):
+            graphs.append(self.sys.graph)
+            return super().rounds()
 
     with pytest.raises(DimensionMismatchError, match=r"expected \(20,\)"):
-        run_rounds(sys, Recording(sys), 3, reference=np.zeros(shape))
+        run_rounds(Recording(sys), 3, reference=np.zeros(shape))
     assert not graphs
     with pytest.raises(DimensionMismatchError):
         bp_solve(sys, reference=np.ones(shape))
@@ -228,16 +226,14 @@ def test_run_rounds_refuses_a_reference_of_another_shape(shape):
 
 def test_max_rounds_reason(two_node):
     # a zero tolerance is not reached in three Jacobi rounds
-    trace = run_rounds(two_node, JacobiProgram(two_node), max_rounds=3,
-                       tol=0.0)
+    trace = run_rounds(JacobiProgram(two_node), max_rounds=3, tol=0.0)
     assert trace.stop_reason == "max-rounds"
     assert [r.k for r in trace.rounds] == [0, 1, 2, 3]
 
 
 def test_log10_mse_tracking(two_node):
     ref = np.array([16.0 / 7.0, 18.0 / 7.0])
-    trace = run_rounds(two_node, BPProgram(two_node), max_rounds=1,
-                       reference=ref)
+    trace = run_rounds(BPProgram(two_node), max_rounds=1, reference=ref)
     assert trace.rounds[0].log10_mse is not None
     # round 1 is exact here, so the mse either underflows to -inf or is tiny
     assert trace.rounds[1].log10_mse < -25
@@ -250,13 +246,13 @@ def test_positivity_diagnostic_counts_without_faulting():
     for i, j in [(0, 1), (1, 2), (0, 2)]:
         entries += [(i, j, -2.0), (j, i, -2.0)]
     sys = SparseSystem(3, entries, [1.0, 1.0, 1.0])
-    trace = run_rounds(sys, BPProgram(sys), max_rounds=4)
+    trace = run_rounds(BPProgram(sys), max_rounds=4)
     assert trace.stop_reason == "fixed-rounds"
     assert trace.total_positivity_violations > 0
 
 
 def test_accounting_bounds_small_graph(two_node):
-    trace = run_rounds(two_node, BPProgram(two_node), max_rounds=2)
+    trace = run_rounds(BPProgram(two_node), max_rounds=2)
     for row in trace.rounds:
         acct = row.accounting
         assert acct.messages_sent == 2
@@ -291,12 +287,12 @@ def test_runs_on_one_system_share_one_layout(monkeypatch, capsys):
     sys = generate_instance(GeneratorSpec(kind="loopy-small", n=30, seed=2))
     revs = []
     for cls in (BPProgram, JacobiProgram, ConsensusProgram):
-        def recording(self, g, real=cls.rounds):
-            revs.append(g.rev)
-            return real(self, g)
+        def recording(self, real=cls.rounds):
+            revs.append(self.sys.graph.rev)
+            return real(self)
         monkeypatch.setattr(cls, "rounds", recording)
-    run_rounds(sys, BPProgram(sys), 3)
-    run_rounds(sys, JacobiProgram(sys), 3)
+    run_rounds(BPProgram(sys), 3)
+    run_rounds(JacobiProgram(sys), 3)
     _compare(monkeypatch, sys)
     assert len(revs) == 5
     assert all(rev is sys.graph.rev for rev in revs)

@@ -4,8 +4,10 @@ import pytest
 from walksolve.analysis import ResidualMatrix, residual_matrix
 from walksolve.core import (
     SEVEN_NODE_TREE_EDGES,
+    GeneratorSpec,
     SparseSystem,
     UndirectedGraph,
+    generate_instance,
     induced_graph,
     system_from_edges,
 )
@@ -161,6 +163,30 @@ def test_unwrapped_equivalence_raises_a_node_fault():
                 unwrapped_equivalence_check(incoming, i, t)
     with pytest.raises(SingularMessageError, match="too small to seed"):
         unwrapped_equivalence_check(FAULTING["seed"], 0, 0)
+
+
+def test_unwrapped_roots_solve_alike_by_sparse_lu(monkeypatch):
+    # with no dense limit every unwrapped system takes the sparse LU;
+    # its root value must agree with the dense solve's
+    import scipy.sparse.linalg
+    from walksolve import oracle
+    systems = [system_from_edges(5, LOOPY_FIVE, seed=11)] + [
+        generate_instance(GeneratorSpec(kind="loopy-small", n=n, seed=n))
+        for n in range(6, 11)]
+    cases = [(sys, i, t) for sys in systems for i in range(sys.n)
+             for t in range(5)]
+    dense = [unwrapped_equivalence_check(*case) for case in cases]
+    sparse_calls = []
+    real = scipy.sparse.linalg.spsolve
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
+                        lambda *a: sparse_calls.append(1) or real(*a))
+    monkeypatch.setattr(oracle, "DENSE_UNWRAP_LIMIT", 0)
+    for case, want in zip(cases, dense):
+        got = unwrapped_equivalence_check(*case)
+        assert got.ok, case[1:]
+        assert got.tree_value == pytest.approx(want.tree_value, rel=1e-13,
+                                               abs=1e-13)
+    assert len(sparse_calls) == len(cases)
 
 
 def test_unwrap_validation():

@@ -11,6 +11,7 @@ from walksolve.errors import (
     NotWalkSummableWarning,
     ProtocolViolationError,
     SingularMatrixError,
+    ZeroRowError,
 )
 from walksolve.solvers import (
     BPProgram,
@@ -112,7 +113,7 @@ def test_bp_messages_path3(path3):
 
 
 def test_bp_estimates_path3(path3):
-    by_k = kernel_estimates(path3, BPProgram(path3), 2)
+    by_k = kernel_estimates(BPProgram(path3), 2)
     assert by_k[0] == pytest.approx([0.5, 1.0, 1.5])
     assert by_k[1] == pytest.approx([4.0 / 3.0, 4.0, 8.0 / 3.0], abs=1e-15)
     assert by_k[2] == pytest.approx(PATH3_SOLUTION, abs=1e-14)
@@ -192,7 +193,7 @@ def test_bp_solve_converges_on_loopy_dominant():
 def test_jacobi_hand_values(two_node):
     states, _ = _round_zero(JacobiProgram(two_node), two_node)
     assert states == [1.0, 2.0]
-    by_k = kernel_estimates(two_node, JacobiProgram(two_node), 2)
+    by_k = kernel_estimates(JacobiProgram(two_node), 2)
     assert by_k[1] == pytest.approx([2.0, 2.25])
     assert by_k[2] == pytest.approx([2.125, 2.5])
 
@@ -202,7 +203,7 @@ def test_jacobi_matches_residual_power_series(two_node):
     # initialization, so a sum started at l = 1 would be one round off
     r = np.array([[0.0, 0.5], [0.25, 0.0]])
     db = np.array([1.0, 2.0])
-    by_k = kernel_estimates(two_node, JacobiProgram(two_node), 6)
+    by_k = kernel_estimates(JacobiProgram(two_node), 6)
     total = np.zeros(2)
     power = np.eye(2)
     for k in range(7):
@@ -253,7 +254,7 @@ def test_consensus_preserves_row_consistency(two_node):
 
 def test_consensus_program_flags_locality():
     sys = generate_instance(GeneratorSpec(kind="star", n=40, seed=2))
-    trace = run_rounds(sys, ConsensusProgram(sys), max_rounds=2)
+    trace = run_rounds(ConsensusProgram(sys), max_rounds=2)
     for row in trace.rounds:
         acct = row.accounting
         assert not acct.local_complexity_declared
@@ -284,7 +285,7 @@ def test_solver_ensemble_agreement_with_dense():
         ref = dense_solve(sys)
         x_bp, _ = bp_solve(sys, max_rounds=400, tol=1e-13)
         assert np.max(np.abs(x_bp - ref)) < 1e-8
-        tj = run_rounds(sys, JacobiProgram(sys), max_rounds=2000)
+        tj = run_rounds(JacobiProgram(sys), max_rounds=2000)
         assert np.max(np.abs(tj.final_estimates - ref)) < 1e-8
 
 
@@ -331,6 +332,14 @@ def test_bp_solve_on_a_tree_runs_one_components_pass(monkeypatch):
     assert len(sources) == 2
 
 
+def test_consensus_program_refuses_a_row_whose_norm_underflows():
+    # 1e-200 is a valid diagonal, but its square underflows to 0.0, so
+    # row 1 has nothing to project on
+    sys = SparseSystem(2, [(0, 0, 1.0), (1, 1, 1e-200)], [1.0, 1.0])
+    with pytest.raises(ZeroRowError, match="row 1 has zero norm"):
+        ConsensusProgram(sys)
+
+
 def test_consensus_program_keeps_only_the_system():
     # n full-length vectors would be 600 * 600 floats, 2.9 MB
     sys = generate_instance(GeneratorSpec(kind="random-tree", n=600, seed=2))
@@ -342,7 +351,7 @@ def test_consensus_program_keeps_only_the_system():
     finally:
         tracemalloc.stop()
     assert retained < 0.5e6
-    trace = run_rounds(sys, program, max_rounds=1)
+    trace = run_rounds(program, max_rounds=1)
     assert len(trace.rounds) == 2
 
 

@@ -57,9 +57,9 @@ def _swap_reverse_edges(g, a_msg, b_msg):
 @pytest.mark.parametrize("mutation", [_flip_b_sign, _swap_reverse_edges])
 def test_message_oracle_check_catches_mutations(mutation, monkeypatch):
     # the generator's messages are corrupted in every round after round 0
-    def messages(self, g, real=BPProgram.messages):
-        for k, (x_hat, a_msg, b_msg) in enumerate(real(self, g)):
-            yield (x_hat, *(mutation(g, a_msg, b_msg) if k
+    def messages(self, real=BPProgram.messages):
+        for k, (x_hat, a_msg, b_msg) in enumerate(real(self)):
+            yield (x_hat, *(mutation(self.sys.graph, a_msg, b_msg) if k
                             else (a_msg, b_msg)))
     monkeypatch.setattr(BPProgram, "messages", messages)
     res = check_message_oracle(seed=0, trees=10)
