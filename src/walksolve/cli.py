@@ -17,7 +17,8 @@ from .analysis import RHO_TOL_DEFAULT, analyze
 from .core import (DIAG_RULES, GENERATOR_KINDS, DEFAULT_COEFF_RANGE,
                    GeneratorSpec, SparseSystem, check_tolerance, diameter,
                    generate_instance, is_acyclic)
-from .engine import ConvergenceTrace, SolverFault, delta_stop, run_rounds
+from .engine import (ConvergenceTrace, SolverFault, _log10_mse, delta_stop,
+                     run_rounds)
 from .errors import (NotWalkSummableError, SingularMatrixError,
                      WalksolveError)
 from .solvers import (ESTIMATE_LIMIT, BPProgram, ConsensusProgram,
@@ -161,18 +162,12 @@ def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
                 node=node, round=k, error="DivergedEstimateError",
                 cause=f"estimate {float(nxt[node])!r} out of range")
         delta = float(np.max(np.abs(nxt - x))) if k else None
-        rows.append((k, _ref_err(nxt, reference), delta))
+        mse = _log10_mse(nxt, reference) if reference is not None else None
+        rows.append((k, mse, delta))
         if k and delta_stop(delta, nxt, tol):
             return rows, "delta", None
         x = nxt
     return rows, "max-rounds", None
-
-
-def _ref_err(x, reference):
-    if reference is None:
-        return None
-    err = float(np.mean((np.asarray(x) - reference) ** 2))
-    return float(np.log10(err)) if err > 0.0 else float("-inf")
 
 
 _EXIT_BY_REASON = {"fixed-rounds": 0, "delta": 0, "max-rounds": 2,
@@ -251,10 +246,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             note += f" fault='{_fault_text(trace.fault)}'"
             print(f"# {note}", file=_sys.stderr)
         comments.append(note)
-    last_round = max((max(c) for c in columns.values() if c), default=0)
+    # each column holds rounds 0, 1, ...: no row for a round none completed
     lines = [f"# {c}" for c in comments]
     lines.append("iter," + ",".join(columns))
-    for k in range(last_round + 1):
+    for k in range(max(map(len, columns.values()))):
         cells = [_cell(columns[m].get(k)) for m in columns]
         lines.append(f"{k}," + ",".join(cells))
     _write_lines(lines, args.out)

@@ -5,7 +5,6 @@ Node ids are 0-based everywhere inside the library; text formats that use
 """
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -34,8 +33,8 @@ DEFAULT_COEFF_RANGE = (-1.0, -0.85)
 #: a random-sparse spec expecting more edges, density * n (n - 1) / 2,
 #: is refused before anything is drawn
 MAX_RANDOM_SPARSE_EDGES = 10 ** 6
-#: random-sparse draws at most this many pair doubles per rng.random call
-#: (512 KB), unless one row is longer
+#: random-sparse draws this many pair doubles per rng.random call (512 KB),
+#: the last call fewer
 SPARSE_DRAW_BLOCK = 2 ** 16
 #: generated node ids are below 2**32: each is one word of an edge lane's
 #: SeedSequence spawn key
@@ -75,10 +74,11 @@ class SparseSystem:
 
     def __init__(self, n: int, entries: Iterable[tuple[int, int, float]],
                  b: Sequence[float]):
+        """entries are (row, col, value) triples or an (m, 3) array."""
         if n < 1:
             raise InvalidSystemError(f"system size must be >= 1, got {n}")
-        given = list(entries)
-        triples = np.array(given, dtype=float).reshape(len(given), 3)
+        given = entries if isinstance(entries, np.ndarray) else list(entries)
+        triples = np.asarray(given, dtype=float).reshape(len(given), 3)
         rows, cols = np.trunc(triples[:, :2].T)
         vals = triples[:, 2]
         outside = ~((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n))
@@ -539,23 +539,25 @@ def _pruefer_tree(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
         return []
     if n == 2:
         return [(0, 1)]
-    seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
+    seq = rng.integers(0, n, size=n - 2).tolist()
     degree = [1] * n
     for x in seq:
         degree[x] += 1
     edges = []
-    # smallest-leaf decoding
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
+    # smallest-leaf decoding without a heap: ptr, the last leaf found by
+    # scanning up, is used and every leaf above it is not, so the next
+    # leaf is a neighbour x < ptr that has just become one, or else the
+    # first leaf above ptr
+    leaf = ptr = degree.index(1)
     for x in seq:
-        leaf = heapq.heappop(leaves)
         edges.append((min(leaf, x), max(leaf, x)))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    # node n - 1 is never the smallest of two leaves, so it is left last
+    edges.append((leaf, n - 1))
     return edges
 
 
@@ -580,29 +582,23 @@ def _loopy_small_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]
             continue
         edges.add(e)
         added += 1
-    return sorted(edges)
+    # in any order: the graph sorts its slots, and lanes key on (u, v)
+    return list(edges)
 
 
 def _random_sparse_edges(n: int, rng: np.random.Generator,
                          density: float) -> list[tuple[int, int]]:
     # one draw per pair i < j, in row order, drawn SPARSE_DRAW_BLOCK pairs
-    # of whole rows at a time: each double takes one 64-bit output, so
-    # this is the stream of drawing the pairs one at a time, without an
-    # n^2/2 array.  Row i's n - 1 - i pairs start at start[i].
+    # at a time: each double takes one 64-bit output, so this is the
+    # stream of drawing the pairs one at a time, without an n^2/2 array.
+    # Row i's n - 1 - i pairs start at start[i]; start[n] counts them all.
     start = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1))))
-    rows, cols = [], []
-    i = 0
-    while i < n:
-        j = max(i + 1, int(np.searchsorted(
-            start, start[i] + SPARSE_DRAW_BLOCK, side="right")) - 1)
-        hits = start[i] + np.flatnonzero(
-            rng.random(start[j] - start[i]) < density)
-        row = np.searchsorted(start, hits, side="right") - 1
-        rows.append(row)
-        cols.append(hits - start[row] + row + 1)
-        i = j
-    return list(zip(np.concatenate(rows).tolist(),
-                    np.concatenate(cols).tolist()))
+    hits = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        lo + np.flatnonzero(rng.random(
+            min(SPARSE_DRAW_BLOCK, start[n] - lo)) < density)
+        for lo in range(0, start[n], SPARSE_DRAW_BLOCK)])
+    row = np.searchsorted(start, hits, side="right") - 1
+    return list(zip(row.tolist(), (hits - start[row] + row + 1).tolist()))
 
 
 def _diag_values(rule: str, degrees: np.ndarray,
@@ -648,8 +644,7 @@ def system_from_edges(n: int, edges: Sequence[tuple[int, int]], seed: int,
                                         diag_value), w[:, 0], w[:, 1]))
     if b is None:
         b = np.arange(1.0, n + 1)
-    entries = list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
-    return SparseSystem(n, entries, b)
+    return SparseSystem(n, np.column_stack((rows, cols, vals)), b)
 
 
 def generate_instance(spec: GeneratorSpec) -> SparseSystem:

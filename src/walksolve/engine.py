@@ -228,7 +228,9 @@ def delta_stop(delta: float, cur: np.ndarray, tol: float) -> bool:
 
 
 def _log10_mse(estimates: np.ndarray, reference: np.ndarray) -> float:
-    mse = float(np.sum((estimates - reference) ** 2)) / len(estimates)
+    """log10 of the mean squared error; inf once the error overflows."""
+    with np.errstate(over="ignore"):
+        mse = float(np.sum((estimates - reference) ** 2)) / len(estimates)
     if mse == 0.0:
         return -math.inf
     return math.log10(mse)

@@ -83,6 +83,10 @@ def test_spectral_radius_zero_and_validation():
         spectral_radius_nonneg(np.array([[0.0, -1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatchError):
         spectral_radius_nonneg(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError, match=r"shape \(3,\)"):
+        spectral_radius_nonneg(np.zeros(3))
+    with pytest.raises(InvalidSystemError, match="non-finite"):
+        spectral_radius_nonneg(np.array([[0.0, np.inf], [1.0, 0.0]]))
 
 
 def test_spectral_radius_reducible_reports_bracket():

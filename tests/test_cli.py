@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from walksolve.cli import main
+from walksolve.core import SparseSystem
 from walksolve.mmio import write_matrix_market, write_rhs
+from test_edge_kernel import FAULTING
 
 
 def _generate(tmp_path, capsys=None):
@@ -17,6 +19,13 @@ def _generate(tmp_path, capsys=None):
     assert main(args) == 0
     if capsys is not None:
         capsys.readouterr()  # drop the generate banner
+    return mtx, rhs
+
+
+def _write_system(tmp_path, sys_):
+    mtx, rhs = str(tmp_path / "m.mtx"), str(tmp_path / "m.rhs")
+    write_matrix_market(sys_, mtx)
+    write_rhs(sys_.b, rhs)
     return mtx, rhs
 
 
@@ -155,12 +164,9 @@ def test_solve_gauss_seidel_is_labeled_sequential(tmp_path, capsys):
 
 
 def test_solve_bp_refuses_without_certificate(tmp_path, capsys):
-    from walksolve.core import SparseSystem
     sys_ = SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.5),
                             (1, 0, -1.5), (1, 1, 1.0)], (1.0, 1.0))
-    mtx, rhs = str(tmp_path / "m.mtx"), str(tmp_path / "m.rhs")
-    write_matrix_market(sys_, mtx)
-    write_rhs(sys_.b, rhs)
+    mtx, rhs = _write_system(tmp_path, sys_)
     code = main(["solve", "--matrix", mtx, "--rhs", rhs, "--method", "bp"])
     captured = capsys.readouterr()
     assert code == 1
@@ -169,13 +175,10 @@ def test_solve_bp_refuses_without_certificate(tmp_path, capsys):
 
 
 def test_solve_fault_exits_three(tmp_path, capsys):
-    from walksolve.core import SparseSystem
     # singular pair: the round-1 belief coefficient cancels to zero
     sys_ = SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.0),
                             (1, 0, -1.0), (1, 1, 1.0)], (1.0, 2.0))
-    mtx, rhs = str(tmp_path / "m.mtx"), str(tmp_path / "m.rhs")
-    write_matrix_market(sys_, mtx)
-    write_rhs(sys_.b, rhs)
+    mtx, rhs = _write_system(tmp_path, sys_)
     from walksolve.errors import NotWalkSummableWarning
     with pytest.warns(NotWalkSummableWarning):
         code = main(["solve", "--matrix", mtx, "--rhs", rhs,
@@ -188,13 +191,10 @@ def test_solve_fault_exits_three(tmp_path, capsys):
 
 
 def test_solve_bp_round_zero_fault_exits_three(tmp_path, capsys):
-    from walksolve.core import SparseSystem
     # dominant, but b_i / a_ii = 1e300 / 1e-100 overflows at round 0
     sys_ = SparseSystem(2, [(0, 0, 1e-100), (0, 1, 1e-101),
                             (1, 0, 1e-101), (1, 1, 1e-100)], (1e300, 1e300))
-    mtx, rhs = str(tmp_path / "m.mtx"), str(tmp_path / "m.rhs")
-    write_matrix_market(sys_, mtx)
-    write_rhs(sys_.b, rhs)
+    mtx, rhs = _write_system(tmp_path, sys_)
     code = main(["solve", "--matrix", mtx, "--rhs", rhs, "--method", "bp"])
     captured = capsys.readouterr()
     assert code == 3
@@ -209,12 +209,9 @@ def test_solve_consensus_fault_writes_no_numpy_warning(tmp_path):
     # A = [[1, 1e160], [1, 1]], b = [1, 1e150]: node 0's round-1
     # projection overflows.  A separate process, so that stderr is what a
     # user sees rather than what pytest's warning capture collects.
-    from walksolve.core import SparseSystem
     sys_ = SparseSystem(2, [(0, 0, 1.0), (0, 1, 1e160), (1, 0, 1.0),
                             (1, 1, 1.0)], (1.0, 1e150))
-    mtx, rhs = str(tmp_path / "m.mtx"), str(tmp_path / "m.rhs")
-    write_matrix_market(sys_, mtx)
-    write_rhs(sys_.b, rhs)
+    mtx, rhs = _write_system(tmp_path, sys_)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -229,13 +226,10 @@ def test_solve_consensus_fault_writes_no_numpy_warning(tmp_path):
 
 
 def test_solve_gauss_seidel_overflow_is_not_converged(tmp_path, capsys):
-    from walksolve.core import SparseSystem
     # the sweeps grow 1e30-fold until they overflow to inf
     sys_ = SparseSystem(2, [(0, 0, 1e-30), (0, 1, -1.0),
                             (1, 0, -1.0), (1, 1, 1.0)], (1.0, 1.0))
-    mtx, rhs = str(tmp_path / "m.mtx"), str(tmp_path / "m.rhs")
-    write_matrix_market(sys_, mtx)
-    write_rhs(sys_.b, rhs)
+    mtx, rhs = _write_system(tmp_path, sys_)
     code = main(["solve", "--matrix", mtx, "--rhs", rhs,
                  "--method", "gauss-seidel", "--max-iters", "20"])
     captured = capsys.readouterr()
@@ -246,6 +240,46 @@ def test_solve_gauss_seidel_overflow_is_not_converged(tmp_path, capsys):
     assert [l.split(",")[0] for l in lines[2:-1]] == ["0", "1", "2", "3", "4"]
     assert lines[-1] == "# fault: node 0 round 5: DivergedEstimateError"
     assert "inf" not in captured.out and "nan" not in captured.out
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--method", "jacobi"], ["solve", "--method", "consensus"],
+    ["solve", "--method", "gauss-seidel"], ["compare"]],
+    ids=["jacobi", "consensus", "gauss-seidel", "compare"])
+def test_an_overflowing_error_reads_inf_without_a_numpy_warning(
+        tmp_path, capsys, command):
+    # the solution is about 1e160, so every squared error overflows; a
+    # numpy RuntimeWarning would fail this test, as warnings are errors
+    mtx, rhs = _write_system(tmp_path, FAULTING["diverge"])
+    main([*command, "--matrix", mtx, "--rhs", rhs, "--max-iters", "4"])
+    captured = capsys.readouterr()
+    rows = [l.split(",") for l in captured.out.splitlines()
+            if l[:1].isdigit()]
+    assert rows[0][:2] == ["0", "inf"]
+    assert "Warning" not in captured.err
+
+
+def test_compare_writes_no_row_when_every_method_faults_at_round_zero(
+        tmp_path, capsys):
+    # b_i / a_ii overflows, so no method completes round 0
+    mtx, rhs = _write_system(tmp_path, FAULTING["estimate"])
+    assert main(["compare", "--matrix", mtx, "--rhs", rhs]) == 0
+    captured = capsys.readouterr()
+    notes = [f"# method {m}: stop=fault rounds=0 fault='node 0 round 0: "
+             "DivergedEstimateError'" for m in ("bp", "jacobi", "consensus")]
+    assert captured.err.splitlines() == notes
+    assert captured.out.splitlines() == notes + ["iter,bp,jacobi,consensus"]
+
+
+def test_analyze_refuses_a_residual_that_overflows(tmp_path, capsys):
+    # |r_01| = a_01 / a_00 = 1e600 is not a float
+    sys_ = SparseSystem(2, [(0, 0, 1e-300), (0, 1, 1e300), (1, 1, 1.0)],
+                        (1.0, 1.0))
+    mtx, rhs = _write_system(tmp_path, sys_)
+    assert main(["analyze", "--matrix", mtx, "--rhs", rhs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix has non-finite entries\n"
 
 
 def test_parse_errors_exit_one_with_line_number(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import heapq
 import math
 import re
 from collections import deque
@@ -485,6 +486,41 @@ def test_random_tree_is_a_tree(n):
         assert len(connected_components(g)) == 1
 
 
+def _heap_pruefer_tree(n, rng):
+    """The former decoder, smallest leaf first from a heap: the reference."""
+    if n == 1:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    leaves = [i for i in range(n) if degree[i] == 1]
+    heapq.heapify(leaves)
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((min(u, v), max(u, v)))
+    return edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 2000), seed=st.integers(0, 2 ** 64 - 1))
+@example(n=3, seed=0)
+@example(n=2000, seed=1)
+def test_pruefer_decoder_equals_the_heap_decoder(n, seed):
+    got = core._pruefer_tree(n, core._topology_rng(seed))
+    assert got == _heap_pruefer_tree(n, core._topology_rng(seed))
+    assert all(type(u) is int and type(v) is int for u, v in got)
+
+
 def test_loopy_small_has_a_cycle():
     for seed in range(8):
         n = 3 + seed
@@ -549,7 +585,7 @@ def _row_sparse_edges(n, rng, density):
 @pytest.mark.parametrize("block", [core.SPARSE_DRAW_BLOCK, 7])
 @pytest.mark.parametrize("n", [1, 2, 300, 3000])
 def test_random_sparse_blocks_keep_the_row_stream(monkeypatch, n, block):
-    # a block of 7 doubles is shorter than most rows: one row per call
+    # a block of 7 doubles splits most rows across rng.random calls
     monkeypatch.setattr(core, "SPARSE_DRAW_BLOCK", block)
     got = core._random_sparse_edges(n, core._topology_rng(n), 2.5 / n)
     assert got == _row_sparse_edges(n, core._topology_rng(n), 2.5 / n)

@@ -85,6 +85,9 @@ def test_size_line_errors(tmp_path):
                                   "1 1 1.0\n"))
     with pytest.raises(ParseError, match="no size line"):
         read_matrix_market(_write(tmp_path / "d.mtx", head + "% only\n"))
+    with pytest.raises(ParseError, match="bad sizes") as ei:
+        read_matrix_market(_write(tmp_path / "e.mtx", head + "0 0 0\n"))
+    assert ei.value.line == 2
 
 
 def test_entry_errors_carry_line_numbers(tmp_path):
