@@ -192,7 +192,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if fault is not None:
             lines.append(f"# fault: {_fault_text(fault)}")
         _write_lines(lines, args.out)
-        print(f"method=gauss-seidel rounds={rows[-1][0] if rows else 0} "
+        print(f"method=gauss-seidel rounds={rows[-1][0] if rows else 'none'} "
               f"stop={reason}", file=_sys.stderr)
         if fault is not None:
             print(f"fault: {_fault_text(fault)}", file=_sys.stderr)
@@ -214,7 +214,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     comments = [f"method: {args.method}", f"stop: {trace.stop_reason}"]
     _write_lines(_trace_csv(trace, comments), args.out)
     last = trace.rounds[-1] if trace.rounds else None
-    summary = f"method={args.method} rounds={last.k if last else 0} " \
+    summary = f"method={args.method} rounds={last.k if last else 'none'} " \
               f"stop={trace.stop_reason}"
     if last is not None and last.log10_mse is not None:
         summary += f" log10_mse={_fmt(last.log10_mse)}"
@@ -241,7 +241,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         trace = run_rounds(program, max_rounds, tol=tol, reference=reference)
         columns[name] = {row.k: row.log10_mse for row in trace.rounds}
         note = f"method {name}: stop={trace.stop_reason} " \
-               f"rounds={trace.rounds[-1].k if trace.rounds else 0}"
+               f"rounds={trace.rounds[-1].k if trace.rounds else 'none'}"
         if trace.fault is not None:
             note += f" fault='{_fault_text(trace.fault)}'"
             print(f"# {note}", file=_sys.stderr)

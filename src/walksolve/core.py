@@ -533,45 +533,48 @@ def _edge_lanes(seed: int, u: np.ndarray, v: np.ndarray, lo: float,
     return out
 
 
-def _pruefer_tree(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Uniform random labeled tree from a random Pruefer sequence."""
-    if n == 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
+def _pruefer_tree(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random labeled tree from a random Pruefer sequence, as an
+    (n - 1, 2) int64 array of edges (u, v) with u < v."""
+    if n <= 2:  # nothing to decode: no edge, or the edge (0, 1)
+        return np.array([(0, 1)] * (n - 1), dtype=np.int64).reshape(-1, 2)
     seq = rng.integers(0, n, size=n - 2).tolist()
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    edges = []
+    leaves = []
     # smallest-leaf decoding without a heap: ptr, the last leaf found by
     # scanning up, is used and every leaf above it is not, so the next
     # leaf is a neighbour x < ptr that has just become one, or else the
     # first leaf above ptr
     leaf = ptr = degree.index(1)
     for x in seq:
-        edges.append((min(leaf, x), max(leaf, x)))
+        leaves.append(leaf)
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
         else:
             leaf = ptr = degree.index(1, ptr + 1)
     # node n - 1 is never the smallest of two leaves, so it is left last
-    edges.append((leaf, n - 1))
-    return edges
+    leaves.append(leaf)
+    u = np.array(leaves, dtype=np.int64)
+    v = np.array(seq + [n - 1], dtype=np.int64)
+    return np.column_stack((np.minimum(u, v), np.maximum(u, v)))
 
 
-def _loopy_small_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Random connected graph with at least one cycle: tree plus extras."""
+def _loopy_small_edges(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random connected graph with at least one cycle: tree plus extras,
+    as an (m, 2) int64 array of edges (u, v) with u < v."""
     if n < 3:
         raise InvalidSystemError(
             f"loopy-small needs n >= 3 to contain a cycle, got {n}")
-    edges = set(_pruefer_tree(n, rng))
+    tree = _pruefer_tree(n, rng)
+    edges = set(zip(*tree.T.tolist()))
     extra = max(1, n // 5)
-    added = 0
+    added = []
     # bounded retry loop; a complete graph cannot absorb more edges
     attempts = 0
-    while added < extra and attempts < 50 * extra + 100:
+    while len(added) < extra and attempts < 50 * extra + 100:
         attempts += 1
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
@@ -581,13 +584,14 @@ def _loopy_small_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]
         if e in edges:
             continue
         edges.add(e)
-        added += 1
+        added.append(e)
     # in any order: the graph sorts its slots, and lanes key on (u, v)
-    return list(edges)
+    return np.concatenate(
+        (tree, np.array(added, dtype=np.int64).reshape(-1, 2)))
 
 
 def _random_sparse_edges(n: int, rng: np.random.Generator,
-                         density: float) -> list[tuple[int, int]]:
+                         density: float) -> np.ndarray:
     # one draw per pair i < j, in row order, drawn SPARSE_DRAW_BLOCK pairs
     # at a time: each double takes one 64-bit output, so this is the
     # stream of drawing the pairs one at a time, without an n^2/2 array.
@@ -598,7 +602,7 @@ def _random_sparse_edges(n: int, rng: np.random.Generator,
             min(SPARSE_DRAW_BLOCK, start[n] - lo)) < density)
         for lo in range(0, start[n], SPARSE_DRAW_BLOCK)])
     row = np.searchsorted(start, hits, side="right") - 1
-    return list(zip(row.tolist(), (hits - start[row] + row + 1).tolist()))
+    return np.column_stack((row, hits - start[row] + row + 1))
 
 
 def _diag_values(rule: str, degrees: np.ndarray,
@@ -618,8 +622,10 @@ def system_from_edges(n: int, edges: Sequence[tuple[int, int]], seed: int,
                       b: Optional[Sequence[float]] = None) -> SparseSystem:
     """Fill a fixed edge pattern with seeded coefficients.
 
-    Both directions of every edge i < j get independent draws from
-    ``coeff_range``: the first two nonzero draws of the edge's own lane
+    ``edges`` are (u, v) pairs or an (m, 2) int array, as UndirectedGraph
+    takes them; the generators pass arrays.  Both directions of every
+    edge i < j get independent draws from ``coeff_range``: the first two
+    nonzero draws of the edge's own lane
     ``PCG64(SeedSequence(seed, spawn_key=(1, i, j)))``, the i->j value
     first, so the result does not depend on edge enumeration order.  The
     lanes of all edges are computed in one array pass, bit-identical to
@@ -658,17 +664,17 @@ def generate_instance(spec: GeneratorSpec) -> SparseSystem:
         if spec.n != 7:
             raise InvalidSystemError(
                 f"example1-tree is a fixed 7-node shape, got n={spec.n}")
-        edges = list(SEVEN_NODE_TREE_EDGES)
+        edges = np.array(SEVEN_NODE_TREE_EDGES, dtype=np.int64)
     elif spec.kind == "random-tree":
         edges = _pruefer_tree(spec.n, rng)
     elif spec.kind == "loopy-small":
         edges = _loopy_small_edges(spec.n, rng)
     elif spec.kind == "random-sparse":
         edges = _random_sparse_edges(spec.n, rng, spec.density)
-    elif spec.kind == "path":
-        edges = [(i, i + 1) for i in range(spec.n - 1)]
-    else:  # star
-        edges = [(0, i) for i in range(1, spec.n)]
+    else:  # path or star: node i + 1 joins node i or node 0
+        tips = np.arange(1, spec.n, dtype=np.int64)
+        edges = np.column_stack(
+            (tips - 1 if spec.kind == "path" else np.zeros_like(tips), tips))
     return system_from_edges(spec.n, edges, spec.seed,
                              coeff_range=spec.coeff_range,
                              diag_rule=spec.diag_rule,

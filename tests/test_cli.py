@@ -202,7 +202,7 @@ def test_solve_bp_round_zero_fault_exits_three(tmp_path, capsys):
     assert "# stop: fault" in lines
     assert lines[-2:] == ["iter,log10_mse,max_delta,messages",
                           "# fault: node 0 round 0: DivergedEstimateError"]
-    assert "method=bp rounds=0 stop=fault" in captured.err
+    assert "method=bp rounds=none stop=fault" in captured.err
 
 
 def test_solve_consensus_fault_writes_no_numpy_warning(tmp_path):
@@ -265,10 +265,24 @@ def test_compare_writes_no_row_when_every_method_faults_at_round_zero(
     mtx, rhs = _write_system(tmp_path, FAULTING["estimate"])
     assert main(["compare", "--matrix", mtx, "--rhs", rhs]) == 0
     captured = capsys.readouterr()
-    notes = [f"# method {m}: stop=fault rounds=0 fault='node 0 round 0: "
+    notes = [f"# method {m}: stop=fault rounds=none fault='node 0 round 0: "
              "DivergedEstimateError'" for m in ("bp", "jacobi", "consensus")]
     assert captured.err.splitlines() == notes
     assert captured.out.splitlines() == notes + ["iter,bp,jacobi,consensus"]
+
+
+def test_rounds_none_is_no_completed_round_and_rounds_0_is_round_0(
+        tmp_path, capsys):
+    # "estimate" faults at round 0 and "diverge" after round 0 completed
+    mtx, rhs = _write_system(tmp_path, FAULTING["estimate"])
+    assert main(["solve", "--matrix", mtx, "--rhs", rhs,
+                 "--method", "gauss-seidel"]) == 3
+    assert "method=gauss-seidel rounds=none stop=fault" in \
+        capsys.readouterr().err
+    mtx, rhs = _write_system(tmp_path, FAULTING["diverge"])
+    assert main(["compare", "--matrix", mtx, "--rhs", rhs]) == 0
+    assert ("# method bp: stop=fault rounds=0 fault='node 0 round 1: "
+            in capsys.readouterr().err)
 
 
 def test_analyze_refuses_a_residual_that_overflows(tmp_path, capsys):

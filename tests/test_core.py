@@ -486,6 +486,12 @@ def test_random_tree_is_a_tree(n):
         assert len(connected_components(g)) == 1
 
 
+def _pairs(edges):
+    """A generator's (m, 2) int64 edge array as a list of (u, v) tuples."""
+    assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+    return [tuple(e) for e in edges.tolist()]
+
+
 def _heap_pruefer_tree(n, rng):
     """The former decoder, smallest leaf first from a heap: the reference."""
     if n == 1:
@@ -517,8 +523,7 @@ def _heap_pruefer_tree(n, rng):
 @example(n=2000, seed=1)
 def test_pruefer_decoder_equals_the_heap_decoder(n, seed):
     got = core._pruefer_tree(n, core._topology_rng(seed))
-    assert got == _heap_pruefer_tree(n, core._topology_rng(seed))
-    assert all(type(u) is int and type(v) is int for u, v in got)
+    assert _pairs(got) == _heap_pruefer_tree(n, core._topology_rng(seed))
 
 
 def test_loopy_small_has_a_cycle():
@@ -569,8 +574,7 @@ def _pairwise_sparse_edges(n, rng, density):
 def test_random_sparse_edges_keep_the_pairwise_stream(n, seed, density):
     got = core._random_sparse_edges(n, core._topology_rng(seed), density)
     want = _pairwise_sparse_edges(n, core._topology_rng(seed), density)
-    assert got == want
-    assert all(type(u) is int and type(v) is int for u, v in got)
+    assert _pairs(got) == want
 
 
 def _row_sparse_edges(n, rng, density):
@@ -588,8 +592,7 @@ def test_random_sparse_blocks_keep_the_row_stream(monkeypatch, n, block):
     # a block of 7 doubles splits most rows across rng.random calls
     monkeypatch.setattr(core, "SPARSE_DRAW_BLOCK", block)
     got = core._random_sparse_edges(n, core._topology_rng(n), 2.5 / n)
-    assert got == _row_sparse_edges(n, core._topology_rng(n), 2.5 / n)
-    assert all(type(u) is int and type(v) is int for u, v in got)
+    assert _pairs(got) == _row_sparse_edges(n, core._topology_rng(n), 2.5 / n)
 
 
 def test_path_and_star_shapes():
