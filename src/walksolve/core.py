@@ -211,16 +211,17 @@ class UndirectedGraph:
         return _read_only(np.lexsort((self.owner, self.nbr)))
 
     @cached_property
-    def _components(self) -> tuple[tuple[int, ...], ...]:
+    def _components(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
         """Components ordered by smallest member, each in BFS order from
-        it; is_acyclic, diameter and connected_components share them."""
+        it, and each node's hop distance from its component's first node;
+        is_acyclic, diameter and connected_components share them."""
         bounds, nbr = self.indptr.tolist(), self.nbr.tolist()
         dist = [-1] * self.n
         comps = []
         for start in range(self.n):
             if dist[start] < 0:
                 comps.append(tuple(_bfs(bounds, nbr, start, dist)))
-        return tuple(comps)
+        return tuple(comps), dist
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -280,68 +281,114 @@ def bfs_distances(g: UndirectedGraph, src: int) -> list[int]:
 BFS_BLOCK = 256
 
 
-def _max_eccentricity(g: UndirectedGraph) -> int:
-    """Largest BFS level reached from any source, BFS_BLOCK sources at once.
+def _eccentricities(indptr: np.ndarray, nbr: np.ndarray,
+                    sources: np.ndarray) -> np.ndarray:
+    """Eccentricity of each source in a connected graph with an edge,
+    given as CSR arrays, all sources at once.
 
-    Bit s of row v marks node v as reached from source lo + s of the
-    current block (word s // 64, bit s % 64).  One level ORs each node's
-    neighbours' frontier rows and keeps the bits not seen before, so a
-    block's last level that sets a bit is its largest eccentricity.
-    g must have an edge.
+    Bit s of row v marks node v as reached from sources[s] (word s // 64,
+    bit s % 64).  One level ORs each node's neighbours' frontier rows and
+    keeps the bits not seen before; a source's eccentricity is the number
+    of levels at which its bit still grows.
     """
-    # the rows that have neighbours, and their segment starts in nbr
-    rows = np.flatnonzero(np.diff(g.indptr))
-    starts = g.indptr[rows]
-    best = 0
-    for lo in range(0, g.n, BFS_BLOCK):
-        src = np.arange(min(BFS_BLOCK, g.n - lo))
-        seen = np.zeros((g.n, (len(src) + 63) // 64), dtype=np.uint64)
-        seen[lo + src, src // 64] = np.left_shift(
-            np.uint64(1), (src % 64).astype(np.uint64))
-        front = seen.copy()
-        level = 0
-        while True:
-            nxt = np.zeros_like(seen)
-            nxt[rows] = np.bitwise_or.reduceat(
-                np.take(front, g.nbr, axis=0), starts, axis=0)
-            nxt &= ~seen
-            if not nxt.any():
-                break
-            level += 1
-            seen |= nxt
-            front = nxt
-        best = max(best, level)
-    return best
+    s = np.arange(len(sources))
+    seen = np.zeros((len(indptr) - 1, (len(s) + 63) // 64), dtype=np.uint64)
+    seen[sources, s // 64] = np.left_shift(np.uint64(1),
+                                           (s % 64).astype(np.uint64))
+    front, grown = seen, []
+    while True:
+        front = np.bitwise_or.reduceat(np.take(front, nbr, axis=0),
+                                       indptr[:-1], axis=0)
+        front &= ~seen
+        grown.append(np.bitwise_or.reduce(front, axis=0))
+        if not grown[-1].any():
+            break
+        seen |= front
+    bits = np.unpackbits(np.array(grown, dtype="<u8").view(np.uint8),
+                         axis=1, bitorder="little")
+    return bits[:, :len(s)].sum(axis=0)
+
+
+def _middle_levels(indptr: np.ndarray, nbr: np.ndarray):
+    """Double sweep from the last node of a connected graph: the length of
+    the longest path found, and the BFS order and levels from its middle."""
+    bounds, adj = indptr.tolist(), nbr.tolist()
+    dist = [-1] * (len(bounds) - 1)
+    u = _bfs(bounds, adj, len(dist) - 1, dist)[-1]
+    length = dist[u]
+    for _ in range(length - length // 2):  # walk back to the middle
+        u = next(v for v in adj[bounds[u]:bounds[u + 1]]
+                 if dist[v] == dist[u] - 1)
+    dist = [-1] * len(dist)
+    order = np.array(_bfs(bounds, adj, u, dist))
+    return length, order, np.array(dist)[order]
+
+
+def _component_diameter(g: UndirectedGraph, comp: np.ndarray,
+                        level: np.ndarray, lb: int) -> int:
+    """max(lb, diameter of component comp), by iFUB (Crescenzi, Grossi,
+    Habib, Lanzi & Marino, Theor. Comput. Sci. 514, 2013).
+
+    comp lists the component in BFS order from a root, and level their
+    depths.  Once lb holds the eccentricity of every node deeper than i, a
+    longer path would join two nodes at most i deep, at most 2i apart; so
+    the deepest nodes go BFS_BLOCK at a time until lb >= 2i.  Up to two
+    blocks' worth of nodes keep the root comp[0]; a larger component pays
+    a double sweep (Magnien, Latapy & Habib, J. Exp. Algorithmics 13,
+    2009) for a root in the middle of a long path, with fewer deep nodes.
+    """
+    # the component's own CSR arrays, its nodes renumbered in BFS order
+    local = np.empty(g.n, dtype=np.int64)
+    local[comp] = order = np.arange(len(comp))
+    deg = g.indptr[comp + 1] - g.indptr[comp]
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    nbr = local[g.nbr[np.repeat(g.indptr[comp] - indptr[:-1], deg)
+                      + np.arange(indptr[-1])]]
+    if len(comp) > 2 * BFS_BLOCK:
+        length, order, level = _middle_levels(indptr, nbr)
+        lb = max(lb, length)
+    lb, top = max(lb, int(level[-1])), len(comp)
+    while top and lb < 2 * level[top - 1]:
+        lo = max(0, top - BFS_BLOCK)
+        lb = max(lb, int(_eccentricities(indptr, nbr, order[lo:top]).max()))
+        top = lo
+    return lb
 
 
 def diameter(g: UndirectedGraph) -> int:
-    """Longest shortest path, exact.
+    """Longest shortest path, exact: the maximum over components, 0 on a
+    singleton graph.
 
-    A forest takes two BFS sweeps per component: in a tree, a node
-    farthest from any node is an end of a longest path.  A graph with a
-    cycle takes a BFS from every node, run bit-parallel over blocks of
-    BFS_BLOCK sources on neighbour arrays.  On a disconnected graph this
-    is the maximum over components; a singleton graph has diameter 0.
+    A forest takes one more BFS per tree: its BFS order from the first
+    node ends at a node farthest from it, which ends a longest path.  A
+    graph with a cycle takes ``_component_diameter`` per component,
+    largest first, until no component left is large enough to beat the
+    best so far.
     """
-    comps = g._components
-    if g.edge_count() != g.n - len(comps):
-        return _max_eccentricity(g)
-    bounds, nbr = g.indptr.tolist(), g.nbr.tolist()
-    dist = [-1] * g.n
-    # a component's last node in BFS order is farthest from its start, so
-    # the second sweep starts there
-    return max(dist[_bfs(bounds, nbr, comp[-1], dist)[-1]] for comp in comps)
+    comps, dist = g._components
+    if g.edge_count() == g.n - len(comps):
+        bounds, nbr = g.indptr.tolist(), g.nbr.tolist()
+        sweep = [-1] * g.n
+        return max(sweep[_bfs(bounds, nbr, comp[-1], sweep)[-1]]
+                   for comp in comps)
+    depth, best = np.array(dist), 0
+    for comp in sorted(comps, key=len, reverse=True):
+        if len(comp) - 1 <= best:
+            break
+        nodes = np.array(comp)
+        best = _component_diameter(g, nodes, depth[nodes], best)
+    return best
 
 
 def connected_components(g: UndirectedGraph) -> tuple[tuple[int, ...], ...]:
     """Components as sorted node tuples, ordered by smallest member."""
-    return tuple(tuple(sorted(comp)) for comp in g._components)
+    return tuple(tuple(sorted(comp)) for comp in g._components[0])
 
 
 def is_acyclic(g: UndirectedGraph) -> bool:
     """True iff the graph has no undirected cycle (i.e. it is a forest)."""
     m = g.edge_count()  # a forest has fewer edges than nodes
-    return m < g.n and m == g.n - len(g._components)
+    return m < g.n and m == g.n - len(g._components[0])
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import re
 from collections import deque
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -294,11 +295,39 @@ def loopy_graphs(draw):
     return UndirectedGraph(n, edges)
 
 
-@settings(max_examples=200, deadline=None)
-@given(g=loopy_graphs())
-def test_cyclic_diameter_matches_all_pairs_bfs(g):
+@st.composite
+def mixed_graphs(draw):
+    """Disjoint rings, trees, graphs with a cycle and isolated nodes, the
+    first part with a cycle, relabeled."""
+    kinds = st.sampled_from(["ring", "tree", "loopy", "isolated"])
+    edges, n = [], 0
+    for kind in [draw(st.sampled_from(["ring", "loopy"]))] + draw(
+            st.lists(kinds, max_size=4)):
+        k = 1 if kind == "isolated" else draw(st.integers(3, 40))
+        part = []
+        if kind == "ring":
+            part = [(i, (i + 1) % k) for i in range(k)]
+        elif kind == "tree":
+            part = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+        elif kind == "loopy":
+            pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+            part = [(0, 1), (1, 2), (0, 2)] + draw(st.lists(pairs,
+                                                            max_size=2 * k))
+        edges += [(n + u, n + v) for u, v in part if u != v]
+        n += k
+    perm = draw(st.permutations(range(n)))
+    return UndirectedGraph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+# a smaller block splits the fringe into more blocks, and moves the
+# double-sweep root down to components of more than 2 * block nodes
+@settings(max_examples=400, deadline=None)
+@given(g=st.one_of(loopy_graphs(), mixed_graphs()),
+       block=st.sampled_from([1, 3, 64, core.BFS_BLOCK]))
+def test_cyclic_diameter_matches_all_pairs_bfs(g, block):
     assert not is_acyclic(g)
-    assert diameter(g) == _all_pairs_diameter(g)
+    with mock.patch.object(core, "BFS_BLOCK", block):
+        assert diameter(g) == _all_pairs_diameter(g)
 
 
 def _two_tailed_ring(n):
@@ -315,9 +344,9 @@ def _two_tailed_ring(n):
     return UndirectedGraph(n, edges)
 
 
-# 64 sources fill one word; 65 spill into a second; 256 fill one block
-# of BFS sources and 257 start a second; at 600 the longest path joins
-# two nodes of the third block
+# 64 sources fill one word and 65 spill into a second; 256 fill one block
+# of BFS sources and 257 start a second; above 512 nodes the iFUB root
+# comes from a double sweep
 @pytest.mark.parametrize("n", [64, 65, 256, 257, 600])
 def test_cyclic_diameter_across_word_and_block_boundaries(n):
     ring = UndirectedGraph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -328,6 +357,49 @@ def test_cyclic_diameter_across_word_and_block_boundaries(n):
     g = induced_graph(generate_instance(spec))
     assert not is_acyclic(g)
     assert diameter(g) == _all_pairs_diameter(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 600), seed=st.integers(0, 2 ** 32 - 1),
+       degree=st.sampled_from([0.5, 1.0, 1.5, 2.5]))
+@example(n=600, seed=0, degree=1.5)
+def test_random_sparse_diameter_matches_all_pairs_bfs(n, seed, degree):
+    spec = GeneratorSpec(kind="random-sparse", n=n, seed=seed,
+                         density=degree / n, diag_rule="unit",
+                         coeff_range=(-0.3, 0.3))
+    g = induced_graph(generate_instance(spec))
+    assert diameter(g) == _all_pairs_diameter(g)
+
+
+def _hub_ring(leaves):
+    """An 8-ring with a hub on node 4 that holds the leaves: from node 0,
+    the deepest level is every leaf."""
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(4, 8)]
+    return UndirectedGraph(9 + leaves, edges + [(8, 9 + i)
+                                                for i in range(leaves)])
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, core.BFS_BLOCK])
+@pytest.mark.parametrize("leaves", [300, 600])
+def test_a_deepest_level_wider_than_a_block(block, leaves):
+    g = _hub_ring(leaves)
+    with mock.patch.object(core, "BFS_BLOCK", block):
+        assert diameter(g) == _all_pairs_diameter(g) == 6
+
+
+def test_cyclic_diameter_takes_few_bfs_sources(monkeypatch):
+    # a BFS from every node would hand all 2000 nodes to the kernel
+    g = induced_graph(generate_instance(GeneratorSpec("loopy-small", 2000, 1)))
+    sources = []
+    real = core._eccentricities
+
+    def counting(indptr, nbr, src):
+        sources.extend(src.tolist())
+        return real(indptr, nbr, src)
+
+    monkeypatch.setattr(core, "_eccentricities", counting)
+    assert diameter(g) == 25
+    assert len(sources) <= g.n // 4
 
 
 def test_cycle_detection():
