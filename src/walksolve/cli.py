@@ -7,6 +7,7 @@ Commands: generate, analyze, solve, compare, verify.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys as _sys
 from typing import Optional, Sequence
 
@@ -161,7 +162,7 @@ def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
             return rows, "fault", SolverFault(
                 node=node, round=k, error="DivergedEstimateError",
                 cause=f"estimate {float(nxt[node])!r} out of range")
-        delta = float(np.max(np.abs(nxt - x))) if k else None
+        delta = float(np.abs(nxt - x).max()) if k else None
         mse = _log10_mse(nxt, reference) if reference is not None else None
         rows.append((k, mse, delta))
         if k and delta_stop(delta, nxt, tol):
@@ -275,7 +276,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parse_args makes a new Namespace per call."""
     p = argparse.ArgumentParser(
         prog="walksolve",
         description="Distributed message-passing solvers for sparse "

@@ -222,15 +222,19 @@ def delta_stop(delta: float, cur: np.ndarray, tol: float) -> bool:
     tol * max(1, max_i |cur_i|).
 
     A delta that is not finite never stops: inf <= tol * inf would hold.
+    delta < tol settles most rounds without reading cur, exactly: tol *
+    max(1, M) >= tol for tol > 0 and any M, NaN (max gives 1) or inf; and
+    strict, since with tol = 0 and an infinite cur 0 <= 0 * inf is False.
     """
-    return (math.isfinite(delta)
-            and delta <= tol * max(1.0, float(np.max(np.abs(cur)))))
+    return math.isfinite(delta) and (
+        delta < tol or delta <= tol * max(1.0, float(np.abs(cur).max())))
 
 
 def _log10_mse(estimates: np.ndarray, reference: np.ndarray) -> float:
     """log10 of the mean squared error; inf once the error overflows."""
     with np.errstate(over="ignore"):
-        mse = float(np.sum((estimates - reference) ** 2)) / len(estimates)
+        d = estimates - reference
+        mse = float(np.add.reduce(d * d)) / len(estimates)
     if mse == 0.0:
         return -math.inf
     return math.log10(mse)
@@ -258,7 +262,9 @@ def run_rounds(program: NodeProgram, max_rounds: int,
     then "fault".  The trace keeps each round's scalars and only the last
     completed round's estimates, so a run's memory does not grow with its
     round count.  Every round's accounting comes from program.costs:
-    round 0 counts its round-0 ops, later rounds their own.
+    round 0 counts its round-0 ops, later rounds their own; positivity
+    violations are counted only in a round whose smallest first entry is
+    not positive.
     """
     check_max_rounds(max_rounds)
     if tol is not None:
@@ -286,14 +292,15 @@ def run_rounds(program: NodeProgram, max_rounds: int,
         for k, (estimates, first) in zip(range(max_rounds + 1),
                                          program.rounds()):
             acct = step_acct if k else init_acct
-            if program.check_positive_a:
-                violations = int(np.count_nonzero(~(first > 0.0)))
-                if violations:
-                    acct = replace(acct, positivity_violations=violations)
+            # min is NaN when an entry is, so NaN is counted too
+            if (program.check_positive_a
+                    and not first.min(initial=math.inf) > 0.0):
+                acct = replace(acct, positivity_violations=int(
+                    np.count_nonzero(~(first > 0.0))))
             mse = (_log10_mse(estimates, reference)
                    if reference is not None else None)
             prev, trace.final_estimates = trace.final_estimates, estimates
-            delta = (float(np.max(np.abs(estimates - prev)))
+            delta = (float(np.abs(estimates - prev).max())
                      if prev is not None else None)
             trace.rounds.append(TraceRound(k=k, log10_mse=mse,
                                            max_delta=delta, accounting=acct))

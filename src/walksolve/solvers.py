@@ -186,40 +186,53 @@ class BPProgram(NodeProgram):
         run in neighbor order (np.bincount adds its weights in sequence),
         so messages and estimates equal the per-node path's bit for bit.
         (a_msg[s], b_msg[s]) is the pair owner[s] sent nbr[s] in the
-        round; each round makes new arrays and never writes old ones.
+        round: views into one flat [a | b] array, new every round.  The
+        fault mask is built only when a screen trips: min(|a_in| - eps)
+        > 0, min(|a~| - eps) > 0, max|x^| <= ESTIMATE_LIMIT and a finite
+        message sum.  Each fails on NaN, and x - y > 0 exactly when x > y,
+        so a passing screen proves the mask empty; one that trips with no
+        fault (the sum overflows) finds it empty, and the run goes on.
         """
         sys = self.sys
         g = sys.graph
+        n, m = g.n, len(g.nbr)
         a_ii, b_i, owner, a_iv, eps = (sys.diag, sys.b, g.owner, self._a_iv,
                                        self._eps)
+        rev2 = np.concatenate((g.rev, g.rev + m))
+        owner2 = np.concatenate((owner, owner + n))
+        ab_ii = np.concatenate((a_ii, b_i))
+        prod = np.empty((2, m))  # [a_iv * a_vi | a_iv * b_in of the round]
         with np.errstate(over="ignore"):
-            prod = a_iv * self._a_vi
+            np.multiply(a_iv, self._a_vi, out=prod[0])
         eps_slot = eps[owner]
         with np.errstate(all="ignore"):
             x_hat = b_i / a_ii
         bad = (np.abs(a_ii) <= eps) | ~(np.abs(x_hat) <= ESTIMATE_LIMIT)
         _replay(bad, self.init_node)
-        a_msg = a_ii[owner]
-        b_msg = b_i[owner]
+        msg = ab_ii[owner2]
         while True:
-            yield x_hat, a_msg, b_msg
-            a_in = a_msg[g.rev]
-            b_in = b_msg[g.rev]
+            yield x_hat, msg[:m], msg[m:]
+            inc = msg[rev2]
+            a_in, b_in = inc[:m], inc[m:]
             with np.errstate(all="ignore"):
                 iv = 1.0 / a_in
-                terms_a = prod * iv
-                terms_b = (a_iv * b_in) * iv
-                a_tilde = a_ii - np.bincount(owner, terms_a, g.n)
-                b_tilde = b_i - np.bincount(owner, terms_b, g.n)
-                x_new = b_tilde / a_tilde
-                a_msg = a_tilde[owner] + terms_a
-                b_msg = b_tilde[owner] + terms_b
+                np.multiply(a_iv, b_in, out=prod[1])
+                terms = (prod * iv).ravel()
+                tilde = ab_ii - np.bincount(owner2, terms, 2 * n)
+                a_tilde = tilde[:n]
+                x_new = tilde[n:] / a_tilde
+                msg = tilde[owner2] + terms
+                clean = ((np.abs(a_in) - eps_slot).min(initial=np.inf) > 0.0
+                         and (np.abs(a_tilde) - eps).min() > 0.0
+                         and np.abs(x_new).max() <= ESTIMATE_LIMIT
+                         and math.isfinite(msg.sum()))
+            if not clean:
                 bad = (np.abs(a_tilde) <= eps) | ~(
                     np.abs(x_new) <= ESTIMATE_LIMIT)
-                bad[owner[(np.abs(a_in) <= eps_slot)
-                          | ~(np.isfinite(a_msg) & np.isfinite(b_msg))]] = True
-            _replay(bad, lambda i: self.step(i, x_hat[i], _inbox(
-                g, i, np.column_stack((a_in, b_in)))))
+                bad[owner[(np.abs(a_in) <= eps_slot) | ~(
+                    np.isfinite(msg[:m]) & np.isfinite(msg[m:]))]] = True
+                _replay(bad, lambda i: self.step(i, x_hat[i], _inbox(
+                    g, i, np.column_stack((a_in, b_in)))))
             x_hat = x_new
 
     def rounds(self) -> Iterator:
@@ -306,11 +319,15 @@ class JacobiProgram(NodeProgram):
         step subtracts the products one at a time from b_i; one bincount
         over b followed by the negated products adds the same terms in
         the same order, so the estimates equal the per-node path's bit
-        for bit (b - bincount(products) would not).
+        for bit (b - bincount(products) would not); (-a) * x is -(a * x)
+        in IEEE arithmetic.  The fault mask is built only when max|x^|
+        exceeds ESTIMATE_LIMIT or is NaN.
         """
         sys = self.sys
         g = sys.graph
         rows = np.concatenate((np.arange(g.n), g.owner))
+        weights = np.concatenate((sys.b, np.empty(len(g.nbr))))
+        neg_a_iv = -self._a_iv
         with np.errstate(all="ignore"):
             x_hat = sys.b / sys.diag
         _replay(~(np.abs(x_hat) <= ESTIMATE_LIMIT), self.init_node)
@@ -318,11 +335,11 @@ class JacobiProgram(NodeProgram):
             yield x_hat, None
             x_in = x_hat[g.nbr]
             with np.errstate(all="ignore"):
-                acc = np.bincount(rows, np.concatenate(
-                    (sys.b, -(self._a_iv * x_in))), g.n)
-                x_new = acc / sys.diag
-                bad = ~(np.abs(x_new) <= ESTIMATE_LIMIT)
-            _replay(bad, lambda i: self.step(i, x_hat[i], _inbox(g, i, x_in)))
+                np.multiply(neg_a_iv, x_in, out=weights[g.n:])
+                x_new = np.bincount(rows, weights, g.n) / sys.diag
+            if not np.abs(x_new).max() <= ESTIMATE_LIMIT:
+                _replay(~(np.abs(x_new) <= ESTIMATE_LIMIT),
+                        lambda i: self.step(i, x_hat[i], _inbox(g, i, x_in)))
             x_hat = x_new
 
 
@@ -402,48 +419,54 @@ class ConsensusProgram(NodeProgram):
     def rounds(self) -> Iterator:
         """init_node / step for every node at once on the graph's arrays.
 
-        Row i of one (n, n) array is node i's vector.  A round starts each
-        row as deg_i * x_i and subtracts the neighbors' rows one slot
-        position at a time, so every row subtracts in neighbor order; w
-        sums the row support's terms in CSR order with np.bincount, which
-        adds in sequence as sum() does.  Vectors and estimates therefore
-        equal the per-node path's bit for bit.  Isolated nodes keep their
-        vector.
+        Node i's vector is row pos[i] of one (n, n) array, rows in
+        degree-descending order.  A round starts each row as deg_i * x_i
+        and subtracts the neighbors' rows one slot position at a time,
+        from a prefix of the rows, so every row subtracts in neighbor
+        order; w sums the row support's terms in CSR order with
+        np.bincount, which adds in sequence as sum() does.  Vectors and
+        estimates therefore equal the per-node path's bit for bit.
+        Isolated nodes, the last rows, keep their vector.
         """
         sys = self.sys
         g = sys.graph
         deg = np.diff(g.indptr)
-        isolated = np.flatnonzero(deg == 0)
-        # slot position p: the nodes with more than p neighbors, and the
-        # p-th neighbor of each
+        order = np.argsort(-deg, kind="stable")
+        pos = np.empty_like(order)
+        pos[order] = np.arange(g.n)
+        deg = deg[order]
+        isolated = slice(int(np.count_nonzero(deg)), g.n)
+        # slot position p: the k rows with more than p neighbors, and the
+        # rows of their p-th neighbors
         gathers = []
         for p in range(int(deg.max(initial=0))):
-            rows = np.flatnonzero(deg > p)
-            gathers.append((rows, g.nbr[g.indptr[rows] + p]))
+            k = int(np.count_nonzero(deg > p))
+            gathers.append((k, pos[g.nbr[g.indptr[order[:k]] + p]]))
         deg = deg[:, None]
         sup_row, sup_val = self._sup_row, self._sup_val
-        sup = (sup_row, self._sup_col)
+        sup = (pos[sup_row], self._sup_col)
+        diag = (pos, np.arange(g.n))
         with np.errstate(all="ignore"):
             x_hat = sys.b / sys.diag
         _replay(~(np.abs(x_hat) <= ESTIMATE_LIMIT), self.init_node)
-        x = np.diag(x_hat)
+        x = np.zeros((g.n, g.n))
+        x[diag] = x_hat
         yield x_hat, None
         while True:
             with np.errstate(all="ignore"):
                 z = deg * x
-                for rows, nbrs in gathers:
-                    z[rows] -= x[nbrs]
-                w = np.bincount(sup_row, sup_val * z[sup], len(x))
+                for k, nbrs in gathers:
+                    z[:k] -= x[nbrs]
+                w = np.bincount(sup_row, sup_val * z[sup], g.n)
                 coef = w / self._norm_sq
                 z[sup] -= coef[sup_row] * sup_val
                 x_new = np.subtract(x, np.divide(z, deg, out=z), out=z)
             x_new[isolated] = x[isolated]
             bad = ~np.isfinite(x_new).all(axis=1)
-            bad[isolated] = False
-            _replay(bad, lambda i: self.step(
-                i, x[i], {v: x[v] for v in g.neighbors[i]}))
+            _replay(bad[pos], lambda i: self.step(
+                i, x[pos[i]], {v: x[pos[v]] for v in g.neighbors[i]}))
             x = x_new
-            yield x.diagonal().copy(), None
+            yield x[diag], None
 
 
 def gauss_seidel_sweep(sys: SparseSystem, x) -> np.ndarray:

@@ -533,3 +533,19 @@ def test_compare_without_a_reference_exits_one(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.endswith(
         "error: compare needs a dense reference solution\n")
+
+
+def test_the_parser_is_built_once_and_calls_share_no_arguments(
+        tmp_path, capsys, monkeypatch):
+    from walksolve import cli
+    mtx, rhs = _generate(tmp_path, capsys)
+    seen = []
+    monkeypatch.setitem(cli._DISPATCH, "solve",
+                        lambda args: seen.append(args) or 0)
+    io_args = ["solve", "--matrix", mtx, "--rhs", rhs]
+    assert main(io_args + ["--force", "--max-iters", "3"]) == 0
+    assert main(io_args) == 0
+    assert (seen[0].force, seen[0].max_iters) == (True, 3)
+    assert (seen[1].force, seen[1].max_iters) == (False, None)
+    assert seen[0] is not seen[1]
+    assert cli.build_parser() is cli.build_parser()

@@ -6,6 +6,7 @@ run on the engine's node_rounds, which is the reference here.  Every
 round must agree bit for bit, and so must the fault record.
 """
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -109,6 +110,10 @@ FAULTING = {
     "diverge": SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.0),
                                 (1, 0, -(1.0 - 1e-11)), (1, 1, 1.0)],
                             [1e149, 1e149]),
+    # round 1: node 1 sent node 0 its diagonal 1e-12 at round 0, exactly
+    # node 0's threshold 1e-12 * 1.0, and a scalar at the threshold faults
+    "threshold": SparseSystem(2, [(0, 0, 1.0), (0, 1, -0.5), (1, 0, -0.5),
+                                  (1, 1, 1e-12)], [1.0, 1.0]),
     # round 1: products overflow and the outgoing pair is NaN
     "outgoing": SparseSystem(2, [(0, 0, 1e200), (0, 1, 1e200),
                                  (1, 0, 1e200), (1, 1, 1e200)], [1.0, 1.0]),
@@ -131,6 +136,7 @@ BP_FAULTS = {"seed": (0, 0, "too small to seed messages"),
              "aggregate-later": (1, 1, "aggregate scalar 0.0"),
              "estimate": (0, 0, "estimate inf out of range"),
              "diverge": (0, 1, "estimate 1.99999983"),
+             "threshold": (0, 1, "incoming scalar 1e-12 from 1"),
              "outgoing": (0, 1, "outgoing pair to 1 is not finite"),
              "overflow": (0, 0, "estimate 1e+308 out of range"),
              "projection": (0, 0, "diagonal 1.0 too small to seed")}
@@ -254,6 +260,46 @@ STAR_AND_ISOLATED = SparseSystem(8, [(i, i, 2.0) for i in range(7)] + [
     [1.0, -2.0, 0.5, 3.0, 1.0, 1.0, -2.0, 1e300])
 
 
+def _system(n, diag, edges, b):
+    """diag on the diagonal, -0.5 on both entries of every edge."""
+    entries = [(i, i, diag[i]) for i in range(n)]
+    for u, v in edges:
+        entries += [(u, v, -0.5), (v, u, -0.5)]
+    return SparseSystem(n, entries, b)
+
+
+#: star 0-1..4: every bp message is finite, and so is every estimate
+#: (1e308 / 1e160), but the b-halves sum past the float range, so the
+#: array rounds' screen trips every round and finds no fault
+SUM_OVERFLOWS = _system(5, [1e160] * 5, [(0, j) for j in range(1, 5)],
+                        [1e308] * 5)
+
+# consensus holds its rows in degree-descending order; each of these
+# makes that order differ from the node ids
+#: degrees 2, 2, 3, 2, 1: ties among 0, 1 and 3 behind node 2
+DEGREE_TIES = _system(5, [2.0] * 5, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                     (2, 4)], [1.0, -2.0, 0.5, 3.0, 1.0])
+#: node 2, isolated, sorts after 0, 1, 3 and 4
+ISOLATED_MIDDLE = _system(5, [2.0] * 5, [(0, 1), (3, 4)],
+                          [1.0, -2.0, 0.5, 3.0, 1.0])
+#: the hub is node 4, the highest id, and sorts first
+HUB_LAST = _system(5, [3.0] * 5, [(j, 4) for j in range(4)],
+                   [1.0, -2.0, 0.5, 3.0, 1.0])
+
+
+def test_a_tripped_screen_with_no_fault_runs_on():
+    # every round's messages are finite, yet their sum is not
+    rounds = list(islice(BPProgram(SUM_OVERFLOWS).messages(), 4))
+    for _, a_msg, b_msg in rounds:
+        msg = np.concatenate((a_msg, b_msg))
+        assert np.isfinite(msg).all()
+        with np.errstate(over="ignore"):
+            assert msg.sum() == np.inf
+    trace = _assert_same_run(SUM_OVERFLOWS, BPProgram, PerNodeBP, 6)
+    assert trace.fault is None
+    assert len(trace.rounds) == 7
+
+
 @settings(max_examples=300, deadline=None)
 @given(sys=systems(), pair=st.sampled_from(PAIRS),
        max_rounds=st.integers(0, 12), use_tol=st.booleans(),
@@ -262,6 +308,16 @@ STAR_AND_ISOLATED = SparseSystem(8, [(i, i, 2.0) for i in range(7)] + [
          use_tol=False, use_reference=True)
 @example(sys=FAULTING["projection"], pair=PAIRS[2], max_rounds=3,
          use_tol=True, use_reference=False)
+@example(sys=SUM_OVERFLOWS, pair=PAIRS[0], max_rounds=6, use_tol=True,
+         use_reference=True)
+@example(sys=FAULTING["threshold"], pair=PAIRS[0], max_rounds=3, use_tol=False,
+         use_reference=False)
+@example(sys=DEGREE_TIES, pair=PAIRS[2], max_rounds=8, use_tol=False,
+         use_reference=True)
+@example(sys=ISOLATED_MIDDLE, pair=PAIRS[2], max_rounds=8, use_tol=False,
+         use_reference=True)
+@example(sys=HUB_LAST, pair=PAIRS[2], max_rounds=8, use_tol=True,
+         use_reference=True)
 def test_array_path_equals_per_node_path(sys, pair, max_rounds, use_tol,
                                          use_reference):
     reference = (np.linspace(-1.0, 2.0, sys.n) if use_reference else None)

@@ -355,6 +355,27 @@ def test_consensus_program_keeps_only_the_system():
     assert len(trace.rounds) == 2
 
 
+#: the peak bytes of one consensus round on loopy-small n=300 seed 0
+#: with one row per node in id order: three n-by-n float arrays (the new
+#: vectors, a gather of neighbor rows and the fancy-indexed rows it was
+#: subtracted from).  Rows in degree order subtract from a slice, which
+#: drops the third (1,443,928 bytes).
+CONSENSUS_ROUND_PEAK = 2_164_008
+
+
+def test_a_consensus_round_adds_no_n_by_n_array():
+    sys = generate_instance(GeneratorSpec(kind="loopy-small", n=300, seed=0))
+    rounds = ConsensusProgram(sys).rounds()
+    next(rounds)  # round 0 builds the vectors
+    tracemalloc.start()
+    try:
+        next(rounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CONSENSUS_ROUND_PEAK, peak
+
+
 def test_bp_solve_memory_does_not_grow_with_rounds():
     # a 2000-node path runs rounds 0..1999; one estimate vector per round
     # would be 2000 * 2000 floats, 32 MB
