@@ -222,12 +222,9 @@ def delta_stop(delta: float, cur: np.ndarray, tol: float) -> bool:
     tol * max(1, max_i |cur_i|).
 
     A delta that is not finite never stops: inf <= tol * inf would hold.
-    delta < tol settles most rounds without reading cur, exactly: tol *
-    max(1, M) >= tol for tol > 0 and any M, NaN (max gives 1) or inf; and
-    strict, since with tol = 0 and an infinite cur 0 <= 0 * inf is False.
     """
-    return math.isfinite(delta) and (
-        delta < tol or delta <= tol * max(1.0, float(np.abs(cur).max())))
+    return (math.isfinite(delta)
+            and delta <= tol * max(1.0, float(np.abs(cur).max())))
 
 
 def _log10_mse(estimates: np.ndarray, reference: np.ndarray) -> float:

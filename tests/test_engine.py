@@ -1,9 +1,5 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from walksolve import analysis
 from walksolve.core import (GeneratorSpec, SparseSystem, generate_instance,
@@ -34,36 +30,6 @@ def test_delta_stop_needs_a_finite_delta():
     # inf - inf makes the delta NaN
     assert not delta_stop(np.inf, np.array([np.inf, 1.0]), 1e-10)
     assert not delta_stop(np.nan, np.array([np.inf]), 1e-10)
-
-
-def _delta_stop_by_definition(delta, cur, tol):
-    return (math.isfinite(delta)
-            and delta <= tol * max(1.0, float(np.max(np.abs(cur)))))
-
-
-TOLS = st.one_of(st.just(0.0), st.floats(min_value=0.0, exclude_min=True,
-                                         allow_infinity=False))
-CUR_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf,
-                     math.nan]),
-    st.floats(-1e10, 1e10))
-
-
-@settings(max_examples=500, deadline=None)
-@given(tol=TOLS, choice=st.sampled_from(
-           ["zero", "-zero", "subnormal", "tol", "finite", "inf", "nan"]),
-       finite=st.floats(min_value=0.0, allow_infinity=False),
-       cur=st.lists(CUR_VALUES, min_size=1, max_size=6).map(np.array))
-# 0 <= 0 * inf is False: the short circuit must be strict
-@example(tol=0.0, choice="zero", finite=0.0, cur=np.array([math.inf]))
-@example(tol=1e-10, choice="tol", finite=0.0, cur=np.array([math.nan]))
-def test_delta_stop_short_circuit_equals_its_definition(tol, choice, finite,
-                                                       cur):
-    # delta is a max of absolute values, so never negative
-    delta = {"zero": 0.0, "-zero": -0.0, "subnormal": 5e-324, "tol": tol,
-             "finite": finite, "inf": math.inf, "nan": math.nan}[choice]
-    assert (delta_stop(delta, cur, tol)
-            == _delta_stop_by_definition(delta, cur, tol))
 
 
 def test_fixed_rounds_validation(two_node):

@@ -355,16 +355,12 @@ def test_consensus_program_keeps_only_the_system():
     assert len(trace.rounds) == 2
 
 
-#: the peak bytes of one consensus round on loopy-small n=300 seed 0
-#: with one row per node in id order: three n-by-n float arrays (the new
-#: vectors, a gather of neighbor rows and the fancy-indexed rows it was
-#: subtracted from).  Rows in degree order subtract from a slice, which
-#: drops the third (1,443,928 bytes).
-CONSENSUS_ROUND_PEAK = 2_164_008
-
-
 def test_a_consensus_round_adds_no_n_by_n_array():
-    sys = generate_instance(GeneratorSpec(kind="loopy-small", n=300, seed=0))
+    # a round holds two n-by-n float arrays at its peak: the new vectors
+    # and a gather of neighbor rows.  The bound sits half an array above
+    # two, so a third fails it
+    n = 300
+    sys = generate_instance(GeneratorSpec(kind="loopy-small", n=n, seed=0))
     rounds = ConsensusProgram(sys).rounds()
     next(rounds)  # round 0 builds the vectors
     tracemalloc.start()
@@ -373,7 +369,7 @@ def test_a_consensus_round_adds_no_n_by_n_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= CONSENSUS_ROUND_PEAK, peak
+    assert peak < 2.5 * n * n * 8, peak
 
 
 def test_bp_solve_memory_does_not_grow_with_rounds():
