@@ -6,9 +6,9 @@ projection-consensus baseline), analyzes when the walk-sum series behind
 them converges, and ships independent oracles that cross-check every
 claimed identity against direct linear algebra.
 """
-from .analysis import (DominanceReport, ResidualMatrix, analyze,
-                       find_gdd_scaling, is_diagonally_dominant,
-                       residual_matrix, spectral_radius_nonneg)
+from .analysis import (DominanceReport, analyze, find_gdd_scaling,
+                       is_diagonally_dominant, residual_matrix,
+                       spectral_radius_nonneg)
 from .core import (GeneratorSpec, SparseSystem, UndirectedGraph,
                    bfs_distances, connected_components, diameter,
                    generate_instance, induced_graph, is_acyclic,
@@ -42,7 +42,7 @@ __all__ = [
     "JacobiProgram", "MissingDiagonalError", "NoConvergenceError",
     "NodeFault", "NodeProgram", "NotAnEdgeError", "NotWalkSummableError",
     "NotWalkSummableWarning", "ParseError", "ProtocolViolationError",
-    "ResidualMatrix", "RoundAccounting", "SingularMatrixError",
+    "RoundAccounting", "SingularMatrixError",
     "SingularMessageError", "SolverError", "SolverFault", "SparseSystem",
     "TooLargeError", "TraceRound", "UndirectedGraph", "UnwrappedCheck",
     "UnwrappedTree", "Walk", "WalksolveError", "ZeroRowError", "analyze",

@@ -1,11 +1,13 @@
 """Dominance and walk-summability analysis of sparse systems.
 
-The central object is the residual matrix R with r_ij = -a_ij / a_ii off
-the diagonal and zeros on it.  The solver's convergence theory hinges on
-the spectral radius of |R| (entrywise magnitudes): strictly below one
-means the instance is walk-summable, and a positive vector d certifying
-generalized diagonal dominance (|a_ii| d_i > sum_j |a_ij| d_j) exists
-exactly in that case.
+The central object is the residual matrix R = I - D^-1 A, with r_ij =
+-a_ij / a_ii off the diagonal and zeros on it.  It is derived from the
+system: residual_matrix returns it as a scipy CSR matrix.  The solver's
+convergence theory hinges on the spectral radius of |R| (entrywise
+magnitudes): strictly below one means the instance is walk-summable, and
+a positive vector d certifying generalized diagonal dominance (|a_ii| d_i
+> sum_j |a_ij| d_j) exists exactly in that case; it is returned as a
+read-only array.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .core import SparseSystem, UndirectedGraph, check_tolerance
+from .core import SparseSystem, _read_only, check_tolerance
 from .errors import (
     DimensionMismatchError,
     InvalidSystemError,
@@ -33,57 +35,24 @@ INVERSE_SHIFT = 1e-8
 MatrixLike = Union[np.ndarray, sp.spmatrix]
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualMatrix:
-    """Off-diagonal residual entries r_ij = -a_ij / a_ii; diagonal is zero.
-
-    The entries are stored once, as a read-only canonical CSR matrix
-    ``csr``; stored zeros are kept.
-    """
-
-    n: int
-    csr: sp.csr_matrix
-
-    def __init__(self, n: int, entries):
-        """entries are (i, j, r_ij) triples or an (m, 3) array of them; a
-        repeated (i, j) is stored once, as the sum of its values."""
-        i, j, v = np.asarray(entries, dtype=float).reshape(-1, 3).T
-        csr = sp.csr_matrix((v, (i.astype(np.intp), j.astype(np.intp))),
-                            shape=(n, n))
-        for a in (csr.data, csr.indices, csr.indptr):
-            a.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "csr", csr)
-
-    def value(self, i: int, j: int) -> float:
-        indptr, indices = self.csr.indptr, self.csr.indices
-        lo, hi = indptr[i], indptr[i + 1]
-        k = lo + int(np.searchsorted(indices[lo:hi], j))
-        return float(self.csr.data[k]) if k < hi and indices[k] == j else 0.0
-
-    def as_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def graph(self) -> UndirectedGraph:
-        rows = np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
-        return UndirectedGraph(self.n, np.column_stack((rows,
-                                                        self.csr.indices)))
-
-
-def residual_matrix(sys: SparseSystem) -> ResidualMatrix:
-    """Build R = I - D^-1 A restricted to its off-diagonal entries:
-    r_ij = -a_ij / a_ii for every stored a_ij != 0 with i != j."""
+def residual_matrix(sys: SparseSystem) -> sp.csr_matrix:
+    """R = I - D^-1 A as a read-only canonical CSR matrix: r_ij = -a_ij /
+    a_ii for every stored a_ij != 0 with i != j, so that R's pattern, in
+    either direction, is ``sys.graph``.  An entry that underflows stays
+    stored, as a signed zero."""
     keep = (sys.rows != sys.indices) & (sys.data != 0.0)
-    rows = sys.rows[keep]
     with np.errstate(all="ignore"):
-        vals = -sys.data[keep] / sys.diag[rows]
-    return ResidualMatrix(sys.n, np.column_stack((rows, sys.indices[keep],
-                                                  vals)))
+        data = -sys.data[keep] / sys.diag[sys.rows[keep]]
+    indptr = np.concatenate(([0], np.cumsum(keep)))[sys.indptr]
+    r = sp.csr_matrix((data, sys.indices[keep], indptr), shape=(sys.n, sys.n))
+    for a in (r.data, r.indices, r.indptr):
+        a.flags.writeable = False
+    return r
 
 
 def _abs_residual_csr(sys: SparseSystem) -> sp.csr_matrix:
     """|R| as a canonical CSR matrix, for _certify."""
-    return _as_csr_nonneg(abs(residual_matrix(sys).csr))
+    return _as_csr_nonneg(abs(residual_matrix(sys)))
 
 
 def _as_csr_nonneg(m: MatrixLike) -> sp.csr_matrix:
@@ -223,7 +192,7 @@ def spectral_radius_nonneg(m: MatrixLike, tol: float = RHO_TOL_DEFAULT
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominanceReport:
     """Outcome of the dominance / walk-summability analysis.
 
@@ -232,15 +201,15 @@ class DominanceReport:
     width is at most rho_tol * max(1, rho_hi).  walk_summable is True
     when rho_hi + rho_tol < 1 or the system is strictly diagonally
     dominant, False when rho_lo - rho_tol > 1, else None.  scaling is
-    sought only on a walk-summable verdict; if any, it is a positive d
-    validated to make A D strictly dominant.
+    sought only on a walk-summable verdict; if any, it is a read-only
+    array d > 0 validated to make A D strictly dominant.
     """
 
     diag_dominant: bool
     rho_abs: float
     rho_tol: float
     walk_summable: Optional[bool]
-    scaling: Optional[tuple[float, ...]]
+    scaling: Optional[np.ndarray]
     rho_reliable: bool
     rho_lo: float
     rho_hi: float
@@ -263,25 +232,20 @@ def is_diagonally_dominant(sys: SparseSystem) -> bool:
     return _validate_scaling(sys, np.ones(sys.n))
 
 
-def _perron_scaling(sys: SparseSystem, x: np.ndarray
-                    ) -> Optional[tuple[float, ...]]:
-    return tuple(map(float, x)) if _validate_scaling(sys, x) else None
-
-
 def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT
-                     ) -> Optional[tuple[float, ...]]:
+                     ) -> Optional[np.ndarray]:
     """Hunt for a positive d with |a_ii| d_i > sum_j |a_ij| d_j, all rows.
 
     Already-dominant systems return all-ones.  Otherwise the candidate is
     the vector that certified the upper bound on rho(|R|), kept only if
-    it passes strict validation, so a returned vector is always a genuine
-    certificate while None proves nothing.
+    it passes strict validation, so a returned vector (read-only) is always
+    a genuine certificate while None proves nothing.
     """
     check_tolerance(rho_tol, "rho_tol")
     if is_diagonally_dominant(sys):
-        return (1.0,) * sys.n
-    abs_r = _abs_residual_csr(sys)
-    return _perron_scaling(sys, _certify(abs_r, rho_tol)[3])
+        return _read_only(np.ones(sys.n))
+    x = _certify(_abs_residual_csr(sys), rho_tol)[3]
+    return _read_only(x) if _validate_scaling(sys, x) else None
 
 
 def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT
@@ -302,8 +266,10 @@ def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT
     else:
         walk_summable = None
     scaling = None
-    if walk_summable:
-        scaling = (1.0,) * sys.n if dom else _perron_scaling(sys, x)
+    if dom:
+        scaling = _read_only(np.ones(sys.n))
+    elif walk_summable and _validate_scaling(sys, x):
+        scaling = _read_only(x)
     return DominanceReport(
         diag_dominant=dom, rho_abs=0.5 * (lo + hi), rho_tol=rho_tol,
         walk_summable=walk_summable, scaling=scaling,

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Commands: generate, analyze, solve, compare, verify.  Exit codes:
-0 converged / all checks pass, 1 verification or input failure,
-2 iteration limit reached, 3 solver fault.
+0 converged / all checks pass, 1 verification or input failure (a file
+that cannot be read, decoded or written among them), 2 iteration limit
+reached, 3 solver fault.
 """
 from __future__ import annotations
 
@@ -343,7 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except WalksolveError as exc:
+    except (WalksolveError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

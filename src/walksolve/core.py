@@ -9,7 +9,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -665,8 +665,7 @@ def _diag_values(rule: str, degrees: np.ndarray,
 def system_from_edges(n: int, edges: Sequence[tuple[int, int]], seed: int,
                       coeff_range: tuple[float, float] = DEFAULT_COEFF_RANGE,
                       diag_rule: str = "neighbor-count",
-                      diag_value: float = 1.0,
-                      b: Optional[Sequence[float]] = None) -> SparseSystem:
+                      diag_value: float = 1.0) -> SparseSystem:
     """Fill a fixed edge pattern with seeded coefficients.
 
     ``edges`` are (u, v) pairs or an (m, 2) int array, as UndirectedGraph
@@ -680,7 +679,7 @@ def system_from_edges(n: int, edges: Sequence[tuple[int, int]], seed: int,
     ``test_edge_lanes_equal_numpy_scalar_lanes`` pins that, and NumPy's
     stream policy (NEP 19) keeps those streams stable.  Node ids must be
     below 2**32 (n <= MAX_NODES), so that each is one spawn-key word;
-    InvalidSystemError otherwise.  Default right-hand side is b_i = i + 1.
+    InvalidSystemError otherwise.  The right-hand side is b_i = i + 1.
     """
     if n > MAX_NODES:
         raise InvalidSystemError(
@@ -695,9 +694,8 @@ def system_from_edges(n: int, edges: Sequence[tuple[int, int]], seed: int,
     cols = np.concatenate((nodes, v, u))
     vals = np.concatenate((_diag_values(diag_rule, np.diff(g.indptr),
                                         diag_value), w[:, 0], w[:, 1]))
-    if b is None:
-        b = np.arange(1.0, n + 1)
-    return SparseSystem(n, np.column_stack((rows, cols, vals)), b)
+    return SparseSystem(n, np.column_stack((rows, cols, vals)),
+                        np.arange(1.0, n + 1))
 
 
 def generate_instance(spec: GeneratorSpec) -> SparseSystem:

@@ -2,7 +2,8 @@
 
 Three routes that never reuse the solver's arithmetic:
 
-* exhaustive walk enumeration against residual-matrix powers,
+* exhaustive walk enumeration against powers of the residual matrix
+  R = I - D^-1 A, which both read from the system,
 * per-edge message values obtained by Schur-complementing the principal
   submatrix the message can "see" (on acyclic instances),
 * unwrapped computation trees whose exact root solution must reproduce a
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .analysis import ResidualMatrix
+from .analysis import residual_matrix
 from .core import SparseSystem, UndirectedGraph, is_acyclic
 from .engine import NodeFault
 from .errors import (
@@ -37,9 +38,8 @@ from .solvers import BPProgram
 
 ENUM_MAX_NODES = 8
 ENUM_MAX_LENGTH = 10
+#: unwrap_tree refuses trees with more nodes than this
 UNWRAP_MAX_NODES = 20000
-#: unwrapped systems larger than this solve via sparse LU instead of dense
-DENSE_UNWRAP_LIMIT = 600
 
 ENUM_AGREEMENT_TOL = 1e-12
 #: an estimate agrees with its unwrapped solve to this relative tolerance
@@ -60,25 +60,27 @@ class Walk:
         return len(self.nodes) - 1  # number of steps
 
 
-def walk_weight(rm: ResidualMatrix, walk: Walk) -> float:
-    """Product of residual entries along the walk; 1 for a single node.
+def walk_weight(sys: SparseSystem, walk: Walk) -> float:
+    """Product of residual entries r_uv = -a_uv / a_uu along the walk; 1
+    for a single node.
 
-    Steps must follow edges of the residual pattern (either direction
-    stored); the directed entry actually used may still be zero.
+    Steps must follow edges of sys.graph, which is R's pattern (either
+    direction stored); the directed entry actually used may still be zero.
     """
-    g = rm.graph()
+    g = sys.graph
     for u in walk.nodes:
-        if not 0 <= u < rm.n:
-            raise InvalidWalkError(f"walk node {u} outside 0..{rm.n - 1}")
+        if not 0 <= u < sys.n:
+            raise InvalidWalkError(f"walk node {u} outside 0..{sys.n - 1}")
     w = 1.0
     for u, v in zip(walk.nodes, walk.nodes[1:]):
         if not g.has_edge(u, v):
             raise InvalidWalkError(f"({u}, {v}) is not an edge")
-        w *= rm.value(u, v)
+        a = sys.entry(u, v)
+        w *= -a / float(sys.diag[u]) if a else 0.0  # R stores no zero a_uv
     return w
 
 
-def _enumerate_walk_sum(rm: ResidualMatrix, g: UndirectedGraph, i: int,
+def _enumerate_walk_sum(r: list[list[float]], g: UndirectedGraph, i: int,
                         j: int, length_cap: int) -> float:
     """Sum of weights over every walk i -> j of length <= length_cap.
 
@@ -94,36 +96,37 @@ def _enumerate_walk_sum(rm: ResidualMatrix, g: UndirectedGraph, i: int,
         if steps == length_cap:
             return
         for v in g.neighbors[u]:
-            extend(v, steps + 1, weight * rm.value(u, v))
+            extend(v, steps + 1, weight * r[u][v])
 
     extend(i, 0, 1.0)
     return total
 
 
-def partial_walk_sum(rm: ResidualMatrix, i: int, j: int,
+def partial_walk_sum(sys: SparseSystem, i: int, j: int,
                      length_cap: int) -> float:
     """Sum over all i -> j walks up to length_cap, two ways.
 
-    Returns sum_{l=0..length_cap} (R^l)_ij computed by matrix powers,
-    after checking it against the exhaustive enumeration to
-    ENUM_AGREEMENT_TOL.  Guards: n <= ENUM_MAX_NODES, length_cap <=
-    ENUM_MAX_LENGTH.
+    Returns sum_{l=0..length_cap} (R^l)_ij with R = residual_matrix(sys),
+    computed by matrix powers, after checking it against the exhaustive
+    enumeration to ENUM_AGREEMENT_TOL.  Guards: n <= ENUM_MAX_NODES,
+    length_cap <= ENUM_MAX_LENGTH.
     """
-    if rm.n > ENUM_MAX_NODES or length_cap > ENUM_MAX_LENGTH:
+    n = sys.n
+    if n > ENUM_MAX_NODES or length_cap > ENUM_MAX_LENGTH:
         raise TooLargeError(
             f"enumeration guarded to n <= {ENUM_MAX_NODES}, "
-            f"length <= {ENUM_MAX_LENGTH}; got n={rm.n}, length={length_cap}")
-    if not (0 <= i < rm.n and 0 <= j < rm.n):
-        raise InvalidWalkError(f"endpoints ({i}, {j}) outside 0..{rm.n - 1}")
+            f"length <= {ENUM_MAX_LENGTH}; got n={n}, length={length_cap}")
+    if not (0 <= i < n and 0 <= j < n):
+        raise InvalidWalkError(f"endpoints ({i}, {j}) outside 0..{n - 1}")
     if length_cap < 0:
         raise InvalidWalkError(f"length cap must be >= 0, got {length_cap}")
-    r = rm.as_dense()
-    power = np.eye(rm.n)
+    r = residual_matrix(sys).toarray()
+    power = np.eye(n)
     total = 0.0
     for _ in range(length_cap + 1):
         total += power[i, j]
         power = power @ r
-    enum = _enumerate_walk_sum(rm, rm.graph(), i, j, length_cap)
+    enum = _enumerate_walk_sum(r.tolist(), sys.graph, i, j, length_cap)
     if abs(enum - total) > ENUM_AGREEMENT_TOL * max(1.0, abs(total)):
         raise WalksolveError(
             f"enumeration {enum!r} and matrix powers {total!r} disagree "
@@ -216,15 +219,14 @@ class UnwrappedTree:
         return tuple(sizes[d] for d in sorted(sizes))
 
 
-def unwrap_tree(g: UndirectedGraph, root: int, t: int,
-                max_nodes: int = UNWRAP_MAX_NODES) -> UnwrappedTree:
+def unwrap_tree(g: UndirectedGraph, root: int, t: int) -> UnwrappedTree:
     """Grow the t-round computation tree rooted at a node.
 
     Start from the root replica; t times over, every current leaf gains
     one child replica per neighbor of its original node except the
     original it came from (children in ascending original id).  A leaf
     whose only neighbor is its parent stays a leaf.  Guarded by
-    max_nodes.
+    UNWRAP_MAX_NODES.
     """
     if not 0 <= root < g.n:
         raise InvalidWalkError(f"root {root} outside 0..{g.n - 1}")
@@ -239,9 +241,9 @@ def unwrap_tree(g: UndirectedGraph, root: int, t: int,
             parent_orig = nodes[nd.parent].orig if nd.parent is not None else None
             kids = [v for v in g.neighbors[nd.orig] if v != parent_orig]
             for v in kids:
-                if len(nodes) >= max_nodes:
+                if len(nodes) >= UNWRAP_MAX_NODES:
                     raise TooLargeError(
-                        f"unwrapped tree exceeds {max_nodes} nodes")
+                        f"unwrapped tree exceeds {UNWRAP_MAX_NODES} nodes")
                 child = UnwrappedNode(tid=len(nodes), orig=v, parent=tid,
                                       depth=nd.depth + 1)
                 nodes.append(child)
@@ -267,9 +269,8 @@ def unwrapped_system(sys: SparseSystem, tree: UnwrappedTree) -> SparseSystem:
 
 
 def _solve_root(un: SparseSystem) -> float:
-    """Direct solve of the unwrapped system, root component only."""
-    if un.n <= DENSE_UNWRAP_LIMIT:
-        return float(np.linalg.solve(un.as_dense(), un.b)[0])
+    """Direct solve of the unwrapped system, root component only, by
+    sparse LU: a tree's elimination has no fill."""
     mat = sp.csr_matrix((un.data, un.indices, un.indptr), shape=(un.n, un.n))
     return float(scipy.sparse.linalg.spsolve(mat.tocsc(), un.b)[0])
 

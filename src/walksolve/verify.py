@@ -3,7 +3,9 @@
 Each check builds reproducible random instances, runs an implementation
 route and an independent oracle route, and reports a CheckResult.  The
 message-oracle check reads the messages that bp's rounds in run_rounds
-are built on, so it checks what a solve computes.
+are built on, so it checks what a solve computes.  The walk-sum checks
+draw systems and read their residual matrices R = I - D^-1 A from
+residual_matrix.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import ResidualMatrix, residual_matrix
+from .analysis import residual_matrix
 from .core import (
     GeneratorSpec,
     SparseSystem,
@@ -103,13 +105,6 @@ def check_message_oracle(seed: int = 0, trees: int = 25,
     return CheckResult(name, True, cases)
 
 
-def _small_residual(seed: int, n: int) -> ResidualMatrix:
-    sys = generate_instance(GeneratorSpec(
-        kind="random-sparse", n=n, seed=seed, coeff_range=(-0.45, 0.45),
-        diag_rule="unit", density=0.6))
-    return residual_matrix(sys)
-
-
 def check_walk_sums(seed: int = 0, instances: int = 20, max_n: int = 5,
                     max_length: int = 8) -> CheckResult:
     """Exhaustive enumeration agrees with matrix powers (self-checking op)."""
@@ -123,13 +118,15 @@ def check_walk_sums(seed: int = 0, instances: int = 20, max_n: int = 5,
     cases = 0
     for idx in range(instances):
         n = int(rng.integers(2, max_n + 1))
-        rm = _small_residual(seed * 1000 + idx, n)
+        sys = generate_instance(GeneratorSpec(
+            kind="random-sparse", n=n, seed=seed * 1000 + idx,
+            coeff_range=(-0.45, 0.45), diag_rule="unit", density=0.6))
         for _ in range(4):
             i = int(rng.integers(0, n))
             j = int(rng.integers(0, n))
             length = int(rng.integers(0, max_length + 1))
             try:
-                value = partial_walk_sum(rm, i, j, length)
+                value = partial_walk_sum(sys, i, j, length)
             except TooLargeError:
                 return CheckResult(name, True, cases, skipped=True,
                                    detail="skipped: guard")
@@ -145,20 +142,21 @@ def check_walk_sums(seed: int = 0, instances: int = 20, max_n: int = 5,
     return CheckResult(name, True, cases)
 
 
-def _symmetric_magnitude_residual(seed: int, n: int) -> ResidualMatrix:
-    """Residual with |r_ij| = |r_ji| and row sums < 1, free signs."""
+def _symmetric_magnitude_system(seed: int, n: int) -> SparseSystem:
+    """The system A = I - R for a residual R with |r_ij| = |r_ji| and row
+    sums < 1, free signs; residual_matrix(A) gives R back exactly."""
     rng = np.random.default_rng(seed)
     cap = 0.9 / max(1, n - 1)
-    entries = []
+    entries = [(i, i, 1.0) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.7:
                 mag = float(rng.uniform(0.2 * cap, cap))
                 s1 = 1.0 if rng.random() < 0.5 else -1.0
                 s2 = 1.0 if rng.random() < 0.5 else -1.0
-                entries.append((i, j, s1 * mag))
-                entries.append((j, i, s2 * mag))
-    return ResidualMatrix(n, tuple(entries))
+                entries.append((i, j, -s1 * mag))
+                entries.append((j, i, -s2 * mag))
+    return SparseSystem(n, entries, np.ones(n))
 
 
 def check_tail_bound(seed: int = 0, instances: int = 20,
@@ -178,8 +176,8 @@ def check_tail_bound(seed: int = 0, instances: int = 20,
     cases = 0
     for idx in range(instances):
         n = int(rng.integers(2, max_n + 1))
-        rm = _symmetric_magnitude_residual(seed * 1000 + idx, n)
-        r = rm.as_dense()
+        sys = _symmetric_magnitude_system(seed * 1000 + idx, n)
+        r = residual_matrix(sys).toarray()
         rho_bar = float(np.max(np.abs(np.linalg.eigvals(np.abs(r)))))
         if rho_bar >= 1.0:
             return CheckResult(name, False, cases,

@@ -219,7 +219,7 @@ def test_criterion_08_jacobi_power_series_identity():
                 kind="random-tree", n=2 + idx % 7, seed=500 + idx))
         for spec in specs:
             sys_ = generate_instance(spec)
-            r = residual_matrix(sys_).as_dense()
+            r = residual_matrix(sys_).toarray()
             d_inv_b = np.array(
                 [sys_.b[i] / sys_.diag[i] for i in range(sys_.n)])
             by_k = conftest.kernel_estimates(JacobiProgram(sys_), 20)
@@ -256,7 +256,7 @@ def test_criterion_09_mid_size_monotone_convergence():
         assert hit <= 25
         ks = np.arange(1, hit + 1)
         slope = float(np.polyfit(ks, [vals[k] for k in ks], 1)[0])
-        r = residual_matrix(sys_).as_dense()
+        r = residual_matrix(sys_).toarray()
         rho_signed = float(max(abs(np.linalg.eigvals(r))))
         rho_abs = float(max(abs(np.linalg.eigvals(np.abs(r)))))
         _console(f"ACCEPTANCE 09 info: fitted slope {slope:.4f} per round, "
@@ -276,7 +276,7 @@ def test_criterion_10_analyzer_soundness():
                 kind="random-sparse", n=n, seed=idx, coeff_range=(-c, c),
                 diag_rule="unit", density=float(rng.uniform(0.2, 0.9))))
             report = analyze(sys_)
-            r_abs = np.abs(residual_matrix(sys_).as_dense())
+            r_abs = np.abs(residual_matrix(sys_).toarray())
             rho_true = float(max(abs(np.linalg.eigvals(r_abs))))
             if abs(rho_true - 1.0) > 10.0 * report.rho_tol:
                 assert report.walk_summable is not None, idx

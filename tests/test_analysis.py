@@ -16,7 +16,8 @@ from walksolve.analysis import (
     residual_matrix,
     spectral_radius_nonneg,
 )
-from walksolve.core import GeneratorSpec, SparseSystem, generate_instance
+from walksolve.core import (GeneratorSpec, SparseSystem, UndirectedGraph,
+                            generate_instance)
 from walksolve.errors import (
     DimensionMismatchError,
     InvalidSystemError,
@@ -28,15 +29,19 @@ from walksolve.solvers import bp_solve
 from test_golden import HAND_MTX, HAND_RHS
 
 
+def _pattern(r):
+    rows = np.repeat(np.arange(r.shape[0]), np.diff(r.indptr))
+    return UndirectedGraph(r.shape[0], np.column_stack((rows, r.indices)))
+
+
 def test_residual_matrix_values(two_node, tmp_path):
-    rm = residual_matrix(two_node)
+    r = residual_matrix(two_node)
     # r_ij = -a_ij / a_ii: r_01 = 1/2, r_10 = 0.5/2
-    assert rm.value(0, 1) == 0.5
-    assert rm.value(1, 0) == 0.25
-    assert rm.value(0, 0) == 0.0
-    assert np.array_equal(rm.as_dense(), np.array([[0.0, 0.5], [0.25, 0.0]]))
+    assert type(r) is sp.csr_matrix and r.has_canonical_format
+    assert not any(a.flags.writeable for a in (r.data, r.indices, r.indptr))
+    assert np.array_equal(r.toarray(), np.array([[0.0, 0.5], [0.25, 0.0]]))
     assert analysis._abs_residual_csr(two_node).toarray()[0, 1] == 0.5
-    assert rm.graph().has_edge(0, 1)
+    assert _pattern(r).edges() == two_node.graph.edges() == ((0, 1),)
     # the golden hand matrix has a one-directional entry and stored zeros
     (tmp_path / "hand.mtx").write_text(HAND_MTX)
     (tmp_path / "hand.rhs").write_text(HAND_RHS)
@@ -44,19 +49,28 @@ def test_residual_matrix_values(two_node, tmp_path):
     a = sys.as_dense()
     want = -a / np.diag(a)[:, None]
     np.fill_diagonal(want, 0.0)
-    rm = residual_matrix(sys)
-    assert np.array_equal(rm.as_dense(), want)
-    assert [[rm.value(i, j) for j in range(4)] for i in range(4)] \
-        == want.tolist()
+    r = residual_matrix(sys)
+    assert np.array_equal(r.toarray(), want)
     joined = (want != 0.0) | (want.T != 0.0)
-    assert rm.graph().edges() == tuple(
+    assert _pattern(r).edges() == sys.graph.edges() == tuple(
         (i, j) for i in range(4) for j in range(i + 1, 4) if joined[i, j])
-    assert rm.graph().edges() == ((0, 1), (0, 2), (1, 2), (2, 3))
+    assert sys.graph.edges() == ((0, 1), (0, 2), (1, 2), (2, 3))
+
+
+def test_residual_matrix_keeps_an_underflowed_entry():
+    # r_01 = -1e-30 / 1e300 underflows: R stores it as -0.0, |R| drops it
+    sys = SparseSystem(2, [(0, 0, 1e300), (0, 1, 1e-30), (1, 0, -1.0),
+                           (1, 1, 2.0)], [1.0, 1.0])
+    r = residual_matrix(sys)
+    assert r.nnz == 2 and r.has_canonical_format
+    assert r.data.tolist() == [0.0, 0.5] and np.signbit(r.data[0])
+    assert _pattern(r).edges() == sys.graph.edges() == ((0, 1),)
+    assert analysis._abs_residual_csr(sys).nnz == 1
 
 
 def test_spectral_radius_two_cycle(two_node):
     # rho(|R|) = sqrt(0.5 * 0.25) by hand
-    rho = spectral_radius_nonneg(np.abs(residual_matrix(two_node).as_dense()))
+    rho = spectral_radius_nonneg(np.abs(residual_matrix(two_node).toarray()))
     assert rho == pytest.approx(math.sqrt(0.125), abs=2e-9)
 
 
@@ -217,7 +231,8 @@ def test_validate_scaling_matches_the_row_loop():
 
 
 def test_gdd_scaling_dominant_is_ones(two_node):
-    assert find_gdd_scaling(two_node) == (1.0, 1.0)
+    d = find_gdd_scaling(two_node)
+    assert np.array_equal(d, [1.0, 1.0]) and not d.flags.writeable
 
 
 def _gdd_two_node():
@@ -257,7 +272,7 @@ def test_analyze_single_bracket_is_exact(case):
     # the interval must hold the dense spectral radius
     sys = _gdd_two_node() if case == "gdd-2x2" else _sparse(*case)
     rep = analyze(sys)
-    abs_r = sp.csr_matrix(np.abs(residual_matrix(sys).as_dense()))
+    abs_r = sp.csr_matrix(np.abs(residual_matrix(sys).toarray()))
     assert rep.rho_reliable
     assert rep.rho_abs == spectral_radius_nonneg(abs_r)
     assert rep.rho_abs == 0.5 * (rep.rho_lo + rep.rho_hi)
@@ -267,12 +282,13 @@ def test_analyze_single_bracket_is_exact(case):
     assert rep.rho_hi >= dense * (1 - 1e-12)
     if rep.walk_summable:
         assert rep.scaling is not None
-        assert rep.scaling == find_gdd_scaling(sys)
+        assert np.array_equal(rep.scaling, find_gdd_scaling(sys))
+        assert not rep.scaling.flags.writeable
     else:
         assert rep.scaling is None
     if case == "gdd-2x2" or case[1:] == (0.3, 2.5):
         assert not rep.diag_dominant and rep.walk_summable
-        assert set(rep.scaling) != {1.0}  # the Perron candidate, not ones
+        assert np.any(rep.scaling != 1.0)  # the Perron candidate, not ones
 
 
 def test_gdd_scaling_absent_when_not_walk_summable():
@@ -323,7 +339,9 @@ def test_random_sparse_is_certified_walk_summable(n, seed, rho):
     assert rep.walk_summable is True and rep.rho_reliable
     assert rep.rho_lo <= rho + 1e-10 and rep.rho_hi >= rho - 1e-10
     assert rep.scaling is not None
-    assert analyze(sys) == rep  # a fixed ARPACK start: runs reproduce
+    again = analyze(sys)  # a fixed ARPACK start: runs reproduce
+    assert np.array_equal(again.scaling, rep.scaling)
+    assert {**vars(again), "scaling": None} == {**vars(rep), "scaling": None}
     if n == 3000:
         x, trace = bp_solve(sys)
         assert trace.stop_reason == "delta"
@@ -403,7 +421,7 @@ def test_arpack_failure_never_gives_a_wrong_rho(monkeypatch):
     # the 300-node components need ARPACK; when it fails, the row-sum
     # bounds stand, the interval stays open and nothing claims otherwise
     sys = _sparse(0, 0.3, 2.5)
-    abs_r = sp.csr_matrix(np.abs(residual_matrix(sys).as_dense()))
+    abs_r = sp.csr_matrix(np.abs(residual_matrix(sys).toarray()))
     dense = float(np.max(np.abs(np.linalg.eigvals(abs_r.toarray()))))
 
     def no_convergence(*args, **kwargs):

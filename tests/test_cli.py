@@ -205,21 +205,26 @@ def test_solve_bp_round_zero_fault_exits_three(tmp_path, capsys):
     assert "method=bp rounds=none stop=fault" in captured.err
 
 
-def test_solve_consensus_fault_writes_no_numpy_warning(tmp_path):
-    # A = [[1, 1e160], [1, 1]], b = [1, 1e150]: node 0's round-1
-    # projection overflows.  A separate process, so that stderr is what a
-    # user sees rather than what pytest's warning capture collects.
-    sys_ = SparseSystem(2, [(0, 0, 1.0), (0, 1, 1e160), (1, 0, 1.0),
-                            (1, 1, 1.0)], (1.0, 1e150))
-    mtx, rhs = _write_system(tmp_path, sys_)
+def _run_in_process(*args):
+    """The CLI in a separate process, so that stderr is what a user sees
+    rather than what pytest's capture collects."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "import sys; from walksolve.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", "solve", "--matrix", mtx, "--rhs",
-         rhs, "--method", "consensus", "--max-iters", "3"],
+         "sys.exit(main(sys.argv[1:]))", *args],
         capture_output=True, text=True, env=env, check=False)
+
+
+def test_solve_consensus_fault_writes_no_numpy_warning(tmp_path):
+    # A = [[1, 1e160], [1, 1]], b = [1, 1e150]: node 0's round-1
+    # projection overflows
+    sys_ = SparseSystem(2, [(0, 0, 1.0), (0, 1, 1e160), (1, 0, 1.0),
+                            (1, 1, 1.0)], (1.0, 1e150))
+    mtx, rhs = _write_system(tmp_path, sys_)
+    run = _run_in_process("solve", "--matrix", mtx, "--rhs", rhs, "--method",
+                          "consensus", "--max-iters", "3")
     assert run.returncode == 3
     assert "# fault: node 0 round 1: DivergedEstimateError" in run.stdout
     assert "RuntimeWarning" not in run.stderr
@@ -311,6 +316,25 @@ def test_parse_errors_exit_one_with_line_number(tmp_path, capsys):
 def test_missing_paths_exit_one(capsys):
     assert main(["solve", "--matrix", "only.mtx"]) == 1
     assert "both required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing-matrix", "non-utf8-rhs",
+                                  "solve-out-dir", "generate-out-dir"])
+def test_file_errors_are_error_lines_not_tracebacks(tmp_path, capsys, case):
+    mtx, rhs = _generate(tmp_path, capsys)
+    nowhere = str(tmp_path / "missing" / "out")
+    if case == "non-utf8-rhs":
+        Path(rhs).write_bytes(b"abc\xff\n")
+    args = {"missing-matrix": ["analyze", "--matrix", nowhere, "--rhs", rhs],
+            "non-utf8-rhs": ["analyze", "--matrix", mtx, "--rhs", rhs],
+            "solve-out-dir": ["solve", "--matrix", mtx, "--rhs", rhs,
+                              "--out", nowhere],
+            "generate-out-dir": ["generate", "--n", "5", "--out", nowhere],
+            }[case]
+    run = _run_in_process(*args)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ")
+    assert "Traceback" not in run.stderr
 
 
 def test_compare_emits_three_columns(tmp_path, capsys):

@@ -694,8 +694,3 @@ def test_coefficients_stay_in_range_and_nonzero():
             if i != j:
                 assert lo <= v < hi
                 assert v != 0.0
-
-
-def test_explicit_rhs_override():
-    sys = system_from_edges(3, [(0, 1), (1, 2)], seed=0, b=[5.0, 6.0, 7.0])
-    assert np.array_equal(sys.b, [5.0, 6.0, 7.0])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from walksolve.analysis import ResidualMatrix, residual_matrix
 from walksolve.core import (
     SEVEN_NODE_TREE_EDGES,
     GeneratorSpec,
@@ -35,36 +34,39 @@ LOOPY_FIVE = ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
 
 
 def test_walk_weight_hand_values(two_node):
-    rm = residual_matrix(two_node)
-    assert walk_weight(rm, Walk((0,))) == 1.0
-    assert walk_weight(rm, Walk((0, 1))) == 0.5
-    assert walk_weight(rm, Walk((0, 1, 0))) == 0.125
+    assert walk_weight(two_node, Walk((0,))) == 1.0
+    assert walk_weight(two_node, Walk((0, 1))) == 0.5
+    assert walk_weight(two_node, Walk((0, 1, 0))) == 0.125
     assert len(Walk((0, 1, 0))) == 2
     with pytest.raises(InvalidWalkError):
         Walk(())
     with pytest.raises(InvalidWalkError):
-        walk_weight(rm, Walk((0, 0)))  # no self edge
+        walk_weight(two_node, Walk((0, 0)))  # no self edge
     with pytest.raises(InvalidWalkError):
-        walk_weight(rm, Walk((0, 5)))
+        walk_weight(two_node, Walk((0, 5)))
 
 
 def test_partial_walk_sum_hand_values(two_node):
-    rm = residual_matrix(two_node)
     # closed walks at 0: lengths 0, 2, 4 contribute 1, 1/8, 1/64
-    assert partial_walk_sum(rm, 0, 0, 4) == pytest.approx(1.140625, abs=0.0)
+    assert partial_walk_sum(two_node, 0, 0, 4) == pytest.approx(1.140625,
+                                                                abs=0.0)
     # walks 0 -> 1: lengths 1 and 3 contribute 1/2 and (1/2)(1/4)(1/2)
-    assert partial_walk_sum(rm, 0, 1, 3) == pytest.approx(0.5625, abs=0.0)
-    assert partial_walk_sum(rm, 0, 1, 0) == 0.0
+    assert partial_walk_sum(two_node, 0, 1, 3) == pytest.approx(0.5625,
+                                                                abs=0.0)
+    assert partial_walk_sum(two_node, 0, 1, 0) == 0.0
     # the full series limit is (I - R)^-1; entry (0, 0) is 8/7
-    assert partial_walk_sum(rm, 0, 0, 10) == pytest.approx(8.0 / 7.0,
-                                                           abs=1e-3)
+    assert partial_walk_sum(two_node, 0, 0, 10) == pytest.approx(8.0 / 7.0,
+                                                                 abs=1e-3)
 
 
 def test_partial_walk_sum_guards():
-    big = ResidualMatrix(9, tuple((i, i + 1, 0.1) for i in range(8)))
+    # A = I - R for the chain R with r_i,i+1 = 0.1
+    big = SparseSystem(9, [(i, i, 1.0) for i in range(9)]
+                       + [(i, i + 1, -0.1) for i in range(8)], [1.0] * 9)
     with pytest.raises(TooLargeError):
         partial_walk_sum(big, 0, 8, 3)
-    small = ResidualMatrix(2, ((0, 1, 0.5), (1, 0, 0.5)))
+    small = SparseSystem(2, [(0, 0, 1.0), (0, 1, -0.5), (1, 0, -0.5),
+                             (1, 1, 1.0)], [1.0, 1.0])
     with pytest.raises(TooLargeError):
         partial_walk_sum(small, 0, 1, 11)
     with pytest.raises(InvalidWalkError):
@@ -100,7 +102,7 @@ def test_message_oracle_requires_acyclic():
         message_oracle(sys, 0, 1, 1)
 
 
-def test_unwrap_tree_two_triangles():
+def test_unwrap_tree_two_triangles(monkeypatch):
     g = UndirectedGraph(5, LOOPY_FIVE)
     tree = unwrap_tree(g, 0, 4)
     assert len(tree.nodes) == 19
@@ -108,8 +110,10 @@ def test_unwrap_tree_two_triangles():
     assert tree.nodes[0].orig == 0 and tree.nodes[0].parent is None
     # children come in ascending original id
     assert [nd.orig for nd in tree.nodes[1:4]] == [1, 2, 3]
+    from walksolve import oracle
+    monkeypatch.setattr(oracle, "UNWRAP_MAX_NODES", 10)
     with pytest.raises(TooLargeError):
-        unwrap_tree(g, 0, 4, max_nodes=10)
+        unwrap_tree(g, 0, 4)
 
 
 def test_unwrap_tree_path_stalls_at_leaves():
@@ -166,27 +170,26 @@ def test_unwrapped_equivalence_raises_a_node_fault():
 
 
 def test_unwrapped_roots_solve_alike_by_sparse_lu(monkeypatch):
-    # with no dense limit every unwrapped system takes the sparse LU;
-    # its root value must agree with the dense solve's
+    # every unwrapped system takes the sparse LU; its root value must
+    # agree with a dense solve's
     import scipy.sparse.linalg
-    from walksolve import oracle
+    from walksolve.oracle import _solve_root
     systems = [system_from_edges(5, LOOPY_FIVE, seed=11)] + [
         generate_instance(GeneratorSpec(kind="loopy-small", n=n, seed=n))
         for n in range(6, 11)]
     cases = [(sys, i, t) for sys in systems for i in range(sys.n)
              for t in range(5)]
-    dense = [unwrapped_equivalence_check(*case) for case in cases]
+    assert len(cases) == 225
     sparse_calls = []
     real = scipy.sparse.linalg.spsolve
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
                         lambda *a: sparse_calls.append(1) or real(*a))
-    monkeypatch.setattr(oracle, "DENSE_UNWRAP_LIMIT", 0)
-    for case, want in zip(cases, dense):
-        got = unwrapped_equivalence_check(*case)
-        assert got.ok, case[1:]
-        assert got.tree_value == pytest.approx(want.tree_value, rel=1e-13,
-                                               abs=1e-13)
-    assert len(sparse_calls) == len(cases)
+    for sys, i, t in cases:
+        un = unwrapped_system(sys, unwrap_tree(sys.graph, i, t))
+        want = float(np.linalg.solve(un.as_dense(), un.b)[0])
+        assert _solve_root(un) == pytest.approx(want, rel=1e-13, abs=1e-13)
+        assert unwrapped_equivalence_check(sys, i, t).ok, (i, t)
+    assert len(sparse_calls) == 2 * len(cases)
 
 
 def test_unwrap_validation():
