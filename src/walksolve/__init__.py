@@ -13,9 +13,8 @@ from .core import (GeneratorSpec, SparseSystem, UndirectedGraph,
                    bfs_distances, connected_components, diameter,
                    generate_instance, induced_graph, is_acyclic,
                    system_from_edges)
-from .engine import (ConvergenceTrace, NodeFault, NodeProgram,
-                     RoundAccounting, SolverFault, TraceRound, delta_stop,
-                     run_rounds)
+from .engine import (ConvergenceTrace, NodeProgram, RoundAccounting,
+                     SolverFault, TraceRound, delta_stop, run_rounds)
 from .errors import (CyclicGraphError, DimensionMismatchError,
                      DivergedEstimateError, MissingDiagonalError,
                      NoConvergenceError, NotAnEdgeError, NotWalkSummableError,
@@ -38,18 +37,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BPProgram", "CheckResult", "ConsensusProgram", "ConvergenceTrace",
     "CyclicGraphError", "DimensionMismatchError", "DivergedEstimateError",
-    "DominanceReport", "GeneratorSpec",
-    "JacobiProgram", "MissingDiagonalError", "NoConvergenceError",
-    "NodeFault", "NodeProgram", "NotAnEdgeError", "NotWalkSummableError",
-    "NotWalkSummableWarning", "ParseError", "ProtocolViolationError",
-    "RoundAccounting", "SingularMatrixError",
-    "SingularMessageError", "SolverError", "SolverFault", "SparseSystem",
-    "TooLargeError", "TraceRound", "UndirectedGraph", "UnwrappedCheck",
-    "UnwrappedTree", "Walk", "WalksolveError", "ZeroRowError", "analyze",
-    "bfs_distances", "bp_solve",
+    "DominanceReport", "GeneratorSpec", "JacobiProgram",
+    "MissingDiagonalError", "NoConvergenceError", "NodeProgram",
+    "NotAnEdgeError", "NotWalkSummableError", "NotWalkSummableWarning",
+    "ParseError", "ProtocolViolationError", "RoundAccounting",
+    "SingularMatrixError", "SingularMessageError", "SolverError",
+    "SolverFault", "SparseSystem", "TooLargeError", "TraceRound",
+    "UndirectedGraph", "UnwrappedCheck", "UnwrappedTree", "Walk",
+    "WalksolveError", "ZeroRowError", "analyze", "bfs_distances", "bp_solve",
     "connected_components", "delta_stop", "dense_solve", "diameter",
-    "find_gdd_scaling", "gauss_seidel_sweep",
-    "generate_instance",
+    "find_gdd_scaling", "gauss_seidel_sweep", "generate_instance",
     "induced_graph", "is_acyclic", "is_diagonally_dominant", "load_system",
     "message_oracle", "partial_walk_sum", "read_matrix_market", "read_rhs",
     "residual_matrix", "restricted_subgraph", "run_all_checks", "run_rounds",

@@ -8,6 +8,7 @@ reached, 3 solver fault.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys as _sys
 from typing import Optional, Sequence
@@ -19,8 +20,7 @@ from .analysis import RHO_TOL_DEFAULT, analyze
 from .core import (DIAG_RULES, GENERATOR_KINDS, DEFAULT_COEFF_RANGE,
                    GeneratorSpec, SparseSystem, check_tolerance, diameter,
                    generate_instance, is_acyclic)
-from .engine import (ConvergenceTrace, SolverFault, _log10_mse, delta_stop,
-                     run_rounds)
+from .engine import SolverFault, _log10_mse, delta_stop, run_rounds
 from .errors import (NotWalkSummableError, SingularMatrixError,
                      WalksolveError)
 from .solvers import (ESTIMATE_LIMIT, BPProgram, ConsensusProgram,
@@ -80,28 +80,24 @@ def _reference_solution(sys_: SparseSystem, args: argparse.Namespace):
         return None
 
 
-def _write_lines(lines: list[str], out: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        _sys.stdout.write(text)
+def _output(path: Optional[str]):
+    """--out, created or truncated before any round runs, or stdout."""
+    return open(path, "w") if path else contextlib.nullcontext(_sys.stdout)
 
 
 def _fault_text(f: SolverFault) -> str:
     return f"node {f.node} round {f.round}: {f.error}"
 
 
-def _trace_csv(trace: ConvergenceTrace, comments: list[str]) -> list[str]:
+def _trace_csv(comments: list[str], rows, fault) -> str:
+    """Comments, header, (k, log10_mse, max_delta, messages) rows, fault."""
     lines = [f"# {c}" for c in comments]
     lines.append("iter,log10_mse,max_delta,messages")
-    for row in trace.rounds:
-        lines.append(f"{row.k},{_cell(row.log10_mse)},"
-                     f"{_cell(row.max_delta)},{row.accounting.messages_sent}")
-    if trace.fault is not None:
-        lines.append(f"# fault: {_fault_text(trace.fault)}")
-    return lines
+    for k, mse, delta, sent in rows:
+        lines.append(f"{k},{_cell(mse)},{_cell(delta)},{sent}")
+    if fault is not None:
+        lines.append(f"# fault: {_fault_text(fault)}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -150,8 +146,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
     """Sequential sweeps; returns (rows, stop_reason, fault) shaped like a
-    trace.  A sweep with an estimate beyond ESTIMATE_LIMIT is not a row:
-    it stops the run with the fault of the smallest such node."""
+    trace, 0 messages a row.  A sweep with an estimate beyond ESTIMATE_LIMIT
+    is not a row: it stops the run with the smallest such node's fault."""
     with np.errstate(all="ignore"):
         x = sys_.b / sys_.diag
     rows = []
@@ -165,7 +161,7 @@ def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
                 cause=f"estimate {float(nxt[node])!r} out of range")
         delta = float(np.abs(nxt - x).max()) if k else None
         mse = _log10_mse(nxt, reference) if reference is not None else None
-        rows.append((k, mse, delta))
+        rows.append((k, mse, delta, 0))
         if k and delta_stop(delta, nxt, tol):
             return rows, "delta", None
         x = nxt
@@ -181,40 +177,37 @@ def cmd_solve(args: argparse.Namespace) -> int:
     max_rounds = _round_cap(args, 500 if args.method == "bp"
                             else default_max_iter(sys_.n))
     tol = _tol(args.tol)
-    reference = _reference_solution(sys_, args)
-
-    if args.method == "gauss-seidel":
-        rows, reason, fault = _gauss_seidel_trace(sys_, max_rounds, tol,
-                                                  reference)
-        lines = ["# method: gauss-seidel (sequential-reference, "
-                 "not message passing)",
-                 "iter,log10_mse,max_delta,messages"]
-        for k, lmse, delta in rows:
-            lines.append(f"{k},{_cell(lmse)},{_cell(delta)},0")
-        if fault is not None:
-            lines.append(f"# fault: {_fault_text(fault)}")
-        _write_lines(lines, args.out)
-        print(f"method=gauss-seidel rounds={rows[-1][0] if rows else 'none'} "
-              f"stop={reason}", file=_sys.stderr)
-        if fault is not None:
-            print(f"fault: {_fault_text(fault)}", file=_sys.stderr)
-        return _EXIT_BY_REASON[reason]
-
-    if args.method == "bp":
-        try:
-            _, trace = bp_solve(sys_, max_rounds=max_rounds, tol=tol,
-                                force=args.force, reference=reference)
-        except NotWalkSummableError as exc:
-            print(f"error: {exc} (rerun with --force to try anyway)",
+    with _output(args.out) as out:
+        reference = _reference_solution(sys_, args)
+        if args.method == "gauss-seidel":
+            rows, reason, fault = _gauss_seidel_trace(sys_, max_rounds, tol,
+                                                      reference)
+            out.write(_trace_csv(["method: gauss-seidel (sequential-reference,"
+                                  " not message passing)"], rows, fault))
+            print(f"method=gauss-seidel "
+                  f"rounds={rows[-1][0] if rows else 'none'} stop={reason}",
                   file=_sys.stderr)
-            return 1
-    else:
-        program = (JacobiProgram(sys_) if args.method == "jacobi"
-                   else ConsensusProgram(sys_))
-        trace = run_rounds(program, max_rounds, tol=tol, reference=reference)
+            if fault is not None:
+                print(f"fault: {_fault_text(fault)}", file=_sys.stderr)
+            return _EXIT_BY_REASON[reason]
 
-    comments = [f"method: {args.method}", f"stop: {trace.stop_reason}"]
-    _write_lines(_trace_csv(trace, comments), args.out)
+        if args.method == "bp":
+            try:
+                _, trace = bp_solve(sys_, max_rounds=max_rounds, tol=tol,
+                                    force=args.force, reference=reference)
+            except NotWalkSummableError as exc:
+                print(f"error: {exc} (rerun with --force to try anyway)",
+                      file=_sys.stderr)
+                return 1
+        else:
+            program = (JacobiProgram(sys_) if args.method == "jacobi"
+                       else ConsensusProgram(sys_))
+            trace = run_rounds(program, max_rounds, tol=tol,
+                               reference=reference)
+        rows = [(r.k, r.log10_mse, r.max_delta, r.accounting.messages_sent)
+                for r in trace.rounds]
+        comments = [f"method: {args.method}", f"stop: {trace.stop_reason}"]
+        out.write(_trace_csv(comments, rows, trace.fault))
     last = trace.rounds[-1] if trace.rounds else None
     summary = f"method={args.method} rounds={last.k if last else 'none'} " \
               f"stop={trace.stop_reason}"
@@ -230,31 +223,33 @@ def cmd_compare(args: argparse.Namespace) -> int:
     sys_ = _load(args)
     max_rounds = _round_cap(args, default_max_iter(sys_.n))
     tol = _tol(args.tol)
-    reference = _reference_solution(sys_, args)
-    if reference is None:
-        print("error: compare needs a dense reference solution",
-              file=_sys.stderr)
-        return 1
-    columns = {}
-    comments = []
-    for name, program in (("bp", BPProgram(sys_)),
-                          ("jacobi", JacobiProgram(sys_)),
-                          ("consensus", ConsensusProgram(sys_))):
-        trace = run_rounds(program, max_rounds, tol=tol, reference=reference)
-        columns[name] = {row.k: row.log10_mse for row in trace.rounds}
-        note = f"method {name}: stop={trace.stop_reason} " \
-               f"rounds={trace.rounds[-1].k if trace.rounds else 'none'}"
-        if trace.fault is not None:
-            note += f" fault='{_fault_text(trace.fault)}'"
-            print(f"# {note}", file=_sys.stderr)
-        comments.append(note)
-    # each column holds rounds 0, 1, ...: no row for a round none completed
-    lines = [f"# {c}" for c in comments]
-    lines.append("iter," + ",".join(columns))
-    for k in range(max(map(len, columns.values()))):
-        cells = [_cell(columns[m].get(k)) for m in columns]
-        lines.append(f"{k}," + ",".join(cells))
-    _write_lines(lines, args.out)
+    with _output(args.out) as out:
+        reference = _reference_solution(sys_, args)
+        if reference is None:
+            print("error: compare needs a dense reference solution",
+                  file=_sys.stderr)
+            return 1
+        columns = {}
+        comments = []
+        for name, program in (("bp", BPProgram(sys_)),
+                              ("jacobi", JacobiProgram(sys_)),
+                              ("consensus", ConsensusProgram(sys_))):
+            trace = run_rounds(program, max_rounds, tol=tol,
+                               reference=reference)
+            columns[name] = {row.k: row.log10_mse for row in trace.rounds}
+            note = f"method {name}: stop={trace.stop_reason} " \
+                   f"rounds={trace.rounds[-1].k if trace.rounds else 'none'}"
+            if trace.fault is not None:
+                note += f" fault='{_fault_text(trace.fault)}'"
+                print(f"# {note}", file=_sys.stderr)
+            comments.append(note)
+        # a column holds rounds 0, 1, ...: no row for a round none completed
+        lines = [f"# {c}" for c in comments]
+        lines.append("iter," + ",".join(columns))
+        for k in range(max(map(len, columns.values()))):
+            cells = [_cell(columns[m].get(k)) for m in columns]
+            lines.append(f"{k}," + ",".join(cells))
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -344,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (WalksolveError, OSError, UnicodeDecodeError) as exc:
+    except (WalksolveError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

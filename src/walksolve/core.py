@@ -79,11 +79,13 @@ class SparseSystem:
             raise InvalidSystemError(f"system size must be >= 1, got {n}")
         given = entries if isinstance(entries, np.ndarray) else list(entries)
         triples = np.asarray(given, dtype=float).reshape(len(given), 3)
-        rows, cols = np.trunc(triples[:, :2].T)
+        index = triples[:, :2].T.copy()  # contiguous: faster passes
+        rows, cols = np.trunc(index)
         vals = triples[:, 2]
-        outside = ~((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n))
-        # an entry outside the system gets a key of its own, so it is
-        # reported as outside and never as a duplicate
+        # an index that is not an integer is outside too (NaN and inf fail
+        # a bound), so it gets a key of its own and is never a duplicate
+        outside = ~((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)
+                    & (rows == index[0]) & (cols == index[1]))
         keys = np.where(outside, -1 - np.arange(len(given)),
                         rows * n + cols).astype(np.int64)
         order = np.argsort(keys, kind="stable")
@@ -92,6 +94,10 @@ class SparseSystem:
         bad = outside | ~np.isfinite(vals) | repeat
         if bad.any():
             k = int(np.argmax(bad))
+            if not all(x.is_integer() for x in index[:, k].tolist()):
+                raise InvalidSystemError(
+                    f"entry ({given[k][0]}, {given[k][1]}) has an index "
+                    "that is not an integer")
             row, col, val = (int(given[k][0]), int(given[k][1]),
                              float(given[k][2]))
             if outside[k]:
@@ -178,12 +184,18 @@ class UndirectedGraph:
             raise InvalidSystemError(f"graph size must be >= 1, got {n}")
         given = edges if isinstance(edges, np.ndarray) else list(edges)
         # read as floats, as SparseSystem reads its entries, so that an id
-        # beyond int64 is reported as outside too
-        u, v = np.trunc(np.asarray(given, dtype=float).reshape(-1, 2).T)
-        outside = ~((0 <= np.minimum(u, v)) & (np.maximum(u, v) < n))
+        # beyond int64, or one that is not an integer, is outside too
+        ids = np.asarray(given, dtype=float).reshape(-1, 2).T.copy()
+        u, v = np.trunc(ids)
+        outside = ~((0 <= np.minimum(u, v)) & (np.maximum(u, v) < n)
+                    & (u == ids[0]) & (v == ids[1]))
         bad = outside | (u == v)
         if bad.any():
             k = int(np.argmax(bad))
+            if not all(x.is_integer() for x in ids[:, k].tolist()):
+                raise InvalidSystemError(
+                    f"edge ({given[k][0]}, {given[k][1]}) has a node id "
+                    "that is not an integer")
             a, b = int(given[k][0]), int(given[k][1])
             if outside[k]:
                 raise InvalidSystemError(f"edge ({a}, {b}) outside 0..{n - 1}")

@@ -75,15 +75,6 @@ class SolverFault:
     cause: str
 
 
-class NodeFault(Exception):
-    """The SolverError of the smallest node that faulted in a round."""
-
-    def __init__(self, node: int, error: SolverError):
-        super().__init__(node, error)
-        self.node = node
-        self.error = error
-
-
 @dataclass
 class TraceRound:
     k: int
@@ -163,8 +154,9 @@ class NodeProgram:
         """This program's rounds: a generator of (estimates, first) for
         rounds 0, 1, 2, ..., where ``first`` holds [0] of every slot's
         message when check_positive_a is set, or None.  The round in which
-        a transition faults raises NodeFault for the smallest faulting
-        node instead.  By default the per-node reference node_rounds.
+        a transition faults raises the smallest faulting node's SolverError
+        instead, with ``node`` set.  By default the per-node reference
+        node_rounds.
 
         A program's array form computes the same rounds as init_node/step,
         bit for bit, for all nodes at once, and raises each fault by
@@ -178,9 +170,10 @@ def node_rounds(program: NodeProgram) -> Iterator:
     the per-node reference for NodeProgram.rounds.
 
     The first SolverError of a round is therefore the smallest faulting
-    node's.  Once every transition of a round succeeds, each outbox must
-    address exactly the node's neighbors (C1); each value is then
-    delivered, as sent, to its neighbor's inbox for the next round to read.
+    node's, raised as is with ``node`` set.  Once every transition of a
+    round succeeds, each outbox must address exactly the node's neighbors
+    (C1); each value is then delivered, as sent, to its neighbor's inbox
+    for the next round to read.
     """
     g = program.sys.graph
     states = inboxes = None
@@ -191,7 +184,8 @@ def node_rounds(program: NodeProgram) -> Iterator:
                 results.append(program.step(u, states[u], inboxes[u]) if k
                                else program.init_node(u))
             except SolverError as exc:
-                raise NodeFault(u, exc) from None
+                exc.node = u
+                raise
         inboxes = [dict() for _ in range(g.n)]
         for u, (_, out) in enumerate(results):
             if set(out) != set(g.neighbors[u]):
@@ -255,13 +249,14 @@ def run_rounds(program: NodeProgram, max_rounds: int,
     initialization (it already sends one message per directed edge).  A
     SolverError raised inside a node transition aborts the run at that
     round's barrier: the trace keeps rounds 0..k-1 and carries a
-    SolverFault record for the smallest faulting node; stop_reason is
-    then "fault".  The trace keeps each round's scalars and only the last
-    completed round's estimates, so a run's memory does not grow with its
-    round count.  Every round's accounting comes from program.costs:
-    round 0 counts its round-0 ops, later rounds their own; positivity
-    violations are counted only in a round whose smallest first entry is
-    not positive.
+    SolverFault record for the smallest faulting node, the error's
+    ``node``; stop_reason is then "fault".  A SolverError with no node,
+    raised outside any transition, propagates.  The trace keeps each
+    round's scalars and only the last completed round's estimates, so a
+    run's memory does not grow with its round count.  Every round's
+    accounting comes from program.costs: round 0 counts its round-0 ops,
+    later rounds their own; positivity violations are counted only in a
+    round whose smallest first entry is not positive.
     """
     check_max_rounds(max_rounds)
     if tol is not None:
@@ -304,11 +299,12 @@ def run_rounds(program: NodeProgram, max_rounds: int,
             if tol is not None and k and delta_stop(delta, estimates, tol):
                 trace.stop_reason = "delta"
                 return trace
-    except NodeFault as fault:
+    except SolverError as exc:
+        if exc.node is None:
+            raise
         trace.stop_reason = "fault"
-        trace.fault = SolverFault(node=fault.node, round=len(trace.rounds),
-                                  error=type(fault.error).__name__,
-                                  cause=str(fault.error))
+        trace.fault = SolverFault(node=exc.node, round=len(trace.rounds),
+                                  error=type(exc).__name__, cause=str(exc))
         return trace
     trace.stop_reason = "fixed-rounds" if tol is None else "max-rounds"
     return trace

@@ -32,7 +32,10 @@ class NoConvergenceError(WalksolveError):
 
 
 class SolverError(WalksolveError):
-    """Base class for per-node faults raised inside a solver transition."""
+    """Base class for per-node faults raised inside a solver transition;
+    ``node`` is set by the engine when a per-node transition raised it."""
+
+    node = None
 
 
 class SingularMessageError(SolverError):

@@ -65,6 +65,17 @@ def write_rhs(b: Sequence[float], path: str) -> None:
         fh.write("\n".join(map("%.17g".__mod__, values)) + "\n")
 
 
+def _read_text(path: str) -> str:
+    """The file's text, read as UTF-8; ParseError naming the file and the
+    line of its first bad byte when it is not."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:  # read() decodes the whole file
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason})",
+                         exc.object.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _lines(text: str) -> Iterator[tuple[int, str, int]]:
     """(lineno, line, end) for the lines of text.splitlines(), lazily;
     end is the offset just past the line's break."""
@@ -160,8 +171,7 @@ def read_matrix_market(path: str) -> tuple[int, np.ndarray]:
 
     Square only; ParseError carries the offending 1-based line number.
     """
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     lines = _lines(text)
     first = next(lines, None)
     if first is None:
@@ -220,8 +230,7 @@ def _line_rhs(text: str) -> np.ndarray:
 
 
 def read_rhs(path: str) -> np.ndarray:
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     values = _loadtxt(text, float, ndmin=2)
     if (values is None or values.shape[1] != 1
             or not np.isfinite(values).all()):

@@ -25,7 +25,6 @@ import scipy.sparse.linalg
 
 from .analysis import residual_matrix
 from .core import SparseSystem, UndirectedGraph, is_acyclic
-from .engine import NodeFault
 from .errors import (
     CyclicGraphError,
     InvalidWalkError,
@@ -295,10 +294,7 @@ def unwrapped_equivalence_check(sys: SparseSystem, i: int,
     rounds 0..t raises that node's SolverError: x^_i(t) does not exist.
     """
     tree = unwrap_tree(sys.graph, i, t)
-    try:
-        estimates, _ = next(islice(BPProgram(sys).rounds(), t, None))
-    except NodeFault as fault:
-        raise fault.error from None
+    estimates, _ = next(islice(BPProgram(sys).rounds(), t, None))
     estimate = float(estimates[i])
     tree_value = _solve_root(unwrapped_system(sys, tree))
     ok = abs(estimate - tree_value) <= UNWRAP_AGREEMENT_TOL * max(

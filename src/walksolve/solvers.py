@@ -33,13 +33,13 @@ import scipy.linalg
 from . import analysis
 from .core import (SparseSystem, UndirectedGraph, check_tolerance, diameter,
                    is_acyclic)
-from .engine import (ConvergenceTrace, NodeFault, NodeProgram,
-                     check_max_rounds, run_rounds)
+from .engine import (ConvergenceTrace, NodeProgram, check_max_rounds,
+                     run_rounds)
 from .errors import (
+    DimensionMismatchError,
     DivergedEstimateError,
     NotWalkSummableError,
     NotWalkSummableWarning,
-    ProtocolViolationError,
     SingularMatrixError,
     SingularMessageError,
     SolverError,
@@ -56,19 +56,17 @@ RESIDUAL_FACTOR = 1e-10
 
 def _replay(bad: np.ndarray, transition) -> None:
     """Re-run the smallest flagged node's per-node transition, which
-    raises its fault; no node flagged, nothing happens.
-
-    The array forms only locate the smallest faulting node; the program's
-    own transition, called with that node, decides the error type and
-    message.
-    """
+    raises its fault, with ``node`` set; no node flagged, nothing happens.
+    The array forms only locate the node: the program's own transition
+    decides the error's type and message."""
     if not bad.any():
         return
     node = int(np.argmax(bad))
     try:
         transition(node)
     except SolverError as exc:
-        raise NodeFault(node, exc) from None
+        exc.node = node
+        raise
     raise RuntimeError(f"array form flagged node {node}, but its "
                        "per-node transition did not fault")
 
@@ -478,7 +476,7 @@ def gauss_seidel_sweep(sys: SparseSystem, x) -> np.ndarray:
     """
     out = np.array(x, dtype=float)
     if out.shape != (sys.n,):
-        raise ProtocolViolationError(
+        raise DimensionMismatchError(
             f"state vector has shape {out.shape}, expected ({sys.n},)")
     xs = out.tolist()
     bounds, cols, vals = (a.tolist() for a in (sys.indptr, sys.indices,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from walksolve.core import SparseSystem
-from walksolve.engine import NodeFault, node_rounds
+from walksolve.engine import node_rounds
+from walksolve.errors import SolverError
 from walksolve.solvers import BPProgram, ConsensusProgram, JacobiProgram
 
 # Roster lines collected by test_acceptance; replayed after the run so
@@ -61,20 +62,20 @@ class PerNodeConsensus(ConsensusProgram):
 
 def kernel_rounds(program, rounds):
     """Rounds 0..rounds of program.rounds, which run_rounds drives, as a
-    list of (estimates, first) pairs, and the NodeFault that ended them
+    list of (estimates, first) pairs, and the SolverError that ended them
     early, or None.  The trace keeps no per-round estimates, so tests that
     check every round read the generator themselves."""
     out = []
     try:
         for pair in islice(program.rounds(), rounds + 1):
             out.append(pair)
-    except NodeFault as fault:
-        return out, fault
+    except SolverError as exc:
+        return out, exc
     return out, None
 
 
 def kernel_estimates(program, rounds):
     """Every round's estimates, 0..rounds, of a run that must not fault."""
-    out, fault = kernel_rounds(program, rounds)
-    assert fault is None, fault.error
+    out, exc = kernel_rounds(program, rounds)
+    assert exc is None, exc
     return [estimates for estimates, _ in out]

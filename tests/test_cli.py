@@ -573,3 +573,53 @@ def test_the_parser_is_built_once_and_calls_share_no_arguments(
     assert (seen[1].force, seen[1].max_iters) == (False, None)
     assert seen[0] is not seen[1]
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("command", [["solve", "--method", m]
+                                     for m in ("bp", "jacobi", "consensus",
+                                               "gauss-seidel")]
+                         + [["compare"]], ids=" ".join)
+def test_an_unwritable_out_fails_before_any_round(tmp_path, capsys,
+                                                  monkeypatch, command):
+    from walksolve import cli
+    mtx, rhs = _generate(tmp_path, capsys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before --out was opened")
+
+    for name in ("dense_solve", "run_rounds", "bp_solve",
+                 "_gauss_seidel_trace"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "missing" / "x.csv"
+    code = main(command + ["--matrix", mtx, "--rhs", rhs, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] ")
+    assert str(out) in captured.err
+
+
+def test_a_refused_run_leaves_its_out_empty(tmp_path, capsys):
+    # --out is opened before the run refuses, as shell redirection is
+    sys_ = SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.5),
+                            (1, 0, -1.5), (1, 1, 1.0)], (1.0, 1.0))
+    mtx, rhs = _write_system(tmp_path, sys_)
+    for command in (["solve", "--method", "bp"],
+                    ["compare", "--reference", "none"]):
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        assert main(command + ["--matrix", mtx, "--rhs", rhs,
+                               "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == ""
+
+
+def test_an_rhs_that_is_not_utf8_names_itself_and_its_line(tmp_path, capsys):
+    mtx, rhs = _generate(tmp_path, capsys)
+    bad = tmp_path / "bad.rhs"
+    bad.write_bytes(b"abc\xff\n")
+    assert main(["analyze", "--matrix", mtx, "--rhs", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: line 1: {bad} is not UTF-8 text "
+                            "(invalid start byte)\n")

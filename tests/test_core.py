@@ -73,9 +73,10 @@ def test_size_must_be_positive():
 NAN, INF = math.nan, math.inf
 
 #: (n, entries, b) with several faults each, and the exact error of the
-#: first: entries in input order (within one, range, then finiteness,
-#: then duplication), then the rhs length, a non-finite rhs, the
-#: smallest missing diagonal and the smallest zero diagonal
+#: first: entries in input order (within one, an index that is not an
+#: integer, then range, finiteness and duplication), then the rhs length,
+#: a non-finite rhs, the smallest missing diagonal and the smallest zero
+#: diagonal
 MALFORMED = [
     (2, [(0, 0, 1.0), (2, 0, 1.0), (0, 0, 2.0), (1, 1, 1.0)], [1.0, 1.0],
      InvalidSystemError, "entry (2, 0) outside a 2x2 system"),
@@ -107,6 +108,21 @@ MALFORMED = [
      MissingDiagonalError, "diagonal entry (1, 1) missing"),
     (3, [(2, 2, 0.0), (0, 0, 1.0), (1, 1, 0.0)], [1.0, 1.0, 1.0],
      MissingDiagonalError, "diagonal entry (1, 1) is zero"),
+    # an index is never truncated: not into range, nor into a duplicate
+    (2, [(0.5, 0, 1.0), (1, 1, 2.0)], [1.0, 1.0], InvalidSystemError,
+     "entry (0.5, 0) has an index that is not an integer"),
+    (2, [(0, 0, 1.0), (1, 1.9, 2.0)], [1.0, 1.0], InvalidSystemError,
+     "entry (1, 1.9) has an index that is not an integer"),
+    (2, [(0, 0, 1.0), (0.5, 0, 2.0)], [1.0, 1.0], InvalidSystemError,
+     "entry (0.5, 0) has an index that is not an integer"),
+    (2, [(0, 0, 1.0), (5.5, 0, NAN)], [1.0, 1.0], InvalidSystemError,
+     "entry (5.5, 0) has an index that is not an integer"),
+    (2, [(0, 0, 1.0), (NAN, 0, 1.0)], [1.0, 1.0], InvalidSystemError,
+     "entry (nan, 0) has an index that is not an integer"),
+    (2, [(0, 0, 1.0), (1, INF, 1.0)], [1.0, 1.0], InvalidSystemError,
+     "entry (1, inf) has an index that is not an integer"),
+    (2, [(0, 0, 1.0), (-INF, 1, 1.0)], [1.0, 1.0], InvalidSystemError,
+     "entry (-inf, 1) has an index that is not an integer"),
 ]
 
 
@@ -227,6 +243,17 @@ def test_csr_graph_matches_set_graph(case):
     (1, [(0, 0), (0, 1)], "self-loop at node 0 not allowed"),
     (1, [(0, 1), (0, 0)], "edge (0, 1) outside 0..0"),
     (3, [(0, 1), (2 ** 70 + 1, 0)], f"edge ({2 ** 70 + 1}, 0) outside 0..2"),
+    # an id is never truncated: not into an edge, nor into a self-loop
+    (3, [(0.9, 1.5), (1, 2)],
+     "edge (0.9, 1.5) has a node id that is not an integer"),
+    (3, [(0, 1), (1, 1.5)],
+     "edge (1, 1.5) has a node id that is not an integer"),
+    (3, [(1, 2), (NAN, 1)],
+     "edge (nan, 1) has a node id that is not an integer"),
+    (3, [(0, 1), (1, INF)],
+     "edge (1, inf) has a node id that is not an integer"),
+    (3, [(-INF, 0), (1, 1)],
+     "edge (-inf, 0) has a node id that is not an integer"),
 ])
 def test_graph_reports_the_first_bad_edge(n, edges, message):
     with pytest.raises(InvalidSystemError, match=f"^{re.escape(message)}$"):

@@ -5,6 +5,7 @@ directed-edge arrays; their PerNode* subclasses have no array form and
 run on the engine's node_rounds, which is the reference here.  Every
 round must agree bit for bit, and so must the fault record.
 """
+import hashlib
 import warnings
 from itertools import islice
 
@@ -17,7 +18,7 @@ from conftest import PerNodeBP, PerNodeConsensus, PerNodeJacobi, kernel_rounds
 
 from walksolve.core import SparseSystem, UndirectedGraph
 from walksolve.engine import run_rounds
-from walksolve.errors import SolverError
+from walksolve.errors import SolverError, ZeroRowError
 from walksolve.solvers import BPProgram, ConsensusProgram, JacobiProgram
 from walksolve.verify import run_message_rounds
 
@@ -31,8 +32,8 @@ def _same(a, b):
     return a == b or (a != a and b != b)
 
 
-def _fault_key(fault):
-    return fault and (fault.node, type(fault.error), str(fault.error))
+def _fault_key(exc):
+    return exc and (exc.node, type(exc), str(exc))
 
 
 def _assert_same_rounds(sys, array_cls, node_cls, max_rounds):
@@ -205,6 +206,60 @@ def test_array_kernel_replays_the_programs_own_step():
     assert (trace.fault.node, trace.fault.round) == (0, 2)
     assert trace.fault.error == "SingularMessageError"
     assert trace.fault.cause.startswith("tagged: node 0: incoming scalar")
+
+
+#: sha256 of the fault lines below: every record's whole text, where
+#: test_faulting_systems_match checks substrings of the cause
+FAULT_DIGEST = ("76166e8ba313ae65612666986d87d56b"
+                "2f190a40f30e3cbb951bf13f15460eab")
+
+
+def test_fault_records_are_pinned():
+    # each run's whole fault record, stop reason and row count, and the
+    # node, type and text of the error that ends its rounds
+    lines = []
+    for stage in sorted(FAULTING):
+        sys = FAULTING[stage]
+        for cls in sum(zip(*PAIRS), ()):
+            trace = run_rounds(cls(sys), 6, reference=np.zeros(sys.n))
+            _, exc = kernel_rounds(cls(sys), 6)
+            key = exc and (exc.node, type(exc).__name__, str(exc))
+            lines.append(f"{stage} {cls.__name__} {trace.fault!r} "
+                         f"{trace.stop_reason} {len(trace.rounds)} {key!r}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == FAULT_DIGEST
+
+
+@pytest.mark.parametrize("cls", sum(zip(*PAIRS), ()),
+                         ids=lambda cls: cls.__name__)
+def test_rounds_raise_the_nodes_own_error(cls):
+    # a direct consumer of rounds() gets the error run_rounds records
+    faults = 0
+    for sys in FAULTING.values():
+        trace = run_rounds(cls(sys), 6)
+        _, exc = kernel_rounds(cls(sys), 6)
+        if trace.fault is None:
+            assert exc is None
+            continue
+        faults += 1
+        assert isinstance(exc, SolverError)
+        assert (exc.node, type(exc).__name__, str(exc)) == (
+            trace.fault.node, trace.fault.error, trace.fault.cause)
+    assert faults >= 3
+
+
+class NodelessFault(JacobiProgram):
+    """Jacobi whose rounds raise a SolverError outside any transition."""
+
+    def rounds(self):
+        yield from islice(super().rounds(), 1)
+        raise ZeroRowError("raised outside any transition")
+
+
+def test_a_nodeless_solver_error_propagates():
+    with pytest.raises(ZeroRowError, match="outside any transition") as info:
+        run_rounds(NodelessFault(FAULTING["incoming"]), 3)
+    assert info.value.node is None
 
 
 def test_jacobi_divergence_matches():

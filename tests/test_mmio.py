@@ -403,3 +403,23 @@ def test_tokens_only_python_accepts_read_as_before(tmp_path):
     assert entries.tolist() == [[9, 0, 2.5], [0, 0, 2.5], [0, 1, 10.5]]
     assert read_rhs(_write(tmp_path / "py.rhs", "1_0\n\u0663\n")).tolist() \
         == [10.0, 3.0]
+
+
+@pytest.mark.parametrize("name,data,line", [
+    ("bad.rhs", b"abc\xff\n", 1),
+    ("bad.mtx", b"1\n2\n\xff\n", 3),
+    ("bad.mtx", (HEAD + "2 2 1\n1 1 1.0\n").encode() + b"\xc3(\n", 4),
+    # beyond the first 8 KiB buffer, and after \r\n line ends
+    ("long.rhs", b"1.0\r\n" * 3000 + b"2.0\xff\r\n", 3001),
+])
+def test_a_file_that_is_not_utf8_names_itself_and_its_line(tmp_path, name,
+                                                            data, line):
+    path = tmp_path / name
+    path.write_bytes(data)
+    read = read_rhs if name.endswith(".rhs") else read_matrix_market
+    with pytest.raises(ParseError) as info:
+        read(str(path))
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: {path} is not UTF-8 "
+                                      "text (")
+

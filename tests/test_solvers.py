@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,9 @@ from walksolve import analysis, core
 from walksolve.core import GeneratorSpec, SparseSystem, generate_instance
 from walksolve.engine import run_rounds
 from walksolve.errors import (
+    DimensionMismatchError,
     NotWalkSummableError,
     NotWalkSummableWarning,
-    ProtocolViolationError,
     SingularMatrixError,
     ZeroRowError,
 )
@@ -216,7 +217,8 @@ def test_jacobi_matches_residual_power_series(two_node):
 def test_gauss_seidel_hand_value(two_node):
     out = gauss_seidel_sweep(two_node, [1.0, 2.0])
     assert out == pytest.approx([2.0, 2.5])
-    with pytest.raises(ProtocolViolationError):
+    with pytest.raises(DimensionMismatchError, match=re.escape(
+            "state vector has shape (3,), expected (2,)")):
         gauss_seidel_sweep(two_node, [1.0, 2.0, 3.0])
 
 
