@@ -2,8 +2,10 @@
 
 Commands: generate, analyze, solve, compare, verify.  Exit codes:
 0 converged / all checks pass, 1 verification or input failure (a file
-that cannot be read, decoded or written among them), 2 iteration limit
-reached, 3 solver fault.
+that cannot be read, decoded or written among them, and a consensus
+run whose arrays are too large, refused before round 0), 2 iteration
+limit reached or stalled (the steps met --tol but the backward error
+did not), 3 solver fault.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from .analysis import RHO_TOL_DEFAULT, analyze
 from .core import (DIAG_RULES, GENERATOR_KINDS, DEFAULT_COEFF_RANGE,
                    GeneratorSpec, SparseSystem, check_tolerance, diameter,
                    generate_instance, is_acyclic)
-from .engine import SolverFault, _log10_mse, delta_stop, run_rounds
+from .engine import (SolverFault, _log10_mse, delta_stop, residual_stop,
+                     run_rounds)
 from .errors import (NotWalkSummableError, SingularMatrixError,
                      WalksolveError)
 from .solvers import (ESTIMATE_LIMIT, BPProgram, ConsensusProgram,
@@ -163,13 +166,14 @@ def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
         mse = _log10_mse(nxt, reference) if reference is not None else None
         rows.append((k, mse, delta, 0))
         if k and delta_stop(delta, nxt, tol):
-            return rows, "delta", None
+            return rows, ("delta" if residual_stop(sys_, nxt, tol)
+                          else "stalled"), None
         x = nxt
     return rows, "max-rounds", None
 
 
 _EXIT_BY_REASON = {"fixed-rounds": 0, "delta": 0, "max-rounds": 2,
-                   "fault": 3}
+                   "stalled": 2, "fault": 3}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -136,6 +136,11 @@ class SparseSystem:
         """Row index of every stored entry, in CSR order."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """b - A x, each row's products summed in CSR order."""
+        return self.b - np.bincount(self.rows, self.data * x[self.indices],
+                                    self.n)
+
     @cached_property
     def graph(self) -> UndirectedGraph:
         """The interaction graph, built once per system."""
@@ -293,102 +298,92 @@ def bfs_distances(g: UndirectedGraph, src: int) -> list[int]:
 BFS_BLOCK = 256
 
 
-def _eccentricities(indptr: np.ndarray, nbr: np.ndarray,
-                    sources: np.ndarray) -> np.ndarray:
-    """Eccentricity of each source in a connected graph with an edge,
-    given as CSR arrays, all sources at once.
+def _eccentricity(indptr: np.ndarray, nbr: np.ndarray,
+                  sources: np.ndarray) -> int:
+    """The largest eccentricity among sources in a connected graph with an
+    edge, given as CSR arrays, by one BFS from all sources at once.
 
     Bit s of row v marks node v as reached from sources[s] (word s // 64,
     bit s % 64).  One level ORs each node's neighbours' frontier rows and
-    keeps the bits not seen before; a source's eccentricity is the number
-    of levels at which its bit still grows.
+    keeps the bits not seen before; the result is the number of levels at
+    which some source's reach still grows.
     """
     s = np.arange(len(sources))
     seen = np.zeros((len(indptr) - 1, (len(s) + 63) // 64), dtype=np.uint64)
     seen[sources, s // 64] = np.left_shift(np.uint64(1),
                                            (s % 64).astype(np.uint64))
-    front, grown = seen, []
-    while True:
+    front, levels = seen, -1
+    while front.any():
         front = np.bitwise_or.reduceat(np.take(front, nbr, axis=0),
                                        indptr[:-1], axis=0)
         front &= ~seen
-        grown.append(np.bitwise_or.reduce(front, axis=0))
-        if not grown[-1].any():
-            break
         seen |= front
-    bits = np.unpackbits(np.array(grown, dtype="<u8").view(np.uint8),
-                         axis=1, bitorder="little")
-    return bits[:, :len(s)].sum(axis=0)
+        levels += 1
+    return levels
 
 
-def _middle_levels(indptr: np.ndarray, nbr: np.ndarray):
-    """Double sweep from the last node of a connected graph: the length of
-    the longest path found, and the BFS order and levels from its middle."""
-    bounds, adj = indptr.tolist(), nbr.tolist()
-    dist = [-1] * (len(bounds) - 1)
-    u = _bfs(bounds, adj, len(dist) - 1, dist)[-1]
-    length = dist[u]
-    for _ in range(length - length // 2):  # walk back to the middle
-        u = next(v for v in adj[bounds[u]:bounds[u + 1]]
-                 if dist[v] == dist[u] - 1)
-    dist = [-1] * len(dist)
-    order = np.array(_bfs(bounds, adj, u, dist))
-    return length, order, np.array(dist)[order]
+def _component_diameter(g: UndirectedGraph, comp: tuple[int, ...],
+                        depth: list, lb: int, lists: tuple,
+                        forest: bool) -> int:
+    """max(lb, diameter of component comp).
 
-
-def _component_diameter(g: UndirectedGraph, comp: np.ndarray,
-                        level: np.ndarray, lb: int) -> int:
-    """max(lb, diameter of component comp), by iFUB (Crescenzi, Grossi,
-    Habib, Lanzi & Marino, Theor. Comput. Sci. 514, 2013).
-
-    comp lists the component in BFS order from a root, and level their
-    depths.  Once lb holds the eccentricity of every node deeper than i, a
-    longer path would join two nodes at most i deep, at most 2i apart; so
-    the deepest nodes go BFS_BLOCK at a time until lb >= 2i.  Up to two
-    blocks' worth of nodes keep the root comp[0]; a larger component pays
-    a double sweep (Magnien, Latapy & Habib, J. Exp. Algorithmics 13,
-    2009) for a root in the middle of a long path, with fewer deep nodes.
+    comp lists the component in BFS order from its first node, and depth
+    holds each node's hop distance from its component's first node.
+    lists holds the graph's indptr and nbr as lists and a distance list,
+    -1 on comp.  A tree (any component, when forest says the graph is
+    one) takes one sweep from its last node, which ends a longest path.
+    Any other component takes iFUB (Crescenzi, Grossi, Habib, Lanzi &
+    Marino, Theor. Comput. Sci. 514, 2013): once lb holds the
+    eccentricity of every node deeper than i, a longer path would join
+    two nodes at most i deep, at most 2i apart; so the deepest nodes go
+    BFS_BLOCK at a time until lb >= 2i.  Up to two blocks' worth of nodes
+    keep the root comp[0]; a larger component walks its sweep's path
+    back to the middle (Magnien, Latapy & Habib, J. Exp. Algorithmics 13,
+    2009), a root with fewer deep nodes.
     """
+    bounds, adj, dist = lists
+    tree = forest or (sum(bounds[v + 1] - bounds[v] for v in comp)
+                      == 2 * len(comp) - 2)
+    if tree or len(comp) > 2 * BFS_BLOCK:
+        u = _bfs(bounds, adj, comp[-1], dist)[-1]
+        lb = max(lb, dist[u])
+        if tree:
+            return lb
+        for _ in range((dist[u] + 1) // 2):  # walk back to the middle
+            u = next(v for v in adj[bounds[u]:bounds[u + 1]]
+                     if dist[v] == dist[u] - 1)
+        for v in comp:
+            dist[v] = -1
+        comp, depth = _bfs(bounds, adj, u, dist), dist
     # the component's own CSR arrays, its nodes renumbered in BFS order
+    nodes = np.array(comp)
+    level = np.array([depth[v] for v in comp])
     local = np.empty(g.n, dtype=np.int64)
-    local[comp] = order = np.arange(len(comp))
-    deg = g.indptr[comp + 1] - g.indptr[comp]
+    local[nodes] = np.arange(len(nodes))
+    deg = g.indptr[nodes + 1] - g.indptr[nodes]
     indptr = np.concatenate(([0], np.cumsum(deg)))
-    nbr = local[g.nbr[np.repeat(g.indptr[comp] - indptr[:-1], deg)
+    nbr = local[g.nbr[np.repeat(g.indptr[nodes] - indptr[:-1], deg)
                       + np.arange(indptr[-1])]]
-    if len(comp) > 2 * BFS_BLOCK:
-        length, order, level = _middle_levels(indptr, nbr)
-        lb = max(lb, length)
     lb, top = max(lb, int(level[-1])), len(comp)
     while top and lb < 2 * level[top - 1]:
         lo = max(0, top - BFS_BLOCK)
-        lb = max(lb, int(_eccentricities(indptr, nbr, order[lo:top]).max()))
+        lb = max(lb, _eccentricity(indptr, nbr, np.arange(lo, top)))
         top = lo
     return lb
 
 
 def diameter(g: UndirectedGraph) -> int:
     """Longest shortest path, exact: the maximum over components, 0 on a
-    singleton graph.
-
-    A forest takes one more BFS per tree: its BFS order from the first
-    node ends at a node farthest from it, which ends a longest path.  A
-    graph with a cycle takes ``_component_diameter`` per component,
-    largest first, until no component left is large enough to beat the
-    best so far.
-    """
-    comps, dist = g._components
-    if g.edge_count() == g.n - len(comps):
-        bounds, nbr = g.indptr.tolist(), g.nbr.tolist()
-        sweep = [-1] * g.n
-        return max(sweep[_bfs(bounds, nbr, comp[-1], sweep)[-1]]
-                   for comp in comps)
-    depth, best = np.array(dist), 0
+    singleton graph.  Components go to ``_component_diameter`` largest
+    first, until no component left is large enough to beat the best so
+    far."""
+    comps, depth = g._components
+    forest = g.edge_count() == g.n - len(comps)
+    lists, best = (g.indptr.tolist(), g.nbr.tolist(), [-1] * g.n), 0
     for comp in sorted(comps, key=len, reverse=True):
         if len(comp) - 1 <= best:
             break
-        nodes = np.array(comp)
-        best = _component_diameter(g, nodes, depth[nodes], best)
+        best = _component_diameter(g, comp, depth, best, lists, forest)
     return best
 
 

@@ -45,6 +45,8 @@ from .errors import (DimensionMismatchError, ProtocolViolationError,
 #: documented constants for the declared locality bounds
 OPS_BOUND_COEFF = 16
 STORAGE_BOUND_COEFF = 12
+#: the floor of residual_stop's bound, max(RESIDUAL_STOP, sqrt(tol))
+RESIDUAL_STOP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,24 @@ def delta_stop(delta: float, cur: np.ndarray, tol: float) -> bool:
             and delta <= tol * max(1.0, float(np.abs(cur).max())))
 
 
+def residual_stop(sys: SparseSystem, x: np.ndarray, tol: float) -> bool:
+    """True when x's componentwise backward error (Oettli & Prager),
+    max_i |b - A x|_i / (|A| |x| + |b|)_i, is at most
+    max(RESIDUAL_STOP, sqrt(tol)).
+
+    The error is at most 1, and near 1 for estimates that solve nothing;
+    a run stopped by delta_stop(tol) that has converged has an error of
+    a few tol.  sqrt(tol) sits midway between, on a log scale.  A row
+    whose terms are all 0 has error 0; a term or residual that is not
+    finite never stops."""
+    with np.errstate(all="ignore"):
+        r = np.abs(sys.residual(x))
+        scale = np.bincount(sys.rows, np.abs(sys.data * x[sys.indices]),
+                            sys.n) + np.abs(sys.b)
+        err = np.divide(r, scale, out=np.zeros_like(r), where=r != 0)
+    return float(err.max()) <= max(RESIDUAL_STOP, math.sqrt(tol))
+
+
 def _log10_mse(estimates: np.ndarray, reference: np.ndarray) -> float:
     """log10 of the mean squared error; inf once the error overflows."""
     with np.errstate(over="ignore"):
@@ -239,10 +259,13 @@ def run_rounds(program: NodeProgram, max_rounds: int,
     The stop rules are the solver's two regimes.  Without tol, the run
     is exactly rounds 0..max_rounds and ends "fixed-rounds": an acyclic
     system is exact after diameter-many rounds.  With tol, a finite
-    tolerance >= 0, it ends "delta" at the first round k >= 1 where
+    tolerance >= 0, it ends at the first round k >= 1 where
     delta_stop(delta, current, tol) holds, or else "max-rounds": a
-    loopy system converges only asymptotically.  A reference, the
-    solution that log10_mse measures against, has shape (n,).
+    loopy system converges only asymptotically.  A run that stops on
+    delta ends "delta" when residual_stop holds for its estimates, and
+    "stalled" when it does not: its steps are small, but it has not
+    solved the system.  A reference, the solution that log10_mse
+    measures against, has shape (n,).
 
     The run consumes program.rounds() and never asks it for a
     round past max_rounds or after a delta stop.  Round 0 is
@@ -297,7 +320,8 @@ def run_rounds(program: NodeProgram, max_rounds: int,
             trace.rounds.append(TraceRound(k=k, log10_mse=mse,
                                            max_delta=delta, accounting=acct))
             if tol is not None and k and delta_stop(delta, estimates, tol):
-                trace.stop_reason = "delta"
+                trace.stop_reason = ("delta" if residual_stop(
+                    program.sys, estimates, tol) else "stalled")
                 return trace
     except SolverError as exc:
         if exc.node is None:

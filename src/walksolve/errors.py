@@ -68,7 +68,7 @@ class ProtocolViolationError(WalksolveError):
 
 class TooLargeError(WalksolveError):
     """Input exceeds a guard limit for an exhaustive or dense computation,
-    or for a generated instance."""
+    for a generated instance, or for a run's round arrays."""
 
 
 class InvalidWalkError(WalksolveError):

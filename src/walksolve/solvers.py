@@ -43,6 +43,7 @@ from .errors import (
     SingularMatrixError,
     SingularMessageError,
     SolverError,
+    TooLargeError,
     ZeroRowError,
 )
 
@@ -52,6 +53,9 @@ ESTIMATE_LIMIT = 1e150
 SING_EPS_FACTOR = 1e-12
 PIVOT_EPS = 1e-14
 RESIDUAL_FACTOR = 1e-10
+#: consensus's array rounds hold three n x n float arrays; above this
+#: many floats in all, the run is refused before round 0
+MAX_ROUND_FLOATS = 10 ** 8
 
 
 def _replay(bad: np.ndarray, transition) -> None:
@@ -424,10 +428,17 @@ class ConsensusProgram(NodeProgram):
         order; w sums the row support's terms in CSR order with
         np.bincount, which adds in sequence as sum() does.  Vectors and
         estimates therefore equal the per-node path's bit for bit.
-        Isolated nodes, the last rows, keep their vector.
+        Isolated nodes, the last rows, keep their vector.  Three n x n
+        arrays above MAX_ROUND_FLOATS floats are refused with
+        TooLargeError before round 0.
         """
         sys = self.sys
         g = sys.graph
+        if 3 * g.n * g.n > MAX_ROUND_FLOATS:
+            raise TooLargeError(
+                f"consensus on {g.n} nodes holds three {g.n} x {g.n} "
+                f"arrays, {3 * g.n * g.n:.3g} floats, more than "
+                f"{MAX_ROUND_FLOATS:.3g}")
         deg = np.diff(g.indptr)
         order = np.argsort(-deg, kind="stable")
         pos = np.empty_like(order)
@@ -520,8 +531,7 @@ def dense_solve(sys: SparseSystem) -> np.ndarray:
             f"pivot {pivots[k]:.3e} at elimination step {k} below "
             f"{PIVOT_EPS:.0e} * scale {scale:.3e}")
     x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    residual = float(np.max(np.abs(
-        np.bincount(rows, vals * x[cols], sys.n) - b)))
+    residual = float(np.max(np.abs(sys.residual(x))))
     limit = RESIDUAL_FACTOR * (scale * float(np.max(np.abs(x)))
                                + float(np.max(np.abs(b))))
     if residual > limit:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from walksolve import cli, engine, solvers
 from walksolve.cli import main
 from walksolve.core import SparseSystem
 from walksolve.mmio import write_matrix_market, write_rhs
@@ -288,6 +289,43 @@ def test_rounds_none_is_no_completed_round_and_rounds_0_is_round_0(
     assert main(["compare", "--matrix", mtx, "--rhs", rhs]) == 0
     assert ("# method bp: stop=fault rounds=0 fault='node 0 round 1: "
             in capsys.readouterr().err)
+
+
+def test_a_stalled_run_exits_two(tmp_path, capsys):
+    # consensus's round-1 step passes --tol, but b - A x is as large as b
+    mtx, rhs = _write_system(tmp_path, FAULTING["diverge"])
+    assert main(["solve", "--matrix", mtx, "--rhs", rhs, "--method",
+                 "consensus", "--max-iters", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "# stop: stalled" in captured.out.splitlines()
+    assert "method=consensus rounds=1 stop=stalled" in captured.err
+
+
+@pytest.mark.parametrize("method", ["jacobi", "gauss-seidel"])
+def test_every_loop_stalls_when_no_residual_is_small_enough(
+        tmp_path, capsys, monkeypatch, method):
+    mtx, rhs = _generate(tmp_path)
+    argv = ["solve", "--matrix", mtx, "--rhs", rhs, "--method", method]
+    assert main(argv) == 0
+    assert "stop=delta" in capsys.readouterr().err
+    for module in (engine, cli):
+        monkeypatch.setattr(module, "residual_stop", lambda *args: False)
+    assert main(argv) == 2
+    assert "stop=stalled" in capsys.readouterr().err
+
+
+def test_an_oversized_consensus_run_is_refused(tmp_path, capsys,
+                                               monkeypatch):
+    mtx, rhs = _generate(tmp_path)
+    capsys.readouterr()
+    # three 7 x 7 arrays hold 147 floats
+    monkeypatch.setattr(solvers, "MAX_ROUND_FLOATS", 146)
+    argv = ["solve", "--matrix", mtx, "--rhs", rhs, "--method"]
+    assert main(argv + ["consensus"]) == 1
+    assert capsys.readouterr().err == (
+        "error: consensus on 7 nodes holds three 7 x 7 arrays, 147 floats, "
+        "more than 146\n")
+    assert main(argv + ["bp"]) == 0
 
 
 def test_analyze_refuses_a_residual_that_overflows(tmp_path, capsys):

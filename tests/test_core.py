@@ -351,6 +351,9 @@ def mixed_graphs(draw):
 @settings(max_examples=400, deadline=None)
 @given(g=st.one_of(loopy_graphs(), mixed_graphs()),
        block=st.sampled_from([1, 3, 64, core.BFS_BLOCK]))
+# one cycle, as many edges as nodes: a single sweep finds 3, not 4
+@example(g=UndirectedGraph(8, [(0, 6), (1, 0), (1, 3), (1, 4), (2, 1),
+                               (5, 7), (6, 5), (7, 2)]), block=3)
 def test_cyclic_diameter_matches_all_pairs_bfs(g, block):
     assert not is_acyclic(g)
     with mock.patch.object(core, "BFS_BLOCK", block):
@@ -418,15 +421,67 @@ def test_cyclic_diameter_takes_few_bfs_sources(monkeypatch):
     # a BFS from every node would hand all 2000 nodes to the kernel
     g = induced_graph(generate_instance(GeneratorSpec("loopy-small", 2000, 1)))
     sources = []
-    real = core._eccentricities
+    real = core._eccentricity
 
     def counting(indptr, nbr, src):
         sources.extend(src.tolist())
         return real(indptr, nbr, src)
 
-    monkeypatch.setattr(core, "_eccentricities", counting)
+    monkeypatch.setattr(core, "_eccentricity", counting)
     assert diameter(g) == 25
     assert len(sources) <= g.n // 4
+
+
+def test_a_forest_stops_after_its_longest_tree(monkeypatch):
+    # a 60-node path and 30 trees of at most 10 nodes, relabeled: the
+    # path's one sweep finds 59, and no other tree can beat it
+    rng = np.random.default_rng(0)
+    edges = [(i, i + 1) for i in range(59)]
+    n = 60
+    for _ in range(30):
+        k = int(rng.integers(1, 11))
+        edges += [(n + int(rng.integers(0, i)), n + i) for i in range(1, k)]
+        n += k
+    perm = rng.permutation(n)
+    g = UndirectedGraph(n, [(perm[u], perm[v]) for u, v in edges])
+    calls = []
+    real = core._bfs
+
+    def counting(bounds, nbr, src, dist):
+        calls.append(src)
+        return real(bounds, nbr, src, dist)
+
+    monkeypatch.setattr(core, "_bfs", counting)
+    assert diameter(g) == 59
+    # one BFS per component for the components, then the path's sweep
+    assert len(calls) == 31 + 1
+    monkeypatch.undo()
+    assert is_acyclic(g) and len(connected_components(g)) == 31
+    assert _all_pairs_diameter(g) == 59
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs of 65-120 nodes: a random tree plus random extra
+    edges, relabeled."""
+    n = draw(st.integers(65, 120))
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[draw(st.integers(0, i - 1))], perm[i])
+             for i in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [(u, v) for u, v in draw(st.lists(pairs, max_size=n)) if u != v]
+    return UndirectedGraph(n, edges)
+
+
+# 64 sources fill one word and 65 spill into a second
+@settings(max_examples=100, deadline=None)
+@given(g=connected_graphs(), size=st.sampled_from([1, 3, 64, 65]),
+       data=st.data())
+def test_eccentricity_is_the_largest_bfs_depth_of_its_block(g, size, data):
+    sources = data.draw(st.permutations(range(g.n)))[:size]
+    got = core._eccentricity(g.indptr, g.nbr, np.array(sources))
+    assert type(got) is int
+    assert got == max(max(bfs_distances(g, s)) for s in sources)
 
 
 def test_cycle_detection():

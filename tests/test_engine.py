@@ -1,18 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from walksolve import analysis
+from walksolve import analysis, engine, solvers
 from walksolve.core import (GeneratorSpec, SparseSystem, generate_instance,
                             system_from_edges)
 from walksolve.engine import NodeProgram, delta_stop, run_rounds
 from walksolve.errors import (DimensionMismatchError, ProtocolViolationError,
-                              SingularMessageError)
+                              SingularMessageError, SolverError,
+                              TooLargeError)
 from walksolve.solvers import (BPProgram, ConsensusProgram, JacobiProgram,
                                bp_solve)
 from walksolve.verify import run_message_rounds
 
 from conftest import PerNodeBP
-from test_edge_kernel import FAULTING
+from test_edge_kernel import FAULTING, systems
 
 
 def test_delta_stop_is_relative():
@@ -203,6 +208,89 @@ def test_delta_stop_reason(two_node):
     assert trace.stop_reason == "delta"
     assert trace.rounds[-1].max_delta <= 1e-10 * max(
         1.0, float(np.max(np.abs(trace.final_estimates))))
+
+
+def test_a_small_step_that_solves_nothing_stops_stalled():
+    # round 1's step of 5e137 passes tol * max|x| ~ 1e139, but the
+    # residual is as large as b: the solution is about 1e160
+    trace = run_rounds(ConsensusProgram(FAULTING["diverge"]), 4, tol=1e-10)
+    assert trace.stop_reason == "stalled"
+    assert len(trace.rounds) == 2 and trace.fault is None
+    assert not engine.residual_stop(FAULTING["diverge"],
+                                    trace.final_estimates, 1e-10)
+
+
+#: solved to rounding, yet row 1's products cancel, so b - A x = (0, 1)
+ILL_SCALED = SparseSystem(2, [(0, 0, 3.0), (1, 0, -1e100), (1, 1, 1.0)],
+                          [-2.0, 1.0])
+
+
+def test_an_ill_scaled_system_solved_to_rounding_stops_delta():
+    trace = run_rounds(JacobiProgram(ILL_SCALED), 10, tol=1e-10)
+    assert trace.stop_reason == "delta"
+    assert trace.final_estimates.tolist() == [-2 / 3, -2e100 / 3]
+
+
+@pytest.mark.parametrize("tol, stop", [(1e-4, "stalled"), (1e-2, "delta")])
+def test_the_backward_error_bound_grows_with_tol(tol, stop):
+    # x = (1, 1.1) on 2 x_0 = 2, x_0 + x_1 = 2 has backward error
+    # 0.1 / 4.1 at row 1: above sqrt(1e-4), below sqrt(1e-2)
+    sys = SparseSystem(2, [(0, 0, 2.0), (1, 0, 1.0), (1, 1, 1.0)],
+                       [2.0, 2.0])
+    assert engine.residual_stop(sys, np.array([1.0, 1.1]), tol) == (
+        stop == "delta")
+
+
+@st.composite
+def generated_systems(draw):
+    kind = draw(st.sampled_from(["random-tree", "loopy-small",
+                                 "random-sparse"]))
+    n = draw(st.integers(3, 60))
+    options = (dict(diag_rule="unit", coeff_range=(-0.3, 0.3),
+                    density=2.5 / n) if kind == "random-sparse" else {})
+    return generate_instance(GeneratorSpec(
+        kind=kind, n=n, seed=draw(st.integers(0, 2 ** 32 - 1)), **options))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sys=st.one_of(systems(), generated_systems()),
+       cls=st.sampled_from([BPProgram, JacobiProgram, ConsensusProgram]),
+       tol=st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2]))
+@example(sys=FAULTING["diverge"], cls=ConsensusProgram, tol=1e-10)
+@example(sys=ILL_SCALED, cls=JacobiProgram, tol=1e-10)
+def test_no_delta_stop_leaves_a_backward_error_above_the_bound(sys, cls,
+                                                               tol):
+    try:
+        program = cls(sys)
+    except SolverError:  # consensus refuses a row of norm 0
+        return
+    trace = run_rounds(program, 200, tol=tol)
+    if trace.stop_reason != "delta":
+        return
+    x = trace.final_estimates.tolist()
+    bound = max(engine.RESIDUAL_STOP, math.sqrt(tol))
+    bounds = sys.indptr.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        terms = [float(sys.b[i])] + [-a * x[j] for a, j in zip(
+            sys.data[lo:hi].tolist(), sys.indices[lo:hi].tolist())]
+        scale = sum(map(abs, terms))
+        # the float residual the engine summed is within this of the sum
+        slack = (len(terms) + 1) * 2.0 ** -52 * scale
+        assert abs(math.fsum(terms)) <= bound * scale + slack
+
+
+def test_an_oversized_consensus_run_is_refused_before_round_0(monkeypatch):
+    sys = generate_instance(GeneratorSpec("loopy-small", 40, 1))
+    # three 40 x 40 arrays hold 4800 floats
+    monkeypatch.setattr(solvers, "MAX_ROUND_FLOATS", 4799)
+    with pytest.raises(TooLargeError, match=(
+            "consensus on 40 nodes holds three 40 x 40 arrays, 4.8e[+]03 "
+            "floats, more than 4.8e[+]03")):
+        run_rounds(ConsensusProgram(sys), 5, tol=1e-10)
+    # bp on the same system runs, and so does consensus at the cap
+    assert run_rounds(BPProgram(sys), 5).stop_reason == "fixed-rounds"
+    monkeypatch.setattr(solvers, "MAX_ROUND_FLOATS", 4800)
+    assert run_rounds(ConsensusProgram(sys), 5).stop_reason == "fixed-rounds"
 
 
 @pytest.mark.parametrize("shape", [(1,), (5,), (20, 1), (20, 20)])
