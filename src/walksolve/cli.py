@@ -2,10 +2,10 @@
 
 Commands: generate, analyze, solve, compare, verify.  Exit codes:
 0 converged / all checks pass, 1 verification or input failure (a file
-that cannot be read, decoded or written among them, and a consensus
-run whose arrays are too large, refused before round 0), 2 iteration
-limit reached or stalled (the steps met --tol but the backward error
-did not), 3 solver fault.
+that cannot be read, decoded or written among them, a system too large
+for int64 keys, and a consensus run whose arrays are too large, refused
+before round 0), 2 iteration limit reached or stalled (the steps met
+--tol but the backward error did not), 3 solver fault.
 """
 from __future__ import annotations
 
@@ -19,13 +19,12 @@ import numpy as np
 
 from . import mmio
 from .analysis import RHO_TOL_DEFAULT, analyze
-from .core import (DIAG_RULES, GENERATOR_KINDS, DEFAULT_COEFF_RANGE,
-                   GeneratorSpec, SparseSystem, check_tolerance, diameter,
-                   generate_instance, is_acyclic)
-from .engine import (SolverFault, _log10_mse, delta_stop, residual_stop,
-                     run_rounds)
-from .errors import (NotWalkSummableError, SingularMatrixError,
-                     WalksolveError)
+from .core import (DIAG_RULES, GENERATOR_KINDS, GeneratorSpec, SparseSystem,
+                   check_tolerance, diameter, generate_instance, is_acyclic)
+from .engine import (SolverFault, _log10_mse, check_max_rounds, delta_stop,
+                     residual_stop, run_rounds)
+from .errors import (DivergedEstimateError, NotWalkSummableError,
+                     SingularMatrixError, WalksolveError)
 from .solvers import (ESTIMATE_LIMIT, BPProgram, ConsensusProgram,
                       JacobiProgram, bp_solve, dense_solve,
                       gauss_seidel_sweep)
@@ -40,19 +39,19 @@ def default_max_iter(n: int) -> int:
     return 10 * n + 1000
 
 
-def _round_cap(args: argparse.Namespace, default: int) -> int:
-    """--max-iters, or default when it is not given; 0 runs round 0 only."""
-    if args.max_iters is not None and args.max_iters < 0:
-        raise WalksolveError(f"--max-iters must be >= 0, got {args.max_iters}")
-    return default if args.max_iters is None else args.max_iters
-
-
-def _tol(tol: float) -> float:
-    """--tol, refused unless finite and >= 0."""
+def _checked(check, value, option: str):
+    """check(value, option), which refuses the option's value with a
+    ValueError naming it; that error as a WalksolveError."""
     try:
-        return check_tolerance(tol, "--tol")
+        return check(value, option)
     except ValueError as exc:
         raise WalksolveError(str(exc)) from None
+
+
+def _round_cap(args: argparse.Namespace, default: int) -> int:
+    """--max-iters, or default when it is not given; 0 runs round 0 only."""
+    return (default if args.max_iters is None
+            else _checked(check_max_rounds, args.max_iters, "--max-iters"))
 
 
 def _fmt(v: float) -> str:
@@ -121,7 +120,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     sys_ = _load(args)
     g = sys_.graph
-    report = analyze(sys_, rho_tol=_tol(args.rho_tol))
+    rho_tol = _checked(check_tolerance, args.rho_tol, "--tol")
+    report = analyze(sys_, rho_tol=rho_tol)
     print(f"nodes: {sys_.n}")
     print(f"undirected edges: {g.edge_count()}")
     print(f"acyclic: {'yes' if is_acyclic(g) else 'no'}")
@@ -160,7 +160,7 @@ def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
         if over.any():
             node = int(np.argmax(over))
             return rows, "fault", SolverFault(
-                node=node, round=k, error="DivergedEstimateError",
+                node=node, round=k, error=DivergedEstimateError.__name__,
                 cause=f"estimate {float(nxt[node])!r} out of range")
         delta = float(np.abs(nxt - x).max()) if k else None
         mse = _log10_mse(nxt, reference) if reference is not None else None
@@ -180,59 +180,51 @@ def cmd_solve(args: argparse.Namespace) -> int:
     sys_ = _load(args)
     max_rounds = _round_cap(args, 500 if args.method == "bp"
                             else default_max_iter(sys_.n))
-    tol = _tol(args.tol)
+    tol = _checked(check_tolerance, args.tol, "--tol")
     with _output(args.out) as out:
         reference = _reference_solution(sys_, args)
         if args.method == "gauss-seidel":
             rows, reason, fault = _gauss_seidel_trace(sys_, max_rounds, tol,
                                                       reference)
-            out.write(_trace_csv(["method: gauss-seidel (sequential-reference,"
-                                  " not message passing)"], rows, fault))
-            print(f"method=gauss-seidel "
-                  f"rounds={rows[-1][0] if rows else 'none'} stop={reason}",
-                  file=_sys.stderr)
-            if fault is not None:
-                print(f"fault: {_fault_text(fault)}", file=_sys.stderr)
-            return _EXIT_BY_REASON[reason]
-
-        if args.method == "bp":
-            try:
-                _, trace = bp_solve(sys_, max_rounds=max_rounds, tol=tol,
-                                    force=args.force, reference=reference)
-            except NotWalkSummableError as exc:
-                print(f"error: {exc} (rerun with --force to try anyway)",
-                      file=_sys.stderr)
-                return 1
+            comments = ["method: gauss-seidel (sequential-reference, not "
+                        "message passing)"]
         else:
-            program = (JacobiProgram(sys_) if args.method == "jacobi"
-                       else ConsensusProgram(sys_))
-            trace = run_rounds(program, max_rounds, tol=tol,
-                               reference=reference)
-        rows = [(r.k, r.log10_mse, r.max_delta, r.accounting.messages_sent)
-                for r in trace.rounds]
-        comments = [f"method: {args.method}", f"stop: {trace.stop_reason}"]
-        out.write(_trace_csv(comments, rows, trace.fault))
-    last = trace.rounds[-1] if trace.rounds else None
-    summary = f"method={args.method} rounds={last.k if last else 'none'} " \
-              f"stop={trace.stop_reason}"
-    if last is not None and last.log10_mse is not None:
-        summary += f" log10_mse={_fmt(last.log10_mse)}"
+            if args.method == "bp":
+                try:
+                    _, trace = bp_solve(sys_, max_rounds=max_rounds, tol=tol,
+                                        force=args.force, reference=reference)
+                except NotWalkSummableError as exc:
+                    raise WalksolveError(
+                        f"{exc} (rerun with --force to try anyway)") from None
+            else:
+                program = (JacobiProgram(sys_) if args.method == "jacobi"
+                           else ConsensusProgram(sys_))
+                trace = run_rounds(program, max_rounds, tol=tol,
+                                   reference=reference)
+            rows = [(r.k, r.log10_mse, r.max_delta,
+                     r.accounting.messages_sent) for r in trace.rounds]
+            reason, fault = trace.stop_reason, trace.fault
+            comments = [f"method: {args.method}", f"stop: {reason}"]
+        out.write(_trace_csv(comments, rows, fault))
+    summary = (f"method={args.method} "
+               f"rounds={rows[-1][0] if rows else 'none'} stop={reason}")
+    # a Gauss-Seidel summary names no log10_mse
+    if rows and rows[-1][1] is not None and args.method != "gauss-seidel":
+        summary += f" log10_mse={_fmt(rows[-1][1])}"
     print(summary, file=_sys.stderr)
-    if trace.fault is not None:
-        print(f"fault: {_fault_text(trace.fault)}", file=_sys.stderr)
-    return _EXIT_BY_REASON[trace.stop_reason]
+    if fault is not None:
+        print(f"fault: {_fault_text(fault)}", file=_sys.stderr)
+    return _EXIT_BY_REASON[reason]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     sys_ = _load(args)
     max_rounds = _round_cap(args, default_max_iter(sys_.n))
-    tol = _tol(args.tol)
+    tol = _checked(check_tolerance, args.tol, "--tol")
     with _output(args.out) as out:
         reference = _reference_solution(sys_, args)
         if reference is None:
-            print("error: compare needs a dense reference solution",
-                  file=_sys.stderr)
-            return 1
+            raise WalksolveError("compare needs a dense reference solution")
         columns = {}
         comments = []
         for name, program in (("bp", BPProgram(sys_)),
@@ -303,13 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", help="matrix path (default system.mtx)")
     g.add_argument("--rhs", help="rhs path (default: matrix path with .rhs)")
     g.add_argument("--coeff-lo", type=float, dest="coeff_lo",
-                   default=DEFAULT_COEFF_RANGE[0])
+                   default=GeneratorSpec.coeff_range[0])
     g.add_argument("--coeff-hi", type=float, dest="coeff_hi",
-                   default=DEFAULT_COEFF_RANGE[1])
+                   default=GeneratorSpec.coeff_range[1])
     g.add_argument("--diag-rule", choices=DIAG_RULES, dest="diag_rule",
-                   default="neighbor-count")
-    g.add_argument("--diag-value", type=float, dest="diag_value", default=1.0)
-    g.add_argument("--density", type=float, default=0.3)
+                   default=GeneratorSpec.diag_rule)
+    g.add_argument("--diag-value", type=float, dest="diag_value",
+                   default=GeneratorSpec.diag_value)
+    g.add_argument("--density", type=float, default=GeneratorSpec.density)
 
     a = sub.add_parser("analyze", help="walk-summability report")
     add_io(a)

@@ -39,11 +39,39 @@ SPARSE_DRAW_BLOCK = 2 ** 16
 #: generated node ids are below 2**32: each is one word of an edge lane's
 #: SeedSequence spawn key
 MAX_NODES = 2 ** 32
+#: the largest n whose keys row * n + col, at most n * n - 1, fit in int64
+MAX_KEYED_NODES = math.isqrt(np.iinfo(np.int64).max)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _node_ids(given: Sequence, width: int, n: int, kind: str) -> tuple:
+    """Read given, m rows of width numbers led by two node ids: the rows
+    as floats, the ids as (2, m) int64, and the mask of rows with an id
+    not an integer in 0..n-1, whose ids read 0, never truncated.  The
+    kind's size n is refused below 1, and with TooLargeError above
+    MAX_KEYED_NODES, where keys row * n + col would overflow int64."""
+    if n < 1:
+        raise InvalidSystemError(f"{kind} size must be >= 1, got {n}")
+    if n > MAX_KEYED_NODES:
+        raise TooLargeError(f"{kind} size {n}: keys row * n + col overflow "
+                            f"int64 above {MAX_KEYED_NODES}")
+    read = np.asarray(given, dtype=float).reshape(len(given), width)
+    ids = read[:, :2].T.copy()  # contiguous: faster passes
+    whole = np.trunc(ids)
+    outside = ~((0 <= whole) & (whole < n) & (whole == ids)).all(axis=0)
+    return read, np.where(outside, 0, whole).astype(np.int64), outside
+
+
+def _refuse_fraction(given: Sequence, what: str, id_name: str) -> None:
+    """InvalidSystemError when the pair given, named what, has an id that
+    is not an integer; id_name names its ids."""
+    if not all(float(x).is_integer() for x in given[:2]):
+        raise InvalidSystemError(f"{what} ({given[0]}, {given[1]}) has "
+                                 f"{id_name} that is not an integer")
 
 
 def check_tolerance(tol: float, name: str = "tol") -> float:
@@ -75,29 +103,18 @@ class SparseSystem:
     def __init__(self, n: int, entries: Iterable[tuple[int, int, float]],
                  b: Sequence[float]):
         """entries are (row, col, value) triples or an (m, 3) array."""
-        if n < 1:
-            raise InvalidSystemError(f"system size must be >= 1, got {n}")
         given = entries if isinstance(entries, np.ndarray) else list(entries)
-        triples = np.asarray(given, dtype=float).reshape(len(given), 3)
-        index = triples[:, :2].T.copy()  # contiguous: faster passes
-        rows, cols = np.trunc(index)
+        triples, (rows, cols), outside = _node_ids(given, 3, n, "system")
         vals = triples[:, 2]
-        # an index that is not an integer is outside too (NaN and inf fail
-        # a bound), so it gets a key of its own and is never a duplicate
-        outside = ~((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)
-                    & (rows == index[0]) & (cols == index[1]))
-        keys = np.where(outside, -1 - np.arange(len(given)),
-                        rows * n + cols).astype(np.int64)
+        # an entry outside gets a key of its own: it is never a duplicate
+        keys = np.where(outside, -1 - np.arange(len(given)), rows * n + cols)
         order = np.argsort(keys, kind="stable")
         repeat = np.zeros(len(given), dtype=bool)
         repeat[order[1:]] = np.diff(keys[order]) == 0
         bad = outside | ~np.isfinite(vals) | repeat
         if bad.any():
             k = int(np.argmax(bad))
-            if not all(x.is_integer() for x in index[:, k].tolist()):
-                raise InvalidSystemError(
-                    f"entry ({given[k][0]}, {given[k][1]}) has an index "
-                    "that is not an integer")
+            _refuse_fraction(given[k], "entry", "an index")
             row, col, val = (int(given[k][0]), int(given[k][1]),
                              float(given[k][2]))
             if outside[k]:
@@ -115,8 +132,7 @@ class SparseSystem:
                 f"right-hand side has length {len(bv)}, expected {n}")
         if not np.all(np.isfinite(bv)):
             raise InvalidSystemError("right-hand side has non-finite values")
-        rows, cols = rows[order].astype(np.intp), cols[order].astype(np.intp)
-        vals = vals[order]
+        rows, cols, vals = rows[order], cols[order], vals[order]
         on_diag = rows == cols
         diag = np.full(n, math.nan)  # values are finite: NaN is missing
         diag[rows[on_diag]] = vals[on_diag]
@@ -185,27 +201,16 @@ class UndirectedGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """edges are (u, v) pairs or an (m, 2) int array; repeated and
         reversed pairs collapse into one edge."""
-        if n < 1:
-            raise InvalidSystemError(f"graph size must be >= 1, got {n}")
         given = edges if isinstance(edges, np.ndarray) else list(edges)
-        # read as floats, as SparseSystem reads its entries, so that an id
-        # beyond int64, or one that is not an integer, is outside too
-        ids = np.asarray(given, dtype=float).reshape(-1, 2).T.copy()
-        u, v = np.trunc(ids)
-        outside = ~((0 <= np.minimum(u, v)) & (np.maximum(u, v) < n)
-                    & (u == ids[0]) & (v == ids[1]))
+        _, (u, v), outside = _node_ids(given, 2, n, "graph")
         bad = outside | (u == v)
         if bad.any():
             k = int(np.argmax(bad))
-            if not all(x.is_integer() for x in ids[:, k].tolist()):
-                raise InvalidSystemError(
-                    f"edge ({given[k][0]}, {given[k][1]}) has a node id "
-                    "that is not an integer")
+            _refuse_fraction(given[k], "edge", "a node id")
             a, b = int(given[k][0]), int(given[k][1])
             if outside[k]:
                 raise InvalidSystemError(f"edge ({a}, {b}) outside 0..{n - 1}")
             raise InvalidSystemError(f"self-loop at node {a} not allowed")
-        u, v = u.astype(np.int64), v.astype(np.int64)
         # each directed edge once as owner * n + nbr, ascending: CSR order
         # (sorted and masked: numpy 2.4's hash-based np.unique is far slower)
         keys = np.sort(np.concatenate((u * n + v, v * n + u)))
@@ -378,7 +383,7 @@ def diameter(g: UndirectedGraph) -> int:
     first, until no component left is large enough to beat the best so
     far."""
     comps, depth = g._components
-    forest = g.edge_count() == g.n - len(comps)
+    forest = is_acyclic(g)
     lists, best = (g.indptr.tolist(), g.nbr.tolist(), [-1] * g.n), 0
     for comp in sorted(comps, key=len, reverse=True):
         if len(comp) - 1 <= best:

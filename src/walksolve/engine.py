@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
@@ -51,7 +51,7 @@ RESIDUAL_STOP = 1e-6
 
 @dataclass(frozen=True)
 class RoundAccounting:
-    """Per-round message and resource counts plus locality verdicts."""
+    """A round's declared counts and locality verdicts, built once a run."""
 
     messages_sent: int
     per_node_ops: tuple[int, ...]
@@ -59,7 +59,6 @@ class RoundAccounting:
     ops_bound_ok: bool
     storage_bound_ok: bool
     local_complexity_declared: bool
-    positivity_violations: int = 0
 
     @property
     def violates_local_constraints(self) -> bool:
@@ -82,6 +81,7 @@ class TraceRound:
     k: int
     log10_mse: Optional[float]
     max_delta: Optional[float]
+    positivity_violations: int
     accounting: RoundAccounting
 
 
@@ -97,7 +97,7 @@ class ConvergenceTrace:
 
     @property
     def total_positivity_violations(self) -> int:
-        return sum(r.accounting.positivity_violations for r in self.rounds)
+        return sum(r.positivity_violations for r in self.rounds)
 
 
 class NodeProgram:
@@ -207,10 +207,11 @@ def node_rounds(program: NodeProgram) -> Iterator:
         yield estimates, first
 
 
-def check_max_rounds(max_rounds: int) -> None:
-    """Refuse a negative round count with ValueError."""
+def check_max_rounds(max_rounds: int, name: str = "max_rounds") -> int:
+    """max_rounds, once it is >= 0; ValueError naming it otherwise."""
     if max_rounds < 0:
-        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
+        raise ValueError(f"{name} must be >= 0, got {max_rounds}")
+    return max_rounds
 
 
 def delta_stop(delta: float, cur: np.ndarray, tol: float) -> bool:
@@ -306,19 +307,19 @@ def run_rounds(program: NodeProgram, max_rounds: int,
     try:
         for k, (estimates, first) in zip(range(max_rounds + 1),
                                          program.rounds()):
-            acct = step_acct if k else init_acct
+            acct, violations = (step_acct if k else init_acct), 0
             # min is NaN when an entry is, so NaN is counted too
             if (program.check_positive_a
                     and not first.min(initial=math.inf) > 0.0):
-                acct = replace(acct, positivity_violations=int(
-                    np.count_nonzero(~(first > 0.0))))
+                violations = int(np.count_nonzero(~(first > 0.0)))
             mse = (_log10_mse(estimates, reference)
                    if reference is not None else None)
             prev, trace.final_estimates = trace.final_estimates, estimates
             delta = (float(np.abs(estimates - prev).max())
                      if prev is not None else None)
-            trace.rounds.append(TraceRound(k=k, log10_mse=mse,
-                                           max_delta=delta, accounting=acct))
+            trace.rounds.append(TraceRound(
+                k=k, log10_mse=mse, max_delta=delta,
+                positivity_violations=violations, accounting=acct))
             if tol is not None and k and delta_stop(delta, estimates, tol):
                 trace.stop_reason = ("delta" if residual_stop(
                     program.sys, estimates, tol) else "stalled")

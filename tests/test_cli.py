@@ -7,7 +7,7 @@ import pytest
 
 from walksolve import cli, engine, solvers
 from walksolve.cli import main
-from walksolve.core import SparseSystem
+from walksolve.core import GeneratorSpec, SparseSystem, generate_instance
 from walksolve.mmio import write_matrix_market, write_rhs
 from test_edge_kernel import FAULTING
 
@@ -44,7 +44,7 @@ def test_generate_requires_n(tmp_path, capsys):
 
 
 def test_generate_refuses_an_oversized_random_sparse(tmp_path, capsys):
-    # the default density 0.3 expects ~1.5e9 edges at n = 100000
+    # the default density 0.1 expects ~5e8 edges at n = 100000
     out = tmp_path / "big.mtx"
     assert main(["generate", "--kind", "random-sparse", "--n", "100000",
                  "--seed", "0", "--out", str(out)]) == 1
@@ -53,6 +53,17 @@ def test_generate_refuses_an_oversized_random_sparse(tmp_path, capsys):
     assert captured.err.startswith("error: random-sparse n=100000 ")
     assert "more than 1000000" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_defaults_are_the_generator_specs(tmp_path, capsys):
+    # no --density: the CLI writes the library's own random-sparse system
+    out = tmp_path / "cli.mtx"
+    assert main(["generate", "--kind", "random-sparse", "--n", "40",
+                 "--seed", "3", "--out", str(out)]) == 0
+    mtx, rhs = _write_system(tmp_path, generate_instance(
+        GeneratorSpec("random-sparse", 40, 3)))
+    assert out.read_bytes() == Path(mtx).read_bytes()
+    assert (tmp_path / "cli.rhs").read_bytes() == Path(rhs).read_bytes()
 
 
 def test_analyze_tree(tmp_path, capsys):

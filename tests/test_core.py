@@ -260,6 +260,80 @@ def test_graph_reports_the_first_bad_edge(n, edges, message):
         UndirectedGraph(n, edges)
 
 
+def test_keys_are_exact_at_large_n():
+    # float64 keys row * n + col once merged these two into a duplicate;
+    # the refusal comes before anything of size n is allocated
+    with pytest.raises(InvalidSystemError, match="^right-hand side has "
+                       "length 0, expected 100000000$"):
+        SparseSystem(10 ** 8, [(95_000_000, 3, 1.0), (95_000_000, 4, 1.0)],
+                     [])
+    n = core.MAX_KEYED_NODES  # the largest key, n * n - 1, fits in int64
+    with pytest.raises(InvalidSystemError, match="^right-hand side"):
+        SparseSystem(n, [(n - 1, n - 1, 1.0), (n - 1, n - 2, 1.0)], [])
+    with pytest.raises(InvalidSystemError, match=f"^duplicate entry at "
+                       f"\\({n - 1}, {n - 1}\\)"):
+        SparseSystem(n, [(n - 1, n - 1, 1.0), (n - 1, n - 1, 2.0)], [])
+
+
+@pytest.mark.parametrize("build", [lambda n: SparseSystem(n, [], []),
+                                   lambda n: UndirectedGraph(n, [])],
+                         ids=["system", "graph"])
+def test_an_n_whose_keys_overflow_int64_is_too_large(build):
+    assert (core.MAX_KEYED_NODES ** 2 <= np.iinfo(np.int64).max
+            < (core.MAX_KEYED_NODES + 1) ** 2)
+    with pytest.raises(TooLargeError, match="overflow int64"):
+        build(core.MAX_KEYED_NODES + 1)
+
+
+def _node_id(n):
+    return st.one_of(st.integers(0, n - 1), st.integers(n, 2 ** 40),
+                     st.integers(-2 ** 40, -1), st.just(2 ** 70),
+                     st.sampled_from([NAN, INF, -INF]),
+                     st.floats(-2.0 * n, 2.0 * n).filter(
+                         lambda x: not x.is_integer()))
+
+
+@st.composite
+def id_pairs(draw):
+    """n and id pairs; of the pairs with both ids integers in range, only
+    the first of each (a, b) is kept and self-loops are dropped, so that
+    every refusal is about an id."""
+    n = draw(st.integers(1, 6))
+    pairs, seen = [], set()
+    for a, b in draw(st.lists(st.tuples(_node_id(n), _node_id(n)),
+                              max_size=12)):
+        valid = all(isinstance(x, int) and 0 <= x < n for x in (a, b))
+        if valid and (a == b or (a, b) in seen):
+            continue
+        seen.add((a, b))
+        pairs.append((a, b))
+    return n, pairs
+
+
+_REFUSAL = re.compile(r"^(?:entry|edge) (\(.*\)) (?:outside|has (?:an index"
+                      r"|a node id) that is (not an integer))")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=id_pairs())
+@example(case=(3, [(0, 1), (2 ** 70, 0)]))
+@example(case=(1, [(INF, -INF)]))  # float keys once warned: inf + -inf
+@example(case=(2, [(0, 1), (1, 0.5), (NAN, 1)]))
+def test_system_and_graph_refuse_the_same_first_pair(case):
+    n, pairs = case
+    entries = [(a, b, 1.0) for a, b in pairs] + [(i, i, 4.0) for i in range(n)]
+    refusals = []
+    for build in (lambda: SparseSystem(n, entries, [1.0] * n),
+                  lambda: UndirectedGraph(n, pairs)):
+        try:
+            build()
+        except InvalidSystemError as exc:
+            refusals.append(_REFUSAL.match(str(exc)).groups())
+        else:
+            refusals.append(None)
+    assert refusals[0] == refusals[1]
+
+
 def test_induced_graph_sees_one_directional_entries():
     # an edge exists when either direction is stored nonzero
     sys = SparseSystem(2, [(0, 0, 1.0), (1, 1, 1.0), (0, 1, -0.5)],

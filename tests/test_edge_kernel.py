@@ -61,6 +61,7 @@ def _assert_same_run(sys, array_cls, node_cls, max_rounds, tol=None,
     for a, b in zip(got.rounds, want.rounds):
         assert _same(a.log10_mse, b.log10_mse), a.k
         assert _same(a.max_delta, b.max_delta), a.k
+        assert a.positivity_violations == b.positivity_violations, a.k
         assert a.accounting == b.accounting, a.k
     # the trace keeps its last completed round's estimates, as stepped
     if got.rounds:

@@ -59,7 +59,7 @@ def reference_digest() -> str:
             trace = run_rounds(cls(sys), 60, tol=1e-10, reference=reference)
             h.update(repr((kind, n, seed, cls.__name__,
                            [r.log10_mse for r in trace.rounds],
-                           [r.accounting.positivity_violations
+                           [r.positivity_violations
                             for r in trace.rounds])).encode())
     return h.hexdigest()
 
