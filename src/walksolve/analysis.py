@@ -198,11 +198,12 @@ class DominanceReport:
 
     rho(|R|) lies in [rho_lo, rho_hi], certified by the vector route
     names (see _certify); rho_abs is the midpoint, rho_reliable when the
-    width is at most rho_tol * max(1, rho_hi).  walk_summable is True
-    when rho_hi + rho_tol < 1 or the system is strictly diagonally
-    dominant, False when rho_lo - rho_tol > 1, else None.  scaling is
-    sought only on a walk-summable verdict; if any, it is a read-only
-    array d > 0 validated to make A D strictly dominant.
+    width is at most rho_tol * max(1, rho_hi).  scaling, if any, is a
+    read-only array d > 0 validated to make A D strictly dominant: all
+    ones for a strictly diagonally dominant system, else the vector that
+    certified rho_hi, sought unless rho_lo - rho_tol > 1.  walk_summable
+    is True when there is a scaling (which proves rho(|R|) < 1) or
+    rho_hi + rho_tol < 1, False when rho_lo - rho_tol > 1, else None.
     """
 
     diag_dominant: bool
@@ -236,40 +237,38 @@ def find_gdd_scaling(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT
                      ) -> Optional[np.ndarray]:
     """Hunt for a positive d with |a_ii| d_i > sum_j |a_ij| d_j, all rows.
 
-    Already-dominant systems return all-ones.  Otherwise the candidate is
-    the vector that certified the upper bound on rho(|R|), kept only if
-    it passes strict validation, so a returned vector (read-only) is always
-    a genuine certificate while None proves nothing.
+    The scaling of analyze(sys, rho_tol): all-ones for an already
+    dominant system, else the vector that certified the upper bound on
+    rho(|R|), kept only if it passes strict validation.  So a returned
+    vector (read-only) is always a genuine certificate, while None
+    proves nothing.
     """
-    check_tolerance(rho_tol, "rho_tol")
-    if is_diagonally_dominant(sys):
-        return _read_only(np.ones(sys.n))
-    x = _certify(_abs_residual_csr(sys), rho_tol)[3]
-    return _read_only(x) if _validate_scaling(sys, x) else None
+    return analyze(sys, rho_tol).scaling
 
 
 def analyze(sys: SparseSystem, rho_tol: float = RHO_TOL_DEFAULT
             ) -> DominanceReport:
     """Combined dominance check, certified rho(|R|) interval, and verdict.
 
-    One certification serves rho and, on a walk-summable verdict, the
-    scaling; they equal, bit for bit, what spectral_radius_nonneg and
-    find_gdd_scaling return.
+    One certification serves rho and the scaling; rho's interval equals,
+    bit for bit, what spectral_radius_nonneg certifies.  A validated
+    scaling is itself a certificate of walk-summability, so it makes the
+    verdict True even when the interval stays within rho_tol of 1.
     """
     dom = is_diagonally_dominant(sys)
     abs_r = _abs_residual_csr(sys)
     lo, hi, closed, x, route = _certify(abs_r, rho_tol)
-    if dom or hi + rho_tol < 1.0:
+    scaling = None
+    if dom:
+        scaling = _read_only(np.ones(sys.n))
+    elif lo - rho_tol <= 1.0 and _validate_scaling(sys, x):
+        scaling = _read_only(x)
+    if scaling is not None or hi + rho_tol < 1.0:
         walk_summable: Optional[bool] = True
     elif lo - rho_tol > 1.0:
         walk_summable = False
     else:
         walk_summable = None
-    scaling = None
-    if dom:
-        scaling = _read_only(np.ones(sys.n))
-    elif walk_summable and _validate_scaling(sys, x):
-        scaling = _read_only(x)
     return DominanceReport(
         diag_dominant=dom, rho_abs=0.5 * (lo + hi), rho_tol=rho_tol,
         walk_summable=walk_summable, scaling=scaling,

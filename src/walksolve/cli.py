@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import mmio
+from . import mmio, solvers
 from .analysis import RHO_TOL_DEFAULT, analyze
 from .core import (DIAG_RULES, GENERATOR_KINDS, GeneratorSpec, SparseSystem,
                    check_tolerance, diameter, generate_instance, is_acyclic)
@@ -178,7 +178,8 @@ _EXIT_BY_REASON = {"fixed-rounds": 0, "delta": 0, "max-rounds": 2,
 
 def cmd_solve(args: argparse.Namespace) -> int:
     sys_ = _load(args)
-    max_rounds = _round_cap(args, 500 if args.method == "bp"
+    max_rounds = _round_cap(args, solvers.BP_MAX_ROUNDS
+                            if args.method == "bp"
                             else default_max_iter(sys_.n))
     tol = _checked(check_tolerance, args.tol, "--tol")
     with _output(args.out) as out:
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run(sp):
         sp.add_argument("--max-iters", type=int, dest="max_iters")
-        sp.add_argument("--tol", type=float, default=1e-10)
+        sp.add_argument("--tol", type=float, default=solvers.TOL_DEFAULT)
         sp.add_argument("--out", help="write CSV here instead of stdout")
         sp.add_argument("--reference", choices=("auto", "none"),
                         default="auto")

@@ -36,10 +36,8 @@ MAX_RANDOM_SPARSE_EDGES = 10 ** 6
 #: random-sparse draws this many pair doubles per rng.random call (512 KB),
 #: the last call fewer
 SPARSE_DRAW_BLOCK = 2 ** 16
-#: generated node ids are below 2**32: each is one word of an edge lane's
-#: SeedSequence spawn key
-MAX_NODES = 2 ** 32
-#: the largest n whose keys row * n + col, at most n * n - 1, fit in int64
+#: the largest n whose keys row * n + col, at most n * n - 1, fit in int64;
+#: below 2**32, so that a node id is one word of an edge lane's spawn key
 MAX_KEYED_NODES = math.isqrt(np.iinfo(np.int64).max)
 
 
@@ -412,9 +410,11 @@ class GeneratorSpec:
     rejected outright because the included endpoint would zero an edge
     weight.  ``density`` only affects kind "random-sparse", which raises
     TooLargeError when it expects more than MAX_RANDOM_SPARSE_EDGES edges;
-    ``diag_value`` only affects diag_rule "explicit".  ``n`` is at most
-    MAX_NODES, so every node id is below 2**32: an edge's coefficient lane
-    takes each id as one 32-bit word of its spawn key.
+    ``diag_value`` only affects diag_rule "explicit".  An ``n`` above
+    MAX_KEYED_NODES, which no system or graph takes, raises TooLargeError
+    before anything is built; so every node id is below 2**32, and an
+    edge's coefficient lane takes each id as one 32-bit word of its spawn
+    key.
     """
 
     kind: str
@@ -432,9 +432,9 @@ class GeneratorSpec:
                 f"expected one of {GENERATOR_KINDS}")
         if self.n < 1:
             raise InvalidSystemError(f"n must be >= 1, got {self.n}")
-        if self.n > MAX_NODES:
-            raise InvalidSystemError(
-                f"n must be at most 2**32 for 32-bit edge lanes, got {self.n}")
+        if self.n > MAX_KEYED_NODES:
+            raise TooLargeError(f"n={self.n}: keys row * n + col overflow "
+                                f"int64 above {MAX_KEYED_NODES}")
         if not (0 <= self.seed < 2 ** 64):
             raise InvalidSystemError("seed must fit in an unsigned 64-bit int")
         lo, hi = self.coeff_range
@@ -689,13 +689,11 @@ def system_from_edges(n: int, edges: Sequence[tuple[int, int]], seed: int,
     lanes of all edges are computed in one array pass, bit-identical to
     numpy's scalar SeedSequence/PCG64 lane; the test
     ``test_edge_lanes_equal_numpy_scalar_lanes`` pins that, and NumPy's
-    stream policy (NEP 19) keeps those streams stable.  Node ids must be
-    below 2**32 (n <= MAX_NODES), so that each is one spawn-key word;
-    InvalidSystemError otherwise.  The right-hand side is b_i = i + 1.
+    stream policy (NEP 19) keeps those streams stable.  Node ids are
+    below 2**32, so that each is one spawn-key word: the graph refuses an
+    n above MAX_KEYED_NODES with TooLargeError.  The right-hand side is
+    b_i = i + 1.
     """
-    if n > MAX_NODES:
-        raise InvalidSystemError(
-            f"n must be at most 2**32 for 32-bit edge lanes, got {n}")
     g = UndirectedGraph(n, edges)
     upper = g.owner < g.nbr
     u, v = g.owner[upper], g.nbr[upper]

@@ -38,7 +38,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import SparseSystem
+from .core import MAX_KEYED_NODES, SparseSystem
 from .errors import DimensionMismatchError, ParseError
 
 BANNER = "%%MatrixMarket matrix coordinate real general"
@@ -107,7 +107,7 @@ def _loadtxt(body: str, dtype, ndmin: int) -> Optional[np.ndarray]:
 def _array_entries(body: str, n: int, nnz: int) -> Optional[np.ndarray]:
     """The entries of a well-formed body as an (nnz, 3) array of 0-based
     row, col and value; None when the per-line loop must judge it."""
-    if n * n > np.iinfo(np.int64).max:  # a key i * n + j would not fit
+    if n > MAX_KEYED_NODES:  # a key i * n + j would not fit in int64
         return None
     got = _loadtxt(body, _ENTRY, ndmin=1)
     if got is None or len(got) != nnz:

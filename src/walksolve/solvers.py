@@ -53,6 +53,10 @@ ESTIMATE_LIMIT = 1e150
 SING_EPS_FACTOR = 1e-12
 PIVOT_EPS = 1e-14
 RESIDUAL_FACTOR = 1e-10
+#: bp_solve's round cap on a cyclic system, and walksolve solve's for bp
+BP_MAX_ROUNDS = 500
+#: bp_solve's step tolerance, and the default of the CLI's --tol
+TOL_DEFAULT = 1e-10
 #: consensus's array rounds hold three n x n float arrays; above this
 #: many floats in all, the run is refused before round 0
 MAX_ROUND_FLOATS = 10 ** 8
@@ -243,8 +247,9 @@ class BPProgram(NodeProgram):
             yield x_hat, a_msg
 
 
-def bp_solve(sys: SparseSystem, max_rounds: int = 500, tol: float = 1e-10,
-             force: bool = False, reference: Optional[np.ndarray] = None
+def bp_solve(sys: SparseSystem, max_rounds: int = BP_MAX_ROUNDS,
+             tol: float = TOL_DEFAULT, force: bool = False,
+             reference: Optional[np.ndarray] = None
              ) -> tuple[Optional[np.ndarray], ConvergenceTrace]:
     """Solve by message passing; returns (estimates, trace).
 

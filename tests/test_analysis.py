@@ -24,7 +24,7 @@ from walksolve.errors import (
     NoConvergenceError,
 )
 from walksolve.mmio import load_system
-from walksolve.solvers import bp_solve
+from walksolve.solvers import bp_solve, dense_solve
 
 from test_golden import HAND_MTX, HAND_RHS
 
@@ -295,6 +295,23 @@ def test_gdd_scaling_absent_when_not_walk_summable():
     sys = SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.5), (1, 0, -1.5),
                            (1, 1, 1.0)], [0.0, 0.0])
     assert find_gdd_scaling(sys) is None
+
+
+def test_a_validated_scaling_certifies_within_tolerance_of_one():
+    # rho(|R|) = 1 - 1e-10 lies within rho_tol of 1, so its interval
+    # decides nothing; the vector that certified it, (1, 0.5), validates
+    # as a scaling, and that alone proves rho(|R|) < 1
+    b = 1 - 1e-10
+    sys = SparseSystem(2, [(0, 0, 1.0), (0, 1, -2 * b), (1, 0, -b / 2),
+                           (1, 1, 1.0)], [1.0, 1.0])
+    rep = analyze(sys)
+    assert rep.rho_hi + rep.rho_tol >= 1.0 >= rep.rho_lo - rep.rho_tol
+    assert rep.walk_summable is True
+    assert np.array_equal(rep.scaling, [1.0, 0.5])
+    assert np.array_equal(rep.scaling, find_gdd_scaling(sys))
+    x, trace = bp_solve(sys)  # certified: no force, no warning
+    assert trace.stop_reason == "fixed-rounds"
+    assert np.allclose(x, dense_solve(sys), rtol=1e-6, atol=0.0)
 
 
 def test_report_is_frozen(two_node):

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from walksolve import cli, engine, solvers
+from walksolve.analysis import DominanceReport
 from walksolve.cli import main
 from walksolve.core import GeneratorSpec, SparseSystem, generate_instance
 from walksolve.mmio import write_matrix_market, write_rhs
@@ -409,6 +411,36 @@ def test_verify_command_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_prints_a_skipped_check(capsys):
+    # enumeration is guarded to 8 nodes; a skip is not a failure
+    assert main(["verify", "--n", "9"]) == 0
+    out = capsys.readouterr().out
+    assert ("SKIP walk-sum-enumeration: skipped: requested n=9, length=8 "
+            "exceed guards (8, 10)\n") in out
+    assert out.endswith("all 5 checks passed (seed 0)\n")
+
+
+@pytest.mark.parametrize("tol, stop, last, code",
+                         [(0.0, "max-rounds", 3, 2), (1e300, "delta", 1, 0)])
+def test_solve_reads_bps_run_defaults_from_solvers(tmp_path, capsys,
+                                                   monkeypatch, tol, stop,
+                                                   last, code):
+    sig = inspect.signature(solvers.bp_solve).parameters
+    assert sig["max_rounds"].default == solvers.BP_MAX_ROUNDS == 500
+    assert sig["tol"].default == solvers.TOL_DEFAULT == 1e-10
+    mtx, rhs = _loopy(tmp_path, capsys)
+    monkeypatch.setattr(solvers, "BP_MAX_ROUNDS", 3)
+    monkeypatch.setattr(solvers, "TOL_DEFAULT", tol)
+    cli.build_parser.cache_clear()  # --tol's default is read at build
+    try:
+        assert main(["solve", "--matrix", mtx, "--rhs", rhs]) == code
+    finally:
+        cli.build_parser.cache_clear()
+    out = capsys.readouterr().out
+    assert f"# stop: {stop}" in out.splitlines()
+    assert _rows(out)[-1].startswith(f"{last},")
+
+
 def test_trace_is_deterministic(tmp_path):
     mtx, rhs = _generate(tmp_path)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -543,7 +575,38 @@ def test_bad_tolerance_is_an_input_error(tmp_path, capsys, monkeypatch,
 
 def test_analyze_reports_a_margin_within_tolerance_as_indeterminate(
         tmp_path, capsys):
-    # rho(|R|) = 0.614 is certified, but 0.614 + 0.5 is not below 1
+    # rho(|R|) = 1 is certified, within tol of 1 from both sides, and its
+    # Perron vector (1, 0.5) makes no row strictly dominant
+    mtx, rhs = _write_system(tmp_path, SparseSystem(
+        2, [(0, 0, 1.0), (0, 1, -2.0), (1, 0, 0.5), (1, 1, 1.0)], [1, 1]))
+    assert main(["analyze", "--matrix", mtx, "--rhs", rhs]) == 0
+    rep = _report(capsys.readouterr().out)
+    assert rep["walk-summable"] == "indeterminate (margin within tolerance)"
+    assert rep["rho(|R|)"] == "1 (certified, tol 1e-09)"
+    assert "margin to 1" not in rep
+    assert "scaling certificate" not in rep
+
+
+def test_analyze_reports_an_open_interval_as_indeterminate(tmp_path, capsys,
+                                                           monkeypatch):
+    mtx, rhs = _generate(tmp_path, capsys)
+    report = DominanceReport(
+        diag_dominant=False, rho_abs=1.0, rho_tol=1e-9, walk_summable=None,
+        scaling=None, rho_reliable=False, rho_lo=0.5, rho_hi=1.5,
+        route="inverse")
+    monkeypatch.setattr(cli, "analyze", lambda sys_, rho_tol: report)
+    assert main(["analyze", "--matrix", mtx, "--rhs", rhs]) == 0
+    rep = _report(capsys.readouterr().out)
+    assert rep["rho(|R|)"] == "1 (estimate only, tol 1e-09)"
+    assert rep["walk-summable"] == "indeterminate (interval not closed)"
+    assert "margin to 1" not in rep
+
+
+def test_analyze_certifies_by_a_validated_scaling_within_tolerance(
+        tmp_path, capsys):
+    # rho(|R|) = 0.614 is certified, and 0.614 + 0.5 is not below 1; but
+    # the vector that certified it is a validated scaling, which proves
+    # rho < 1 by itself
     mtx = str(tmp_path / "sparse.mtx")
     assert main(["generate", "--kind", "random-sparse", "--n", "40",
                  "--seed", "3", "--coeff-lo", "-0.3", "--coeff-hi", "0.3",
@@ -553,10 +616,10 @@ def test_analyze_reports_a_margin_within_tolerance_as_indeterminate(
     assert main(["analyze", "--matrix", mtx, "--rhs", mtx[:-4] + ".rhs",
                  "--tol", "0.5"]) == 0
     rep = _report(capsys.readouterr().out)
-    assert rep["walk-summable"] == "indeterminate (margin within tolerance)"
+    assert rep["walk-summable"] == "yes"
     assert rep["rho(|R|)"].endswith("(certified, tol 0.5)")
-    assert "margin to 1" not in rep
-    assert "scaling certificate" not in rep
+    assert float(rep["margin to 1"]) == pytest.approx(1 - 0.614, abs=1e-3)
+    assert rep["scaling certificate"] == "present (validated)"
 
 
 @pytest.mark.parametrize("method", ["jacobi", "gauss-seidel"])

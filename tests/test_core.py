@@ -276,11 +276,15 @@ def test_keys_are_exact_at_large_n():
 
 
 @pytest.mark.parametrize("build", [lambda n: SparseSystem(n, [], []),
-                                   lambda n: UndirectedGraph(n, [])],
-                         ids=["system", "graph"])
+                                   lambda n: UndirectedGraph(n, []),
+                                   lambda n: GeneratorSpec("path", n, 0)],
+                         ids=["system", "graph", "spec"])
 def test_an_n_whose_keys_overflow_int64_is_too_large(build):
+    # the spec refuses before generate_instance builds a topology of n
+    # nodes; and each node id stays one 32-bit word of an edge lane's key
     assert (core.MAX_KEYED_NODES ** 2 <= np.iinfo(np.int64).max
             < (core.MAX_KEYED_NODES + 1) ** 2)
+    assert core.MAX_KEYED_NODES < 2 ** 32
     with pytest.raises(TooLargeError, match="overflow int64"):
         build(core.MAX_KEYED_NODES + 1)
 
@@ -576,7 +580,9 @@ def test_cycle_detection():
     dict(kind="path", n=2 ** 32 + 1, seed=0),
 ])
 def test_generator_spec_validation(kwargs):
-    with pytest.raises(InvalidSystemError):
+    # an n that no system or graph takes is too large, not invalid
+    with pytest.raises(TooLargeError if kwargs["n"] > core.MAX_KEYED_NODES
+                       else InvalidSystemError):
         GeneratorSpec(**kwargs)
 
 
@@ -678,7 +684,7 @@ def test_zero_draws_are_redrawn_from_their_own_lane(monkeypatch):
 
 
 def test_system_from_edges_refuses_what_numpy_lanes_refuse():
-    with pytest.raises(InvalidSystemError, match=r"2\*\*32"):
+    with pytest.raises(TooLargeError, match="overflow int64"):
         system_from_edges(2 ** 32 + 1, [(0, 2 ** 32)], seed=0)
     # numpy refuses a range that overflows and a negative seed
     with pytest.raises(OverflowError):
