@@ -21,7 +21,7 @@ from . import mmio, solvers
 from .analysis import RHO_TOL_DEFAULT, analyze
 from .core import (DIAG_RULES, GENERATOR_KINDS, GeneratorSpec, SparseSystem,
                    check_tolerance, diameter, generate_instance, is_acyclic)
-from .engine import (SolverFault, _log10_mse, check_max_rounds, delta_stop,
+from .engine import (SolverFault, _log10_mses, check_max_rounds, delta_stop,
                      residual_stop, run_rounds)
 from .errors import (DivergedEstimateError, NotWalkSummableError,
                      SingularMatrixError, WalksolveError)
@@ -163,7 +163,8 @@ def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
                 node=node, round=k, error=DivergedEstimateError.__name__,
                 cause=f"estimate {float(nxt[node])!r} out of range")
         delta = float(np.abs(nxt - x).max()) if k else None
-        mse = _log10_mse(nxt, reference) if reference is not None else None
+        mse = (_log10_mses(np.array([nxt]), reference)[0]
+               if reference is not None else None)
         rows.append((k, mse, delta, 0))
         if k and delta_stop(delta, nxt, tol):
             return rows, ("delta" if residual_stop(sys_, nxt, tol)

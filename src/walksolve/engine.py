@@ -47,6 +47,8 @@ OPS_BOUND_COEFF = 16
 STORAGE_BOUND_COEFF = 12
 #: the floor of residual_stop's bound, max(RESIDUAL_STOP, sqrt(tol))
 RESIDUAL_STOP = 1e-6
+#: floats in a run's block of rounds awaiting their log10_mse (256 KB)
+ROUND_BLOCK_FLOATS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -242,14 +244,17 @@ def residual_stop(sys: SparseSystem, x: np.ndarray, tol: float) -> bool:
     return float(err.max()) <= max(RESIDUAL_STOP, math.sqrt(tol))
 
 
-def _log10_mse(estimates: np.ndarray, reference: np.ndarray) -> float:
-    """log10 of the mean squared error; inf once the error overflows."""
+def _log10_mses(block: np.ndarray, reference: np.ndarray) -> list[float]:
+    """log10 of each row's mean squared error against reference; inf once
+    the error overflows.  Squares block, C-contiguous rows of estimates,
+    in place; a row's pairwise sum has the bits of its own 1-D sum."""
     with np.errstate(over="ignore"):
-        d = estimates - reference
-        mse = float(np.add.reduce(d * d)) / len(estimates)
-    if mse == 0.0:
-        return -math.inf
-    return math.log10(mse)
+        block -= reference
+        block *= block
+        sums = np.add.reduce(block, axis=1).tolist()
+    n = block.shape[1]
+    return [-math.inf if (mse := s / n) == 0.0 else math.log10(mse)
+            for s in sums]
 
 
 def run_rounds(program: NodeProgram, max_rounds: int,
@@ -277,7 +282,13 @@ def run_rounds(program: NodeProgram, max_rounds: int,
     ``node``; stop_reason is then "fault".  A SolverError with no node,
     raised outside any transition, propagates.  The trace keeps each
     round's scalars and only the last completed round's estimates, so a
-    run's memory does not grow with its round count.  Every round's
+    run's memory does not grow with its round count: rounds wait for
+    their log10_mse as rows of one block, min(max_rounds + 1,
+    ROUND_BLOCK_FLOATS // n) rows (at least 1), filled when it is full
+    and when the run ends.  With tol, delta_stop runs only when delta <=
+    tol * max(1, U), U an upper bound on max|estimates| kept from the
+    deltas and reset to the exact max whenever the rule runs, or when
+    delta or U is not finite.  Every round's
     accounting comes from program.costs: round 0 counts its round-0 ops,
     later rounds their own; positivity violations are counted only in a
     round whose smallest first entry is not positive.
@@ -304,6 +315,17 @@ def run_rounds(program: NodeProgram, max_rounds: int,
         for ops in (round0_ops, later_ops))
 
     trace = ConvergenceTrace()
+    height = min(max_rounds + 1, max(1, ROUND_BLOCK_FLOATS // g.n))
+    block = np.empty((height, g.n)) if reference is not None else None
+    bound = math.inf  # >= max|estimates|; round 1 evaluates the stop rule
+
+    def fill_log10_mse(rows):
+        """Fill the last ``rows`` rounds' log10_mse from block's rows."""
+        if block is not None and rows:
+            for r, mse in zip(trace.rounds[-rows:],
+                              _log10_mses(block[:rows], reference)):
+                r.log10_mse = mse
+
     try:
         for k, (estimates, first) in zip(range(max_rounds + 1),
                                          program.rounds()):
@@ -312,24 +334,37 @@ def run_rounds(program: NodeProgram, max_rounds: int,
             if (program.check_positive_a
                     and not first.min(initial=math.inf) > 0.0):
                 violations = int(np.count_nonzero(~(first > 0.0)))
-            mse = (_log10_mse(estimates, reference)
-                   if reference is not None else None)
             prev, trace.final_estimates = trace.final_estimates, estimates
             delta = (float(np.abs(estimates - prev).max())
                      if prev is not None else None)
             trace.rounds.append(TraceRound(
-                k=k, log10_mse=mse, max_delta=delta,
+                k=k, log10_mse=None, max_delta=delta,
                 positivity_violations=violations, accounting=acct))
-            if tol is not None and k and delta_stop(delta, estimates, tol):
+            if block is not None:
+                block[k % height] = estimates
+                if k % height == height - 1:
+                    fill_log10_mse(height)
+            if tol is None or not k:
+                continue
+            # |x| <= |prev| + |x - prev|; 1e-12 covers delta's rounding
+            bound = (bound + delta) * (1.0 + 1e-12)
+            if (math.isfinite(delta) and math.isfinite(bound)
+                    and delta > tol * max(1.0, bound)):
+                continue  # delta_stop is false
+            bound = float(np.abs(estimates).max())
+            if delta_stop(delta, estimates, tol):
+                fill_log10_mse(len(trace.rounds) % height)
                 trace.stop_reason = ("delta" if residual_stop(
                     program.sys, estimates, tol) else "stalled")
                 return trace
     except SolverError as exc:
         if exc.node is None:
             raise
+        fill_log10_mse(len(trace.rounds) % height)
         trace.stop_reason = "fault"
         trace.fault = SolverFault(node=exc.node, round=len(trace.rounds),
                                   error=type(exc).__name__, cause=str(exc))
         return trace
+    fill_log10_mse(len(trace.rounds) % height)
     trace.stop_reason = "fixed-rounds" if tol is None else "max-rounds"
     return trace

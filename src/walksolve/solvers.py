@@ -433,7 +433,9 @@ class ConsensusProgram(NodeProgram):
         order; w sums the row support's terms in CSR order with
         np.bincount, which adds in sequence as sum() does.  Vectors and
         estimates therefore equal the per-node path's bit for bit.
-        Isolated nodes, the last rows, keep their vector.  Three n x n
+        Isolated nodes, the last rows, keep their vector.  Only a round
+        whose sum is not finite builds the per-row mask, which is empty
+        when the sum merely overflowed.  Three n x n
         arrays above MAX_ROUND_FLOATS floats are refused with
         TooLargeError before round 0.
         """
@@ -456,7 +458,7 @@ class ConsensusProgram(NodeProgram):
         for p in range(int(deg.max(initial=0))):
             k = int(np.count_nonzero(deg > p))
             gathers.append((k, pos[g.nbr[g.indptr[order[:k]] + p]]))
-        deg = deg[:, None]
+        deg = deg[:, None].astype(float)  # exact: no cast per round
         sup_row, sup_val = self._sup_row, self._sup_val
         sup = (pos[sup_row], self._sup_col)
         diag = (pos, np.arange(g.n))
@@ -475,10 +477,12 @@ class ConsensusProgram(NodeProgram):
                 coef = w / self._norm_sq
                 z[sup] -= coef[sup_row] * sup_val
                 x_new = np.subtract(x, np.divide(z, deg, out=z), out=z)
-            x_new[isolated] = x[isolated]
-            bad = ~np.isfinite(x_new).all(axis=1)
-            _replay(bad[pos], lambda i: self.step(
-                i, x[pos[i]], {v: x[pos[v]] for v in g.neighbors[i]}))
+                x_new[isolated] = x[isolated]
+                clean = math.isfinite(x_new.sum())
+            if not clean:
+                bad = ~np.isfinite(x_new).all(axis=1)
+                _replay(bad[pos], lambda i: self.step(
+                    i, x[pos[i]], {v: x[pos[v]] for v in g.neighbors[i]}))
             x = x_new
             yield x[diag], None
 

@@ -16,7 +16,7 @@ from walksolve.solvers import (BPProgram, ConsensusProgram, JacobiProgram,
                                bp_solve)
 from walksolve.verify import run_message_rounds
 
-from conftest import PerNodeBP
+from conftest import PerNodeBP, kernel_rounds
 from test_edge_kernel import FAULTING, systems
 
 
@@ -395,3 +395,231 @@ def test_solvers_never_build_the_neighbor_tuples(monkeypatch, capsys):
     _compare(monkeypatch, loopy)
     for sys in (tree, loopy):
         assert "neighbors" not in sys.graph.__dict__
+
+
+# ---------------------------------------------------------------------------
+# per-round bookkeeping: a block of rounds' log10_mse, and the stop bound
+
+
+def _row_log10_mse(estimates, reference):
+    """log10_mse from the round's own 1-D sum, one round at a time."""
+    with np.errstate(over="ignore"):
+        d = estimates - reference
+        mse = float(np.add.reduce(d * d)) / len(estimates)
+    return -math.inf if mse == 0.0 else math.log10(mse)
+
+
+@st.composite
+def estimate_blocks(draw):
+    """(rows of estimates, reference): each row at its own scale up to
+    about 1e160, so squares overflow to inf, with rows equal to the
+    reference (-inf), entries equal to it, and NaN entries."""
+    n = draw(st.integers(1, 5000))
+    rows = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    reference = rng.standard_normal(n) * 10.0 ** draw(st.integers(-160, 160))
+    scale = 10.0 ** rng.integers(-160, 161, size=(rows, 1))
+    block = rng.standard_normal((rows, n)) * scale
+    if draw(st.booleans()):
+        wild = rng.random((rows, n)) < 0.3
+        block[wild] = rng.standard_normal(wild.sum()) * 10.0 ** rng.integers(
+            -160, 161, wild.sum())
+    if draw(st.booleans()):
+        block[rng.random(rows) < 0.5] = reference
+    if draw(st.booleans()):
+        same = rng.random((rows, n)) < 0.5
+        block[same] = np.broadcast_to(reference, (rows, n))[same]
+    if draw(st.booleans()):
+        block[rng.integers(rows), rng.integers(n)] = math.nan
+    return block, reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=estimate_blocks())
+@example(case=(np.zeros((3, 1)), np.zeros(1)))
+@example(case=(np.full((2, 4099), 1e160), np.zeros(4099)))
+def test_a_blocks_row_sums_equal_each_rounds_own_sum(case):
+    # numpy reduces a C-contiguous row pairwise, as it does a 1-D array
+    block, reference = case
+    want = [_row_log10_mse(row, reference) for row in block]
+    held = np.empty((len(block) + 2, block.shape[1]))
+    held[:len(block)] = block
+    got = engine._log10_mses(held[:len(block)], reference)
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+#: Jacobi multiplies this pair's estimates by 10 a round until, past
+#: ESTIMATE_LIMIT, node 0 faults at round 150
+GROWING = SparseSystem(2, [(0, 0, 1.0), (0, 1, -10.0), (1, 0, -10.0),
+                           (1, 1, 1.0)], [1.0, 1.0])
+
+LOOPY_100 = GeneratorSpec(kind="loopy-small", n=100, seed=0)
+
+#: (program, system, max_rounds, tol, stop, rounds kept), each run
+#: measured against dense_solve
+BLOCK_RUNS = {
+    "fault": (JacobiProgram, GROWING, 400, None, "fault", 150),
+    "delta": (JacobiProgram, LOOPY_100, 500, 1e-10, "delta", None),
+    "cap": (BPProgram, LOOPY_100, 50, 0.0, "max-rounds", 51),
+    "fixed": (ConsensusProgram, LOOPY_100, 40, None, "fixed-rounds", 41),
+}
+
+
+def _block_run(case):
+    cls, sys, max_rounds, tol, stop, kept = BLOCK_RUNS[case]
+    if isinstance(sys, GeneratorSpec):
+        sys = generate_instance(sys)
+    return cls, sys, max_rounds, tol, solvers.dense_solve(sys), stop, kept
+
+
+def _trace_key(trace):
+    return repr(([(r.k, r.log10_mse, r.max_delta, r.positivity_violations,
+                   r.accounting) for r in trace.rounds],
+                 trace.stop_reason, trace.fault)), (
+        trace.final_estimates.tobytes()
+        if trace.final_estimates is not None else None)
+
+
+def _runs_by_block_height(monkeypatch, program, sys, *args):
+    """The run at block heights 1, 7 and the default, which must agree."""
+    keys = []
+    for floats in (1, 7 * sys.n, engine.ROUND_BLOCK_FLOATS):
+        monkeypatch.setattr(engine, "ROUND_BLOCK_FLOATS", floats)
+        trace = run_rounds(program(sys), *args)
+        keys.append(_trace_key(trace))
+    assert keys[0] == keys[1] == keys[2]
+    return trace
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_RUNS))
+def test_a_run_ends_mid_block_with_every_rounds_log10_mse(monkeypatch,
+                                                          case):
+    cls, sys, max_rounds, tol, reference, stop, kept = _block_run(case)
+    trace = _runs_by_block_height(monkeypatch, cls, sys, max_rounds, tol,
+                                  reference)
+    assert trace.stop_reason == stop
+    assert kept is None or len(trace.rounds) == kept
+    # the run ends inside a block of 7 rounds and crosses earlier ones
+    assert len(trace.rounds) > 7 and len(trace.rounds) % 7
+    rounds, _ = kernel_rounds(cls(sys), len(trace.rounds) - 1)
+    assert [r.log10_mse for r in trace.rounds] == [
+        _row_log10_mse(estimates, reference) for estimates, _ in rounds]
+
+
+@pytest.mark.parametrize("stage", sorted(FAULTING))
+@pytest.mark.parametrize("cls", [BPProgram, JacobiProgram, ConsensusProgram],
+                         ids=["bp", "jacobi", "consensus"])
+def test_a_fault_fills_the_rounds_of_its_block(monkeypatch, stage, cls):
+    sys = FAULTING[stage]
+    try:
+        cls(sys)
+    except SolverError:  # consensus refuses a row of norm 0
+        return
+    reference = np.arange(1.0, sys.n + 1)
+    trace = _runs_by_block_height(monkeypatch, cls, sys, 6, None, reference)
+    rounds, _ = kernel_rounds(cls(sys), len(trace.rounds) - 1)
+    assert [r.log10_mse for r in trace.rounds] == [
+        _row_log10_mse(estimates, reference)
+        for estimates, _ in rounds[:len(trace.rounds)]]
+
+
+class _ScriptedProgram(NodeProgram):
+    """Yields a drawn sequence of estimates on a system of n lone nodes."""
+
+    def __init__(self, rounds):
+        n = len(rounds[0])
+        self.sys = SparseSystem(n, [(i, i, 1.0) for i in range(n)],
+                                [1.0] * n)
+        self._rounds = rounds
+
+    def costs(self, deg, n):
+        return deg + 1, deg + 1, deg + 1
+
+    def rounds(self):
+        for estimates in self._rounds:
+            yield np.array(estimates), None
+
+
+def _stop_oracle(sys, rounds, max_rounds, tol):
+    """run_rounds' stop, calling delta_stop on every round."""
+    deltas, prev = [], None
+    for k, estimates in enumerate(rounds[:max_rounds + 1]):
+        estimates = np.array(estimates)
+        delta = (float(np.abs(estimates - prev).max())
+                 if prev is not None else None)
+        deltas.append(delta)
+        if k and delta_stop(delta, estimates, tol):
+            return deltas, ("delta" if engine.residual_stop(
+                sys, estimates, tol) else "stalled")
+        prev = estimates
+    return deltas, "max-rounds"
+
+
+#: a tie in the step's rounding: 2**54 + 4 - 2 = 2**54 + 2 rounds down to
+#: 2**54, and so does 2 + 2**54, one ulp below the estimate 2**54 + 4.
+#: The NaN round before makes the rule run, so the bound is exactly 2.
+TIE = (math.nan, 2.0, 2.0 ** 54 + 4)
+TOL_BELOW_1 = 1.0 - 2.0 ** -53
+
+
+@st.composite
+def estimate_sequences(draw):
+    """(tol, rounds): a run's estimates, built from steps that hit the
+    stop's threshold exactly, magnitudes growing by 1e100 a round, inf
+    and NaN rounds, rounding ties, and arbitrary finite rounds."""
+    tol = draw(st.one_of(st.sampled_from([0.0, 1e-12, 1e-3, 0.5,
+                                          TOL_BELOW_1, 1.0]),
+                         st.floats(0.0, 1.0)))
+    n = draw(st.integers(1, 3))
+    value = st.floats(-1e6, 1e6) | st.floats(allow_nan=False,
+                                             allow_infinity=False)
+    rounds = []
+    while len(rounds) < 12:
+        kind = draw(st.sampled_from(["any", "threshold", "grow",
+                                     "nonfinite", "tie"]))
+        scale = 2.0 ** draw(st.integers(-40, 40)) * draw(
+            st.sampled_from([1.0, -1.0]))
+        if kind == "any":
+            rounds.append(draw(st.lists(value, min_size=n, max_size=n)))
+        elif kind == "threshold":
+            # a step of exactly tol * max(1, max|x|): entry 0 holds the
+            # max M >= 1 and entry n-1 steps from 0 by tol * M
+            big = draw(st.floats(1.0, 1e300))
+            base = [0.0] * n
+            base[0] = big if n > 1 else 0.0
+            step = list(base)
+            step[-1] = scale / abs(scale) * tol * max(1.0, abs(base[0]))
+            rounds += [base, step]
+        elif kind == "grow":
+            start = draw(st.lists(value, min_size=n, max_size=n))
+            rounds += [[x * 10.0 ** (100 * i) for x in start]
+                       for i in range(4)]
+        elif kind == "nonfinite":
+            bad = draw(st.lists(value | st.sampled_from(
+                [math.inf, -math.inf, math.nan]), min_size=n, max_size=n))
+            bad[draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from([math.inf, -math.inf, math.nan]))
+            rounds.append(bad)
+        else:
+            rounds += [[x * scale] + [0.0] * (n - 1) for x in TIE]
+    return tol, rounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=estimate_sequences(), max_rounds=st.integers(0, 40))
+@example(case=(TOL_BELOW_1, [[x] for x in TIE]), max_rounds=5)
+@example(case=(TOL_BELOW_1, [[-10.0], [2.0], [2.0 ** 54 + 4]]), max_rounds=5)
+@example(case=(1e-3, [[math.nan], [2.0], [1000.0], [1001.0]]), max_rounds=5)
+@example(case=(0.5, [[3.0, 0.0], [3.0, 1.5]]), max_rounds=5)
+@example(case=(1e-12, [[1.0], [1e100], [1e200], [1e300], [1e300]]),
+         max_rounds=5)
+def test_the_stop_bound_stops_where_delta_stop_does(case, max_rounds):
+    tol, rounds = case
+    program = _ScriptedProgram(rounds)
+    with np.errstate(all="ignore"):
+        trace = run_rounds(program, max_rounds, tol=tol)
+        deltas, stop = _stop_oracle(program.sys, rounds, max_rounds, tol)
+    assert repr([r.max_delta for r in trace.rounds]) == repr(deltas)
+    assert trace.stop_reason == stop
+    assert np.array_equal(trace.final_estimates,
+                          np.array(rounds[len(deltas) - 1]), equal_nan=True)
