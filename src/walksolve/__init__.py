@@ -5,6 +5,10 @@ belief-propagation-style scheme for asymmetric matrices, Jacobi, and a
 projection-consensus baseline), analyzes when the walk-sum series behind
 them converges, and ships independent oracles that cross-check every
 claimed identity against direct linear algebra.
+
+Importing the package loads numpy only: each scipy module is imported
+inside the functions that use it, so a command pays for the part of
+scipy it runs.
 """
 from .analysis import (DominanceReport, analyze, find_gdd_scaling,
                        is_diagonally_dominant, residual_matrix,

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import SparseSystem, _read_only, check_tolerance
 from .errors import (
@@ -32,7 +31,9 @@ DENSE_EIG_MAX_N = 64
 INVERSE_STEPS = 20
 INVERSE_SHIFT = 1e-8
 
-MatrixLike = Union[np.ndarray, sp.spmatrix]
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    MatrixLike = Union[np.ndarray, sp.spmatrix]
 
 
 def residual_matrix(sys: SparseSystem) -> sp.csr_matrix:
@@ -40,6 +41,7 @@ def residual_matrix(sys: SparseSystem) -> sp.csr_matrix:
     a_ii for every stored a_ij != 0 with i != j, so that R's pattern, in
     either direction, is ``sys.graph``.  An entry that underflows stays
     stored, as a signed zero."""
+    import scipy.sparse as sp
     keep = (sys.rows != sys.indices) & (sys.data != 0.0)
     with np.errstate(all="ignore"):
         data = -sys.data[keep] / sys.diag[sys.rows[keep]]
@@ -57,6 +59,7 @@ def _abs_residual_csr(sys: SparseSystem) -> sp.csr_matrix:
 
 def _as_csr_nonneg(m: MatrixLike) -> sp.csr_matrix:
     """A canonical CSR copy: summed duplicates, sorted indices, no zeros."""
+    import scipy.sparse as sp
     if not sp.issparse(m) and np.ndim(m) != 2:
         raise DimensionMismatchError(
             f"expected a square matrix, got shape {np.shape(m)}")
@@ -90,6 +93,7 @@ def _perron_vectors(b: sp.csr_matrix):
     once sigma > rho(b), so the iterates stay positive and resolve the
     tiny Perron entries of trees, whose LU has no fill in minimum-degree
     order."""
+    import scipy.sparse as sp
     from scipy.sparse.linalg import eigs, splu
     k = b.shape[0]
     if k <= DENSE_EIG_MAX_N:
@@ -119,6 +123,7 @@ def _certify(csr: sp.csr_matrix, tol: float):
     above lo gets Perron vectors ("perron", "inverse") until it closes.
     An ARPACK failure keeps the row sums.  tol must be finite and >= 0."""
     check_tolerance(tol)
+    import scipy.sparse as sp
     from scipy.sparse import csgraph
     from scipy.sparse.linalg import ArpackError
     n = csr.shape[0]
@@ -157,18 +162,21 @@ def _certify(csr: sp.csr_matrix, tol: float):
             pass
     # scale components sinks first (scipy gives them lower labels; the
     # scaling is validated anyway) so that each row's terms from other
-    # components fit in the slack of its own
-    cross = sp.csr_matrix((csr.data * ~inner, csr.indices, csr.indptr),
-                          shape=(n, n))
-    slack = x - (csr - cross) @ x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for c in np.unique(labels[rows[~inner]]):
-            nodes = order[starts[c]:ends[c]]
-            need = cross[nodes] @ x / slack[nodes]
-            x[nodes] *= max(1.0, 2.0 * need.max())
+    # components fit in the slack of its own; an overflow here leaves a
+    # non-finite x, which _validate_scaling refuses
+    with np.errstate(all="ignore"):
+        if not inner.all():
+            cross = sp.csr_matrix((csr.data * ~inner, csr.indices,
+                                   csr.indptr), shape=(n, n))
+            slack = x - (csr - cross) @ x
+            for c in np.unique(labels[rows[~inner]]):
+                nodes = order[starts[c]:ends[c]]
+                need = cross[nodes] @ x / slack[nodes]
+                x[nodes] *= max(1.0, 2.0 * need.max())
+        x = x / x.max()
     top = int(np.argmax(hi_c))
     hi = float(hi_c[top])
-    return lo, hi, hi - lo <= tol * max(1.0, hi), x / x.max(), route_c[top]
+    return lo, hi, hi - lo <= tol * max(1.0, hi), x, route_c[top]
 
 
 def spectral_radius_nonneg(m: MatrixLike, tol: float = RHO_TOL_DEFAULT

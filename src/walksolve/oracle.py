@@ -20,8 +20,6 @@ from itertools import islice
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .analysis import residual_matrix
 from .core import SparseSystem, UndirectedGraph, is_acyclic
@@ -270,6 +268,8 @@ def unwrapped_system(sys: SparseSystem, tree: UnwrappedTree) -> SparseSystem:
 def _solve_root(un: SparseSystem) -> float:
     """Direct solve of the unwrapped system, root component only, by
     sparse LU: a tree's elimination has no fill."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg
     mat = sp.csr_matrix((un.data, un.indices, un.indptr), shape=(un.n, un.n))
     return float(scipy.sparse.linalg.spsolve(mat.tocsc(), un.b)[0])
 

@@ -28,7 +28,6 @@ import warnings
 from typing import Iterator, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import analysis
 from .core import (SparseSystem, UndirectedGraph, check_tolerance, diameter,
@@ -517,12 +516,14 @@ def dense_solve(sys: SparseSystem) -> np.ndarray:
     """Direct LU solve with partial pivoting, with pivot and residual checks.
 
     Raises SingularMatrixError when any pivot magnitude falls at or below
-    PIVOT_EPS times the matrix scale, or when the solution's residual
-    exceeds RESIDUAL_FACTOR * (||A||_inf ||x||_inf + ||b||_inf).
+    PIVOT_EPS times the matrix scale, when the solution is not finite,
+    or when its residual is not within RESIDUAL_FACTOR * (||A||_inf
+    ||x||_inf + ||b||_inf).
 
     The norm and the residual come from the sparse entries, so the one
     dense matrix, in Fortran order, is factored in place.
     """
+    import scipy.linalg
     rows, cols, vals = sys.rows, sys.indices, sys.data
     b = sys.b
     scale = float(np.max(np.bincount(rows, np.abs(vals), sys.n)))
@@ -540,10 +541,13 @@ def dense_solve(sys: SparseSystem) -> np.ndarray:
             f"pivot {pivots[k]:.3e} at elimination step {k} below "
             f"{PIVOT_EPS:.0e} * scale {scale:.3e}")
     x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    residual = float(np.max(np.abs(sys.residual(x))))
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrixError("solve gave a non-finite solution")
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(sys.residual(x))))
     limit = RESIDUAL_FACTOR * (scale * float(np.max(np.abs(x)))
                                + float(np.max(np.abs(b))))
-    if residual > limit:
+    if not residual <= limit:
         raise SingularMatrixError(
             f"solve residual {residual:.3e} exceeds trust bound {limit:.3e}")
     return x

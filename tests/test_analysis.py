@@ -138,6 +138,22 @@ def test_analyze_nilpotent_pattern():
     assert rep.walk_summable is True
 
 
+#: r_01 = 0.973 / 6.77e-309 is finite but near the largest float, and
+#: it crosses from node 0's component to node 1's
+CROSS_OVERFLOW = SparseSystem(2, [(0, 0, -6.77e-309), (0, 1, 0.973),
+                                  (1, 1, -5.09e-201)], [1.0, 1.0])
+
+
+def test_analyze_scales_an_overflowing_cross_term_without_warning():
+    # scaling component 0 to cover r_01 overflows; the non-finite
+    # candidate is refused, and the verdict rests on rho = 0
+    rep = analyze(CROSS_OVERFLOW)
+    assert not rep.diag_dominant
+    assert (rep.rho_lo, rep.rho_hi, rep.route) == (0.0, 0.0, "dominance")
+    assert rep.walk_summable is True
+    assert rep.scaling is None
+
+
 def test_analyze_not_walk_summable():
     # symmetric 2-cycle with residual 1.5 on both arcs: radius 1.5
     sys = SparseSystem(2, [(0, 0, 1.0), (0, 1, -1.5), (1, 0, -1.5),

@@ -280,8 +280,11 @@ def test_an_overflowing_error_reads_inf_without_a_numpy_warning(
 
 def test_compare_writes_no_row_when_every_method_faults_at_round_zero(
         tmp_path, capsys):
-    # b_i / a_ii overflows, so no method completes round 0
-    mtx, rhs = _write_system(tmp_path, FAULTING["estimate"])
+    # b_0 / a_00 = 1e160 is beyond ESTIMATE_LIMIT, so no method completes
+    # round 0, while the solution (4e160, 2e160) / 3 has a reference
+    mtx, rhs = _write_system(tmp_path, SparseSystem(
+        2, [(0, 0, 1.0), (0, 1, -0.5), (1, 0, -0.5), (1, 1, 1.0)],
+        [1e160, 1.0]))
     assert main(["compare", "--matrix", mtx, "--rhs", rhs]) == 0
     captured = capsys.readouterr()
     notes = [f"# method {m}: stop=fault rounds=none fault='node 0 round 0: "
@@ -350,6 +353,28 @@ def test_analyze_refuses_a_residual_that_overflows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: matrix has non-finite entries\n"
+
+
+def test_analyze_writes_no_numpy_warning_on_a_cross_overflow(tmp_path):
+    from test_analysis import CROSS_OVERFLOW
+    mtx, rhs = _write_system(tmp_path, CROSS_OVERFLOW)
+    run = _run_in_process("analyze", "--matrix", mtx, "--rhs", rhs)
+    assert run.returncode == 0
+    assert "Warning" not in run.stderr
+    rep = _report(run.stdout)
+    assert rep["rho(|R|)"] == "0 (certified, tol 1e-09)"
+    assert rep["walk-summable"] == "yes"
+
+
+@pytest.mark.parametrize("command", [["solve", "--method", "jacobi"],
+                                     ["compare"]], ids=["solve", "compare"])
+def test_a_non_finite_reference_is_unavailable(tmp_path, capsys, command):
+    # the solution (1e308, 2e308) does not fit in floats
+    mtx, rhs = _write_system(tmp_path, SparseSystem(
+        2, [(0, 0, 1.0), (1, 1, 0.5)], [1e308, 1e308]))
+    main(command + ["--matrix", mtx, "--rhs", rhs])
+    assert capsys.readouterr().err.startswith(
+        "# reference: unavailable (solve gave a non-finite solution)\n")
 
 
 def test_parse_errors_exit_one_with_line_number(tmp_path, capsys):

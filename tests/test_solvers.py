@@ -279,6 +279,21 @@ def test_dense_solve_rejects_singular():
         dense_solve(sys)
 
 
+def test_dense_solve_refuses_a_solution_that_is_not_finite():
+    # x_1 = 1e308 / 0.5 overflows; the limit scale * max|x| is then inf
+    sys = SparseSystem(2, [(0, 0, 1.0), (1, 1, 0.5)], [1e308, 1e308])
+    with pytest.raises(SingularMatrixError, match="non-finite"):
+        dense_solve(sys)
+
+
+def test_dense_solve_checks_a_residual_that_overflows_without_warning():
+    # x = (5e307, 1e308) is exact, but a_01 x_1 = -2e308 overflows in the
+    # residual; so does the limit, and the solution is kept
+    sys = SparseSystem(2, [(0, 0, 1.0), (0, 1, -2.0), (1, 1, 1.0)],
+                       [-1.5e308, 1e308])
+    assert dense_solve(sys).tolist() == [5e307, 1e308]
+
+
 def test_solver_ensemble_agreement_with_dense():
     # every method limits to the same solution on dominant instances
     for seed in range(6):
