@@ -32,8 +32,8 @@ from .oracle import (UnwrappedCheck, UnwrappedTree, Walk, message_oracle,
                      partial_walk_sum, restricted_subgraph, unwrap_tree,
                      unwrapped_equivalence_check, unwrapped_system,
                      walk_weight)
-from .solvers import (BPProgram, ConsensusProgram, JacobiProgram, bp_solve,
-                      dense_solve, gauss_seidel_sweep)
+from .solvers import (BPProgram, ConsensusProgram, GaussSeidelProgram,
+                      JacobiProgram, bp_solve, dense_solve, gauss_seidel_sweep)
 from .verify import CheckResult, run_all_checks
 
 __version__ = "0.1.0"
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BPProgram", "CheckResult", "ConsensusProgram", "ConvergenceTrace",
     "CyclicGraphError", "DimensionMismatchError", "DivergedEstimateError",
-    "DominanceReport", "GeneratorSpec", "JacobiProgram",
+    "DominanceReport", "GaussSeidelProgram", "GeneratorSpec", "JacobiProgram",
     "MissingDiagonalError", "NoConvergenceError", "NodeProgram",
     "NotAnEdgeError", "NotWalkSummableError", "NotWalkSummableWarning",
     "ParseError", "ProtocolViolationError", "RoundAccounting",

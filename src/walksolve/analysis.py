@@ -226,18 +226,36 @@ class DominanceReport:
 
 
 def _validate_scaling(sys: SparseSystem, d: np.ndarray) -> bool:
-    """|a_ii| d_i > sum_j |a_ij| d_j in every row, each sum taken in
-    column order (np.bincount adds its weights in sequence)."""
+    """|a_ii| d_i > sum_j |a_ij| d_j in every row, in exact arithmetic
+    over the stored floats, proved from the computed values.
+
+    Row i's sum s^ adds its m = k - 1 rounded products in column order
+    (np.bincount adds its weights in sequence), k the row's stored
+    entries.  A product is within a factor 1 + u of its exact value, u =
+    2**-53, or within 2**-1075 of it where it is subnormal, and a
+    recursive sum of m nonnegative terms is within a factor 1 +
+    gamma_(m-1) of theirs, gamma_j = j u / (1 - j u) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, sec. 3.1).  So
+    the exact sum is below s^ (1 + 2 m u) + m 2**-1074 and the exact
+    |a_ii| d_i above fl(|a_ii| d_i)(1 - u) - 2**-1074.  A row passes
+    only when fl(|a_ii| d_i)(1 - 2u) > s^ (1 + 2(k + 2)u) + (k + 2)
+    2**-1074, whose extra terms cover this test's own roundings; a bound
+    that overflows to inf refuses the row."""
     if not np.all(np.isfinite(d)) or not np.all(d > 0):
         return False
     off = sys.rows != sys.indices
     sums = np.bincount(sys.rows[off],
                        np.abs(sys.data[off]) * d[sys.indices[off]], sys.n)
-    return bool(np.all(np.abs(sys.diag) * d > sums))
+    slack = (np.diff(sys.indptr) + 2) * 2.0 ** -52
+    with np.errstate(over="ignore"):
+        bound = sums * (1.0 + slack) + slack * 2.0 ** -1022
+        return bool(np.all(np.abs(sys.diag) * d * (1.0 - 2.0 ** -52)
+                           > bound))
 
 
 def is_diagonally_dominant(sys: SparseSystem) -> bool:
-    """Strict row dominance: |a_ii| > sum of |a_ij| over j != i, every row."""
+    """Strict row dominance: |a_ii| > sum of |a_ij| over j != i, every row,
+    proved despite rounding (_validate_scaling with d = 1)."""
     return _validate_scaling(sys, np.ones(sys.n))
 
 

@@ -15,19 +15,15 @@ import functools
 import sys as _sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import mmio, solvers
 from .analysis import RHO_TOL_DEFAULT, analyze
 from .core import (DIAG_RULES, GENERATOR_KINDS, GeneratorSpec, SparseSystem,
                    check_tolerance, diameter, generate_instance, is_acyclic)
-from .engine import (SolverFault, _log10_mses, check_max_rounds, delta_stop,
-                     residual_stop, run_rounds)
-from .errors import (DivergedEstimateError, NotWalkSummableError,
-                     SingularMatrixError, WalksolveError)
-from .solvers import (ESTIMATE_LIMIT, BPProgram, ConsensusProgram,
-                      JacobiProgram, bp_solve, dense_solve,
-                      gauss_seidel_sweep)
+from .engine import SolverFault, check_max_rounds, run_rounds
+from .errors import (NotWalkSummableError, SingularMatrixError,
+                     WalksolveError)
+from .solvers import (BPProgram, ConsensusProgram, GaussSeidelProgram,
+                      JacobiProgram, bp_solve, dense_solve)
 from .verify import run_all_checks
 
 DENSE_REFERENCE_LIMIT = 5000
@@ -147,32 +143,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gauss_seidel_trace(sys_, max_rounds: int, tol: float, reference):
-    """Sequential sweeps; returns (rows, stop_reason, fault) shaped like a
-    trace, 0 messages a row.  A sweep with an estimate beyond ESTIMATE_LIMIT
-    is not a row: it stops the run with the smallest such node's fault."""
-    with np.errstate(all="ignore"):
-        x = sys_.b / sys_.diag
-    rows = []
-    for k in range(max_rounds + 1):
-        nxt = gauss_seidel_sweep(sys_, x) if k else x
-        over = ~(np.abs(nxt) <= ESTIMATE_LIMIT)
-        if over.any():
-            node = int(np.argmax(over))
-            return rows, "fault", SolverFault(
-                node=node, round=k, error=DivergedEstimateError.__name__,
-                cause=f"estimate {float(nxt[node])!r} out of range")
-        delta = float(np.abs(nxt - x).max()) if k else None
-        mse = (_log10_mses(np.array([nxt]), reference)[0]
-               if reference is not None else None)
-        rows.append((k, mse, delta, 0))
-        if k and delta_stop(delta, nxt, tol):
-            return rows, ("delta" if residual_stop(sys_, nxt, tol)
-                          else "stalled"), None
-        x = nxt
-    return rows, "max-rounds", None
-
-
+_PROGRAMS = {"jacobi": JacobiProgram, "consensus": ConsensusProgram,
+             "gauss-seidel": GaussSeidelProgram}
 _EXIT_BY_REASON = {"fixed-rounds": 0, "delta": 0, "max-rounds": 2,
                    "stalled": 2, "fault": 3}
 
@@ -185,28 +157,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
     tol = _checked(check_tolerance, args.tol, "--tol")
     with _output(args.out) as out:
         reference = _reference_solution(sys_, args)
-        if args.method == "gauss-seidel":
-            rows, reason, fault = _gauss_seidel_trace(sys_, max_rounds, tol,
-                                                      reference)
-            comments = ["method: gauss-seidel (sequential-reference, not "
-                        "message passing)"]
+        if args.method == "bp":
+            try:
+                _, trace = bp_solve(sys_, max_rounds=max_rounds, tol=tol,
+                                    force=args.force, reference=reference)
+            except NotWalkSummableError as exc:
+                raise WalksolveError(
+                    f"{exc} (rerun with --force to try anyway)") from None
         else:
-            if args.method == "bp":
-                try:
-                    _, trace = bp_solve(sys_, max_rounds=max_rounds, tol=tol,
-                                        force=args.force, reference=reference)
-                except NotWalkSummableError as exc:
-                    raise WalksolveError(
-                        f"{exc} (rerun with --force to try anyway)") from None
-            else:
-                program = (JacobiProgram(sys_) if args.method == "jacobi"
-                           else ConsensusProgram(sys_))
-                trace = run_rounds(program, max_rounds, tol=tol,
-                                   reference=reference)
-            rows = [(r.k, r.log10_mse, r.max_delta,
-                     r.accounting.messages_sent) for r in trace.rounds]
-            reason, fault = trace.stop_reason, trace.fault
-            comments = [f"method: {args.method}", f"stop: {reason}"]
+            trace = run_rounds(_PROGRAMS[args.method](sys_), max_rounds,
+                               tol=tol, reference=reference)
+        rows = [(r.k, r.log10_mse, r.max_delta, r.accounting.messages_sent)
+                for r in trace.rounds]
+        reason, fault = trace.stop_reason, trace.fault
+        comments = ([f"method: {args.method}", f"stop: {reason}"]
+                    if args.method != "gauss-seidel" else
+                    ["method: gauss-seidel (sequential-reference, not "
+                     "message passing)"])
         out.write(_trace_csv(comments, rows, fault))
     summary = (f"method={args.method} "
                f"rounds={rows[-1][0] if rows else 'none'} stop={reason}")

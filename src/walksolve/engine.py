@@ -20,6 +20,8 @@ records:
   - otherwise :func:`node_rounds`, the per-node reference: it calls the
     program's transitions node by node, delivers each value as it was
     sent, and checks C1 on every round.  Tests hold the array forms to it.
+  - Gauss-Seidel's sweeps, whose rows read the freshest values of earlier
+    rows: a sequential reference, not an exchange, so it sends no messages.
 When several nodes fault in one round, the fault of the smallest node id
 is reported, so the record does not depend on evaluation order.
 
@@ -149,9 +151,9 @@ class NodeProgram:
 
     def costs(self, deg: np.ndarray, n: int):
         """The cost model: per-node int arrays (ops at round 0, ops in each
-        later round, storage) from the degrees deg and the node count n.
-        Storage counts the floats a node retains across rounds, messages
-        included."""
+        later round, storage, messages sent each round) from the degrees
+        deg and the node count n.  Storage counts the floats a node
+        retains across rounds, messages included."""
         raise NotImplementedError
 
     def rounds(self) -> Iterator:
@@ -275,7 +277,7 @@ def run_rounds(program: NodeProgram, max_rounds: int,
 
     The run consumes program.rounds() and never asks it for a
     round past max_rounds or after a delta stop.  Round 0 is
-    initialization (it already sends one message per directed edge).  A
+    initialization (message-passing programs already send in it).  A
     SolverError raised inside a node transition aborts the run at that
     round's barrier: the trace keeps rounds 0..k-1 and carries a
     SolverFault record for the smallest faulting node, the error's
@@ -303,9 +305,9 @@ def run_rounds(program: NodeProgram, max_rounds: int,
             raise DimensionMismatchError(
                 f"reference has shape {reference.shape}, expected ({g.n},)")
     deg = np.diff(g.indptr)
-    round0_ops, later_ops, storage = program.costs(deg, g.n)
+    round0_ops, later_ops, storage, sent = program.costs(deg, g.n)
     init_acct, step_acct = (RoundAccounting(
-        messages_sent=len(g.nbr),
+        messages_sent=int(sent.sum()),
         per_node_ops=tuple(ops.tolist()),
         per_node_storage=tuple(storage.tolist()),
         ops_bound_ok=bool(np.all(ops <= OPS_BOUND_COEFF * (deg + 1))),

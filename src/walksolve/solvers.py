@@ -181,7 +181,7 @@ class BPProgram(NodeProgram):
         return x_hat, out
 
     def costs(self, deg: np.ndarray, n: int):
-        return 2 * deg + 1, 11 * deg + 3, 7 * deg + 5
+        return 2 * deg + 1, 11 * deg + 3, 7 * deg + 5, deg
 
     def messages(self) -> Iterator:
         """init_node / step for every node at once on the graph's arrays:
@@ -317,7 +317,7 @@ class JacobiProgram(NodeProgram):
         return x_hat, {j: x_hat for j in nbrs}
 
     def costs(self, deg: np.ndarray, n: int):
-        return np.ones_like(deg), 2 * deg + 2, 2 * deg + 3
+        return np.ones_like(deg), 2 * deg + 2, 2 * deg + 3, deg
 
     def rounds(self) -> Iterator:
         """init_node / step for every node at once on the graph's arrays.
@@ -420,7 +420,7 @@ class ConsensusProgram(NodeProgram):
 
     def costs(self, deg: np.ndarray, n: int):
         return (np.full_like(deg, n + 2), (deg + 3) * n + 4 * (deg + 1),
-                (deg + 1) * n + 2 * (deg + 1))
+                (deg + 1) * n + 2 * (deg + 1), deg)
 
     def rounds(self) -> Iterator:
         """init_node / step for every node at once on the graph's arrays.
@@ -486,12 +486,38 @@ class ConsensusProgram(NodeProgram):
             yield x[diag], None
 
 
+class GaussSeidelProgram(NodeProgram):
+    """Gauss-Seidel, a sequential reference run like the programs: round 0
+    is b / diag, each later round one gauss_seidel_sweep.  It has no
+    init_node or step, and a sweep is no exchange: it sends nothing."""
+
+    def __init__(self, sys: SparseSystem):
+        self.sys = sys
+
+    def costs(self, deg: np.ndarray, n: int):
+        # Jacobi's arithmetic, on neighbor values read, not received
+        return np.ones_like(deg), 2 * deg + 2, deg + 3, np.zeros_like(deg)
+
+    def rounds(self) -> Iterator:
+        """A round with an estimate beyond ESTIMATE_LIMIT, or NaN, raises
+        _check_estimate's DivergedEstimateError for its smallest such node
+        instead, with ``node`` set."""
+        sys = self.sys
+        with np.errstate(all="ignore"):
+            x = sys.b / sys.diag
+        while True:
+            _replay(~(np.abs(x) <= ESTIMATE_LIMIT),
+                    lambda i: _check_estimate(i, float(x[i])))
+            yield x, None
+            x = gauss_seidel_sweep(sys, x)
+
+
 def gauss_seidel_sweep(sys: SparseSystem, x) -> np.ndarray:
     """One in-place sweep in index order; sequential reference only.
 
     Each row uses the freshest values of earlier rows, so this cannot be
     expressed as one synchronous exchange per edge per round; it exists
-    to compare convergence behavior, not as an engine program.
+    to compare convergence behavior, as GaussSeidelProgram's rounds.
     """
     out = np.array(x, dtype=float)
     if out.shape != (sys.n,):

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walksolve import analysis
@@ -224,10 +225,13 @@ def _off_diagonal_sum(sys, i, d):
 
 
 def _loop_validate_scaling(sys, d):
-    """The row-by-row check, summing each row's terms in column order."""
+    """The row-by-row check, summing each row's terms in column order,
+    with _validate_scaling's allowance for their rounding."""
     for i in range(sys.n):
         off = _off_diagonal_sum(sys, i, d)
-        if not abs(sys.diag[i]) * d[i] > off:
+        slack = int(sys.indptr[i + 1] - sys.indptr[i] + 2) * 2.0 ** -52
+        if not (float(abs(sys.diag[i])) * d[i] * (1.0 - 2.0 ** -52)
+                > off * (1.0 + slack) + slack * 2.0 ** -1022):
             return False
     return True
 
@@ -244,6 +248,87 @@ def test_validate_scaling_matches_the_row_loop():
             assert analysis._validate_scaling(sys, d) is want, seed
             checked[want] += 1
     assert min(checked.values()) > 0
+
+
+def _k6():
+    """K6 with a_ii = 1 and each row's off-diagonals, in column order,
+    -0.75, -2**-54 (three times) and -(0.25 - 2**-53): each row of |R|
+    sums to 1 + 2**-54 exactly, but to 1 - 2**-53 in floats."""
+    entries = []
+    for i in range(6):
+        others = [j for j in range(6) if j != i]
+        entries += [(i, i, 1.0)] + [(i, j, -v) for j, v in zip(others, (
+            0.75, 2.0 ** -54, 2.0 ** -54, 2.0 ** -54, 0.25 - 2.0 ** -53))]
+    return SparseSystem(6, entries, [1.0] * 6)
+
+
+def test_a_row_sum_rounded_below_the_diagonal_certifies_nothing():
+    # rho(|R|) = 1 + 2**-54: not dominant, and no scaling exists
+    sys = _k6()
+    assert not is_diagonally_dominant(sys)
+    rep = analyze(sys)
+    assert not rep.diag_dominant
+    assert rep.scaling is None
+    assert rep.walk_summable is None and rep.rho_reliable
+
+
+def _exactly_dominant(sys, d):
+    """|a_ii| d_i > sum_j |a_ij| d_j in every row, in rational arithmetic
+    over the stored floats and d."""
+    d = [Fraction(x) for x in np.asarray(d, dtype=float).tolist()]
+    bounds = sys.indptr.tolist()
+    cols, vals = sys.indices.tolist(), sys.data.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        terms = {j: abs(Fraction(v)) * d[j]
+                 for j, v in zip(cols[lo:hi], vals[lo:hi])}
+        if not terms.pop(i) > sum(terms.values()):
+            return False
+    return True
+
+
+@st.composite
+def near_equality_systems(draw):
+    """(system, d) for n <= 8, d > 0 (all ones half the time), with each
+    row's sum_j |a_ij| d_j drawn below |a_ii| d_i by 0 to 2**t ulps of it,
+    t drawn per system, or by -3 to 3 ulps in a third of the rows, spread
+    over terms of mixed sizes (some 2**-54 of the rest), stored zeros and
+    mixed signs.  The rows are nearly tight, so rho(|R|) is near 1."""
+    n = draw(st.integers(2, 8))
+    t = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = np.ones(n) if draw(st.booleans()) else rng.uniform(0.5, 1.5, n)
+    entries = []
+    for i in range(n):
+        a_ii = float(rng.choice([1.0, -1.0, 0.5, 3.0, 1e-3]))
+        others = [j for j in range(n) if j != i]
+        cols = [j for j in others if rng.random() < 0.7] or others[:1]
+        w = rng.random(len(cols)) * np.where(rng.random(len(cols)) < 0.3,
+                                             2.0 ** -54, 1.0)
+        ulps = int(rng.integers(-3, 4) if rng.random() < 1 / 3
+                   else rng.integers(0, 2 ** t))
+        target = abs(a_ii) * d[i] * (1.0 - ulps * 2.0 ** -53)
+        mags = target * (w / w.sum()) / d[cols]
+        signs = rng.choice([-1.0, 1.0], len(cols))
+        entries += [(i, i, a_ii)] + [(i, j, float(v)) for j, v in zip(
+            cols, signs * mags)]
+        entries += [(i, j, 0.0) for j in others
+                    if j not in cols and rng.random() < 0.3]
+    return SparseSystem(n, entries, [1.0] * n), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_equality_systems())
+@example((_k6(), np.ones(6)))
+def test_every_certificate_is_exactly_dominant(case):
+    # whatever passes in floats must hold over the rationals
+    sys, d = case
+    if analysis._validate_scaling(sys, d):
+        assert _exactly_dominant(sys, d)
+    if is_diagonally_dominant(sys):
+        assert _exactly_dominant(sys, np.ones(sys.n))
+    rep = analyze(sys)
+    if rep.scaling is not None:
+        assert _exactly_dominant(sys, rep.scaling)
 
 
 def test_gdd_scaling_dominant_is_ones(two_node):

@@ -324,8 +324,7 @@ def test_every_loop_stalls_when_no_residual_is_small_enough(
     argv = ["solve", "--matrix", mtx, "--rhs", rhs, "--method", method]
     assert main(argv) == 0
     assert "stop=delta" in capsys.readouterr().err
-    for module in (engine, cli):
-        monkeypatch.setattr(module, "residual_stop", lambda *args: False)
+    monkeypatch.setattr(engine, "residual_stop", lambda *args: False)
     assert main(argv) == 2
     assert "stop=stalled" in capsys.readouterr().err
 
@@ -612,6 +611,19 @@ def test_analyze_reports_a_margin_within_tolerance_as_indeterminate(
     assert "scaling certificate" not in rep
 
 
+def test_analyze_certifies_nothing_from_a_row_sum_rounded_down(tmp_path,
+                                                               capsys):
+    # each row of |R| sums to 1 + 2**-54 exactly, 1 - 2**-53 in floats
+    from test_analysis import _k6
+    mtx, rhs = _write_system(tmp_path, _k6())
+    assert main(["analyze", "--matrix", mtx, "--rhs", rhs]) == 0
+    rep = _report(capsys.readouterr().out)
+    assert rep["diagonally dominant"] == "no"
+    assert rep["walk-summable"] == "indeterminate (margin within tolerance)"
+    assert "margin to 1" not in rep
+    assert "scaling certificate" not in rep
+
+
 def test_analyze_reports_an_open_interval_as_indeterminate(tmp_path, capsys,
                                                            monkeypatch):
     mtx, rhs = _generate(tmp_path, capsys)
@@ -724,8 +736,7 @@ def test_an_unwritable_out_fails_before_any_round(tmp_path, capsys,
     def refuse(*args, **kwargs):
         raise AssertionError("ran before --out was opened")
 
-    for name in ("dense_solve", "run_rounds", "bp_solve",
-                 "_gauss_seidel_trace"):
+    for name in ("dense_solve", "run_rounds", "bp_solve"):
         monkeypatch.setattr(cli, name, refuse)
     out = tmp_path / "missing" / "x.csv"
     code = main(command + ["--matrix", mtx, "--rhs", rhs, "--out", str(out)])

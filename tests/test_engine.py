@@ -12,8 +12,8 @@ from walksolve.engine import NodeProgram, delta_stop, run_rounds
 from walksolve.errors import (DimensionMismatchError, ProtocolViolationError,
                               SingularMessageError, SolverError,
                               TooLargeError)
-from walksolve.solvers import (BPProgram, ConsensusProgram, JacobiProgram,
-                               bp_solve)
+from walksolve.solvers import (BPProgram, ConsensusProgram,
+                               GaussSeidelProgram, JacobiProgram, bp_solve)
 from walksolve.verify import run_message_rounds
 
 from conftest import PerNodeBP, kernel_rounds
@@ -106,7 +106,7 @@ class _WrongAddressProgram(NodeProgram):
         return 0.0
 
     def costs(self, deg, n):
-        return (np.ones_like(deg),) * 3
+        return (np.ones_like(deg),) * 4
 
 
 def test_outbox_must_match_neighbor_set(two_node):
@@ -144,7 +144,7 @@ class _RecordingProgram(NodeProgram):
         return 0.0
 
     def costs(self, deg, n):
-        return (np.ones_like(deg),) * 3
+        return (np.ones_like(deg),) * 4
 
 
 def test_per_node_kernel_delivers_the_values_sent():
@@ -351,12 +351,15 @@ def test_accounting_bounds_small_graph(two_node):
     assert trace.rounds[0].accounting.per_node_ops == (3, 3)       # 2d+1
     assert trace.rounds[1].accounting.per_node_ops == (14, 14)     # 11d+3
     assert trace.rounds[1].accounting.per_node_storage == (12, 12)  # 7d+5
-    # each program's (init_ops, step_ops, storage) at degrees 0, 1, 3
-    # and n = 5, worked out by hand
+    # each program's (init_ops, step_ops, storage, messages) at degrees
+    # 0, 1, 3 and n = 5, worked out by hand
     deg = np.array([0, 1, 3])
-    want = {BPProgram: ([1, 3, 7], [3, 14, 36], [5, 12, 26]),
-            JacobiProgram: ([1, 1, 1], [2, 4, 8], [3, 5, 9]),
-            ConsensusProgram: ([7, 7, 7], [19, 28, 46], [7, 14, 28])}
+    want = {BPProgram: ([1, 3, 7], [3, 14, 36], [5, 12, 26], [0, 1, 3]),
+            JacobiProgram: ([1, 1, 1], [2, 4, 8], [3, 5, 9], [0, 1, 3]),
+            ConsensusProgram: ([7, 7, 7], [19, 28, 46], [7, 14, 28],
+                               [0, 1, 3]),
+            GaussSeidelProgram: ([1, 1, 1], [2, 4, 8], [3, 4, 6],
+                                 [0, 0, 0])}
     for cls, costs in want.items():
         got = cls(two_node).costs(deg, 5)
         assert [c.tolist() for c in got] == list(costs), cls.__name__
@@ -533,7 +536,7 @@ class _ScriptedProgram(NodeProgram):
         self._rounds = rounds
 
     def costs(self, deg, n):
-        return deg + 1, deg + 1, deg + 1
+        return deg + 1, deg + 1, deg + 1, deg
 
     def rounds(self):
         for estimates in self._rounds:

@@ -3,20 +3,26 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from walksolve import analysis, core
 from walksolve.core import GeneratorSpec, SparseSystem, generate_instance
-from walksolve.engine import run_rounds
+from walksolve.engine import (SolverFault, _log10_mses, delta_stop,
+                              residual_stop, run_rounds)
 from walksolve.errors import (
     DimensionMismatchError,
+    DivergedEstimateError,
     NotWalkSummableError,
     NotWalkSummableWarning,
     SingularMatrixError,
     ZeroRowError,
 )
 from walksolve.solvers import (
+    ESTIMATE_LIMIT,
     BPProgram,
     ConsensusProgram,
+    GaussSeidelProgram,
     JacobiProgram,
     bp_solve,
     dense_solve,
@@ -25,6 +31,7 @@ from walksolve.solvers import (
 from walksolve.verify import run_message_rounds
 
 from conftest import PATH3_SOLUTION, TWO_NODE_SOLUTION, kernel_estimates
+from test_edge_kernel import FAULTING, systems
 
 
 def _round_zero(program, sys):
@@ -227,6 +234,72 @@ def test_gauss_seidel_converges(two_node):
     for _ in range(60):
         x = gauss_seidel_sweep(two_node, x)
     assert x == pytest.approx(TWO_NODE_SOLUTION, abs=1e-12)
+
+
+def _gauss_seidel_trace(sys_, max_rounds, tol, reference):
+    """The command line's own Gauss-Seidel loop before GaussSeidelProgram,
+    kept as its oracle: (rows, stop_reason, fault) shaped like a trace,
+    0 messages a row.  A sweep with an estimate beyond ESTIMATE_LIMIT is
+    not a row: it stops the run with the smallest such node's fault."""
+    with np.errstate(all="ignore"):
+        x = sys_.b / sys_.diag
+    rows = []
+    for k in range(max_rounds + 1):
+        nxt = gauss_seidel_sweep(sys_, x) if k else x
+        over = ~(np.abs(nxt) <= ESTIMATE_LIMIT)
+        if over.any():
+            node = int(np.argmax(over))
+            return rows, "fault", SolverFault(
+                node=node, round=k, error=DivergedEstimateError.__name__,
+                cause=f"estimate {float(nxt[node])!r} out of range")
+        delta = float(np.abs(nxt - x).max()) if k else None
+        mse = (_log10_mses(np.array([nxt]), reference)[0]
+               if reference is not None else None)
+        rows.append((k, mse, delta, 0))
+        if k and delta_stop(delta, nxt, tol):
+            return rows, ("delta" if residual_stop(sys_, nxt, tol)
+                          else "stalled"), None
+        x = nxt
+    return rows, "max-rounds", None
+
+
+def _fault_key(f):
+    return f and (f.node, f.round, f.error)
+
+
+#: the sweeps grow 1e30-fold until round 5 passes ESTIMATE_LIMIT
+GS_OVERFLOW = SparseSystem(2, [(0, 0, 1e-30), (0, 1, -1.0), (1, 0, -1.0),
+                               (1, 1, 1.0)], [1.0, 1.0])
+#: row 0's sweep is 1 - inf + inf: a NaN estimate, the only one that faults
+GS_NAN = SparseSystem(3, [(0, 0, 1.0), (0, 1, 1e200), (0, 2, -1e200),
+                          (1, 1, 1.0), (2, 2, 1.0)], [1.0, 1e140, 1e140])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sys=systems(), max_rounds=st.integers(0, 40),
+       tol=st.sampled_from([0.0, 1e-10, 1e-4, 0.5]),
+       scale=st.none() | st.integers(-200, 200))
+@example(sys=GS_OVERFLOW, max_rounds=20, tol=1e-10, scale=0)
+@example(sys=GS_OVERFLOW, max_rounds=20, tol=1e-10, scale=None)
+@example(sys=GS_NAN, max_rounds=3, tol=1e-10, scale=0)
+@example(sys=FAULTING["estimate"], max_rounds=5, tol=1e-10, scale=0)
+@example(sys=FAULTING["diverge"], max_rounds=4, tol=1e-10, scale=0)
+@example(sys=FAULTING["aggregate"], max_rounds=0, tol=1e-10, scale=0)
+@example(sys=FAULTING["aggregate"], max_rounds=0, tol=1e-10, scale=None)
+def test_gauss_seidel_program_runs_as_the_deleted_loop(sys, max_rounds, tol,
+                                                       scale):
+    # stored zeros, overflow mid-run and round-0 faults come from
+    # systems(); the reference, when there is one, is 10**scale * (1..n)
+    reference = (None if scale is None
+                 else np.arange(1.0, sys.n + 1) * 10.0 ** scale)
+    rows, stop, fault = _gauss_seidel_trace(sys, max_rounds, tol, reference)
+    trace = run_rounds(GaussSeidelProgram(sys), max_rounds, tol=tol,
+                       reference=reference)
+    assert repr([(r.k, r.log10_mse, r.max_delta, r.accounting.messages_sent)
+                 for r in trace.rounds]) == repr(rows)
+    # the fault's cause now starts "node N: ", as Jacobi's does
+    assert (trace.stop_reason, _fault_key(trace.fault)) == (
+        stop, _fault_key(fault))
 
 
 def test_consensus_hand_round(two_node):
